@@ -14,6 +14,11 @@ No fused multiply-add and no reassociation anywhere: each product is
 rounded before the add that consumes it.  Overflow follows IEEE-754
 (round to +/-inf); NaN compares false against the threshold, so a NaN
 distance yields label -1 and a cleared finite flag.
+
+Each sum is one ordered numpy kernel: the binary32 products fill an array
+behind a +0.0 seed row, and np.add.accumulate adds the rows strictly first
+to last (np.sum adds pairwise, a different association).  The seed turns a
+leading -0.0 product into +0.0, as a zero-initialised accumulator does.
 """
 
 from __future__ import annotations
@@ -78,19 +83,17 @@ class AccelResult:
 
 
 def _accumulate(sv: np.ndarray, alpha_y: np.ndarray) -> np.ndarray:
-    ac = np.zeros(sv.shape[1], dtype=_F32)
+    terms = np.zeros((sv.shape[0] + 1, sv.shape[1]), dtype=_F32)
     with np.errstate(all="ignore"):
-        for s in range(sv.shape[0]):
-            ac = ac + alpha_y[s] * sv[s]
-    return ac
+        np.multiply(alpha_y[:, None], sv, out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _dot(ac: np.ndarray, x: np.ndarray) -> np.float32:
-    d = _F32(0.0)
+    terms = np.zeros(ac.shape[0] + 1, dtype=_F32)
     with np.errstate(all="ignore"):
-        for f in range(ac.shape[0]):
-            d = d + ac[f] * x[f]
-    return d
+        np.multiply(ac, x, out=terms[1:])
+        return np.add.accumulate(terms)[-1]
 
 
 def accumulate_weight_vector(model: TrainedModel) -> WeightAccumulator:

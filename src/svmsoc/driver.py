@@ -6,7 +6,9 @@ carried out in binary64 and immediately rounded back to binary32.
 Because binary64 carries more than twice the binary32 precision plus two
 bits, that double rounding is exact for +, -, and *, so agreement with
 the native binary32 pipeline is a real cross-check rather than the same
-code run twice.
+code run twice.  One kernel computes AC once and then the dot product
+with the instances as lanes; run_software_reference runs it with one
+lane, batch_classify once per dataset.
 
 run_oracle is the accuracy yardstick: full binary64, per-support-vector
 dot products summed afterwards, i.e. a different association order than
@@ -71,38 +73,49 @@ def _r32a(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
 
 
+def _reference_kernel(model: TrainedModel, x: np.ndarray, threshold: float):
+    """Score the rows of the (N, Fl) binary32 matrix x against one model.
+
+    All S*Fl products are rounded in one step; the S adds stay a loop,
+    because np.add.accumulate would skip the rounding after each add.  The
+    dot product takes Fl rounded steps over N-wide lanes.  Returns
+    (labels, distances, raw distances), each of length N.
+    """
+    with np.errstate(all="ignore"):
+        ay = model.alpha_y.astype(np.float64)
+        products = _r32a(ay[:, None] * model.support_vectors.astype(np.float64))
+        ac = np.zeros(model.feature_count)
+        for row in products:
+            ac = _r32a(ac + row)
+        xt = x.astype(np.float64).T
+        raw = np.zeros(xt.shape[1])
+        for f in range(model.feature_count):
+            raw = _r32a(raw + _r32a(ac[f] * xt[f]))
+        distances = _r32a(raw - model.bias)
+    labels = np.where(distances >= float(np.float32(threshold)), 1, -1)
+    return labels, distances, raw
+
+
 def run_software_reference(
     model: TrainedModel, test: TestInstance, threshold: float = 0.0
 ) -> AccelResult:
     """Binary64-with-rounding replica of the accelerator pipeline.
 
     Same accumulation orders as the hardware, one rounding to binary32
-    after every operation; returns bit-identical distances.
+    after every operation; returns bit-identical distances.  This is the
+    batch kernel run with a single instance lane.
     """
     if test.feature_count != model.feature_count:
         raise DimensionError(
             f"model has {model.feature_count} features, instance has"
             f" {test.feature_count}"
         )
-    sv = model.support_vectors.astype(np.float64)
-    ay = model.alpha_y.astype(np.float64)
-    x = test.values.astype(np.float64)
-    with np.errstate(all="ignore"):
-        ac = np.zeros(model.feature_count, dtype=np.float64)
-        for s in range(model.sv_count):
-            ac = _r32a(ac + _r32a(ay[s] * sv[s]))
-        d = np.float64(0.0)
-        for f in range(model.feature_count):
-            d = (d + (ac[f] * x[f]).astype(np.float32)).astype(np.float32)
-            d = np.float64(d)
-        distance = np.float64((d - np.float64(model.bias)).astype(np.float32))
-    th = float(np.float32(threshold))
-    label = 1 if distance >= th else -1
+    labels, distances, raw = _reference_kernel(model, test.values[None, :], threshold)
     return AccelResult(
-        label=label,
-        distance=float(distance),
-        raw_distance=float(d),
-        finite=bool(np.isfinite(distance)),
+        label=int(labels[0]),
+        distance=float(distances[0]),
+        raw_distance=float(raw[0]),
+        finite=bool(np.isfinite(distances[0])),
     )
 
 
@@ -254,18 +267,21 @@ class AccuracyReport:
 def batch_classify(
     model: TrainedModel, dataset: LabeledDataset, threshold: float = 0.0
 ) -> AccuracyReport:
-    """Classify every instance with the software reference and score it."""
+    """Classify every instance with the software reference and score it.
+
+    AC is accumulated once per dataset and the dot product runs with the
+    instances as lanes, so each distance is bit-identical to a per-row
+    run_software_reference call.
+    """
     if dataset.feature_count != model.feature_count:
         raise DimensionError(
             f"model has {model.feature_count} features, dataset has"
             f" {dataset.feature_count}"
         )
-    preds: list[int] = []
-    dists: list[float] = []
-    for inst in dataset.instances:
-        res = run_software_reference(model, inst, threshold)
-        preds.append(res.label)
-        dists.append(res.distance)
+    x = np.stack([inst.values for inst in dataset.instances])
+    labels, distances, _raw = _reference_kernel(model, x, threshold)
     return AccuracyReport(
-        predictions=tuple(preds), distances=tuple(dists), labels=dataset.labels
+        predictions=tuple(labels.tolist()),
+        distances=tuple(distances.tolist()),
+        labels=dataset.labels,
     )

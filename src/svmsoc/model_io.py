@@ -19,6 +19,7 @@ same binary32, so emit/parse round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,26 +303,31 @@ def parse_svmlight_model(text: str) -> TrainedModel:
         bias = _parse_real(header_value(10))
     except ValueError as exc:
         raise MalformedModel(str(exc), line=11) from None
-    if not np.isfinite(bias):
+    if not math.isfinite(bias):
         raise MalformedModel("threshold must be finite", line=11)
+
+    # count the body lines before the header's S sizes any allocation
+    body = [
+        (lineno0 + 1, tokens)
+        for lineno0 in range(len(_HEADER_FIELDS), len(lines))
+        if (tokens := _strip_comment(lines[lineno0]).split())
+    ]
+    if len(body) > sv_count:
+        raise MalformedModel(
+            f"more than the declared {sv_count} support vector lines",
+            line=body[sv_count][0],
+        )
+    if len(body) != sv_count:
+        raise MalformedModel(f"declared {sv_count} support vectors, found {len(body)}")
 
     sv = np.zeros((sv_count, feature_count), dtype=_F32)
     alpha_y = np.zeros(sv_count, dtype=_F32)
-    row = 0
-    for lineno0 in range(len(_HEADER_FIELDS), len(lines)):
-        tokens = _strip_comment(lines[lineno0]).split()
-        if not tokens:
-            continue
-        lineno = lineno0 + 1
-        if row >= sv_count:
-            raise MalformedModel(
-                f"more than the declared {sv_count} support vector lines", line=lineno
-            )
+    for row, (lineno, tokens) in enumerate(body):
         try:
             weight = _parse_real(tokens[0])
         except ValueError as exc:
             raise MalformedModel(str(exc), line=lineno) from None
-        if not np.isfinite(weight):
+        if not math.isfinite(weight):
             raise MalformedModel("non-finite alpha*y weight", line=lineno)
         alpha_y[row] = _F32(weight)
         seen: set[int] = set()
@@ -344,12 +350,9 @@ def parse_svmlight_model(text: str) -> TrainedModel:
                 val = _parse_real(val_s)
             except ValueError as exc:
                 raise MalformedModel(str(exc), line=lineno) from None
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise MalformedModel("non-finite feature value", line=lineno)
             sv[row, idx - 1] = _F32(val)
-        row += 1
-    if row != sv_count:
-        raise MalformedModel(f"declared {sv_count} support vectors, found {row}")
     return TrainedModel(sv, alpha_y, bias)
 
 
@@ -367,7 +370,7 @@ def _parse_real_lines(text: str, err_cls, what: str):
                 if err_cls is MalformedModel:
                     raise MalformedModel(f"{what}: {exc}", line=lineno0 + 1) from None
                 raise err_cls(f"{what} line {lineno0 + 1}: {exc}") from None
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             if err_cls is MalformedModel:
                 raise MalformedModel(f"{what}: non-finite value", line=lineno0 + 1)
             raise err_cls(f"{what} line {lineno0 + 1}: non-finite value")
@@ -441,7 +444,7 @@ def load_dataset(text: str) -> LabeledDataset:
             raw_label = _parse_real(cells[-1])
         except ValueError as exc:
             raise MalformedDataset(f"line {lineno}: {exc}") from None
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise MalformedDataset(f"line {lineno}: non-finite feature value")
         if raw_label not in (1.0, -1.0):
             raise MalformedDataset(f"line {lineno}: label must be +1 or -1")

@@ -15,10 +15,11 @@ from svmsoc import (
     f32_bits,
     run_accelerator,
 )
+from svmsoc.accel import _accumulate, _dot
 from svmsoc.model_io import StreamFrame
 
 import ref32
-from conftest import random_instance, random_model
+from conftest import edge_lane_case, random_instance, random_model
 
 F32 = np.float32
 
@@ -169,3 +170,29 @@ class TestRunAccelerator:
         assert res.label == label
         assert f32_bits(res.distance) == f32_bits(dist)
         assert f32_bits(res.raw_distance) == f32_bits(raw)
+
+    @given(edge_lane_case())
+    @settings(max_examples=300, deadline=None)
+    def test_ordered_kernels_match_struct_reference_on_edge_lanes(self, case):
+        m, rows, kind = case
+        sv, ay = m.support_vectors.tolist(), m.alpha_y.tolist()
+        ac = _accumulate(m.support_vectors, m.alpha_y)
+        assert [f32_bits(v) for v in ac] == [
+            f32_bits(v) for v in ref32.accumulate(sv, ay)
+        ]
+        assert f32_bits(ac[0]) == 0  # -0.0 products sum to +0.0
+        if kind != "finite":
+            assert ac[2] == np.inf
+        for x in rows:
+            # lane 0 gives -0.0, lane 1 underflows to a zero: the sum is +0.0
+            assert f32_bits(_dot(ac[:2], x[:2])) == 0
+            label, dist, raw = ref32.classify(sv, ay, x.tolist(), m.bias)
+            assert f32_bits(_dot(ac, x)) == f32_bits(raw)
+            res = run_accelerator(
+                emit_stream(m, TestInstance(x)), m.sv_count, m.feature_count
+            )
+            assert (res.label, f32_bits(res.distance), f32_bits(res.raw_distance)) == (
+                label, f32_bits(dist), f32_bits(raw)
+            )
+            if kind == "nan":  # inf - inf in the dot product, labelled -1
+                assert np.isnan(res.distance) and res.label == -1 and not res.finite

@@ -1,6 +1,8 @@
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -420,12 +422,13 @@ class TestGen:
 
 
 def test_console_script_entry_point():
-    exe = shutil.which("svmsoc")
-    if exe is None:
-        pytest.skip("svmsoc script not on PATH")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [exe, "synth", "248", "27", "pipeline-inner", "100"],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-m", "svmsoc.cli",
+         "synth", "248", "27", "pipeline-inner", "100"],
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "14138 14139" in proc.stdout

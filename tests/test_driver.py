@@ -23,7 +23,7 @@ from svmsoc import (
 )
 
 import ref32
-from conftest import random_instance, random_model
+from conftest import edge_lane_case, random_instance, random_model
 
 F32 = np.float32
 
@@ -285,3 +285,18 @@ class TestBatchClassify:
         rep = batch_classify(m, ds)
         for inst, dist in zip(ds.instances, rep.distances):
             assert dist == run_software_reference(m, inst).distance
+
+    @given(edge_lane_case(max_rows=12), st.sampled_from([0.0, 0.5, -1e30]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_reference_on_edge_lanes(self, case, threshold):
+        m, rows, _kind = case
+        ds = LabeledDataset(tuple(TestInstance(x) for x in rows), (1,) * len(rows))
+        rep = batch_classify(m, ds, threshold)
+        sv, ay = m.support_vectors.tolist(), m.alpha_y.tolist()
+        for inst, label, dist in zip(ds.instances, rep.predictions, rep.distances):
+            sw = run_software_reference(m, inst, threshold)
+            assert (label, f32_bits(dist)) == (sw.label, f32_bits(sw.distance))
+            want, want_dist, _raw = ref32.classify(
+                sv, ay, inst.values.tolist(), m.bias, threshold
+            )
+            assert (label, f32_bits(dist)) == (want, f32_bits(want_dist))

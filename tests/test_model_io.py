@@ -129,6 +129,14 @@ class TestSvmlightParsing:
         with pytest.raises(MalformedModel, match="more than the declared"):
             parse_svmlight_model(SVMLIGHT_TWO_SV + "0.5 1:1 #\n")
 
+    def test_huge_declared_sv_count_refused_before_allocating(self):
+        text = SVMLIGHT_TWO_SV.replace(
+            "3 # number of support vectors plus 1",
+            f"{10**15 + 1} # number of support vectors plus 1",
+        )
+        with pytest.raises(MalformedModel, match=f"declared {10**15} .* found 2"):
+            parse_svmlight_model(text)
+
     def test_truncated_header(self):
         with pytest.raises(MalformedModel, match="header"):
             parse_svmlight_model("SVM-light\n0\n")
