@@ -24,6 +24,7 @@ from .model_io import (
     emit_native_model,
     emit_test_instance,
     format_real,
+    format_reals,
     load_dataset,
     make_synthetic,
     parse_native_model,
@@ -113,10 +114,9 @@ def _classify_dataset(model, dataset: LabeledDataset, args) -> str:
     report = batch_classify(model, dataset, args.th)
     acc = f"{report.accuracy_percent:.2f}"
     lines = []
-    for i, (pred, true, dist) in enumerate(
-        zip(report.predictions, report.labels, report.distances), start=1
+    for i, (pred, true, d) in enumerate(
+        zip(report.predictions, report.labels, format_reals(report.distances)), start=1
     ):
-        d = format_real(dist)
         if args.machine:
             lines.append(
                 f"row={i} predicted={_fmt_label(pred)} true={_fmt_label(true)}"
@@ -139,8 +139,7 @@ def _classify_dataset(model, dataset: LabeledDataset, args) -> str:
 # cosim
 
 def _render_cosim(rep: CosimReport, machine: bool) -> str:
-    hw_d = format_real(rep.hw.distance)
-    sw_d = format_real(rep.sw.distance)
+    hw_d, sw_d = format_reals([rep.hw.distance, rep.sw.distance])
     if machine:
         return _kv(
             [

@@ -12,15 +12,23 @@ On-disk formats handled here:
   words in transfer order (support vectors row-major, then bias, then
   alpha*y weights, then the test vector).
 
-Every stored real is binary32.  Parsers round decimal text to the nearest
-binary32 once; emitters print the shortest decimal that parses back to the
-same binary32, so emit/parse round-trips are bit-exact.
+Every stored real is binary32.  Parsers round each decimal to the nearest
+binary32 exactly once: a file's binary64 values (one `float` pass and one
+finiteness check per line) go to binary32 in one array step, and a value
+that lands exactly on a binary32 midpoint on the way is settled from its
+decimal text.  Emitters format whole arrays (`format_reals`) with the
+shortest decimal that parses back to the same binary32, so emit/parse
+round-trips are bit-exact.  No body line confirms an SVM-Light header's
+"highest feature index", so a model above MAX_DENSE_VALUES support-vector
+values is refused before its dense matrix is allocated.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -49,9 +57,15 @@ __all__ = [
     "parse_stream",
     "make_synthetic",
     "format_real",
+    "format_reals",
+    "MAX_DENSE_VALUES",
 ]
 
 _F32 = np.float32
+
+# Largest S x Fl an SVM-Light model may declare: 2**24 binary32 values
+# (64 MiB), 650 times the 400 x 64 stress size.
+MAX_DENSE_VALUES = 1 << 24
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -60,14 +74,40 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shortest(values: np.ndarray) -> list[str]:
+    """Shortest round-trip decimal of each value of a 1-D binary32 array.
+
+    numpy's float32 repr is the shortest digit string; the few values it
+    prints in exponent form are rewritten positionally.  The caller pins
+    the print options (a legacy mode prints 6 digits, which do not round-trip).
+    """
+    texts = values.astype(str).tolist()
+    if "e" in "".join(texts):  # nan and inf hold no "e"
+        texts = [
+            np.format_float_positional(v, unique=True, trim="0") if "e" in t else t
+            for v, t in zip(values, texts)
+        ]
+    return texts
+
+
+def format_reals(values, sep: str = " ") -> list[str]:
+    """Text of binary32 values: shortest decimals that parse back bit-exact.
+
+    A 1-D array gives one string per value; a 2-D array gives one line per
+    row, its values joined by sep (formatted a row at a time, so no
+    matrix-sized string array is built).  NaN prints as "nan" and
+    infinities as "inf"/"-inf", whatever numpy's print options say.
+    """
+    arr = np.asarray(values, dtype=_F32)
+    with np.printoptions(legacy=False):
+        if arr.ndim < 2:
+            return _shortest(arr.reshape(-1))
+        return [sep.join(_shortest(row)) for row in arr]
+
+
 def format_real(value) -> str:
     """Shortest decimal string that parses back to the same binary32."""
-    v = _F32(value)
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return np.format_float_positional(v, unique=True, trim="0")
+    return format_reals([value])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +279,63 @@ def _parse_real(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ValueError(f"bad real {token!r}") from None
+        raise ValueError(f"bad real {token.strip()!r}") from None
+
+
+def _parse_reals(tokens) -> list[float]:
+    """float() of every token; the ValueError names the first one that is no real."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        return list(map(_parse_real, tokens))  # raises at the first bad token
+
+
+def _all_finite(vals: list[float]) -> bool:
+    # a finite sum has only finite terms; an overflowing one needs a closer look
+    return math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
+
+
+def _binary32_ties(values: np.ndarray) -> np.ndarray:
+    """Flat indices of the binary64 values lying halfway between two binary32.
+
+    Half the binary32 spacing at |v| = m * 2**e (1/2 <= m < 1) is 2**(e-25),
+    and 2**-150 throughout the subnormal range (e <= -125); a midpoint is an
+    odd multiple of it.  No binary32 is finite at or above 2**128 (e > 128).
+    In the normal range a midpoint's 29 low significand bits read 1000...0,
+    which filters the candidates cheaply first.
+    """
+    flat = values.ravel()
+    maybe = np.flatnonzero(
+        ((flat.view(np.uint64) & 0x1FFF_FFFF) == 0x1000_0000) | (np.abs(flat) < 2.0**-126)
+    )
+    e = np.frexp(flat[maybe])[1]
+    halves = np.ldexp(np.abs(flat[maybe]), 25 - np.maximum(e, -125))
+    return maybe[(e <= 128) & (halves % 2 == 1)]
+
+
+def _binary32(values: np.ndarray, tokens) -> np.ndarray:
+    """Round binary64 values that float() read from decimal text to binary32.
+
+    Rounding a decimal to binary64 and then to binary32 gives its nearest
+    binary32, except where the binary64 value is a binary32 midpoint: the
+    decimal may then lie on either side.  Those values are settled exactly
+    from their text; tokens() returns the text of every value, indexed like
+    values.ravel(), and is called only when there is such a value.
+    """
+    out = values.astype(_F32)
+    ties = _binary32_ties(values)
+    if ties.size:
+        # imported here: rarely needed, and together about 0.4 MB
+        from decimal import Decimal
+        from fractions import Fraction
+
+        text, flat = tokens(), out.reshape(-1)
+        for i in ties.tolist():
+            mid, near = float(values.flat[i]), float(flat[i])  # compared in binary64
+            exact = Fraction(Decimal(text[i]))
+            if exact != mid and (exact > mid) == (mid > near):
+                flat[i] = np.nextafter(flat[i], _F32(math.inf if mid > near else -math.inf))
+    return out
 
 
 def _strip_comment(line: str) -> str:
@@ -263,11 +359,49 @@ _HEADER_FIELDS = (
 )
 
 
+def _svmlight_fault(tokens: list[str], feature_count: int) -> str:
+    """The message for the first fault of an SVM-Light body line that has one."""
+    try:
+        weight = _parse_real(tokens[0])
+    except ValueError as exc:
+        return str(exc)
+    if not math.isfinite(weight):
+        return "non-finite alpha*y weight"
+    seen: set[int] = set()
+    for pair in tokens[1:]:
+        idx_s, sep, val_s = pair.partition(":")
+        if not sep:
+            return f"expected idx:val pair, got {pair!r}"
+        try:
+            idx = int(idx_s)
+        except ValueError:
+            return f"bad feature index {idx_s!r}"
+        if not 1 <= idx <= feature_count:
+            return f"feature index {idx} outside 1..{feature_count}"
+        if idx in seen:
+            return f"duplicate feature index {idx}"
+        seen.add(idx)
+        try:
+            val = _parse_real(val_s)
+        except ValueError as exc:
+            return str(exc)
+        if not math.isfinite(val):
+            return "non-finite feature value"
+    raise AssertionError("line has no fault")
+
+
+def _svmlight_pairs(tokens: list[str]) -> list[str]:
+    """idx, ":", val, idx, ":", val, ... of a body line's pairs, split in one pass."""
+    return list(chain.from_iterable(map(str.partition, tokens[1:], repeat(":"))))
+
+
 def parse_svmlight_model(text: str) -> TrainedModel:
     """Parse the linear-kernel subset of the SVM-Light model format.
 
     Sparse idx:val pairs use 1-based feature indices and densify with
-    zeros.  Any kernel type other than 0 raises UnsupportedKernel.
+    zeros.  Any kernel type other than 0 raises UnsupportedKernel; a model
+    of more than MAX_DENSE_VALUES support-vector values raises
+    MalformedModel.
     """
     lines = text.splitlines()
     if len(lines) < len(_HEADER_FIELDS):
@@ -308,9 +442,9 @@ def parse_svmlight_model(text: str) -> TrainedModel:
 
     # count the body lines before the header's S sizes any allocation
     body = [
-        (lineno0 + 1, tokens)
+        (lineno0 + 1, line)
         for lineno0 in range(len(_HEADER_FIELDS), len(lines))
-        if (tokens := _strip_comment(lines[lineno0]).split())
+        if (line := _strip_comment(lines[lineno0])) and not line.isspace()
     ]
     if len(body) > sv_count:
         raise MalformedModel(
@@ -319,62 +453,78 @@ def parse_svmlight_model(text: str) -> TrainedModel:
         )
     if len(body) != sv_count:
         raise MalformedModel(f"declared {sv_count} support vectors, found {len(body)}")
+    # the body confirms S but not Fl, so the dense size needs a stated bound
+    if sv_count * feature_count > MAX_DENSE_VALUES:
+        raise MalformedModel(
+            f"{sv_count} support vectors x {feature_count} features exceeds"
+            f" {MAX_DENSE_VALUES} values",
+            line=8,
+        )
 
-    sv = np.zeros((sv_count, feature_count), dtype=_F32)
-    alpha_y = np.zeros(sv_count, dtype=_F32)
-    for row, (lineno, tokens) in enumerate(body):
+    weights = array("d", [bias])
+    counts: list[int] = []
+    cols, vals = array("i"), array("d")  # S x Fl fits a C int
+    for lineno, line in body:
+        tokens = line.split()
+        parts = _svmlight_pairs(tokens)
         try:
-            weight = _parse_real(tokens[0])
-        except ValueError as exc:
-            raise MalformedModel(str(exc), line=lineno) from None
-        if not math.isfinite(weight):
-            raise MalformedModel("non-finite alpha*y weight", line=lineno)
-        alpha_y[row] = _F32(weight)
-        seen: set[int] = set()
-        for pair in tokens[1:]:
-            idx_s, sep, val_s = pair.partition(":")
-            if not sep:
-                raise MalformedModel(f"expected idx:val pair, got {pair!r}", line=lineno)
-            try:
-                idx = int(idx_s)
-            except ValueError:
-                raise MalformedModel(f"bad feature index {idx_s!r}", line=lineno) from None
-            if not 1 <= idx <= feature_count:
-                raise MalformedModel(
-                    f"feature index {idx} outside 1..{feature_count}", line=lineno
-                )
-            if idx in seen:
-                raise MalformedModel(f"duplicate feature index {idx}", line=lineno)
-            seen.add(idx)
-            try:
-                val = _parse_real(val_s)
-            except ValueError as exc:
-                raise MalformedModel(str(exc), line=lineno) from None
-            if not math.isfinite(val):
-                raise MalformedModel("non-finite feature value", line=lineno)
-            sv[row, idx - 1] = _F32(val)
-    return TrainedModel(sv, alpha_y, bias)
+            weight = float(tokens[0])
+            idx = list(map(int, parts[0::3]))  # a pair without ":" has val "": no real
+            line_vals = list(map(float, parts[2::3]))
+            ok = (
+                math.isfinite(weight)
+                and (not idx or (min(idx) >= 1 and max(idx) <= feature_count))
+                and len(set(idx)) == len(idx)
+                and _all_finite(line_vals)
+            )
+        except ValueError:
+            ok = False
+        if not ok:
+            raise MalformedModel(_svmlight_fault(tokens, feature_count), line=lineno)
+        weights.append(weight)
+        counts.append(len(idx))
+        cols.fromlist(idx)
+        vals.fromlist(line_vals)
+
+    w32 = _binary32(
+        np.frombuffer(weights), lambda: [header_value(10)] + [ln.split()[0] for _, ln in body]
+    )
+    # each pair's flat position: its row's start, then its 1-based column
+    starts = np.arange(-1, sv_count * feature_count - 1, feature_count, dtype=np.intc)
+    where = np.repeat(starts, counts)
+    where += np.frombuffer(cols, dtype=np.intc)
+    sv = np.zeros((sv_count, feature_count), dtype=_F32)
+    sv.reshape(-1)[where] = _binary32(
+        np.frombuffer(vals),
+        lambda: [p for _, ln in body for p in _svmlight_pairs(ln.split())[2::3]],
+    )
+    return TrainedModel(sv, w32[1:], float(w32[0]))
 
 
-def _parse_real_lines(text: str, err_cls, what: str):
-    """Yield (lineno, [floats]) for every non-blank line, finiteness-checked."""
+def _parse_real_lines(text: str, fault):
+    """Yield (lineno, [floats]) for every non-blank line, finiteness-checked.
+
+    fault(lineno, message) builds the exception raised for a faulty line.
+    """
     for lineno0, line in enumerate(text.splitlines()):
         tokens = line.split()
         if not tokens:
             continue
-        vals = []
-        for tok in tokens:
-            try:
-                vals.append(_parse_real(tok))
-            except ValueError as exc:
-                if err_cls is MalformedModel:
-                    raise MalformedModel(f"{what}: {exc}", line=lineno0 + 1) from None
-                raise err_cls(f"{what} line {lineno0 + 1}: {exc}") from None
-        if not all(map(math.isfinite, vals)):
-            if err_cls is MalformedModel:
-                raise MalformedModel(f"{what}: non-finite value", line=lineno0 + 1)
-            raise err_cls(f"{what} line {lineno0 + 1}: non-finite value")
+        try:
+            vals = _parse_reals(tokens)
+        except ValueError as exc:
+            raise fault(lineno0 + 1, str(exc)) from None
+        if not _all_finite(vals):
+            raise fault(lineno0 + 1, "non-finite value")
         yield lineno0 + 1, vals
+
+
+def _model_fault(what: str):
+    return lambda lineno, message: MalformedModel(f"{what}: {message}", line=lineno)
+
+
+def _instance_fault(lineno: int, message: str) -> MalformedInstance:
+    return MalformedInstance(f"test instance line {lineno}: {message}")
 
 
 def parse_native_model(svs_text: str, alpha_text: str) -> TrainedModel:
@@ -383,54 +533,55 @@ def parse_native_model(svs_text: str, alpha_text: str) -> TrainedModel:
     svs_text holds S rows of Fl reals; alpha_text holds 1+S reals, the
     bias first and then the S alpha*y weights.
     """
-    rows = []
-    width = None
-    for lineno, vals in _parse_real_lines(svs_text, MalformedModel, "support vectors"):
+    rows, width, values = 0, None, array("d")
+    for lineno, vals in _parse_real_lines(svs_text, _model_fault("support vectors")):
         if width is None:
             width = len(vals)
         elif len(vals) != width:
             raise MalformedModel(
                 f"support vectors: expected {width} values, got {len(vals)}", line=lineno
             )
-        rows.append(vals)
+        rows += 1
+        values.fromlist(vals)
     if not rows:
         raise MalformedModel("support vectors: no rows")
 
-    weights: list[float] = []
-    for _lineno, vals in _parse_real_lines(alpha_text, MalformedModel, "weights"):
-        weights.extend(vals)
-    if len(weights) != len(rows) + 1:
+    weights = array("d")
+    for _lineno, vals in _parse_real_lines(alpha_text, _model_fault("weights")):
+        weights.fromlist(vals)
+    if len(weights) != rows + 1:
         raise MalformedModel(
-            f"weights: expected bias plus {len(rows)} alpha*y values, got {len(weights)}"
+            f"weights: expected bias plus {rows} alpha*y values, got {len(weights)}"
         )
-    sv = np.array(rows, dtype=_F32)
-    return TrainedModel(sv, np.array(weights[1:], dtype=_F32), weights[0])
+    sv = _binary32(np.frombuffer(values).reshape(rows, width), svs_text.split)
+    w32 = _binary32(np.frombuffer(weights), alpha_text.split)
+    return TrainedModel(sv, w32[1:], float(w32[0]))
 
 
 def parse_test_instance(text: str, feature_count: int | None = None) -> TestInstance:
     """Parse whitespace-separated reals into a TestInstance."""
-    vals: list[float] = []
-    for lineno, line_vals in _parse_real_lines(text, MalformedInstance, "test instance"):
-        vals.extend(line_vals)
+    vals = array("d")
+    for _lineno, line_vals in _parse_real_lines(text, _instance_fault):
+        vals.fromlist(line_vals)
     if not vals:
         raise MalformedInstance("test instance: no values")
     if feature_count is not None and len(vals) != feature_count:
         raise MalformedInstance(
             f"test instance has {len(vals)} values, model expects {feature_count}"
         )
-    return TestInstance(np.array(vals, dtype=_F32))
+    return TestInstance(_binary32(np.frombuffer(vals), text.split))
 
 
 def load_dataset(text: str) -> LabeledDataset:
     """Parse labeled CSV: Fl feature columns then a +1/-1 label column."""
-    instances = []
+    features = array("d")
     labels = []
     width = None
     for lineno0, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
         lineno = lineno0 + 1
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")  # float() ignores the whitespace around a cell
         if len(cells) < 2:
             raise MalformedDataset(f"line {lineno}: need features plus a label column")
         if width is None:
@@ -440,19 +591,23 @@ def load_dataset(text: str) -> LabeledDataset:
                 f"line {lineno}: expected {width} columns, got {len(cells)}"
             )
         try:
-            vals = [_parse_real(c) for c in cells[:-1]]
+            vals = _parse_reals(cells[:-1])
             raw_label = _parse_real(cells[-1])
         except ValueError as exc:
             raise MalformedDataset(f"line {lineno}: {exc}") from None
-        if not all(map(math.isfinite, vals)):
+        if not _all_finite(vals):
             raise MalformedDataset(f"line {lineno}: non-finite feature value")
         if raw_label not in (1.0, -1.0):
             raise MalformedDataset(f"line {lineno}: label must be +1 or -1")
-        instances.append(TestInstance(np.array(vals, dtype=_F32)))
+        features.fromlist(vals)
         labels.append(int(raw_label))
-    if not instances:
+    if not labels:
         raise MalformedDataset("dataset is empty")
-    return LabeledDataset(tuple(instances), tuple(labels))
+    rows = _binary32(
+        np.frombuffer(features).reshape(len(labels), width - 1),
+        lambda: [c for ln in text.splitlines() if ln.strip() for c in ln.split(",")[:-1]],
+    )
+    return LabeledDataset(tuple(map(TestInstance, rows)), tuple(labels))
 
 
 # --------------------------------------------------------------------------
@@ -460,25 +615,20 @@ def load_dataset(text: str) -> LabeledDataset:
 
 def emit_native_model(model: TrainedModel) -> tuple[str, str]:
     """Render (svs_text, alpha_text) such that parse_native_model round-trips."""
-    svs_text = "".join(
-        " ".join(format_real(v) for v in row) + "\n" for row in model.support_vectors
+    weights = np.concatenate([[_F32(model.bias)], model.alpha_y])
+    return (
+        "\n".join(format_reals(model.support_vectors)) + "\n",
+        "\n".join(format_reals(weights)) + "\n",
     )
-    alpha_lines = [format_real(model.bias)]
-    alpha_lines.extend(format_real(v) for v in model.alpha_y)
-    return svs_text, "\n".join(alpha_lines) + "\n"
 
 
 def emit_test_instance(instance: TestInstance) -> str:
-    return " ".join(format_real(v) for v in instance.values) + "\n"
+    return " ".join(format_reals(instance.values)) + "\n"
 
 
 def emit_dataset(dataset: LabeledDataset) -> str:
-    lines = []
-    for inst, label in zip(dataset.instances, dataset.labels):
-        cells = [format_real(v) for v in inst.values]
-        cells.append(f"{label:d}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = format_reals(np.stack([inst.values for inst in dataset.instances]), ",")
+    return "".join(f"{row},{label:d}\n" for row, label in zip(rows, dataset.labels))
 
 
 # --------------------------------------------------------------------------

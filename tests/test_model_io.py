@@ -1,6 +1,9 @@
+from contextlib import nullcontext
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmsoc import (
@@ -26,6 +29,9 @@ from svmsoc import (
     parse_test_instance,
 )
 
+from svmsoc.model_io import MAX_DENSE_VALUES, format_reals
+
+import ref_format
 from conftest import random_instance, random_model
 
 SVMLIGHT_TWO_SV = """\
@@ -136,6 +142,22 @@ class TestSvmlightParsing:
         )
         with pytest.raises(MalformedModel, match=f"declared {10**15} .* found 2"):
             parse_svmlight_model(text)
+
+    def test_huge_declared_feature_count_refused_before_allocating(self):
+        text = SVMLIGHT_TWO_SV.replace(
+            "2 # highest feature index", f"{10**15} # highest feature index"
+        )
+        with pytest.raises(MalformedModel, match=f"2 support vectors x {10**15} features") as err:
+            parse_svmlight_model(text)
+        assert err.value.line == 8
+
+    def test_dense_limit_is_on_the_product(self):
+        at_limit = SVMLIGHT_TWO_SV.replace(
+            "2 # highest feature index",
+            f"{MAX_DENSE_VALUES // 2 + 1} # highest feature index",
+        )
+        with pytest.raises(MalformedModel, match=f"exceeds {MAX_DENSE_VALUES} values"):
+            parse_svmlight_model(at_limit)
 
     def test_truncated_header(self):
         with pytest.raises(MalformedModel, match="header"):
@@ -317,6 +339,25 @@ class TestModelValidation:
         assert m.bias == float(np.float32(0.1))
 
 
+# Bit patterns where formatting is easy to get wrong: NaN payloads and
+# signs, signed zeros, subnormals, infinities, the largest finite value, and
+# the neighbours of the points where numpy's repr switches between
+# positional and exponent form.
+def _neighbours(*values):
+    out = []
+    for v in map(np.float32, values):
+        out += [np.nextafter(v, np.float32(-np.inf)), v, np.nextafter(v, np.float32(np.inf))]
+    return [int(np.float32(v).view(np.uint32)) for v in out]
+
+
+EDGE_BITS = [
+    0x7FC00000, 0xFFC00000, 0x7FC00001, 0x7F800001, 0xFFFFFFFF,
+    0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007FFFFF, 0x00800000,
+    0x7F800000, 0xFF800000, 0x7F7FFFFF, 0xFF7FFFFF,
+    *_neighbours(1e-4, -1e-4, 1e6, 1e7, -1e7, 1e16, 1e-38, 0.1, 1.0),
+]
+
+
 class TestFormatReal:
     @pytest.mark.parametrize("value", [0.0, -0.0, 1.0, 0.1, 6.0, -2.5, 1e-38, 3.4e38])
     def test_round_trips_shortest(self, value):
@@ -330,6 +371,108 @@ class TestFormatReal:
         if not np.isfinite(v):
             return
         assert np.float32(float(format_real(v))) == v or (v == 0 and float(format_real(v)) == 0)
+
+    @given(
+        st.lists(st.integers(0, 2**32 - 1) | st.sampled_from(EDGE_BITS), min_size=1, max_size=24),
+        st.booleans(),
+    )
+    @example(EDGE_BITS, False)
+    @example(EDGE_BITS, True)
+    @settings(max_examples=300, deadline=None)
+    def test_array_formatter_matches_scalar_reference(self, bits, legacy):
+        values = np.array(bits, dtype=np.uint32).view(np.float32)
+        with np.printoptions(legacy="1.13") if legacy else nullcontext():
+            want = [ref_format.format_real(v) for v in values]
+            assert format_reals(values) == want
+            assert format_reals(np.stack([values, values[::-1]]), ",") == [
+                ",".join(want), ",".join(want[::-1])
+            ]
+            assert [format_real(v) for v in values] == want
+
+    def test_emitters_use_the_shared_formatter(self):
+        values = np.array(EDGE_BITS, dtype=np.uint32).view(np.float32)
+        finite = values[np.isfinite(values)]
+        want = [ref_format.format_real(v) for v in finite]
+        assert emit_test_instance(TestInstance(finite)) == " ".join(want) + "\n"
+        with np.printoptions(legacy="1.13"):
+            svs, alpha = emit_native_model(TrainedModel(finite[None, :], finite[:1], finite[1]))
+        assert svs == " ".join(want) + "\n"
+        assert alpha == f"{want[1]}\n{want[0]}\n"
+
+
+def _f32_bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float32).view(np.uint32).tolist()
+
+
+MIDPOINT = "1.000000059604644775390625"  # halfway between 1.0 and 1.0000001
+ABOVE = "1.00000005960464477539147203294725430033906832250067964196205"
+BELOW = "1.00000005960464477538977796705274569966093167749932035803795"
+SUBNORMAL_MIDPOINT = (  # 2**-150, halfway between 0 and the least subnormal
+    "7.00649232162408535461864791644958065640130970938257885878534141944895541342930300743319094181060791015625E-46"
+)
+OVERFLOW_MIDPOINT = "340282356779733661637539395458142568448"  # 2**128 - 2**103
+
+
+class TestOneRounding:
+    """Decimal text rounds to the nearest binary32 once, not via binary64."""
+
+    @pytest.mark.parametrize(
+        "token,bits",
+        [
+            (ABOVE, 0x3F800001),
+            (BELOW, 0x3F800000),
+            (MIDPOINT, 0x3F800000),  # a true tie goes to the even neighbour
+            ("-" + ABOVE, 0xBF800001),
+            (SUBNORMAL_MIDPOINT.replace("625E", "626E"), 0x00000001),
+            (SUBNORMAL_MIDPOINT, 0x00000000),
+            ("-" + SUBNORMAL_MIDPOINT.replace("625E", "624E"), 0x80000000),
+            (OVERFLOW_MIDPOINT[:-1] + "7.999", 0x7F7FFFFF),
+            (" 1_000.000000000000000000000000000000001 ", 0x447A0000),
+        ],
+    )
+    def test_instance_token(self, token, bits):
+        assert _f32_bits(parse_test_instance(token).values) == [bits]
+
+    @pytest.mark.parametrize("token", [OVERFLOW_MIDPOINT, OVERFLOW_MIDPOINT + ".001"])
+    def test_overflow_midpoint_and_above_round_to_infinity(self, token):
+        # the tie between the largest binary32 and 2**128 goes to even: infinity
+        with pytest.raises(MalformedInstance, match="non-finite"):
+            parse_test_instance(token)
+
+    def test_every_parser_rounds_once(self):
+        want = _f32_bits([1.0000001, 1.0])
+        native = parse_native_model(f"{ABOVE} {BELOW}\n", f"{ABOVE}\n{BELOW}\n")
+        assert _f32_bits(native.support_vectors[0]) == want
+        assert _f32_bits([native.bias, native.alpha_y[0]]) == want
+        rows = load_dataset(f"{ABOVE}, {BELOW},1\n").instances[0]
+        assert _f32_bits(rows.values) == want
+        light = parse_svmlight_model(
+            SVMLIGHT_TWO_SV.replace("0.5 # threshold", f"{ABOVE} # threshold").replace(
+                "1 1:1.5 2:-2 #", f"{BELOW} 2:{ABOVE} 1:{BELOW} #"
+            )
+        )
+        assert _f32_bits(light.support_vectors[0]) == want[::-1]
+        assert _f32_bits([light.bias, light.alpha_y[0]]) == want
+
+    @given(
+        st.integers(0, 0x7F7FFFFE),
+        st.booleans(),
+        st.integers(-1, 1),
+        st.integers(8, 40),
+    )
+    @example(0, False, 1, 40)
+    @example(0x3F800000, True, -1, 30)
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_around_a_midpoint(self, low_bits, negative, side, digits):
+        lo, hi = np.array([low_bits, low_bits + 1], dtype=np.uint32).view(np.float32)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            mid = (Decimal(float(lo)) + Decimal(float(hi))) / 2
+            token = mid * (1 + side * Decimal(10) ** -digits)
+        want = low_bits + (side > 0 or (side == 0 and low_bits % 2 == 1))
+        sign = 0x80000000 if negative else 0
+        text = ("-" if negative else "") + str(token)
+        assert _f32_bits(parse_test_instance(text).values) == [want | sign]
 
 
 class TestMakeSynthetic:
@@ -359,3 +502,83 @@ class TestMakeSynthetic:
     def test_degenerate_sizes(self):
         m, ds = make_synthetic(1, 1, 0, instances=4)
         assert m.sv_count == 1 and len(ds) == 4
+
+
+def _svmlight_body(*lines: str) -> str:
+    head = SVMLIGHT_TWO_SV.split("1 1:1.5")[0]
+    return head.replace("3 # number of support", f"{len(lines) + 1} # number of support") + "".join(
+        line + "\n" for line in lines
+    )
+
+
+# Lines with two faults each: the message names the fault the parsers have
+# always reported first (a token that is no number anywhere on the line
+# before a non-finite value; SVM-Light pairs checked left to right).
+TWO_FAULT_CASES = [
+    (lambda: parse_native_model("1 x nan\n", "0\n1\n"),
+     MalformedModel, "line 1: support vectors: bad real 'x'"),
+    (lambda: parse_native_model("1 nan x\n", "0\n1\n"),
+     MalformedModel, "line 1: support vectors: bad real 'x'"),
+    (lambda: parse_native_model("1 a b\n", "0\n1\n"),
+     MalformedModel, "line 1: support vectors: bad real 'a'"),
+    (lambda: parse_native_model("1 inf\n2 x\n", "0\n1\n1\n"),
+     MalformedModel, "line 1: support vectors: non-finite value"),
+    (lambda: parse_native_model("1 2\n3 x y\n", "0\n1\n1\n"),
+     MalformedModel, "line 2: support vectors: bad real 'x'"),
+    (lambda: parse_native_model("1 2\n3\n", "x\n1 inf\n"),
+     MalformedModel, "line 2: support vectors: expected 2 values, got 1"),
+    (lambda: parse_native_model("1\n", "0\ninf foo\n"),
+     MalformedModel, "line 2: weights: bad real 'foo'"),
+    (lambda: parse_native_model("1\n", "-inf\n1e999\n"),
+     MalformedModel, "line 1: weights: non-finite value"),
+    (lambda: parse_test_instance("1 inf x\n"),
+     MalformedInstance, "test instance line 1: bad real 'x'"),
+    (lambda: parse_test_instance("\n1 -inf 2e999\n3 q\n"),
+     MalformedInstance, "test instance line 2: non-finite value"),
+    (lambda: parse_test_instance("1 2\n3 x\n", 5),
+     MalformedInstance, "test instance line 2: bad real 'x'"),
+    (lambda: load_dataset("1,x,y,1\n"), MalformedDataset, "line 1: bad real 'x'"),
+    (lambda: load_dataset("1,inf,x\n"), MalformedDataset, "line 1: bad real 'x'"),
+    (lambda: load_dataset("inf,1,2\n"), MalformedDataset, "line 1: non-finite feature value"),
+    (lambda: load_dataset("1, y ,nan\n"), MalformedDataset, "line 1: bad real 'y'"),
+    (lambda: load_dataset("1,2,1\n1,x\n"), MalformedDataset, "line 2: expected 3 columns, got 2"),
+    (lambda: load_dataset("1,2,1\nnan,x,1\n"), MalformedDataset, "line 2: bad real 'x'"),
+    (lambda: load_dataset("1,2,1\n1,2,3\n1,x,1\n"),
+     MalformedDataset, "line 2: label must be +1 or -1"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 1:x 2:inf #")),
+     MalformedModel, "line 12: bad real 'x'"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 1:inf 2:x #")),
+     MalformedModel, "line 12: non-finite feature value"),
+    (lambda: parse_svmlight_model(_svmlight_body("x 1:y #")),
+     MalformedModel, "line 12: bad real 'x'"),
+    (lambda: parse_svmlight_model(_svmlight_body("inf 1:y #")),
+     MalformedModel, "line 12: non-finite alpha*y weight"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 1:1 1:2 5:1")),
+     MalformedModel, "line 12: duplicate feature index 1"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 5:1 1:1 1:2")),
+     MalformedModel, "line 12: feature index 5 outside 1..2"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 a:1 3")),
+     MalformedModel, "line 12: bad feature index 'a'"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 3 a:1")),
+     MalformedModel, "line 12: expected idx:val pair, got '3'"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 1:2:3 2:inf")),
+     MalformedModel, "line 12: bad real '2:3'"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 :5 1:")),
+     MalformedModel, "line 12: bad feature index ''"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 2:1 1: 0:1")),
+     MalformedModel, "line 12: bad real ''"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 1:1 2:2", "1 2:1 2:1e999")),
+     MalformedModel, "line 13: duplicate feature index 2"),
+    (lambda: parse_svmlight_model(_svmlight_body("1 1:nan", "x 2:1")),
+     MalformedModel, "line 12: non-finite feature value"),
+    (lambda: parse_svmlight_model(
+        _svmlight_body("q 1:1").replace("0.5 # threshold", "inf # threshold")),
+     MalformedModel, "line 11: threshold must be finite"),
+]
+
+
+@pytest.mark.parametrize("call,err_cls,message", TWO_FAULT_CASES)
+def test_first_fault_message_is_pinned(call, err_cls, message):
+    with pytest.raises(err_cls) as err:
+        call()
+    assert str(err.value) == message
