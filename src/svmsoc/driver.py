@@ -8,7 +8,10 @@ bits, that double rounding is exact for +, -, and *, so agreement with
 the native binary32 pipeline is a real cross-check rather than the same
 code run twice.  One kernel computes AC once and then the dot product
 with the instances as lanes; run_software_reference runs it with one
-lane, batch_classify once per dataset.
+lane, batch_classify once per dataset.  Each set of products (the S*Fl
+weight terms, then the Fl*N dot-product terms) is rounded in one step;
+each sum adds in place on a binary64 accumulator and rounds it through a
+binary32 buffer after every add, so no step allocates.
 
 run_oracle is the accuracy yardstick: full binary64, per-support-vector
 dot products summed afterwards, i.e. a different association order than
@@ -30,12 +33,11 @@ from .synth import (
     CalibrationSet,
     DirectiveConfig,
     arm_entry_for,
+    clock_key,
     default_calibration,
     estimate_arm_cycles,
     estimate_latency,
     stream_word_count,
-    _directive_token,
-    _pair_key,
 )
 
 __all__ = [
@@ -68,30 +70,42 @@ class ClockPair:
             raise ValueError("clocks must be positive")
 
 
-def _r32a(a: np.ndarray) -> np.ndarray:
-    """Round a binary64 array to binary32 and widen back."""
-    return a.astype(np.float32).astype(np.float64)
+def _rounded_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum the rows of a binary64 matrix first to last, rounding each add.
+
+    The sum lives in one binary64 accumulator: each step adds a row in
+    place, then rounds the sum to binary32 by storing it into a binary32
+    buffer and widens it back.  Three numpy calls and no new array per
+    step; np.add.accumulate would skip the rounding after each add.
+    """
+    acc = np.zeros(rows.shape[1])
+    acc32 = np.empty(rows.shape[1], np.float32)
+    add = np.add
+    for row in rows:
+        add(acc, row, out=acc)
+        acc32[...] = acc
+        acc[...] = acc32
+    return acc
 
 
 def _reference_kernel(model: TrainedModel, x: np.ndarray, threshold: float):
     """Score the rows of the (N, Fl) binary32 matrix x against one model.
 
-    All S*Fl products are rounded in one step; the S adds stay a loop,
-    because np.add.accumulate would skip the rounding after each add.  The
-    dot product takes Fl rounded steps over N-wide lanes.  Returns
-    (labels, distances, raw distances), each of length N.
+    Every multiply and add is evaluated in binary64 and rounded once to
+    binary32.  The S*Fl products alpha_i*y_i*SV_i[f] are rounded in one
+    step and summed in SV order over Fl lanes into AC; the Fl*N products
+    AC[f]*x[n, f] are rounded in one step and summed in feature order over
+    N instance lanes.  Returns (labels, distances, raw distances), each of
+    length N.
     """
+    f32, f64 = np.float32, np.float64
     with np.errstate(all="ignore"):
-        ay = model.alpha_y.astype(np.float64)
-        products = _r32a(ay[:, None] * model.support_vectors.astype(np.float64))
-        ac = np.zeros(model.feature_count)
-        for row in products:
-            ac = _r32a(ac + row)
-        xt = x.astype(np.float64).T
-        raw = np.zeros(xt.shape[1])
-        for f in range(model.feature_count):
-            raw = _r32a(raw + _r32a(ac[f] * xt[f]))
-        distances = _r32a(raw - model.bias)
+        ay = model.alpha_y.astype(f64)
+        products = (ay[:, None] * model.support_vectors.astype(f64)).astype(f32)
+        ac = _rounded_sum(products.astype(f64))
+        terms = (ac[:, None] * x.T.astype(f64)).astype(f32)
+        raw = _rounded_sum(terms.astype(f64))
+        distances = (raw - model.bias).astype(f32).astype(f64)
     labels = np.where(distances >= float(np.float32(threshold)), 1, -1)
     return labels, distances, raw
 
@@ -186,8 +200,8 @@ def cosim(
     anything that is not a measured/anchored count on both sides.
     """
     cal = calibration if calibration is not None else default_calibration()
-    token = _directive_token(directive)
-    cfg = DirectiveConfig.parse(token)
+    cfg = DirectiveConfig.parse(str(directive))
+    token = cfg.name
     s, fl = model.sv_count, model.feature_count
 
     hw = run_accelerator(emit_stream(model, test), s, fl, threshold)
@@ -196,8 +210,7 @@ def cosim(
         sw.distance
     )
 
-    pair = _pair_key(clocks)
-    anchor = cal.hw_cycles.get((s, fl, token, pair))
+    anchor = cal.hw_cycles.get((s, fl, token, clock_key(clocks)))
     if anchor is not None:
         hw_cycles, source = anchor, MEASURED_ANCHOR
     elif strict:
@@ -206,7 +219,7 @@ def cosim(
             f" FPGA {clocks.fpga_mhz:g} MHz / ARM {clocks.arm_mhz:g} MHz"
         )
     else:
-        est = estimate_latency(s, fl, token, clocks.fpga_mhz, calibration=cal)
+        est = estimate_latency(s, fl, cfg, clocks.fpga_mhz, calibration=cal)
         hw_cycles = est.latency_cycles + stream_word_count(s, fl)
         source = ESTIMATED
 

@@ -322,7 +322,8 @@ def _binary32(values: np.ndarray, tokens) -> np.ndarray:
     from their text; tokens() returns the text of every value, indexed like
     values.ravel(), and is called only when there is such a value.
     """
-    out = values.astype(_F32)
+    with np.errstate(over="ignore"):  # callers refuse the infinities it makes
+        out = values.astype(_F32)
     ties = _binary32_ties(values)
     if ties.size:
         # imported here: rarely needed, and together about 0.4 MB

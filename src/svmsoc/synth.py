@@ -63,6 +63,7 @@ __all__ = [
     "estimate_power",
     "explore",
     "stream_word_count",
+    "clock_key",
     "parse_anchor_csv",
     "save_calibration",
     "load_calibration",
@@ -560,8 +561,7 @@ def fit_calibration(
 def _build_arm_entries(table: dict) -> dict[tuple[float, float], ArmCycleEntry]:
     out = {}
     for pair, data in table.items():
-        key = (_mhz(pair[0]), _mhz(pair[1]))
-        out[key] = ArmCycleEntry(
+        out[clock_key(pair)] = ArmCycleEntry(
             feature_count=int(data["feature_count"]),
             timer_mhz=_mhz(data["timer_mhz"]),
             plain=_fit_points([(int(s), float(v)) for s, v in data["plain"]]),
@@ -745,7 +745,12 @@ def estimate_design(
     )
 
 
-def _pair_key(clocks) -> tuple[float, float]:
+def clock_key(clocks) -> tuple[float, float]:
+    """The (FPGA MHz, ARM MHz) calibration key of a clock pairing.
+
+    clocks is a ClockPair or an (fpga, arm) pair; each clock is rounded to
+    0.01 MHz, so 666.666 and 666.67 name the same pairing.
+    """
     if hasattr(clocks, "fpga_mhz"):
         return _mhz(clocks.fpga_mhz), _mhz(clocks.arm_mhz)
     fpga, arm = clocks
@@ -754,7 +759,7 @@ def _pair_key(clocks) -> tuple[float, float]:
 
 def arm_entry_for(clocks, calibration: CalibrationSet | None = None) -> ArmCycleEntry:
     cal = calibration if calibration is not None else default_calibration()
-    key = _pair_key(clocks)
+    key = clock_key(clocks)
     entry = cal.arm.get(key)
     if entry is None:
         raise UnknownCalibration(
@@ -787,7 +792,7 @@ def estimate_arm_cycles(
         )
     fit = entry.optimized if optimized else entry.plain
     kind = "optimized" if optimized else "plain"
-    key = _pair_key(clocks)
+    key = clock_key(clocks)
     what = (
         f"{kind} processor cycles for FPGA {_fmt_mhz(key[0])} MHz /"
         f" ARM {_fmt_mhz(key[1])} MHz"
@@ -962,11 +967,10 @@ def _fit_from_json(obj) -> Fit:
     if obj["kind"] == "point":
         return PointFit(int(obj["s"]), float(obj["value"]))
     if obj["kind"] == "affine":
-        return AffineFit(
-            float(obj["slope"]),
-            float(obj["intercept"]),
-            tuple((int(s), float(v)) for s, v in obj["anchors"]),
-        )
+        anchors = tuple((int(s), float(v)) for s, v in obj["anchors"])
+        if not anchors:
+            raise CalibrationError("calibration affine fit has no anchors")
+        return AffineFit(float(obj["slope"]), float(obj["intercept"]), anchors)
     raise CalibrationError(f"unknown fit kind {obj.get('kind')!r}")
 
 
@@ -1017,6 +1021,12 @@ def save_calibration(calibration: CalibrationSet) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise CalibrationError(f"calibration {what} must be a JSON object")
+    return value
+
+
 def load_calibration(text: str) -> CalibrationSet:
     """Parse calibration JSON back into a CalibrationSet."""
     try:
@@ -1034,15 +1044,18 @@ def load_calibration(text: str) -> CalibrationSet:
 
     try:
         latency = {}
-        for key, e in doc.get("latency", {}).items():
+        for key, e in _json_object(doc.get("latency", {}), "latency").items():
             latency[split_key(key)] = LatencyEntry(
                 feature_count=int(e["feature_count"]),
                 fit=_fit_from_json(e["fit"]),
-                anchors={int(s): int(v) for s, v in e.get("anchors", {}).items()},
+                anchors={
+                    int(s): int(v)
+                    for s, v in _json_object(e.get("anchors", {}), "anchors").items()
+                },
                 per_feature=tuple(e["per_feature"]) if e.get("per_feature") else None,
             )
         resources = {}
-        for key, e in doc.get("resources", {}).items():
+        for key, e in _json_object(doc.get("resources", {}), "resources").items():
             resources[split_key(key)] = ResourceEntry(
                 feature_count=int(e["feature_count"]),
                 dsp=int(e["dsp"]),
@@ -1051,13 +1064,13 @@ def load_calibration(text: str) -> CalibrationSet:
                 lut=_fit_from_json(e["lut"]),
                 anchors={
                     int(s): (float(v[0]), int(v[1]), int(v[2]), int(v[3]))
-                    for s, v in e.get("anchors", {}).items()
+                    for s, v in _json_object(e.get("anchors", {}), "anchors").items()
                 },
             )
         arm = {}
-        for key, e in doc.get("arm", {}).items():
+        for key, e in _json_object(doc.get("arm", {}), "arm").items():
             fpga_s, _, arm_s = key.partition("/")
-            arm[(_mhz(fpga_s), _mhz(arm_s))] = ArmCycleEntry(
+            arm[clock_key((fpga_s, arm_s))] = ArmCycleEntry(
                 feature_count=int(e["feature_count"]),
                 timer_mhz=_mhz(e["timer_mhz"]),
                 plain=_fit_from_json(e["plain"]),
@@ -1065,14 +1078,14 @@ def load_calibration(text: str) -> CalibrationSet:
             )
         hw_cycles = {}
         for s, fl, d, f, a, cycles in doc.get("hw_cycles", []):
-            hw_cycles[(int(s), int(fl), _directive_token(d), (_mhz(f), _mhz(a)))] = int(
+            hw_cycles[(int(s), int(fl), _directive_token(d), clock_key((f, a)))] = int(
                 cycles
             )
         power = {}
-        for key, watts in doc.get("power", {}).items():
+        for key, watts in _json_object(doc.get("power", {}), "power").items():
             model, _, design = key.rpartition("/")
             power[(model, int(design))] = float(watts)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise CalibrationError(f"calibration file is malformed: {exc}") from None
     return CalibrationSet(
         latency=latency,

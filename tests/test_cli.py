@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,17 @@ class TestClassify:
             "--input", str(tmp_path / "x.txt"),
         )
         assert code == 1 and "kernel" in err
+
+    def test_value_above_binary32_range_is_one_error_line(self, capsys, tiny):
+        (tiny / "svs.txt").write_text("1e39\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "classify", "--svs", str(tiny / "svs.txt"),
+                "--alpha", str(tiny / "alpha.txt"), "--input", str(tiny / "test.txt"),
+            )
+        assert caught == []
+        assert code == 1 and err == "error: non-finite value in model payload\n"
 
     def test_model_source_must_be_unambiguous(self, capsys, tiny, tmp_path):
         (tmp_path / "m.svml").write_text(SVMLIGHT_SMALL)
@@ -377,6 +389,26 @@ class TestFitAndCalibrationFlag:
         (tmp_path / "a.csv").write_text("1,2,3\n")
         code, _, err = run(capsys, "fit", str(tmp_path / "a.csv"))
         assert code == 1 and err.startswith("error:")
+
+    def test_non_object_calibration_section(self, capsys, tmp_path):
+        (tmp_path / "cal.json").write_text('{"version": 1, "latency": [1]}')
+        code, _, err = run(
+            capsys, "synth", "248", "27", "pipeline-inner", "100",
+            "--calibration", str(tmp_path / "cal.json"),
+        )
+        assert code == 2 and err == "error: calibration latency must be a JSON object\n"
+
+    def test_affine_fit_without_anchors(self, capsys, tmp_path):
+        (tmp_path / "a.csv").write_text(anchors_csv_text())
+        _, out, _ = run(capsys, "fit", str(tmp_path / "a.csv"))
+        doc = json.loads(out)
+        doc["latency"]["pipeline-inner@100"]["fit"]["anchors"] = []
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "synth", "297", "27", "pipeline-inner", "100",
+            "--calibration", str(tmp_path / "cal.json"),
+        )
+        assert code == 2 and err == "error: calibration affine fit has no anchors\n"
 
     def test_unreadable_calibration_file(self, capsys, tmp_path):
         (tmp_path / "cal.json").write_text("not json")

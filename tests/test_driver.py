@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmsoc import (
@@ -60,6 +60,11 @@ class TestSoftwareReference:
         st.sampled_from([1.0, 1e3, 1e35]),
     )
     @settings(max_examples=250, deadline=None)
+    # the paper's sizes and the stress size: chains of hundreds of rounded adds
+    @example(61, 27, 61, 1.0)
+    @example(248, 27, 248, 1e3)
+    @example(346, 27, 346, 1.0)
+    @example(400, 64, 400, 1.0)
     def test_bit_identical_to_accelerator_and_struct_reference(self, s, fl, seed, scale):
         rng = np.random.default_rng(seed)
         m = random_model(rng, s, fl, scale=scale)

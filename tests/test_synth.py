@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from svmsoc import (
     EXTRAPOLATED,
     INTERPOLATED,
     AnchorRow,
+    CalibrationError,
     DirectiveConfig,
     FlMismatch,
     InsufficientAnchors,
@@ -459,6 +461,27 @@ class TestCalibrationPersistence:
             load_calibration("{}")
         with pytest.raises(CalibrationError):
             load_calibration('{"version": 1, "latency": {"x": {}}}')
+
+    @pytest.mark.parametrize("section", ["latency", "resources", "arm", "power"])
+    def test_rejects_non_object_section(self, section):
+        with pytest.raises(CalibrationError, match="must be a JSON object"):
+            load_calibration(json.dumps({"version": 1, section: [1]}))
+
+    @pytest.mark.parametrize(
+        "section, anchors",
+        [("latency", [1]), ("resources", [1]), ("resources", {"61": [1.0]})],
+    )
+    def test_rejects_malformed_anchor_map(self, section, anchors):
+        doc = json.loads(save_calibration(default_calibration()))
+        next(iter(doc[section].values()))["anchors"] = anchors
+        with pytest.raises(CalibrationError):
+            load_calibration(json.dumps(doc))
+
+    def test_rejects_affine_fit_without_anchors_at_load_time(self):
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["latency"]["pipeline-inner@100"]["fit"]["anchors"] = []
+        with pytest.raises(CalibrationError, match="affine fit has no anchors"):
+            load_calibration(json.dumps(doc))
 
 
 class TestAnchorCsv:
