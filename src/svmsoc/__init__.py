@@ -2,7 +2,6 @@
 linear-SVM FPGA accelerator."""
 
 from .accel import (
-    AccelResult,
     WeightAccumulator,
     accumulate_weight_vector,
     decide,
@@ -11,9 +10,7 @@ from .accel import (
     run_accelerator,
 )
 from .driver import (
-    AccuracyReport,
     ClockPair,
-    CosimReport,
     batch_classify,
     cosim,
     run_oracle,
@@ -55,10 +52,7 @@ from .synth import (
     EXTRAPOLATED,
     INTERPOLATED,
     AnchorRow,
-    CalibrationSet,
     DirectiveConfig,
-    ExploreEntry,
-    SynthesisEstimate,
     default_calibration,
     estimate_arm_cycles,
     estimate_design,
@@ -70,7 +64,6 @@ from .synth import (
     load_calibration,
     parse_anchor_csv,
     save_calibration,
-    stream_word_count,
 )
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ from .synth import (
     estimate_design,
     explore,
     fit_calibration,
+    format_mhz,
     load_calibration,
     parse_anchor_csv,
     save_calibration,
@@ -56,10 +57,6 @@ def _fmt_us(v: float) -> str:
 
 def _fmt_ratio(v: float) -> str:
     return f"{v:.2f}"
-
-
-def _fmt_mhz(v: float) -> str:
-    return f"{v:g}"
 
 
 def _fmt_bram(v: float) -> str:
@@ -144,8 +141,8 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
         return _kv(
             [
                 ("directive", rep.directive.name),
-                ("fpga_mhz", _fmt_mhz(rep.clocks.fpga_mhz)),
-                ("arm_mhz", _fmt_mhz(rep.clocks.arm_mhz)),
+                ("fpga_mhz", format_mhz(rep.clocks.fpga_mhz)),
+                ("arm_mhz", format_mhz(rep.clocks.arm_mhz)),
                 ("hw_label", _fmt_label(rep.hw.label)),
                 ("hw_distance", hw_d),
                 ("sw_label", _fmt_label(rep.sw.label)),
@@ -155,7 +152,7 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
                 ("hw_cycles", rep.hw_cycles),
                 ("sw_cycles", rep.sw_cycles),
                 ("sw_cycles_optimized", rep.sw_cycles_optimized),
-                ("sw_timer_mhz", _fmt_mhz(rep.sw_timer_mhz)),
+                ("sw_timer_mhz", format_mhz(rep.sw_timer_mhz)),
                 ("hw_time_us", _fmt_us(rep.hw_time_us)),
                 ("sw_time_us", _fmt_us(rep.sw_time_us)),
                 ("sw_opt_time_us", _fmt_us(rep.sw_opt_time_us)),
@@ -167,8 +164,8 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
         )
     match = "yes" if rep.results_match else "NO"
     return (
-        f"co-simulation: {rep.directive.name}, FPGA {_fmt_mhz(rep.clocks.fpga_mhz)} MHz"
-        f" / ARM {_fmt_mhz(rep.clocks.arm_mhz)} MHz\n"
+        f"co-simulation: {rep.directive.name}, FPGA {format_mhz(rep.clocks.fpga_mhz)} MHz"
+        f" / ARM {format_mhz(rep.clocks.arm_mhz)} MHz\n"
         f"  hw: {_fmt_label(rep.hw.label)} {_WORDS[rep.hw.label]} {hw_d}\n"
         f"  sw: {_fmt_label(rep.sw.label)} {_WORDS[rep.sw.label]} {sw_d}\n"
         f"  results match: {match}\n"
@@ -215,7 +212,7 @@ def cmd_synth(args) -> str:
         return _kv(
             [
                 ("directive", directive.name),
-                ("regime_mhz", _fmt_mhz(args.regime_mhz)),
+                ("regime_mhz", format_mhz(args.regime_mhz)),
                 ("sv_count", args.sv_count),
                 ("feature_count", args.feature_count),
                 ("latency_cycles", est.latency_cycles),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .accel import AccelResult, f32_bits, run_accelerator
 from .errors import DimensionError, UnknownCalibration
-from .model_io import LabeledDataset, TestInstance, TrainedModel, emit_stream
+from .model_io import LabeledDataset, StreamFrame, TestInstance, TrainedModel, emit_stream
 from .synth import (
     CalibrationSet,
     DirectiveConfig,
@@ -37,7 +37,7 @@ from .synth import (
     default_calibration,
     estimate_arm_cycles,
     estimate_latency,
-    stream_word_count,
+    format_mhz,
 )
 
 __all__ = [
@@ -161,6 +161,7 @@ class CosimReport:
     core clock except for the 100/666.67 pairing, whose measurements are
     100 MHz platform-timer ticks).  cycle_source says whether the
     hardware count is a board measurement or latency-model estimate.
+    Times and speedups derive from the cycle counts and clocks.
     """
 
     directive: DirectiveConfig
@@ -173,13 +174,34 @@ class CosimReport:
     sw_cycles: int
     sw_cycles_optimized: int
     sw_timer_mhz: float
-    hw_time_us: float
-    sw_time_us: float
-    sw_opt_time_us: float
-    cycle_speedup_plain: float
-    cycle_speedup_optimized: float
-    time_speedup_plain: float
-    time_speedup_optimized: float
+
+    @property
+    def hw_time_us(self) -> float:
+        return self.hw_cycles / self.clocks.fpga_mhz
+
+    @property
+    def sw_time_us(self) -> float:
+        return self.sw_cycles / self.sw_timer_mhz
+
+    @property
+    def sw_opt_time_us(self) -> float:
+        return self.sw_cycles_optimized / self.sw_timer_mhz
+
+    @property
+    def cycle_speedup_plain(self) -> float:
+        return self.sw_cycles / self.hw_cycles
+
+    @property
+    def cycle_speedup_optimized(self) -> float:
+        return self.sw_cycles_optimized / self.hw_cycles
+
+    @property
+    def time_speedup_plain(self) -> float:
+        return self.sw_time_us / self.hw_time_us
+
+    @property
+    def time_speedup_optimized(self) -> float:
+        return self.sw_opt_time_us / self.hw_time_us
 
 
 def cosim(
@@ -216,25 +238,23 @@ def cosim(
     elif strict:
         raise UnknownCalibration(
             f"no measured accelerator cycles for {token} at S={s}, Fl={fl},"
-            f" FPGA {clocks.fpga_mhz:g} MHz / ARM {clocks.arm_mhz:g} MHz"
+            f" FPGA {format_mhz(clocks.fpga_mhz)} MHz /"
+            f" ARM {format_mhz(clocks.arm_mhz)} MHz"
         )
     else:
         est = estimate_latency(s, fl, cfg, clocks.fpga_mhz, calibration=cal)
-        hw_cycles = est.latency_cycles + stream_word_count(s, fl)
+        hw_cycles = est.latency_cycles + StreamFrame.word_count(s, fl)
         source = ESTIMATED
 
     arm = arm_entry_for(clocks, cal)
     if strict and s not in arm.anchor_svs():
         raise UnknownCalibration(
             f"no measured processor cycles at S={s} for FPGA"
-            f" {clocks.fpga_mhz:g} MHz / ARM {clocks.arm_mhz:g} MHz"
+            f" {format_mhz(clocks.fpga_mhz)} MHz /"
+            f" ARM {format_mhz(clocks.arm_mhz)} MHz"
         )
     sw_cycles = estimate_arm_cycles(s, fl, clocks, optimized=False, calibration=cal)
     sw_opt = estimate_arm_cycles(s, fl, clocks, optimized=True, calibration=cal)
-
-    hw_time = hw_cycles / clocks.fpga_mhz
-    sw_time = sw_cycles / arm.timer_mhz
-    sw_opt_time = sw_opt / arm.timer_mhz
     return CosimReport(
         directive=cfg,
         clocks=clocks,
@@ -246,13 +266,6 @@ def cosim(
         sw_cycles=sw_cycles,
         sw_cycles_optimized=sw_opt,
         sw_timer_mhz=arm.timer_mhz,
-        hw_time_us=hw_time,
-        sw_time_us=sw_time,
-        sw_opt_time_us=sw_opt_time,
-        cycle_speedup_plain=sw_cycles / hw_cycles,
-        cycle_speedup_optimized=sw_opt / hw_cycles,
-        time_speedup_plain=sw_time / hw_time,
-        time_speedup_optimized=sw_opt_time / hw_time,
     )
 
 

@@ -115,15 +115,13 @@ class TrainedModel:
     """A trained linear SVM in the dense form the accelerator consumes.
 
     support_vectors is S x Fl binary32, alpha_y holds the S per-vector
-    alpha*label weights, and bias is the trained threshold term b.  The
-    decision threshold (default 0) is compared against the distance
-    after b has been subtracted.  All stored reals are finite binary32.
+    alpha*label weights, and bias is the trained threshold term b.  All
+    stored reals are finite binary32.
     """
 
     support_vectors: np.ndarray
     alpha_y: np.ndarray
     bias: float
-    threshold: float = 0.0
 
     def __post_init__(self):
         sv = _freeze(np.atleast_2d(self.support_vectors))
@@ -139,13 +137,11 @@ class TrainedModel:
         if not np.isfinite(sv).all() or not np.isfinite(ay).all():
             raise MalformedModel("non-finite value in model payload")
         b = float(_F32(self.bias))
-        th = float(_F32(self.threshold))
-        if not np.isfinite(b) or not np.isfinite(th):
-            raise MalformedModel("bias and threshold must be finite")
+        if not np.isfinite(b):
+            raise MalformedModel("bias must be finite")
         object.__setattr__(self, "support_vectors", sv)
         object.__setattr__(self, "alpha_y", ay)
         object.__setattr__(self, "bias", b)
-        object.__setattr__(self, "threshold", th)
 
     @property
     def sv_count(self) -> int:
@@ -168,7 +164,6 @@ class TrainedModel:
                 self.alpha_y.view(np.uint32), other.alpha_y.view(np.uint32)
             )
             and self.bias == other.bias
-            and self.threshold == other.threshold
         )
 
     __hash__ = None
@@ -673,11 +668,7 @@ def split_frame(frame: StreamFrame, sv_count: int, feature_count: int):
 def parse_stream(
     frame: StreamFrame, sv_count: int, feature_count: int
 ) -> tuple[TrainedModel, TestInstance]:
-    """Decode a frame back into validated model and instance objects.
-
-    The frame does not carry the decision threshold, so the returned
-    model has the default threshold 0.
-    """
+    """Decode a frame back into validated model and instance objects."""
     sv, bias, alpha_y, test = split_frame(frame, sv_count, feature_count)
     return TrainedModel(sv, alpha_y, float(bias)), TestInstance(test)
 

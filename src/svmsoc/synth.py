@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
@@ -62,8 +63,8 @@ __all__ = [
     "estimate_arm_cycles",
     "estimate_power",
     "explore",
-    "stream_word_count",
     "clock_key",
+    "format_mhz",
     "parse_anchor_csv",
     "save_calibration",
     "load_calibration",
@@ -78,12 +79,13 @@ _VALIDITY_RANK = {ANCHOR_EXACT: 0, INTERPOLATED: 1, EXTRAPOLATED: 2}
 
 def _mhz(value) -> float:
     v = round(float(value), 2)
-    if v <= 0:
-        raise ValueError(f"clock must be positive, got {value!r}")
+    if not 0 < v < math.inf:
+        raise ValueError(f"clock must be positive and finite, got {value!r}")
     return v
 
 
-def _fmt_mhz(value: float) -> str:
+def format_mhz(value: float) -> str:
+    """A clock in MHz as every message and output prints it (100, 666.67)."""
     return f"{value:g}"
 
 
@@ -94,13 +96,23 @@ def _worst(*tags: str) -> str:
 # --------------------------------------------------------------------------
 # directives
 
-_SCOPES = {
-    "interface_only": (),
-    "array_resource": ("bram", "lut"),
-    "pipeline": ("inner", "most", "all"),
-    "unroll": ("inner", "most", "partial"),
-    "array_partition": ("block", "cyclic", "complete"),
+# Name prefix -> (kind, scope, whether a "-<factor>" follows the prefix).
+# Each kind's scopes are listed in the order its error messages give them.
+_DIRECTIVES = {
+    "interface-only": ("interface_only", None, False),
+    "resource-bram": ("array_resource", "bram", False),
+    "resource-lut": ("array_resource", "lut", False),
+    "pipeline-inner": ("pipeline", "inner", False),
+    "pipeline-most": ("pipeline", "most", False),
+    "pipeline-all": ("pipeline", "all", False),
+    "unroll-inner": ("unroll", "inner", False),
+    "unroll-most": ("unroll", "most", False),
+    "unroll-partial": ("unroll", "partial", True),
+    "partition-block": ("array_partition", "block", True),
+    "partition-cyclic": ("array_partition", "cyclic", True),
+    "partition-complete": ("array_partition", "complete", False),
 }
+_PREFIX = {(kind, scope): prefix for prefix, (kind, scope, _) in _DIRECTIVES.items()}
 
 
 @dataclass(frozen=True)
@@ -118,38 +130,22 @@ class DirectiveConfig:
     factor: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _SCOPES:
-            raise ValueError(f"unknown directive kind {self.kind!r}")
-        scopes = _SCOPES[self.kind]
-        if scopes and self.scope not in scopes:
+        prefix = _PREFIX.get((self.kind, self.scope))
+        if prefix is None:
+            scopes = tuple(s for k, s, _ in _DIRECTIVES.values() if k == self.kind)
+            if not scopes:
+                raise ValueError(f"unknown directive kind {self.kind!r}")
+            if scopes == (None,):
+                raise ValueError(f"{self.kind} takes no scope")
             raise ValueError(f"{self.kind} scope must be one of {scopes}")
-        if not scopes and self.scope is not None:
-            raise ValueError(f"{self.kind} takes no scope")
-        needs_factor = (self.kind, self.scope) in (
-            ("unroll", "partial"),
-            ("array_partition", "block"),
-            ("array_partition", "cyclic"),
-        )
-        if needs_factor:
+        if _DIRECTIVES[prefix][2]:
             if self.factor is None or self.factor < 2:
-                raise ValueError(f"{self.name_prefix()} needs a factor >= 2")
+                raise ValueError(f"{prefix} needs a factor >= 2")
         elif self.factor is not None:
-            raise ValueError(f"{self.name_prefix()} takes no factor")
+            raise ValueError(f"{prefix} takes no factor")
 
     def name_prefix(self) -> str:
-        if self.kind == "interface_only":
-            return "interface-only"
-        if self.kind == "array_resource":
-            return f"resource-{self.scope}" if self.scope else "resource"
-        if self.kind == "pipeline":
-            return f"pipeline-{self.scope}"
-        if self.kind == "unroll":
-            return "unroll-partial" if self.scope == "partial" else f"unroll-{self.scope}"
-        return (
-            "partition-complete"
-            if self.scope == "complete"
-            else f"partition-{self.scope}"
-        )
+        return _PREFIX[(self.kind, self.scope)]
 
     @property
     def name(self) -> str:
@@ -167,9 +163,8 @@ class DirectiveConfig:
         partition/resource names and bare partition styles are accepted.
         """
         t = token.strip().lower().replace("_", "-")
-        for prefix in ("array-partition-", "array-resource-"):
-            if t.startswith(prefix):
-                t = t[len("array-") :]
+        if t.startswith(("array-partition-", "array-resource-")):
+            t = t[len("array-") :]
         aliases = {
             "interface": "interface-only",
             "interfaces": "interface-only",
@@ -177,32 +172,20 @@ class DirectiveConfig:
             "complete": "partition-complete",
         }
         t = aliases.get(t, t)
-        parts = t.split("-")
-        if parts[0] in ("cyclic", "block") and len(parts) == 2:
-            parts = ["partition"] + parts
-            t = "-".join(parts)
-        if t == "interface-only":
-            return cls("interface_only")
-        if len(parts) == 2 and parts[0] == "resource" and parts[1] in ("bram", "lut"):
-            return cls("array_resource", parts[1])
-        if len(parts) == 2 and parts[0] == "pipeline" and parts[1] in ("inner", "most", "all"):
-            return cls("pipeline", parts[1])
-        if len(parts) == 2 and parts[0] == "unroll" and parts[1] in ("inner", "most"):
-            return cls("unroll", parts[1])
-        if len(parts) == 3 and parts[0] == "unroll" and parts[1] == "partial":
-            return cls("unroll", "partial", _parse_factor(parts[2], token))
-        if t == "partition-complete":
-            return cls("array_partition", "complete")
-        if len(parts) == 3 and parts[0] == "partition" and parts[1] in ("block", "cyclic"):
-            return cls("array_partition", parts[1], _parse_factor(parts[2], token))
-        raise ValueError(f"unknown directive {token!r}")
-
-
-def _parse_factor(text: str, token: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad factor in directive {token!r}") from None
+        if t.count("-") == 1 and t.split("-")[0] in ("cyclic", "block"):
+            t = "partition-" + t
+        entry = _DIRECTIVES.get(t)
+        if entry is not None and not entry[2]:
+            return cls(entry[0], entry[1])
+        prefix, _, factor = t.rpartition("-")
+        entry = _DIRECTIVES.get(prefix)
+        if entry is None or not entry[2]:
+            raise ValueError(f"unknown directive {token!r}")
+        try:
+            factor = int(factor)
+        except ValueError:
+            raise ValueError(f"bad factor in directive {token!r}") from None
+        return cls(entry[0], entry[1], factor)
 
 
 def _directive_token(directive) -> str:
@@ -320,24 +303,18 @@ SHIPPED_POWER_W: dict[tuple[str, int], float] = {
     ("models", 2): 1.766,
 }
 
-# Which directive realizes each implemented board design, and which shipped
-# model size maps to which model id.
-MODEL_ID_BY_SV = {248: "model1", 346: "model2", 61: "models"}
-IMPLEMENTED_DESIGNS: dict[tuple[str, int], str] = {
-    ("model1", 1): "pipeline-inner",
-    ("model1", 2): "unroll-most",
-    ("model1", 3): "partition-cyclic-16",
-    ("model2", 1): "pipeline-inner",
-    ("model2", 2): "unroll-inner",
-    ("model2", 3): "partition-cyclic-16",
-    ("models", 1): "pipeline-inner",
-    ("models", 2): "unroll-most",
+# The implemented board design (model id, design id) of each shipped model
+# size and directive.
+IMPLEMENTED_DESIGNS: dict[tuple[int, str], tuple[str, int]] = {
+    (248, "pipeline-inner"): ("model1", 1),
+    (248, "unroll-most"): ("model1", 2),
+    (248, "partition-cyclic-16"): ("model1", 3),
+    (346, "pipeline-inner"): ("model2", 1),
+    (346, "unroll-inner"): ("model2", 2),
+    (346, "partition-cyclic-16"): ("model2", 3),
+    (61, "pipeline-inner"): ("models", 1),
+    (61, "unroll-most"): ("models", 2),
 }
-
-
-def stream_word_count(sv_count: int, feature_count: int) -> int:
-    """Words per classification frame: S*Fl + 1 + S + Fl."""
-    return sv_count * feature_count + 1 + sv_count + feature_count
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +392,13 @@ def _eval_fit(
             f" S={sv_count} has no supporting data (pass allow_point_reuse"
             " to reuse the point value)"
         )
-    return fit.value_at(sv_count), fit.validity_at(sv_count)
+    return _finite(fit.value_at(sv_count), what, sv_count), fit.validity_at(sv_count)
+
+
+def _finite(value: float, what: str, sv_count: int) -> float:
+    if not math.isfinite(value):
+        raise CalibrationError(f"{what} is not finite at S={sv_count}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -467,9 +450,6 @@ class CalibrationSet:
     hw_cycles: dict[tuple[int, int, str, tuple[float, float]], int]
     power: dict[tuple[str, int], float]
 
-    def regimes(self) -> tuple[float, ...]:
-        return tuple(sorted({r for _, r in self.latency}))
-
     def directives_for(self, regime_mhz: float) -> tuple[str, ...]:
         r = _mhz(regime_mhz)
         return tuple(sorted(d for d, reg in self.latency if reg == r))
@@ -489,7 +469,7 @@ def fit_calibration(
     """
     anchors = [AnchorRow(*r) for r in rows]
     if not anchors and require:
-        missing = ", ".join(f"{d}@{_fmt_mhz(_mhz(r))}" for d, r in require)
+        missing = ", ".join(f"{d}@{format_mhz(_mhz(r))}" for d, r in require)
         raise InsufficientAnchors(f"no anchor rows at all (required: {missing})")
     groups: dict[tuple[str, float], dict[int, AnchorRow]] = {}
     for row in anchors:
@@ -503,7 +483,7 @@ def fit_calibration(
         if prev is not None:
             if prev != row._replace(directive=prev.directive):
                 raise ValueError(
-                    f"conflicting anchors for {key[0]} at {_fmt_mhz(key[1])} MHz,"
+                    f"conflicting anchors for {key[0]} at {format_mhz(key[1])} MHz,"
                     f" S={row.sv_count}"
                 )
             continue  # exact duplicate row, ignore
@@ -513,7 +493,7 @@ def fit_calibration(
         key = (_directive_token(directive), _mhz(regime))
         if key not in groups:
             raise InsufficientAnchors(
-                f"no anchors for {key[0]} at {_fmt_mhz(key[1])} MHz"
+                f"no anchors for {key[0]} at {format_mhz(key[1])} MHz"
             )
 
     latency: dict[tuple[str, float], LatencyEntry] = {}
@@ -524,7 +504,7 @@ def fit_calibration(
         fls = {r.feature_count for r in rows_by_s}
         if len(fls) != 1:
             raise ValueError(
-                f"anchors for {token} at {_fmt_mhz(key[1])} MHz mix feature"
+                f"anchors for {token} at {format_mhz(key[1])} MHz mix feature"
                 f" counts {sorted(fls)}"
             )
         fl = fls.pop()
@@ -603,16 +583,20 @@ class SynthesisEstimate:
     lut: int | None = None
 
 
-def _latency_entry(calibration, directive, regime_mhz):
-    cal = calibration if calibration is not None else default_calibration()
+def _lookup(table: dict, what: str, directive, regime_mhz, sv_count, feature_count):
+    """One (directive, regime) entry of a calibration table, and its label.
+
+    A missing entry is refused before a bad size.
+    """
     token = _directive_token(directive)
-    key = (token, _mhz(regime_mhz))
-    entry = cal.latency.get(key)
+    regime = _mhz(regime_mhz)
+    where = f"{token} at {format_mhz(regime)} MHz"
+    entry = table.get((token, regime))
     if entry is None:
-        raise UnknownCalibration(
-            f"no latency calibration for {token} at {_fmt_mhz(key[1])} MHz"
-        )
-    return cal, token, key, entry
+        raise UnknownCalibration(f"no {what} calibration for {where}")
+    if sv_count < 1 or feature_count < 1:
+        raise ValueError("sv_count and feature_count must be >= 1")
+    return entry, where
 
 
 def estimate_latency(
@@ -631,9 +615,11 @@ def estimate_latency(
     calibrated one works only for directives with a per-feature slope
     decomposition and is always tagged extrapolated.
     """
-    _cal, token, key, entry = _latency_entry(calibration, directive, regime_mhz)
-    if sv_count < 1 or feature_count < 1:
-        raise ValueError("sv_count and feature_count must be >= 1")
+    cal = calibration if calibration is not None else default_calibration()
+    entry, where = _lookup(
+        cal.latency, "latency", directive, regime_mhz, sv_count, feature_count
+    )
+    what = f"latency for {where}"
     if feature_count == entry.feature_count:
         exact = entry.anchors.get(sv_count)
         if exact is not None:
@@ -642,16 +628,14 @@ def estimate_latency(
                 latency_cycles=exact,
                 throughput_cycles=exact + 1,
             )
-        what = f"latency for {token} at {_fmt_mhz(key[1])} MHz"
         value, validity = _eval_fit(entry.fit, sv_count, what, allow_point_reuse)
     elif entry.per_feature is not None and isinstance(entry.fit, AffineFit):
         a, c = entry.per_feature
-        value = (a * (feature_count + 1) + c) * sv_count + entry.fit.intercept
-        validity = EXTRAPOLATED
+        value = (a * (feature_count + 1.0) + c) * sv_count + entry.fit.intercept
+        value, validity = _finite(value, what, sv_count), EXTRAPOLATED
     else:
         raise FlMismatch(
-            f"{token} at {_fmt_mhz(key[1])} MHz is calibrated for"
-            f" Fl={entry.feature_count}, not Fl={feature_count}"
+            f"{where} is calibrated for Fl={entry.feature_count}, not Fl={feature_count}"
         )
     cycles = max(0, int(round(value)))
     return SynthesisEstimate(
@@ -675,19 +659,13 @@ def estimate_resources(
     three are affine in S like latency.
     """
     cal = calibration if calibration is not None else default_calibration()
-    token = _directive_token(directive)
-    key = (token, _mhz(regime_mhz))
-    entry = cal.resources.get(key)
-    if entry is None:
-        raise UnknownCalibration(
-            f"no resource calibration for {token} at {_fmt_mhz(key[1])} MHz"
-        )
-    if sv_count < 1 or feature_count < 1:
-        raise ValueError("sv_count and feature_count must be >= 1")
+    entry, where = _lookup(
+        cal.resources, "resource", directive, regime_mhz, sv_count, feature_count
+    )
     if feature_count != entry.feature_count:
         raise FlMismatch(
-            f"{token} at {_fmt_mhz(key[1])} MHz resources are calibrated for"
-            f" Fl={entry.feature_count}, not Fl={feature_count}"
+            f"{where} resources are calibrated for Fl={entry.feature_count},"
+            f" not Fl={feature_count}"
         )
     exact = entry.anchors.get(sv_count)
     if exact is not None:
@@ -695,7 +673,7 @@ def estimate_resources(
         return SynthesisEstimate(
             validity=ANCHOR_EXACT, bram=bram, dsp=dsp, ff=ff, lut=lut
         )
-    what = f"resources for {token} at {_fmt_mhz(key[1])} MHz"
+    what = f"resources for {where}"
     bram, v1 = _eval_fit(entry.bram, sv_count, what, allow_point_reuse)
     ff, v2 = _eval_fit(entry.ff, sv_count, what, allow_point_reuse)
     lut, v3 = _eval_fit(entry.lut, sv_count, what, allow_point_reuse)
@@ -718,22 +696,10 @@ def estimate_design(
     allow_point_reuse: bool = False,
 ) -> SynthesisEstimate:
     """Latency and resources together, tagged with the worse validity."""
-    lat = estimate_latency(
-        sv_count,
-        feature_count,
-        directive,
-        regime_mhz,
-        calibration=calibration,
-        allow_point_reuse=allow_point_reuse,
-    )
-    res = estimate_resources(
-        sv_count,
-        feature_count,
-        directive,
-        regime_mhz,
-        calibration=calibration,
-        allow_point_reuse=allow_point_reuse,
-    )
+    args = (sv_count, feature_count, directive, regime_mhz)
+    kwargs = {"calibration": calibration, "allow_point_reuse": allow_point_reuse}
+    lat = estimate_latency(*args, **kwargs)
+    res = estimate_resources(*args, **kwargs)
     return SynthesisEstimate(
         validity=_worst(lat.validity, res.validity),
         latency_cycles=lat.latency_cycles,
@@ -763,8 +729,8 @@ def arm_entry_for(clocks, calibration: CalibrationSet | None = None) -> ArmCycle
     entry = cal.arm.get(key)
     if entry is None:
         raise UnknownCalibration(
-            f"no processor-cycle calibration for the FPGA {_fmt_mhz(key[0])} MHz /"
-            f" ARM {_fmt_mhz(key[1])} MHz pairing"
+            f"no processor-cycle calibration for the FPGA {format_mhz(key[0])} MHz /"
+            f" ARM {format_mhz(key[1])} MHz pairing"
         )
     return entry
 
@@ -794,8 +760,8 @@ def estimate_arm_cycles(
     kind = "optimized" if optimized else "plain"
     key = clock_key(clocks)
     what = (
-        f"{kind} processor cycles for FPGA {_fmt_mhz(key[0])} MHz /"
-        f" ARM {_fmt_mhz(key[1])} MHz"
+        f"{kind} processor cycles for FPGA {format_mhz(key[0])} MHz /"
+        f" ARM {format_mhz(key[1])} MHz"
     )
     value, _validity = _eval_fit(fit, sv_count, what, allow_point_reuse)
     return max(0, int(round(value)))
@@ -828,14 +794,7 @@ def estimate_power(
 
 def design_for(sv_count: int, directive) -> tuple[str, int] | None:
     """Map (S, directive) to an implemented (model_id, design_id), if any."""
-    model = MODEL_ID_BY_SV.get(sv_count)
-    if model is None:
-        return None
-    token = _directive_token(directive)
-    for (m, design), d in IMPLEMENTED_DESIGNS.items():
-        if m == model and d == token:
-            return m, design
-    return None
+    return IMPLEMENTED_DESIGNS.get((sv_count, _directive_token(directive)))
 
 
 # --------------------------------------------------------------------------
@@ -881,20 +840,17 @@ def explore(
         tokens = tuple(_directive_token(d) for d in directives)
     candidates: list[ExploreEntry] = []
     for token in tokens:
+        cfg = DirectiveConfig.parse(token)
         try:
-            est = estimate_design(
-                sv_count, feature_count, token, regime, calibration=cal
-            )
+            est = estimate_design(sv_count, feature_count, cfg, regime, calibration=cal)
         except (UnknownCalibration, FlMismatch):
             continue
-        pair = design_for(sv_count, token)
+        pair = design_for(sv_count, cfg)
         watts = cal.power.get(pair) if pair is not None else None
-        candidates.append(
-            ExploreEntry(DirectiveConfig.parse(token), est, watts)
-        )
+        candidates.append(ExploreEntry(cfg, est, watts))
     if not candidates:
         raise UnknownCalibration(
-            f"no directive calibrated at {_fmt_mhz(regime)} MHz can estimate"
+            f"no directive calibrated at {format_mhz(regime)} MHz can estimate"
             f" S={sv_count}, Fl={feature_count}"
         )
     front = [
@@ -918,18 +874,23 @@ _CSV_HEADER = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,d
 def parse_anchor_csv(text: str) -> list[AnchorRow]:
     """Parse a synthesis anchor table (the columns of _CSV_HEADER).
 
-    A header row is optional.  Raises ValueError on malformed rows.
+    Blank lines and # comments are skipped; the first other line may be a
+    header row.  Raises ValueError on malformed rows or a non-finite
+    measurement.
     """
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if lines and not lines[0][1].split(",")[0].strip().lstrip("-").isdigit():
+        lines = lines[1:]  # header row
     rows: list[AnchorRow] = []
-    for lineno0, line in enumerate(text.splitlines()):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in lines:
         cells = [c.strip() for c in line.split(",")]
-        if lineno0 == 0 and not cells[0].lstrip("-").isdigit():
-            continue  # header row
         if len(cells) != 9:
             raise ValueError(
-                f"anchor csv line {lineno0 + 1}: expected 9 columns, got {len(cells)}"
+                f"anchor csv line {lineno}: expected 9 columns, got {len(cells)}"
             )
         try:
             rows.append(
@@ -939,14 +900,14 @@ def parse_anchor_csv(text: str) -> list[AnchorRow]:
                     directive=_directive_token(cells[2]),
                     regime_mhz=_mhz(cells[3]),
                     latency_cycles=int(cells[4]),
-                    bram=float(cells[5]),
+                    bram=_number(float(cells[5])),
                     dsp=int(cells[6]),
                     ff=int(cells[7]),
                     lut=int(cells[8]),
                 )
             )
         except ValueError as exc:
-            raise ValueError(f"anchor csv line {lineno0 + 1}: {exc}") from None
+            raise ValueError(f"anchor csv line {lineno}: {exc}") from None
     if not rows:
         raise ValueError("anchor csv has no data rows")
     return rows
@@ -963,15 +924,36 @@ def _fit_to_json(fit: Fit):
     }
 
 
+def _number(value) -> float:
+    """value as a float, if it is a finite int or float (a bool is neither)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
 def _fit_from_json(obj) -> Fit:
     if obj["kind"] == "point":
-        return PointFit(int(obj["s"]), float(obj["value"]))
+        return PointFit(int(obj["s"]), _number(obj["value"]))
     if obj["kind"] == "affine":
-        anchors = tuple((int(s), float(v)) for s, v in obj["anchors"])
+        anchors = tuple((int(_number(s)), _number(v)) for s, v in obj["anchors"])
         if not anchors:
             raise CalibrationError("calibration affine fit has no anchors")
-        return AffineFit(float(obj["slope"]), float(obj["intercept"]), anchors)
+        if any(s1 >= s2 for (s1, _), (s2, _) in zip(anchors, anchors[1:])):
+            raise CalibrationError("calibration affine fit anchors must have rising S")
+        return AffineFit(_number(obj["slope"]), _number(obj["intercept"]), anchors)
     raise CalibrationError(f"unknown fit kind {obj.get('kind')!r}")
+
+
+def _per_feature(value) -> tuple | None:
+    if value is None:
+        return None
+    if not isinstance(value, list) or len(value) != 2:
+        raise CalibrationError("calibration per_feature must be null or two numbers")
+    for v in value:
+        _number(v)
+    return tuple(value)
 
 
 def save_calibration(calibration: CalibrationSet) -> str:
@@ -979,7 +961,7 @@ def save_calibration(calibration: CalibrationSet) -> str:
     doc = {
         "version": 1,
         "latency": {
-            f"{d}@{_fmt_mhz(r)}": {
+            f"{d}@{format_mhz(r)}": {
                 "feature_count": e.feature_count,
                 "fit": _fit_to_json(e.fit),
                 "anchors": {str(s): v for s, v in sorted(e.anchors.items())},
@@ -988,7 +970,7 @@ def save_calibration(calibration: CalibrationSet) -> str:
             for (d, r), e in calibration.latency.items()
         },
         "resources": {
-            f"{d}@{_fmt_mhz(r)}": {
+            f"{d}@{format_mhz(r)}": {
                 "feature_count": e.feature_count,
                 "dsp": e.dsp,
                 "bram": _fit_to_json(e.bram),
@@ -1001,7 +983,7 @@ def save_calibration(calibration: CalibrationSet) -> str:
             for (d, r), e in calibration.resources.items()
         },
         "arm": {
-            f"{_fmt_mhz(f)}/{_fmt_mhz(a)}": {
+            f"{format_mhz(f)}/{format_mhz(a)}": {
                 "feature_count": e.feature_count,
                 "timer_mhz": e.timer_mhz,
                 "plain": _fit_to_json(e.plain),
@@ -1052,7 +1034,7 @@ def load_calibration(text: str) -> CalibrationSet:
                     int(s): int(v)
                     for s, v in _json_object(e.get("anchors", {}), "anchors").items()
                 },
-                per_feature=tuple(e["per_feature"]) if e.get("per_feature") else None,
+                per_feature=_per_feature(e.get("per_feature")),
             )
         resources = {}
         for key, e in _json_object(doc.get("resources", {}), "resources").items():
@@ -1063,7 +1045,7 @@ def load_calibration(text: str) -> CalibrationSet:
                 ff=_fit_from_json(e["ff"]),
                 lut=_fit_from_json(e["lut"]),
                 anchors={
-                    int(s): (float(v[0]), int(v[1]), int(v[2]), int(v[3]))
+                    int(s): (_number(v[0]), int(v[1]), int(v[2]), int(v[3]))
                     for s, v in _json_object(e.get("anchors", {}), "anchors").items()
                 },
             )
@@ -1078,14 +1060,15 @@ def load_calibration(text: str) -> CalibrationSet:
             )
         hw_cycles = {}
         for s, fl, d, f, a, cycles in doc.get("hw_cycles", []):
-            hw_cycles[(int(s), int(fl), _directive_token(d), clock_key((f, a)))] = int(
-                cycles
-            )
+            if int(cycles) < 1:
+                raise CalibrationError("calibration hw_cycles counts must be >= 1")
+            key = (int(s), int(fl), _directive_token(d), clock_key((f, a)))
+            hw_cycles[key] = int(cycles)
         power = {}
         for key, watts in _json_object(doc.get("power", {}), "power").items():
             model, _, design = key.rpartition("/")
-            power[(model, int(design))] = float(watts)
-    except (LookupError, TypeError, ValueError) as exc:
+            power[(model, int(design))] = _number(watts)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise CalibrationError(f"calibration file is malformed: {exc}") from None
     return CalibrationSet(
         latency=latency,

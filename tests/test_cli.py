@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from svmsoc import emit_native_model, parse_svmlight_model
+from svmsoc import (
+    default_calibration,
+    emit_native_model,
+    parse_svmlight_model,
+    save_calibration,
+)
 from svmsoc.cli import main
 from svmsoc.synth import SHIPPED_ANCHORS
 
@@ -409,6 +414,63 @@ class TestFitAndCalibrationFlag:
             "--calibration", str(tmp_path / "cal.json"),
         )
         assert code == 2 and err == "error: calibration affine fit has no anchors\n"
+
+    @pytest.mark.parametrize(
+        "edit, argv",
+        [
+            (lambda d: d["latency"]["pipeline-inner@100"].update(per_feature="ab"),
+             ["synth", "248", "30", "pipeline-inner", "100"]),
+            (lambda d: d["latency"]["pipeline-inner@100"].update(per_feature=[1, 2, 3]),
+             ["synth", "248", "30", "pipeline-inner", "100"]),
+            (lambda d: d["latency"]["pipeline-inner@100"]["fit"].update(
+                anchors=[[248, 1], [248, 2]]),
+             ["synth", "300", "27", "pipeline-inner", "100"]),
+            (lambda d: d["latency"]["pipeline-inner@100"]["fit"].update(slope=float("nan")),
+             ["synth", "300", "27", "pipeline-inner", "100"]),
+            (lambda d: d["latency"]["interface-only@100"]["fit"].update(
+                anchors=[[248, -1e308], [346, 1e308]]),
+             ["synth", "1000", "27", "interface-only", "100"]),
+        ],
+        ids=["per-feature-text", "per-feature-three", "repeated-s", "nan-slope",
+             "infinite-estimate"],
+    )
+    def test_faulty_calibration_is_one_error_line(self, capsys, tmp_path, edit, argv):
+        doc = json.loads(save_calibration(default_calibration()))
+        edit(doc)
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "--calibration", str(tmp_path / "cal.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_hw_cycles_cannot_cosim(self, capsys, tmp_path, gen61):
+        doc = json.loads(save_calibration(default_calibration()))
+        for entry in doc["hw_cycles"]:
+            entry[-1] = 0
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, *cosim_argv(gen61, "--directive", "pipeline-inner",
+                                "--fpga-mhz", "250", "--arm-mhz", "250",
+                                "--calibration", str(tmp_path / "cal.json")),
+        )
+        assert code == 2 and err == "error: calibration hw_cycles counts must be >= 1\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_anchor_is_one_error_line(self, capsys, tmp_path, cell):
+        row = f"248,27,pipeline-inner,100,14138,{cell},5,1251,2477"
+        (tmp_path / "a.csv").write_text(row + "\n")
+        code, _, err = run(capsys, "fit", str(tmp_path / "a.csv"))
+        assert code == 1 and err.startswith("error: anchor csv line 1:")
+        assert err.count("\n") == 1
+
+    def test_anchor_header_after_comments(self, capsys, tmp_path):
+        (tmp_path / "a.csv").write_text("# measured anchors\n" + anchors_csv_text())
+        code, out, _ = run(capsys, "fit", str(tmp_path / "a.csv"))
+        assert code == 0 and json.loads(out)["version"] == 1
+
+    @pytest.mark.parametrize("clock", ["inf", "nan"])
+    def test_non_finite_clock_is_one_error_line(self, capsys, clock):
+        code, _, err = run(capsys, "synth", "248", "27", "pipeline-inner", clock)
+        assert code == 1 and err == f"error: clock must be positive and finite, got {clock}\n"
 
     def test_unreadable_calibration_file(self, capsys, tmp_path):
         (tmp_path / "cal.json").write_text("not json")

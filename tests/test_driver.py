@@ -8,6 +8,7 @@ from svmsoc import (
     DimensionError,
     FlMismatch,
     LabeledDataset,
+    StreamFrame,
     TestInstance,
     TrainedModel,
     UnknownCalibration,
@@ -19,7 +20,6 @@ from svmsoc import (
     run_accelerator,
     run_oracle,
     run_software_reference,
-    stream_word_count,
 )
 
 import ref32
@@ -200,14 +200,14 @@ class TestCosim:
         assert rep.sw_timer_mhz == 100.0
         assert rep.sw_cycles == 309378
         assert rep.sw_time_us == pytest.approx(3093.78, abs=0.01)
-        assert rep.hw_cycles == 14138 + stream_word_count(248, 27)
+        assert rep.hw_cycles == 14138 + StreamFrame.word_count(248, 27)
         assert rep.cycle_source == "estimated"
 
     def test_estimated_source_when_no_measured_anchor(self):
         m, ds = small_fixture()
         rep = cosim(m, ds.instances[0], "interface-only", ClockPair(250, 250))
         assert rep.cycle_source == "estimated"
-        assert rep.hw_cycles == 40885 + stream_word_count(61, 27)
+        assert rep.hw_cycles == 40885 + StreamFrame.word_count(61, 27)
 
     def test_strict_refuses_estimates(self):
         m, ds = small_fixture()

@@ -285,12 +285,10 @@ class TestStreamFrames:
             np.array([[0.1, -0.2], [0.3, 0.4]], np.float32),
             np.array([0.5, -0.6], np.float32),
             0.7,
-            threshold=0.25,
         )
         t = TestInstance(np.array([0.8, -0.9], np.float32))
         m2, t2 = parse_stream(emit_stream(m, t), 2, 2)
-        # the frame does not carry the threshold
-        assert m2 == TrainedModel(m.support_vectors, m.alpha_y, m.bias)
+        assert m2 == m
         assert t2 == t
 
     def test_bytes_round_trip(self):

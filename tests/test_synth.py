@@ -15,6 +15,7 @@ from svmsoc import (
     DirectiveConfig,
     FlMismatch,
     InsufficientAnchors,
+    SvmSocError,
     UnknownCalibration,
     UnknownDesign,
     default_calibration,
@@ -28,9 +29,25 @@ from svmsoc import (
     load_calibration,
     parse_anchor_csv,
     save_calibration,
-    stream_word_count,
 )
 from svmsoc.synth import SHIPPED_ANCHORS, AffineFit, PointFit
+
+CSV_HEADER = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,dsp,ff,lut"
+ANCHOR_LINES = [
+    f"{r.sv_count},{r.feature_count},{r.directive},{r.regime_mhz:g},"
+    f"{r.latency_cycles},{r.bram:g},{r.dsp},{r.ff},{r.lut}"
+    for r in SHIPPED_ANCHORS
+] + [CSV_HEADER, "# comment", ""]
+ANCHOR_CELLS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "0", "", "x", "cyclic-1", "1.5"]),
+    st.text(max_size=5),
+)
+
+
+def _replace_cell(line: str, index: int, cell: str) -> str:
+    cells = line.split(",")
+    cells[index % len(cells)] = cell
+    return ",".join(cells)
 
 # slope/intercept of the affine latency fits through the two 100 MHz anchor
 # sizes (S=248 and S=346), solved by hand from the anchor table
@@ -483,6 +500,170 @@ class TestCalibrationPersistence:
         with pytest.raises(CalibrationError, match="affine fit has no anchors"):
             load_calibration(json.dumps(doc))
 
+    @pytest.mark.parametrize("per_feature", ["ab", [1, 2, 3], [1], [], ["a", 1], [True, 1], 0])
+    def test_rejects_per_feature_that_is_not_two_numbers(self, per_feature):
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["latency"]["pipeline-inner@100"]["per_feature"] = per_feature
+        with pytest.raises(CalibrationError):
+            load_calibration(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "anchors",
+        [[[248, 1], [248, 2]], [[346, 2], [248, 1]], [[248, 1], [10**400, 2]]],
+        ids=["repeated", "falling", "huge-int"],
+    )
+    def test_rejects_affine_anchors_without_rising_s(self, anchors):
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["latency"]["pipeline-inner@100"]["fit"]["anchors"] = anchors
+        with pytest.raises(CalibrationError):
+            load_calibration(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 10**400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("latency", "pipeline-inner@100", "fit", "slope"),
+            ("latency", "pipeline-inner@100", "fit", "intercept"),
+            ("latency", "pipeline-inner@100", "fit", "anchors", 0, 1),
+            ("latency", "pipeline-inner@100", "per_feature", 0),
+            ("latency", "pipeline-all@250", "fit", "value"),
+            ("resources", "unroll-most@100", "anchors", "248", 0),
+            ("arm", "100/666.67", "timer_mhz"),
+            ("power", "model1/1"),
+        ],
+        ids=lambda path: "/".join(map(str, path)),
+    )
+    def test_rejects_non_finite_numbers(self, path, value):
+        doc = json.loads(save_calibration(default_calibration()))
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        with pytest.raises(CalibrationError):
+            load_calibration(json.dumps(doc))
+
+    def test_rejects_zero_hw_cycles(self):
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["hw_cycles"][0][-1] = 0
+        with pytest.raises(CalibrationError, match="hw_cycles counts must be >= 1"):
+            load_calibration(json.dumps(doc))
+
+    def test_non_finite_latency_estimate_is_refused(self):
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["latency"]["interface-only@100"]["fit"]["anchors"] = [[248, -1e308], [346, 1e308]]
+        cal = load_calibration(json.dumps(doc))
+        with pytest.raises(CalibrationError, match="not finite at S=1000"):
+            estimate_latency(1000, 27, "interface-only", 100, calibration=cal)
+
+    def test_non_finite_per_feature_estimate_is_refused(self):
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["latency"]["interface-only@100"]["per_feature"] = [1e308, 0]
+        cal = load_calibration(json.dumps(doc))
+        with pytest.raises(CalibrationError, match="not finite"):
+            estimate_latency(248, 30, "interface-only", 100, calibration=cal)
+
+    def test_non_finite_resource_and_arm_estimates_are_refused(self):
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["resources"]["unroll-most@100"]["lut"]["anchors"] = [[248, -1e308], [346, 1e308]]
+        doc["arm"]["100/666.67"]["plain"]["anchors"] = [[61, -1e308], [248, 1e308]]
+        cal = load_calibration(json.dumps(doc))
+        with pytest.raises(CalibrationError, match="not finite"):
+            estimate_resources(1000, 27, "unroll-most", 100, calibration=cal)
+        with pytest.raises(CalibrationError, match="not finite"):
+            estimate_arm_cycles(61, 27, (100, 666.67), calibration=cal)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+
+
+DEFAULT_DOC = json.loads(save_calibration(default_calibration()))
+LEAF_PATHS = _leaf_paths(DEFAULT_DOC)
+LEAF_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 1, 10**400, -(10**400), 1e308, -1e308, 5e-324, -0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 400), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+)
+
+
+class TestTotality:
+    """Malformed calibration and anchor input raises a package error only."""
+
+    @given(st.lists(st.tuples(st.sampled_from(LEAF_PATHS), LEAF_VALUES), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_load_calibration_and_estimates_are_total(self, mutations):
+        doc = json.loads(json.dumps(DEFAULT_DOC))
+        for path, value in mutations:
+            node = doc
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = value
+        try:
+            cal = load_calibration(json.dumps(doc))
+        except SvmSocError:
+            return
+        for directive, regime in cal.latency:
+            for s in (1, 61, 248, 300, 1000):
+                for fl in (27, 30):
+                    for reuse in (False, True):
+                        try:
+                            estimate_design(
+                                s, fl, directive, regime,
+                                calibration=cal, allow_point_reuse=reuse,
+                            )
+                        except SvmSocError:
+                            pass
+        for clocks in cal.arm:
+            for s in (1, 61, 248, 1000):
+                for optimized in (False, True):
+                    try:
+                        estimate_arm_cycles(
+                            s, 27, clocks, optimized,
+                            calibration=cal, allow_point_reuse=True,
+                        )
+                    except SvmSocError:
+                        pass
+        for regime in {r for _, r in cal.latency}:
+            try:
+                explore(248, 27, regime, calibration=cal)
+            except SvmSocError:
+                pass
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(ANCHOR_LINES),
+                st.tuples(
+                    st.sampled_from(ANCHOR_LINES), st.integers(0, 8), ANCHOR_CELLS
+                ).map(lambda t: _replace_cell(*t)),
+                st.text(max_size=30),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_parse_anchor_csv_is_total(self, lines):
+        try:
+            rows = parse_anchor_csv("\n".join(lines))
+        except ValueError:
+            return
+        for row in rows:
+            assert np.isfinite(row.bram) and 0 < row.regime_mhz < np.inf
+
 
 class TestAnchorCsv:
     def test_csv_round_trip_preserves_anchors(self):
@@ -505,6 +686,30 @@ class TestAnchorCsv:
         rows = parse_anchor_csv(text)
         assert rows[0].latency_cycles == 14138
 
+    def test_header_after_leading_comments(self):
+        text = f"# measured\n\n{CSV_HEADER}\n248,27,pipeline-inner,100,14138,19,5,1251,2477\n"
+        rows = parse_anchor_csv(text)
+        assert len(rows) == 1 and rows[0].latency_cycles == 14138
+
+    def test_header_only_on_the_first_row(self):
+        text = f"248,27,pipeline-inner,100,14138,19,5,1251,2477\n{CSV_HEADER}\n"
+        with pytest.raises(ValueError, match="line 2"):
+            parse_anchor_csv(text)
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [
+            ("248,27,pipeline-inner,100,14138,nan,5,1251,2477", "nan"),
+            ("248,27,pipeline-inner,100,14138,inf,5,1251,2477", "inf"),
+            ("248,27,pipeline-inner,100,14138,1e400,5,1251,2477", "inf"),
+            ("248,27,pipeline-inner,inf,14138,19,5,1251,2477", "inf"),
+            ("248,27,pipeline-inner,nan,14138,19,5,1251,2477", "nan"),
+        ],
+    )
+    def test_non_finite_measurement_rejected(self, row, what):
+        with pytest.raises(ValueError, match=f"line 1: .*{what}"):
+            parse_anchor_csv(row + "\n")
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -517,8 +722,3 @@ class TestAnchorCsv:
     def test_malformed_csv_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_anchor_csv(bad)
-
-
-def test_stream_word_count_formula():
-    assert stream_word_count(61, 27) == 61 * 27 + 1 + 61 + 27 == 1736
-    assert stream_word_count(1, 1) == 4
