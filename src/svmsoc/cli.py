@@ -269,7 +269,7 @@ def cmd_fit(args) -> str:
     text = save_calibration(cal)
     if args.out:
         Path(args.out).write_text(text)
-        entries = len(cal.latency)
+        entries = len(cal.dsp)  # one per (directive, regime) synthesis group
         if args.machine:
             return _kv([("entries", entries), ("out", args.out)])
         return f"fitted {entries} directive/regime entries -> {args.out}\n"

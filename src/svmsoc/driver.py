@@ -32,7 +32,7 @@ from .model_io import LabeledDataset, StreamFrame, TestInstance, TrainedModel, e
 from .synth import (
     CalibrationSet,
     DirectiveConfig,
-    arm_entry_for,
+    arm_timer_mhz,
     clock_key,
     default_calibration,
     estimate_arm_cycles,
@@ -232,7 +232,8 @@ def cosim(
         sw.distance
     )
 
-    anchor = cal.hw_cycles.get((s, fl, token, clock_key(clocks)))
+    pairing = clock_key(clocks)
+    anchor = cal.cosim_cycles.get((s, fl, token, pairing))
     if anchor is not None:
         hw_cycles, source = anchor, MEASURED_ANCHOR
     elif strict:
@@ -246,8 +247,8 @@ def cosim(
         hw_cycles = est.latency_cycles + StreamFrame.word_count(s, fl)
         source = ESTIMATED
 
-    arm = arm_entry_for(clocks, cal)
-    if strict and s not in arm.anchor_svs():
+    timer_mhz = arm_timer_mhz(pairing, cal)
+    if strict and s not in cal.fits[("plain_cycles", *pairing)].points:
         raise UnknownCalibration(
             f"no measured processor cycles at S={s} for FPGA"
             f" {format_mhz(clocks.fpga_mhz)} MHz /"
@@ -265,7 +266,7 @@ def cosim(
         hw_cycles=hw_cycles,
         sw_cycles=sw_cycles,
         sw_cycles_optimized=sw_opt,
-        sw_timer_mhz=arm.timer_mhz,
+        sw_timer_mhz=timer_mhz,
     )
 
 

@@ -1,35 +1,49 @@
 """Synthesis cost models calibrated from vendor-tool and board results.
 
-Latency and resource figures come from high-level-synthesis runs of the
-streaming classifier at three shipped sizes (S=248 and S=346 with 27
-features at a 100 MHz clock, S=61 with 27 features at 250 MHz), one run
-per optimization directive.  Between anchors the models are affine in the
-support-vector count S; every estimate carries a validity tag saying
-whether it hit an anchor exactly, interpolated between anchors, or
-extrapolated beyond them.
+A calibration is one table of measured records, of four kinds:
 
-Directives with a single anchor have no S-dependence information, so
-scaling them to another S is refused unless explicitly forced.  Latency
-for the two directives whose inner loop runs Fl+1 iterations per support
-vector (the streamed arrays carry one spare slot) decomposes as
+- synth (AnchorRow): one high-level-synthesis run of the streaming
+  classifier, with its latency and BRAM/DSP/FF/LUT use.  The shipped runs
+  are S=248 and S=346 with 27 features at a 100 MHz clock and S=61 with 27
+  features at 250 MHz, one run per optimization directive.
+- arm (ArmRecord): the host processor's plain and optimized classifier
+  cycle counts at one S for one (FPGA MHz, ARM MHz) clock pairing, in
+  ticks of that pairing's timer.
+- cosim (CosimRecord): the accelerator's end-to-end cycle count measured
+  in co-simulation for one S, Fl, directive and clock pairing.
+- power (PowerRecord): the board power draw of one implemented (model,
+  design), with the S and directive that design implements.
+
+One schema checks every record, whether it comes from an anchor CSV, a
+calibration file or a caller, and fit_calibration turns the records into
+the estimators' fits.  The built-in calibration is the fit of
+SHIPPED_RECORDS and a calibration file stores the records themselves, so
+every calibration is fitted by the same code.
+
+Each measured quantity (latency, BRAM, FF, LUT, processor cycles) is one
+Fit in S over its (directive, clock) group.  At a measured S it returns the
+measured value exactly.  A single anchor carries no S-dependence, so
+scaling it to another S is refused unless explicitly forced; two anchors
+give the exact affine through both, three or more a least-squares line.
+Every estimate carries a validity tag saying whether it hit an anchor
+exactly, interpolated between anchors, or extrapolated beyond them.  DSP
+use is constant in S: the measured count at an anchor, the mean of the
+group's distinct counts elsewhere.
+
+Latency for the two directives whose inner loop runs Fl+1 iterations per
+support vector (the streamed arrays carry one spare slot) decomposes as
 slope = a*(Fl+1) + c, which lets those two generalize across feature
 counts; everything else is pinned to its calibrated Fl.
-
-Host-processor cycle counts and board power draws are calibrated the same
-way: exact lookups at measured points, affine in S where two points
-exist, refusal elsewhere.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     CalibrationError,
@@ -43,17 +57,18 @@ __all__ = [
     "ANCHOR_EXACT",
     "INTERPOLATED",
     "EXTRAPOLATED",
+    "MAX_COUNT",
     "DirectiveConfig",
     "AnchorRow",
-    "AffineFit",
-    "PointFit",
-    "LatencyEntry",
-    "ResourceEntry",
-    "ArmCycleEntry",
+    "ArmRecord",
+    "CosimRecord",
+    "PowerRecord",
+    "Fit",
     "CalibrationSet",
     "SynthesisEstimate",
     "ExploreEntry",
     "SHIPPED_ANCHORS",
+    "SHIPPED_RECORDS",
     "PER_FEATURE_SLOPES",
     "fit_calibration",
     "default_calibration",
@@ -63,6 +78,7 @@ __all__ = [
     "estimate_arm_cycles",
     "estimate_power",
     "explore",
+    "arm_timer_mhz",
     "clock_key",
     "format_mhz",
     "parse_anchor_csv",
@@ -75,6 +91,10 @@ ANCHOR_EXACT = "anchor_exact"
 INTERPOLATED = "interpolated"
 EXTRAPOLATED = "extrapolated"
 _VALIDITY_RANK = {ANCHOR_EXACT: 0, INTERPOLATED: 1, EXTRAPOLATED: 2}
+
+# The largest count or size a record or an estimate takes: every integer up
+# to it converts to binary64 exactly, so no fit or estimate overflows on one.
+MAX_COUNT = 1 << 53
 
 
 def _mhz(value) -> float:
@@ -195,9 +215,12 @@ def _directive_token(directive) -> str:
 
 
 # --------------------------------------------------------------------------
-# shipped anchor data
+# measured records
+
 
 class AnchorRow(NamedTuple):
+    """A synth record: one synthesis run's latency and resource use."""
+
     sv_count: int
     feature_count: int
     directive: str
@@ -209,8 +232,122 @@ class AnchorRow(NamedTuple):
     lut: int
 
 
+class ArmRecord(NamedTuple):
+    """An arm record: host classifier cycles, in ticks of timer_mhz."""
+
+    sv_count: int
+    feature_count: int
+    fpga_mhz: float
+    arm_mhz: float
+    timer_mhz: float
+    plain_cycles: int
+    optimized_cycles: int
+
+
+class CosimRecord(NamedTuple):
+    """A cosim record: accelerator cycles measured in co-simulation."""
+
+    sv_count: int
+    feature_count: int
+    directive: str
+    fpga_mhz: float
+    arm_mhz: float
+    cycles: int
+
+
+class PowerRecord(NamedTuple):
+    """A power record: the board draw of the design built for (S, directive)."""
+
+    sv_count: int
+    directive: str
+    model_id: str
+    design_id: int
+    watts: float
+
+
+Record = Union[AnchorRow, ArmRecord, CosimRecord, PowerRecord]
+
+
+def _integer(value, least: int) -> int:
+    if isinstance(value, str):
+        value = int(value)
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    if not least <= value <= MAX_COUNT:
+        raise ValueError(f"must be an integer in {least}..2**53")
+    return value
+
+
+_count = partial(_integer, least=1)  # a size, an id or a cycle count
+_measure = partial(_integer, least=0)  # a measured count that may be zero
+
+
+def _amount(value) -> float:
+    """A finite, non-negative real such as a BRAM count or a power draw."""
+    if isinstance(value, str):
+        value = float(value)
+    elif not isinstance(value, float):
+        value = float(_measure(value))
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{value!r} is not a finite non-negative number")
+    return value
+
+
+def _clock(value) -> float:
+    return _mhz(_amount(value))
+
+
+def _model_id(model_id) -> str:
+    t = str(model_id).strip().lower().replace(" ", "").replace("-", "").replace("_", "")
+    if t in ("1", "model1", "m1"):
+        return "model1"
+    if t in ("2", "model2", "m2"):
+        return "model2"
+    if t in ("s", "models", "ms"):
+        return "models"
+    return t
+
+
+# kind -> (record type, one check per column, how many leading columns
+# identify a record; two records that agree there must agree everywhere)
+_SCHEMA = {
+    "synth": (
+        AnchorRow,
+        (_count, _count, _directive_token, _clock, _measure, _amount, _measure,
+         _measure, _measure),
+        4,
+    ),
+    "arm": (ArmRecord, (_count, _count, _clock, _clock, _clock, _measure, _measure), 4),
+    "cosim": (CosimRecord, (_count, _count, _directive_token, _clock, _clock, _count), 5),
+    "power": (PowerRecord, (_count, _directive_token, _model_id, _count, _amount), 2),
+}
+_KIND = {row_type: kind for kind, (row_type, _, _) in _SCHEMA.items()}
+
+
+def _schema(kind: str):
+    try:
+        return _SCHEMA[kind]
+    except KeyError:
+        raise ValueError(f"unknown record kind {kind!r}") from None
+
+
+def _record(kind: str, cells) -> Record:
+    """A kind's record from its cells (CSV text or JSON values), each checked once."""
+    row_type, checks, _ = _schema(kind)
+    if not isinstance(cells, (list, tuple)):
+        raise ValueError(f"{kind} record must be a list, got {type(cells).__name__}")
+    if len(cells) != len(checks):
+        raise ValueError(f"{kind} record has {len(checks)} columns, got {len(cells)}")
+    values = []
+    for name, check, cell in zip(row_type._fields, checks, cells):
+        try:
+            values.append(check(cell))
+        except ValueError as exc:
+            raise ValueError(f"{kind} {name}: {exc}") from None
+    return row_type(*values)
+
+
 # Vendor-tool synthesis results for the shipped classifier sizes.
-# Columns: S, Fl, directive, clock MHz, latency, BRAM, DSP, FF, LUT.
 SHIPPED_ANCHORS: tuple[AnchorRow, ...] = tuple(
     AnchorRow(*row)
     for row in [
@@ -251,6 +388,29 @@ SHIPPED_ANCHORS: tuple[AnchorRow, ...] = tuple(
     ]
 )
 
+# Every measured record the package ships: the synthesis runs, then the
+# bare-metal classifier cycle counts on the host core (the 100/666.67
+# pairing counts ticks of the 100 MHz platform timer, the 250 MHz pairings
+# read the core cycle counter), the co-simulated accelerator cycle counts,
+# and the board power draw of each implemented design.
+SHIPPED_RECORDS: tuple[Record, ...] = SHIPPED_ANCHORS + (
+    ArmRecord(61, 27, 100.0, 666.67, 100.0, 77367, 22398),
+    ArmRecord(248, 27, 100.0, 666.67, 100.0, 309378, 90585),
+    ArmRecord(61, 27, 250.0, 250.0, 250.0, 77367, 22398),
+    ArmRecord(61, 27, 250.0, 666.67, 666.67, 28968, 8431),
+    CosimRecord(61, 27, "pipeline-inner", 250.0, 250.0, 3693),
+    CosimRecord(61, 27, "unroll-most", 250.0, 250.0, 3690),
+    CosimRecord(61, 27, "pipeline-inner", 250.0, 666.67, 2815),
+    PowerRecord(248, "pipeline-inner", "model1", 1, 1.756),
+    PowerRecord(248, "unroll-most", "model1", 2, 1.824),
+    PowerRecord(248, "partition-cyclic-16", "model1", 3, 1.851),
+    PowerRecord(346, "pipeline-inner", "model2", 1, 1.758),
+    PowerRecord(346, "unroll-inner", "model2", 2, 2.125),
+    PowerRecord(346, "partition-cyclic-16", "model2", 3, 1.842),
+    PowerRecord(61, "pipeline-inner", "models", 1, 1.686),
+    PowerRecord(61, "unroll-most", "models", 2, 1.766),
+)
+
 # Latency-slope decomposition slope = a*(Fl+1) + c for directives whose
 # per-SV cost is dominated by the feature loop (trip count Fl+1 because
 # the streamed arrays are sized one past the feature count).
@@ -259,311 +419,197 @@ PER_FEATURE_SLOPES: dict[str, tuple[int, int]] = {
     "pipeline-inner": (2, 0),
 }
 
-# Bare-metal classifier cycle counts on the host core.  Counts for the
-# 100/666.67 pairing are ticks of the 100 MHz platform timer; the 250 MHz
-# pairings are core cycle-counter readings for the small model.
-SHIPPED_ARM_ANCHORS: dict[tuple[float, float], dict] = {
-    (100.0, 666.67): {
-        "feature_count": 27,
-        "timer_mhz": 100.0,
-        "plain": ((61, 77367), (248, 309378)),
-        "optimized": ((61, 22398), (248, 90585)),
-    },
-    (250.0, 250.0): {
-        "feature_count": 27,
-        "timer_mhz": 250.0,
-        "plain": ((61, 77367),),
-        "optimized": ((61, 22398),),
-    },
-    (250.0, 666.67): {
-        "feature_count": 27,
-        "timer_mhz": 666.67,
-        "plain": ((61, 28968),),
-        "optimized": ((61, 8431),),
-    },
-}
-
-# End-to-end accelerator cycle counts measured in co-simulation,
-# keyed by (S, Fl, directive, (fpga_mhz, arm_mhz)).
-SHIPPED_HW_CYCLES: dict[tuple[int, int, str, tuple[float, float]], int] = {
-    (61, 27, "pipeline-inner", (250.0, 250.0)): 3693,
-    (61, 27, "unroll-most", (250.0, 250.0)): 3690,
-    (61, 27, "pipeline-inner", (250.0, 666.67)): 2815,
-}
-
-# Board power draw in watts per implemented (model, design) pair.
-SHIPPED_POWER_W: dict[tuple[str, int], float] = {
-    ("model1", 1): 1.756,
-    ("model1", 2): 1.824,
-    ("model1", 3): 1.851,
-    ("model2", 1): 1.758,
-    ("model2", 2): 2.125,
-    ("model2", 3): 1.842,
-    ("models", 1): 1.686,
-    ("models", 2): 1.766,
-}
-
-# The implemented board design (model id, design id) of each shipped model
-# size and directive.
-IMPLEMENTED_DESIGNS: dict[tuple[int, str], tuple[str, int]] = {
-    (248, "pipeline-inner"): ("model1", 1),
-    (248, "unroll-most"): ("model1", 2),
-    (248, "partition-cyclic-16"): ("model1", 3),
-    (346, "pipeline-inner"): ("model2", 1),
-    (346, "unroll-inner"): ("model2", 2),
-    (346, "partition-cyclic-16"): ("model2", 3),
-    (61, "pipeline-inner"): ("models", 1),
-    (61, "unroll-most"): ("models", 2),
-}
-
 
 # --------------------------------------------------------------------------
 # fits
 
-@dataclass(frozen=True)
-class AffineFit:
-    """value(S) = slope*S + intercept, with the anchor points kept around.
 
-    Two-point fits evaluate through the anchors directly so the anchors
-    reproduce exactly and interpolation stays free of slope round-off.
+class Fit:
+    """One measured quantity as a function of S, through its anchors.
+
+    One anchor pins the value (slope and intercept are None); two give the
+    exact affine through both, evaluated through the anchors themselves so
+    interpolation carries no slope round-off; three or more give the
+    least-squares line.  points maps each measured S to its value, and
+    feature_count is the Fl the quantity was measured at.  A line that is
+    not finite is refused with ValueError.
     """
 
-    slope: float
-    intercept: float
-    anchors: tuple[tuple[int, float], ...]
+    __slots__ = ("feature_count", "points", "lo", "hi", "slope", "intercept")
 
-    @property
-    def s_min(self) -> int:
-        return self.anchors[0][0]
+    def __init__(self, feature_count: int, points: Sequence[tuple[int, float]], what: str):
+        pts = sorted(points)
+        self.feature_count = feature_count
+        self.points = dict(pts)
+        self.lo, self.hi = pts[0][0], pts[-1][0]
+        self.slope = self.intercept = None
+        if len(pts) == 2:
+            (s1, v1), (s2, v2) = pts
+            self.slope = (v2 - v1) / (s2 - s1)
+            self.intercept = v1 - self.slope * s1
+        elif len(pts) > 2:
+            self.slope, self.intercept = _least_squares(pts, what)
+        if self.slope is not None and not (
+            math.isfinite(self.slope) and math.isfinite(self.intercept)
+        ):
+            raise ValueError(f"the fitted line of {what} is not finite")
 
-    @property
-    def s_max(self) -> int:
-        return self.anchors[-1][0]
-
-    def value_at(self, sv_count: int) -> float:
-        if len(self.anchors) == 2:
-            (s1, v1), (s2, v2) = self.anchors
-            return v1 + (v2 - v1) * (sv_count - s1) / (s2 - s1)
-        return self.slope * sv_count + self.intercept
-
-    def validity_at(self, sv_count: int) -> str:
-        if any(s == sv_count for s, _ in self.anchors):
-            return ANCHOR_EXACT
-        return INTERPOLATED if self.s_min <= sv_count <= self.s_max else EXTRAPOLATED
-
-
-@dataclass(frozen=True)
-class PointFit:
-    """A single calibration point; carries no S-dependence at all."""
-
-    sv_count: int
-    value: float
-
-
-Fit = Union[AffineFit, PointFit]
-
-
-def _fit_points(points: Sequence[tuple[int, float]]) -> Fit:
-    pts = sorted(points)
-    if len(pts) == 1:
-        return PointFit(pts[0][0], float(pts[0][1]))
-    xs = np.array([s for s, _ in pts], dtype=float)
-    ys = np.array([v for _, v in pts], dtype=float)
-    if len(pts) == 2:
-        slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        intercept = ys[0] - slope * xs[0]
-    else:
-        slope, intercept = np.polyfit(xs, ys, 1)
-    return AffineFit(
-        float(slope), float(intercept), tuple((int(s), float(v)) for s, v in pts)
-    )
+    def at(self, sv_count: int, what: str, allow_point_reuse: bool) -> tuple[float, str]:
+        """The value at S and its validity tag."""
+        value = self.points.get(sv_count)
+        if value is not None:
+            return value, ANCHOR_EXACT
+        lo, hi = self.lo, self.hi
+        if self.slope is None:
+            if allow_point_reuse:
+                return self.points[lo], EXTRAPOLATED
+            raise UnknownCalibration(
+                f"{what} has a single anchor at S={lo}; scaling to"
+                f" S={sv_count} has no supporting data (pass allow_point_reuse"
+                " to reuse the point value)"
+            )
+        if len(self.points) == 2:
+            v1 = self.points[lo]
+            value = v1 + (self.points[hi] - v1) * (sv_count - lo) / (hi - lo)
+        else:
+            value = self.slope * sv_count + self.intercept
+        if not math.isfinite(value):
+            raise CalibrationError(f"{what} is not finite at S={sv_count}")
+        return value, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
 
 
-def _eval_fit(
-    fit: Fit, sv_count: int, what: str, allow_point_reuse: bool
-) -> tuple[float, str]:
-    if isinstance(fit, PointFit):
-        if sv_count == fit.sv_count:
-            return fit.value, ANCHOR_EXACT
-        if allow_point_reuse:
-            return fit.value, EXTRAPOLATED
-        raise UnknownCalibration(
-            f"{what} has a single anchor at S={fit.sv_count}; scaling to"
-            f" S={sv_count} has no supporting data (pass allow_point_reuse"
-            " to reuse the point value)"
-        )
-    return _finite(fit.value_at(sv_count), what, sv_count), fit.validity_at(sv_count)
+def _least_squares(points, what: str) -> tuple[float, float]:
+    import numpy as np
 
-
-def _finite(value: float, what: str, sv_count: int) -> float:
-    if not math.isfinite(value):
-        raise CalibrationError(f"{what} is not finite at S={sv_count}")
-    return value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or a rank-deficient fit
+        try:
+            slope, intercept = np.polyfit(
+                [float(s) for s, _ in points], [v for _, v in points], 1
+            )
+        except RuntimeWarning as exc:
+            raise ValueError(f"no least-squares line fits {what}: {exc}") from None
+    return float(slope), float(intercept)
 
 
 # --------------------------------------------------------------------------
 # calibration set
 
-@dataclass(frozen=True)
-class LatencyEntry:
-    feature_count: int
-    fit: Fit
-    anchors: dict[int, int]  # S -> measured latency
-    per_feature: tuple[int, int] | None  # (a, c) with slope = a*(Fl+1)+c
-
-
-@dataclass(frozen=True)
-class ResourceEntry:
-    feature_count: int
-    dsp: int
-    bram: Fit
-    ff: Fit
-    lut: Fit
-    anchors: dict[int, tuple[float, int, int, int]]  # S -> (bram, dsp, ff, lut)
-
-
-@dataclass(frozen=True)
-class ArmCycleEntry:
-    feature_count: int
-    timer_mhz: float  # clock the counts are expressed in
-    plain: Fit
-    optimized: Fit
-
-    def anchor_svs(self) -> frozenset[int]:
-        fits = (self.plain, self.optimized)
-        svs: set[int] = set()
-        for f in fits:
-            if isinstance(f, PointFit):
-                svs.add(f.sv_count)
-            else:
-                svs.update(s for s, _ in f.anchors)
-        return frozenset(svs)
-
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Everything the estimators know, keyed by directive and clock."""
+    """The measured records and everything the estimators read from them.
 
-    latency: dict[tuple[str, float], LatencyEntry]
-    resources: dict[tuple[str, float], ResourceEntry]
-    arm: dict[tuple[float, float], ArmCycleEntry]
-    hw_cycles: dict[tuple[int, int, str, tuple[float, float]], int]
-    power: dict[tuple[str, int], float]
+    records is the table itself, each record once, in the order given;
+    save_calibration writes it.  fits maps (column, directive, regime MHz)
+    for the latency_cycles, bram, ff and lut columns of synth records, and
+    (column, FPGA MHz, ARM MHz) for the plain_cycles and optimized_cycles
+    columns of arm records, to the Fit of that column.  dsp holds the DSP
+    count by S of each (directive, regime) synthesis group, arm the timer
+    MHz of each calibrated clock pairing, cosim_cycles the cycle count by
+    (S, Fl, directive, (FPGA MHz, ARM MHz)) and power the watts by (S,
+    directive).
+    """
+
+    records: tuple[Record, ...]
+    fits: dict[tuple, Fit]
+    dsp: dict[tuple[str, float], dict[int, int]]
+    arm: dict[tuple[float, float], float]
+    cosim_cycles: dict[tuple[int, int, str, tuple[float, float]], int]
+    power: dict[tuple[int, str], float]
 
     def directives_for(self, regime_mhz: float) -> tuple[str, ...]:
         r = _mhz(regime_mhz)
-        return tuple(sorted(d for d, reg in self.latency if reg == r))
+        return tuple(sorted(d for d, reg in self.dsp if reg == r))
 
 
-def fit_calibration(
-    rows: Sequence[AnchorRow | tuple],
-    require: Sequence[tuple[str, float]] = (),
-) -> CalibrationSet:
-    """Fit latency and resource models from a synthesis anchor table.
+def _shared(rows, column: str, where: str):
+    values = {getattr(r, column) for r in rows}
+    if len(values) != 1:
+        raise ValueError(f"records for {where} mix {column} values {sorted(values)}")
+    return values.pop()
 
-    Each (directive, regime) group becomes one entry: a single row pins a
-    point, two rows an exact affine in S, three or more a least-squares
-    line.  Rows in a group must share a feature count.  require lists
-    (directive, regime) pairs that must be present; a missing one raises
-    InsufficientAnchors.
-    """
-    anchors = [AnchorRow(*r) for r in rows]
-    if not anchors and require:
-        missing = ", ".join(f"{d}@{format_mhz(_mhz(r))}" for d, r in require)
-        raise InsufficientAnchors(f"no anchor rows at all (required: {missing})")
-    groups: dict[tuple[str, float], dict[int, AnchorRow]] = {}
-    for row in anchors:
-        if row.sv_count < 1 or row.feature_count < 1:
-            raise ValueError(f"bad anchor sizes in {row}")
-        if row.latency_cycles < 0 or min(row.bram, row.dsp, row.ff, row.lut) < 0:
-            raise ValueError(f"negative measurement in {row}")
-        key = (_directive_token(row.directive), _mhz(row.regime_mhz))
-        group = groups.setdefault(key, {})
-        prev = group.get(row.sv_count)
-        if prev is not None:
-            if prev != row._replace(directive=prev.directive):
-                raise ValueError(
-                    f"conflicting anchors for {key[0]} at {format_mhz(key[1])} MHz,"
-                    f" S={row.sv_count}"
-                )
-            continue  # exact duplicate row, ignore
-        group[row.sv_count] = row
+
+def _fitted(records: Sequence[Record], require: Sequence[tuple[str, float]] = ()):
+    """The CalibrationSet of checked records; see fit_calibration."""
+    table: dict[tuple, Record] = {}
+    for rec in records:
+        kind = _KIND[type(rec)]
+        prev = table.setdefault((kind, *rec[: _SCHEMA[kind][2]]), rec)
+        if prev != rec:
+            raise ValueError(f"conflicting {kind} records {tuple(prev)} and {tuple(rec)}")
+    synth: dict[tuple[str, float], list[AnchorRow]] = {}
+    arm: dict[tuple[float, float], list[ArmRecord]] = {}
+    cosim_cycles, power, designs = {}, {}, set()
+    for rec in table.values():
+        if type(rec) is AnchorRow:
+            synth.setdefault((rec.directive, rec.regime_mhz), []).append(rec)
+        elif type(rec) is ArmRecord:
+            arm.setdefault((rec.fpga_mhz, rec.arm_mhz), []).append(rec)
+        elif type(rec) is CosimRecord:
+            key = (rec.sv_count, rec.feature_count, rec.directive, (rec.fpga_mhz, rec.arm_mhz))
+            cosim_cycles[key] = rec.cycles
+        else:
+            design = (rec.model_id, rec.design_id)
+            if design in designs:
+                raise ValueError(f"conflicting power records for {design}")
+            designs.add(design)
+            power[(rec.sv_count, rec.directive)] = rec.watts
 
     for directive, regime in require:
         key = (_directive_token(directive), _mhz(regime))
-        if key not in groups:
-            raise InsufficientAnchors(
-                f"no anchors for {key[0]} at {format_mhz(key[1])} MHz"
-            )
-
-    latency: dict[tuple[str, float], LatencyEntry] = {}
-    resources: dict[tuple[str, float], ResourceEntry] = {}
-    for key, group in sorted(groups.items()):
-        token, _regime = key
-        rows_by_s = [group[s] for s in sorted(group)]
-        fls = {r.feature_count for r in rows_by_s}
-        if len(fls) != 1:
-            raise ValueError(
-                f"anchors for {token} at {format_mhz(key[1])} MHz mix feature"
-                f" counts {sorted(fls)}"
-            )
-        fl = fls.pop()
-        lat_fit = _fit_points([(r.sv_count, float(r.latency_cycles)) for r in rows_by_s])
-        per_feature = None
-        terms = PER_FEATURE_SLOPES.get(token)
-        if terms is not None and isinstance(lat_fit, AffineFit):
-            a, c = terms
-            if abs(lat_fit.slope - (a * (fl + 1) + c)) < 1e-6:
-                per_feature = terms
-        latency[key] = LatencyEntry(
-            feature_count=fl,
-            fit=lat_fit,
-            anchors={r.sv_count: r.latency_cycles for r in rows_by_s},
-            per_feature=per_feature,
-        )
-        dsps = {r.dsp for r in rows_by_s}
-        dsp = rows_by_s[0].dsp if len(dsps) == 1 else int(round(float(np.mean(list(dsps)))))
-        resources[key] = ResourceEntry(
-            feature_count=fl,
-            dsp=dsp,
-            bram=_fit_points([(r.sv_count, float(r.bram)) for r in rows_by_s]),
-            ff=_fit_points([(r.sv_count, float(r.ff)) for r in rows_by_s]),
-            lut=_fit_points([(r.sv_count, float(r.lut)) for r in rows_by_s]),
-            anchors={
-                r.sv_count: (float(r.bram), r.dsp, r.ff, r.lut) for r in rows_by_s
-            },
-        )
-    return CalibrationSet(
-        latency=latency, resources=resources, arm={}, hw_cycles={}, power={}
-    )
+        if key not in synth:
+            raise InsufficientAnchors(f"no anchors for {key[0]} at {format_mhz(key[1])} MHz")
+    fits, dsp, timers = {}, {}, {}
+    for (token, regime), rows in synth.items():
+        where = f"{token} at {format_mhz(regime)} MHz"
+        fl = _shared(rows, "feature_count", where)
+        for column in ("latency_cycles", "bram", "ff", "lut"):
+            points = [(r.sv_count, float(getattr(r, column))) for r in rows]
+            fits[column, token, regime] = Fit(fl, points, f"{column} for {where}")
+        dsp[token, regime] = {r.sv_count: r.dsp for r in rows}
+    for pairing, rows in arm.items():
+        where = f"FPGA {format_mhz(pairing[0])} MHz / ARM {format_mhz(pairing[1])} MHz"
+        fl = _shared(rows, "feature_count", where)
+        timers[pairing] = _shared(rows, "timer_mhz", where)
+        for column in ("plain_cycles", "optimized_cycles"):
+            points = [(r.sv_count, float(getattr(r, column))) for r in rows]
+            fits[(column, *pairing)] = Fit(fl, points, f"{column} for {where}")
+    return CalibrationSet(tuple(table.values()), fits, dsp, timers, cosim_cycles, power)
 
 
-def _build_arm_entries(table: dict) -> dict[tuple[float, float], ArmCycleEntry]:
-    out = {}
-    for pair, data in table.items():
-        out[clock_key(pair)] = ArmCycleEntry(
-            feature_count=int(data["feature_count"]),
-            timer_mhz=_mhz(data["timer_mhz"]),
-            plain=_fit_points([(int(s), float(v)) for s, v in data["plain"]]),
-            optimized=_fit_points([(int(s), float(v)) for s, v in data["optimized"]]),
-        )
-    return out
+def fit_calibration(
+    rows: Sequence[Record | tuple],
+    require: Sequence[tuple[str, float]] = (),
+) -> CalibrationSet:
+    """Check a table of measured records and fit the estimators' models.
+
+    rows holds records of any kind; a plain tuple is a synth row.  Every
+    column of a (directive, regime) group of synth rows, and every cycle
+    column of a clock pairing's arm rows, becomes one Fit in S: a single row
+    pins a point, two rows an exact affine, three or more a least-squares
+    line.  Rows in a group must share a feature count, and an identical
+    repeated row counts once.  require lists (directive, regime) pairs that
+    must have synth rows; a missing one raises InsufficientAnchors.  A
+    malformed or conflicting record, or a fit that is not finite, raises
+    ValueError.
+    """
+    records = [_record(_KIND.get(type(r), "synth"), r) for r in rows]
+    if not records and require:
+        missing = ", ".join(f"{d}@{format_mhz(_mhz(r))}" for d, r in require)
+        raise InsufficientAnchors(f"no anchor rows at all (required: {missing})")
+    return _fitted(records, require)
 
 
 @lru_cache(maxsize=1)
 def default_calibration() -> CalibrationSet:
-    """The calibration shipped with the package (all measured anchors)."""
-    base = fit_calibration(SHIPPED_ANCHORS)
-    return dataclasses.replace(
-        base,
-        arm=_build_arm_entries(SHIPPED_ARM_ANCHORS),
-        hw_cycles=dict(SHIPPED_HW_CYCLES),
-        power=dict(SHIPPED_POWER_W),
-    )
+    """The calibration shipped with the package: the fit of SHIPPED_RECORDS."""
+    return fit_calibration(SHIPPED_RECORDS)
 
 
 # --------------------------------------------------------------------------
 # estimates
+
 
 @dataclass(frozen=True)
 class SynthesisEstimate:
@@ -583,20 +629,25 @@ class SynthesisEstimate:
     lut: int | None = None
 
 
-def _lookup(table: dict, what: str, directive, regime_mhz, sv_count, feature_count):
-    """One (directive, regime) entry of a calibration table, and its label.
+def _check_sizes(sv_count: int, feature_count: int) -> None:
+    if not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):
+        raise ValueError("sv_count and feature_count must be integers in 1..2**53")
 
-    A missing entry is refused before a bad size.
+
+def _lookup(cal: CalibrationSet, column, what, directive, regime_mhz, sv_count, feature_count):
+    """The Fit of one column of a (directive, regime) synthesis group.
+
+    Returns the fit, the group's key and its label.  A missing group is
+    refused before a bad size.
     """
     token = _directive_token(directive)
     regime = _mhz(regime_mhz)
     where = f"{token} at {format_mhz(regime)} MHz"
-    entry = table.get((token, regime))
-    if entry is None:
+    fit = cal.fits.get((column, token, regime))
+    if fit is None:
         raise UnknownCalibration(f"no {what} calibration for {where}")
-    if sv_count < 1 or feature_count < 1:
-        raise ValueError("sv_count and feature_count must be >= 1")
-    return entry, where
+    _check_sizes(sv_count, feature_count)
+    return fit, (token, regime), where
 
 
 def estimate_latency(
@@ -616,27 +667,21 @@ def estimate_latency(
     decomposition and is always tagged extrapolated.
     """
     cal = calibration if calibration is not None else default_calibration()
-    entry, where = _lookup(
-        cal.latency, "latency", directive, regime_mhz, sv_count, feature_count
+    fit, (token, _), where = _lookup(
+        cal, "latency_cycles", "latency", directive, regime_mhz, sv_count, feature_count
     )
-    what = f"latency for {where}"
-    if feature_count == entry.feature_count:
-        exact = entry.anchors.get(sv_count)
-        if exact is not None:
-            return SynthesisEstimate(
-                validity=ANCHOR_EXACT,
-                latency_cycles=exact,
-                throughput_cycles=exact + 1,
-            )
-        value, validity = _eval_fit(entry.fit, sv_count, what, allow_point_reuse)
-    elif entry.per_feature is not None and isinstance(entry.fit, AffineFit):
-        a, c = entry.per_feature
-        value = (a * (feature_count + 1.0) + c) * sv_count + entry.fit.intercept
-        value, validity = _finite(value, what, sv_count), EXTRAPOLATED
+    if feature_count == fit.feature_count:
+        value, validity = fit.at(sv_count, f"latency for {where}", allow_point_reuse)
     else:
-        raise FlMismatch(
-            f"{where} is calibrated for Fl={entry.feature_count}, not Fl={feature_count}"
-        )
+        a, c = PER_FEATURE_SLOPES.get(token, (None, None))
+        if a is None or fit.slope is None or (
+            abs(fit.slope - (a * (fit.feature_count + 1) + c)) >= 1e-6
+        ):
+            raise FlMismatch(
+                f"{where} is calibrated for Fl={fit.feature_count}, not Fl={feature_count}"
+            )
+        value = (a * (feature_count + 1.0) + c) * sv_count + fit.intercept
+        validity = EXTRAPOLATED
     cycles = max(0, int(round(value)))
     return SynthesisEstimate(
         validity=validity, latency_cycles=cycles, throughput_cycles=cycles + 1
@@ -655,32 +700,32 @@ def estimate_resources(
     """Predict BRAM/DSP/FF/LUT use for one directive.
 
     Resource models never bridge feature counts: a mismatched Fl raises
-    FlMismatch.  DSP count is constant per (directive, regime); the other
-    three are affine in S like latency.
+    FlMismatch.  DSP count is constant per (directive, regime): the
+    measured count at an anchor, the mean of the distinct measured counts
+    elsewhere.  The other three are affine in S like latency.
     """
     cal = calibration if calibration is not None else default_calibration()
-    entry, where = _lookup(
-        cal.resources, "resource", directive, regime_mhz, sv_count, feature_count
+    bram_fit, (token, regime), where = _lookup(
+        cal, "bram", "resource", directive, regime_mhz, sv_count, feature_count
     )
-    if feature_count != entry.feature_count:
+    if feature_count != bram_fit.feature_count:
         raise FlMismatch(
-            f"{where} resources are calibrated for Fl={entry.feature_count},"
+            f"{where} resources are calibrated for Fl={bram_fit.feature_count},"
             f" not Fl={feature_count}"
         )
-    exact = entry.anchors.get(sv_count)
-    if exact is not None:
-        bram, dsp, ff, lut = exact
-        return SynthesisEstimate(
-            validity=ANCHOR_EXACT, bram=bram, dsp=dsp, ff=ff, lut=lut
-        )
     what = f"resources for {where}"
-    bram, v1 = _eval_fit(entry.bram, sv_count, what, allow_point_reuse)
-    ff, v2 = _eval_fit(entry.ff, sv_count, what, allow_point_reuse)
-    lut, v3 = _eval_fit(entry.lut, sv_count, what, allow_point_reuse)
+    bram, v1 = bram_fit.at(sv_count, what, allow_point_reuse)
+    ff, v2 = cal.fits["ff", token, regime].at(sv_count, what, allow_point_reuse)
+    lut, v3 = cal.fits["lut", token, regime].at(sv_count, what, allow_point_reuse)
+    dsps = cal.dsp[token, regime]
+    dsp = dsps.get(sv_count)
+    if dsp is None:
+        distinct = set(dsps.values())
+        dsp = round(sum(distinct) / len(distinct))
     return SynthesisEstimate(
         validity=_worst(v1, v2, v3),
-        bram=max(0.0, float(bram)),
-        dsp=entry.dsp,
+        bram=max(0.0, bram),
+        dsp=dsp,
         ff=max(0, int(round(ff))),
         lut=max(0, int(round(lut))),
     )
@@ -723,16 +768,17 @@ def clock_key(clocks) -> tuple[float, float]:
     return _mhz(fpga), _mhz(arm)
 
 
-def arm_entry_for(clocks, calibration: CalibrationSet | None = None) -> ArmCycleEntry:
+def arm_timer_mhz(clocks, calibration: CalibrationSet | None = None) -> float:
+    """The clock, in MHz, whose ticks a pairing's processor-cycle counts are."""
     cal = calibration if calibration is not None else default_calibration()
     key = clock_key(clocks)
-    entry = cal.arm.get(key)
-    if entry is None:
+    timer = cal.arm.get(key)
+    if timer is None:
         raise UnknownCalibration(
             f"no processor-cycle calibration for the FPGA {format_mhz(key[0])} MHz /"
             f" ARM {format_mhz(key[1])} MHz pairing"
         )
-    return entry
+    return timer
 
 
 def estimate_arm_cycles(
@@ -747,35 +793,26 @@ def estimate_arm_cycles(
     """Predict the software classifier's cycle count for one clock pairing.
 
     Counts are ticks of the pairing's calibrated timer (see
-    ArmCycleEntry.timer_mhz).  Affine in S where two measurements exist;
+    arm_timer_mhz).  Affine in S where two measurements exist;
     single-measurement pairings only reproduce their own S.
     """
-    entry = arm_entry_for(clocks, calibration)
-    if feature_count != entry.feature_count:
+    cal = calibration if calibration is not None else default_calibration()
+    key = clock_key(clocks)
+    arm_timer_mhz(key, cal)  # refuses an uncalibrated pairing
+    _check_sizes(sv_count, feature_count)
+    kind = "optimized" if optimized else "plain"
+    fit = cal.fits[(f"{kind}_cycles", *key)]
+    if feature_count != fit.feature_count:
         raise FlMismatch(
-            f"processor cycles are calibrated for Fl={entry.feature_count},"
+            f"processor cycles are calibrated for Fl={fit.feature_count},"
             f" not Fl={feature_count}"
         )
-    fit = entry.optimized if optimized else entry.plain
-    kind = "optimized" if optimized else "plain"
-    key = clock_key(clocks)
     what = (
         f"{kind} processor cycles for FPGA {format_mhz(key[0])} MHz /"
         f" ARM {format_mhz(key[1])} MHz"
     )
-    value, _validity = _eval_fit(fit, sv_count, what, allow_point_reuse)
+    value, _validity = fit.at(sv_count, what, allow_point_reuse)
     return max(0, int(round(value)))
-
-
-def _model_id(model_id) -> str:
-    t = str(model_id).strip().lower().replace(" ", "").replace("-", "").replace("_", "")
-    if t in ("1", "model1", "m1"):
-        return "model1"
-    if t in ("2", "model2", "m2"):
-        return "model2"
-    if t in ("s", "models", "ms"):
-        return "models"
-    return t
 
 
 def estimate_power(
@@ -784,21 +821,15 @@ def estimate_power(
     """Board power draw in watts for an implemented (model, design) pair."""
     cal = calibration if calibration is not None else default_calibration()
     key = (_model_id(model_id), int(design_id))
-    try:
-        return cal.power[key]
-    except KeyError:
-        raise UnknownDesign(
-            f"no power measurement for ({model_id}, design {design_id})"
-        ) from None
-
-
-def design_for(sv_count: int, directive) -> tuple[str, int] | None:
-    """Map (S, directive) to an implemented (model_id, design_id), if any."""
-    return IMPLEMENTED_DESIGNS.get((sv_count, _directive_token(directive)))
+    for rec in cal.records:
+        if type(rec) is PowerRecord and (rec.model_id, rec.design_id) == key:
+            return rec.watts
+    raise UnknownDesign(f"no power measurement for ({model_id}, design {design_id})")
 
 
 # --------------------------------------------------------------------------
 # design-space exploration
+
 
 @dataclass(frozen=True)
 class ExploreEntry:
@@ -829,8 +860,9 @@ def explore(
     Candidates are every directive calibrated for the regime (or the
     given subset).  Directives whose calibration cannot produce a full
     estimate at this (S, Fl), e.g. single-anchor entries at a different
-    S, are skipped.  The front comes back sorted by latency, ties broken
-    by directive name.
+    S, are skipped.  Each entry carries the power draw measured for the
+    design built at this S with its directive, if any.  The front comes
+    back sorted by latency, ties broken by directive name.
     """
     cal = calibration if calibration is not None else default_calibration()
     regime = _mhz(regime_mhz)
@@ -845,9 +877,7 @@ def explore(
             est = estimate_design(sv_count, feature_count, cfg, regime, calibration=cal)
         except (UnknownCalibration, FlMismatch):
             continue
-        pair = design_for(sv_count, cfg)
-        watts = cal.power.get(pair) if pair is not None else None
-        candidates.append(ExploreEntry(cfg, est, watts))
+        candidates.append(ExploreEntry(cfg, est, cal.power.get((sv_count, cfg.name))))
     if not candidates:
         raise UnknownCalibration(
             f"no directive calibrated at {format_mhz(regime)} MHz can estimate"
@@ -868,212 +898,70 @@ def explore(
 # --------------------------------------------------------------------------
 # calibration persistence
 
-_CSV_HEADER = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,dsp,ff,lut"
 
+def parse_anchor_csv(text: str) -> list[Record]:
+    """Parse an anchor CSV: one measured record a line, checked.
 
-def parse_anchor_csv(text: str) -> list[AnchorRow]:
-    """Parse a synthesis anchor table (the columns of _CSV_HEADER).
-
-    Blank lines and # comments are skipped; the first other line may be a
-    header row.  Raises ValueError on malformed rows or a non-finite
-    measurement.
+    A synth line is the nine AnchorRow columns, optionally after a "synth"
+    cell; an arm, cosim or power line starts with its kind cell, followed
+    by that record's columns.  Blank lines and # comments are skipped; the
+    first other line may be a header row.  Raises ValueError on a malformed
+    row or a non-finite measurement.
     """
     lines = [
         (lineno, line)
         for lineno, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
-    if lines and not lines[0][1].split(",")[0].strip().lstrip("-").isdigit():
-        lines = lines[1:]  # header row
-    rows: list[AnchorRow] = []
+    records: list[Record] = []
     for lineno, line in lines:
         cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 9:
-            raise ValueError(
-                f"anchor csv line {lineno}: expected 9 columns, got {len(cells)}"
-            )
+        kind = "synth" if cells[0].lstrip("-").isdigit() else cells.pop(0)
+        if kind not in _SCHEMA and lineno == lines[0][0]:
+            continue  # header row
         try:
-            rows.append(
-                AnchorRow(
-                    sv_count=int(cells[0]),
-                    feature_count=int(cells[1]),
-                    directive=_directive_token(cells[2]),
-                    regime_mhz=_mhz(cells[3]),
-                    latency_cycles=int(cells[4]),
-                    bram=_number(float(cells[5])),
-                    dsp=int(cells[6]),
-                    ff=int(cells[7]),
-                    lut=int(cells[8]),
-                )
-            )
+            records.append(_record(kind, cells))
         except ValueError as exc:
             raise ValueError(f"anchor csv line {lineno}: {exc}") from None
-    if not rows:
+    if not records:
         raise ValueError("anchor csv has no data rows")
-    return rows
-
-
-def _fit_to_json(fit: Fit):
-    if isinstance(fit, PointFit):
-        return {"kind": "point", "s": fit.sv_count, "value": fit.value}
-    return {
-        "kind": "affine",
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "anchors": [[s, v] for s, v in fit.anchors],
-    }
-
-
-def _number(value) -> float:
-    """value as a float, if it is a finite int or float (a bool is neither)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
-    return float(value)
-
-
-def _fit_from_json(obj) -> Fit:
-    if obj["kind"] == "point":
-        return PointFit(int(obj["s"]), _number(obj["value"]))
-    if obj["kind"] == "affine":
-        anchors = tuple((int(_number(s)), _number(v)) for s, v in obj["anchors"])
-        if not anchors:
-            raise CalibrationError("calibration affine fit has no anchors")
-        if any(s1 >= s2 for (s1, _), (s2, _) in zip(anchors, anchors[1:])):
-            raise CalibrationError("calibration affine fit anchors must have rising S")
-        return AffineFit(_number(obj["slope"]), _number(obj["intercept"]), anchors)
-    raise CalibrationError(f"unknown fit kind {obj.get('kind')!r}")
-
-
-def _per_feature(value) -> tuple | None:
-    if value is None:
-        return None
-    if not isinstance(value, list) or len(value) != 2:
-        raise CalibrationError("calibration per_feature must be null or two numbers")
-    for v in value:
-        _number(v)
-    return tuple(value)
+    return records
 
 
 def save_calibration(calibration: CalibrationSet) -> str:
-    """Serialize a CalibrationSet to deterministic JSON text."""
-    doc = {
-        "version": 1,
-        "latency": {
-            f"{d}@{format_mhz(r)}": {
-                "feature_count": e.feature_count,
-                "fit": _fit_to_json(e.fit),
-                "anchors": {str(s): v for s, v in sorted(e.anchors.items())},
-                "per_feature": list(e.per_feature) if e.per_feature else None,
-            }
-            for (d, r), e in calibration.latency.items()
-        },
-        "resources": {
-            f"{d}@{format_mhz(r)}": {
-                "feature_count": e.feature_count,
-                "dsp": e.dsp,
-                "bram": _fit_to_json(e.bram),
-                "ff": _fit_to_json(e.ff),
-                "lut": _fit_to_json(e.lut),
-                "anchors": {
-                    str(s): list(vals) for s, vals in sorted(e.anchors.items())
-                },
-            }
-            for (d, r), e in calibration.resources.items()
-        },
-        "arm": {
-            f"{format_mhz(f)}/{format_mhz(a)}": {
-                "feature_count": e.feature_count,
-                "timer_mhz": e.timer_mhz,
-                "plain": _fit_to_json(e.plain),
-                "optimized": _fit_to_json(e.optimized),
-            }
-            for (f, a), e in calibration.arm.items()
-        },
-        "hw_cycles": [
-            [s, fl, d, f, a, cycles]
-            for (s, fl, d, (f, a)), cycles in sorted(calibration.hw_cycles.items())
-        ],
-        "power": {
-            f"{model}/{design}": watts
-            for (model, design), watts in calibration.power.items()
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The calibration's records as deterministic JSON text (version 2).
 
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise CalibrationError(f"calibration {what} must be a JSON object")
-    return value
+    Each kind maps to its records in table order, each record a list of
+    its cells in anchor-CSV column order, one record a line.
+    """
+    parts = ['  "version": 2']
+    for kind, (row_type, _, _) in _SCHEMA.items():
+        rows = ",\n".join(
+            f"    {json.dumps(list(r))}" for r in calibration.records if type(r) is row_type
+        )
+        parts.append(f'  "{kind}": [\n{rows}\n  ]' if rows else f'  "{kind}": []')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def load_calibration(text: str) -> CalibrationSet:
-    """Parse calibration JSON back into a CalibrationSet."""
+    """Check calibration JSON (version 2: the records) and fit it."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CalibrationError(f"calibration file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise CalibrationError("calibration file version must be 1")
-
-    def split_key(key: str) -> tuple[str, float]:
-        name, _, mhz = key.rpartition("@")
-        if not name:
-            raise CalibrationError(f"bad calibration key {key!r}")
-        return _directive_token(name), _mhz(mhz)
-
+    if not isinstance(doc, dict) or doc.get("version") != 2:
+        raise CalibrationError(
+            "calibration file version must be 2; write it again with `svmsoc fit`"
+        )
     try:
-        latency = {}
-        for key, e in _json_object(doc.get("latency", {}), "latency").items():
-            latency[split_key(key)] = LatencyEntry(
-                feature_count=int(e["feature_count"]),
-                fit=_fit_from_json(e["fit"]),
-                anchors={
-                    int(s): int(v)
-                    for s, v in _json_object(e.get("anchors", {}), "anchors").items()
-                },
-                per_feature=_per_feature(e.get("per_feature")),
-            )
-        resources = {}
-        for key, e in _json_object(doc.get("resources", {}), "resources").items():
-            resources[split_key(key)] = ResourceEntry(
-                feature_count=int(e["feature_count"]),
-                dsp=int(e["dsp"]),
-                bram=_fit_from_json(e["bram"]),
-                ff=_fit_from_json(e["ff"]),
-                lut=_fit_from_json(e["lut"]),
-                anchors={
-                    int(s): (_number(v[0]), int(v[1]), int(v[2]), int(v[3]))
-                    for s, v in _json_object(e.get("anchors", {}), "anchors").items()
-                },
-            )
-        arm = {}
-        for key, e in _json_object(doc.get("arm", {}), "arm").items():
-            fpga_s, _, arm_s = key.partition("/")
-            arm[clock_key((fpga_s, arm_s))] = ArmCycleEntry(
-                feature_count=int(e["feature_count"]),
-                timer_mhz=_mhz(e["timer_mhz"]),
-                plain=_fit_from_json(e["plain"]),
-                optimized=_fit_from_json(e["optimized"]),
-            )
-        hw_cycles = {}
-        for s, fl, d, f, a, cycles in doc.get("hw_cycles", []):
-            if int(cycles) < 1:
-                raise CalibrationError("calibration hw_cycles counts must be >= 1")
-            key = (int(s), int(fl), _directive_token(d), clock_key((f, a)))
-            hw_cycles[key] = int(cycles)
-        power = {}
-        for key, watts in _json_object(doc.get("power", {}), "power").items():
-            model, _, design = key.rpartition("/")
-            power[(model, int(design))] = _number(watts)
-    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        records = []
+        for kind, rows in doc.items():
+            if kind == "version":
+                continue
+            _schema(kind)
+            if not isinstance(rows, list):
+                raise ValueError(f"{kind!r} must be a list of records")
+            records += [_record(kind, cells) for cells in rows]
+        return _fitted(records)
+    except ValueError as exc:
         raise CalibrationError(f"calibration file is malformed: {exc}") from None
-    return CalibrationSet(
-        latency=latency,
-        resources=resources,
-        arm=arm,
-        hw_cycles=hw_cycles,
-        power=power,
-    )

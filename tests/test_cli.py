@@ -14,7 +14,11 @@ from svmsoc import (
     save_calibration,
 )
 from svmsoc.cli import main
-from svmsoc.synth import SHIPPED_ANCHORS
+from svmsoc.synth import SHIPPED_ANCHORS, SHIPPED_RECORDS
+
+from test_synth import csv_line
+
+HUGE = "1" + "0" * 400  # a 401-digit integer, beyond every float
 
 SVMLIGHT_SMALL = """\
 SVM-light Version V6.02
@@ -365,7 +369,7 @@ class TestFitAndCalibrationFlag:
         code, out, _ = run(capsys, "fit", str(tmp_path / "a.csv"))
         assert code == 0
         doc = json.loads(out)
-        assert doc["version"] == 1
+        assert doc["version"] == 2
 
     def test_fitted_file_reproduces_default_estimates(self, capsys, tmp_path):
         (tmp_path / "a.csv").write_text(anchors_csv_text())
@@ -379,6 +383,24 @@ class TestFitAndCalibrationFlag:
             "--calibration", str(tmp_path / "cal.json"),
         )
         assert fitted_out == default_out
+
+    def test_fitted_records_of_every_kind_reproduce_builtin_outputs(
+        self, capsys, tmp_path, gen61
+    ):
+        (tmp_path / "a.csv").write_text("\n".join(csv_line(r) for r in SHIPPED_RECORDS))
+        code, out, _ = run(
+            capsys, "fit", str(tmp_path / "a.csv"), "--out", str(tmp_path / "cal.json")
+        )
+        assert code == 0 and out.endswith(" -> " + str(tmp_path / "cal.json") + "\n")
+        for argv in (
+            ["explore", "248", "27", "100"],
+            ["explore", "61", "27", "250"],
+            cosim_argv(gen61, "--directive", "pipeline-inner", "--fpga-mhz", "250",
+                       "--arm-mhz", "250"),
+        ):
+            builtin = run(capsys, *argv)
+            fitted = run(capsys, *argv, "--calibration", str(tmp_path / "cal.json"))
+            assert builtin[0] == 0 and fitted == builtin
 
     def test_fpga_only_calibration_cannot_cosim(self, capsys, tmp_path, gen61):
         (tmp_path / "a.csv").write_text(anchors_csv_text())
@@ -395,44 +417,63 @@ class TestFitAndCalibrationFlag:
         code, _, err = run(capsys, "fit", str(tmp_path / "a.csv"))
         assert code == 1 and err.startswith("error:")
 
-    def test_non_object_calibration_section(self, capsys, tmp_path):
-        (tmp_path / "cal.json").write_text('{"version": 1, "latency": [1]}')
+    def test_fit_that_is_not_finite_is_one_error_line(self, capsys, tmp_path):
+        rows = [
+            f"{s},27,pipeline-inner,100,{56 * s + 250},{bram},5,1251,2477"
+            for s, bram in ((248, "1e308"), (297, "1.7e308"), (346, "1e308"))
+        ]
+        (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
+        code, out, err = run(
+            capsys, "fit", str(tmp_path / "a.csv"), "--out", str(tmp_path / "cal.json")
+        )
+        assert code == 1 and out == "" and not (tmp_path / "cal.json").exists()
+        assert err == (
+            "error: the fitted line of bram for pipeline-inner at 100 MHz is not finite\n"
+        )
+
+    def test_non_list_calibration_kind(self, capsys, tmp_path):
+        (tmp_path / "cal.json").write_text('{"version": 2, "synth": {}}')
         code, _, err = run(
             capsys, "synth", "248", "27", "pipeline-inner", "100",
             "--calibration", str(tmp_path / "cal.json"),
         )
-        assert code == 2 and err == "error: calibration latency must be a JSON object\n"
+        assert code == 2
+        assert err == "error: calibration file is malformed: 'synth' must be a list of records\n"
 
-    def test_affine_fit_without_anchors(self, capsys, tmp_path):
+    def test_unknown_calibration_kind(self, capsys, tmp_path):
         (tmp_path / "a.csv").write_text(anchors_csv_text())
         _, out, _ = run(capsys, "fit", str(tmp_path / "a.csv"))
         doc = json.loads(out)
-        doc["latency"]["pipeline-inner@100"]["fit"]["anchors"] = []
+        doc["latency"] = []
         (tmp_path / "cal.json").write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "synth", "297", "27", "pipeline-inner", "100",
             "--calibration", str(tmp_path / "cal.json"),
         )
-        assert code == 2 and err == "error: calibration affine fit has no anchors\n"
+        assert code == 2
+        assert err == "error: calibration file is malformed: unknown record kind 'latency'\n"
 
     @pytest.mark.parametrize(
         "edit, argv",
         [
-            (lambda d: d["latency"]["pipeline-inner@100"].update(per_feature="ab"),
-             ["synth", "248", "30", "pipeline-inner", "100"]),
-            (lambda d: d["latency"]["pipeline-inner@100"].update(per_feature=[1, 2, 3]),
-             ["synth", "248", "30", "pipeline-inner", "100"]),
-            (lambda d: d["latency"]["pipeline-inner@100"]["fit"].update(
-                anchors=[[248, 1], [248, 2]]),
+            (lambda d: d["synth"].append(d["synth"][3][:4] + [1, 19.0, 5, 1251, 2477]),
              ["synth", "300", "27", "pipeline-inner", "100"]),
-            (lambda d: d["latency"]["pipeline-inner@100"]["fit"].update(slope=float("nan")),
+            (lambda d: d["synth"][3].__setitem__(5, float("nan")),
              ["synth", "300", "27", "pipeline-inner", "100"]),
-            (lambda d: d["latency"]["interface-only@100"]["fit"].update(
-                anchors=[[248, -1e308], [346, 1e308]]),
-             ["synth", "1000", "27", "interface-only", "100"]),
+            (lambda d: d["synth"][3].__setitem__(4, True),
+             ["synth", "300", "27", "pipeline-inner", "100"]),
+            (lambda d: d["synth"][3].__setitem__(4, 10**400),
+             ["synth", "300", "27", "pipeline-inner", "100"]),
+            (lambda d: d["arm"][0].pop(),
+             ["synth", "300", "27", "pipeline-inner", "100"]),
+            (lambda d: d.update(version=1),
+             ["synth", "248", "27", "pipeline-inner", "100"]),
+            (lambda d: [row.__setitem__(5, 0.0 if row[0] == 248 else 1e306)
+                        for row in d["synth"] if row[2:4] == ["unroll-most", 100.0]],
+             ["synth", "1000", "27", "unroll-most", "100"]),
         ],
-        ids=["per-feature-text", "per-feature-three", "repeated-s", "nan-slope",
-             "infinite-estimate"],
+        ids=["conflicting-rows", "nan-cell", "bool-cell", "huge-int-cell",
+             "wrong-column-count", "version-1", "infinite-estimate"],
     )
     def test_faulty_calibration_is_one_error_line(self, capsys, tmp_path, edit, argv):
         doc = json.loads(save_calibration(default_calibration()))
@@ -442,9 +483,9 @@ class TestFitAndCalibrationFlag:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_zero_hw_cycles_cannot_cosim(self, capsys, tmp_path, gen61):
+    def test_zero_cosim_cycles_cannot_cosim(self, capsys, tmp_path, gen61):
         doc = json.loads(save_calibration(default_calibration()))
-        for entry in doc["hw_cycles"]:
+        for entry in doc["cosim"]:
             entry[-1] = 0
         (tmp_path / "cal.json").write_text(json.dumps(doc))
         code, _, err = run(
@@ -452,7 +493,10 @@ class TestFitAndCalibrationFlag:
                                 "--fpga-mhz", "250", "--arm-mhz", "250",
                                 "--calibration", str(tmp_path / "cal.json")),
         )
-        assert code == 2 and err == "error: calibration hw_cycles counts must be >= 1\n"
+        assert code == 2 and err == (
+            "error: calibration file is malformed: cosim cycles: must be an integer in"
+            " 1..2**53\n"
+        )
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_anchor_is_one_error_line(self, capsys, tmp_path, cell):
@@ -465,12 +509,29 @@ class TestFitAndCalibrationFlag:
     def test_anchor_header_after_comments(self, capsys, tmp_path):
         (tmp_path / "a.csv").write_text("# measured anchors\n" + anchors_csv_text())
         code, out, _ = run(capsys, "fit", str(tmp_path / "a.csv"))
-        assert code == 0 and json.loads(out)["version"] == 1
+        assert code == 0 and json.loads(out)["version"] == 2
 
     @pytest.mark.parametrize("clock", ["inf", "nan"])
     def test_non_finite_clock_is_one_error_line(self, capsys, clock):
         code, _, err = run(capsys, "synth", "248", "27", "pipeline-inner", clock)
         assert code == 1 and err == f"error: clock must be positive and finite, got {clock}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "huge.csv"],
+            ["synth", "248", HUGE, "interface-only", "100"],
+            ["synth", HUGE, "27", "pipeline-inner", "100"],
+            ["explore", HUGE, "27", "100"],
+        ],
+        ids=["fit-s", "synth-fl", "synth-s", "explore-s"],
+    )
+    def test_huge_integer_is_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "huge.csv").write_text(f"{HUGE},27,pipeline-inner,100,14138,19,5,1251,2477\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unreadable_calibration_file(self, capsys, tmp_path):
         (tmp_path / "cal.json").write_text("not json")

@@ -50,13 +50,13 @@ GOLDEN = {
     "cosim": "3ed5a3f08cc9765af076cf1f3b7da394cf748a191a05780ceee4ac9dbb53e11c",
     "synth": "92516445dc3506e1427bdccfe3ca35373d4abdfc449199bbd8289fe93d67fa85",
     "explore": "f273375b46b5d2170ba123aaddad61b0ef7b4dfa26d6b1b49e0304e09aa1bdfb",
-    "fit": "47053c3ef3d2e96d3d82006f6938ae255bf9b8a7161a5b594e1233762db61de7",
+    "fit": "2455a2a4cb71c00926e5c268f53cab610b9093a689e1c2caf2a8e1385f844b73",
     "fit-out": "75ad89d8ef732d6cd7787610e2e9180d4c4014391c355e933010ba5775152e6e",
     "synth-cal": "92516445dc3506e1427bdccfe3ca35373d4abdfc449199bbd8289fe93d67fa85",
     "cosim-estimated": "705caace9a7d5bf70484118c623bb588f0a57275ddda833133ec7d5d6eb1a2f1",
     "explore-61": "8d41a8ee10bdf6df550bfb28f2bc7d78f0cbecc06ffd4fd669cd198577cf4549",
     "synth-interpolated": "99d97aaa09e359c02d6ba58b84aa2a816628fb6d4e828b43bfe9e7d77bc2b740",
-    "cal.json": "47053c3ef3d2e96d3d82006f6938ae255bf9b8a7161a5b594e1233762db61de7",
+    "cal.json": "2455a2a4cb71c00926e5c268f53cab610b9093a689e1c2caf2a8e1385f844b73",
     "fixtures/alpha.txt": "e47d0d8f692130630dac011da16b2aab6e4cc4bffcd1f08107fb4f9f04f47e1d",
     "fixtures/dataset.csv": "628d3f29f1577e0db45a521562223c59fc19c3f0f5d0ba2cf08edb034ebfdf24",
     "fixtures/svs.txt": "cacf1e67745b138242a25959f110a9a44d868a6c0155c356aeb557c9911b78e6",
@@ -67,13 +67,13 @@ GOLDEN = {
     "cosim --machine": "78a08b83920021b127af319be5d605145e2b3de139e71130643a34105508b206",
     "synth --machine": "f075688af3cfacd563ec92d5eaaa3c1c3f78846a17af62f6367f812c789fc5c9",
     "explore --machine": "4f396cd1abcbfefb69b0f47b6c1804e27e016af0123e9f329bfc87310ea32f18",
-    "fit --machine": "47053c3ef3d2e96d3d82006f6938ae255bf9b8a7161a5b594e1233762db61de7",
+    "fit --machine": "2455a2a4cb71c00926e5c268f53cab610b9093a689e1c2caf2a8e1385f844b73",
     "fit-out --machine": "0987440cf0ad2c6a4aefceb327df7c9a075345d2a4c7aad5755a2e4a39d488c3",
     "synth-cal --machine": "f075688af3cfacd563ec92d5eaaa3c1c3f78846a17af62f6367f812c789fc5c9",
     "cosim-estimated --machine": "e84fad098ed33e65fc1104f8d8fb8c51184ffe69619e0daad2126bbd57b648c7",
     "explore-61 --machine": "5353ddeb308d7d594d979e724eb8fae7cf824d1fc7c80e9baf1226bae4061434",
     "synth-interpolated --machine": "94c2914f17a6f2246b9da3d8a8ef592b3ddbe50544b0d2f93d20ef85e542f5f5",
-    "cal.json --machine": "47053c3ef3d2e96d3d82006f6938ae255bf9b8a7161a5b594e1233762db61de7",
+    "cal.json --machine": "2455a2a4cb71c00926e5c268f53cab610b9093a689e1c2caf2a8e1385f844b73",
     "fixtures/alpha.txt --machine": "e47d0d8f692130630dac011da16b2aab6e4cc4bffcd1f08107fb4f9f04f47e1d",
     "fixtures/dataset.csv --machine": "628d3f29f1577e0db45a521562223c59fc19c3f0f5d0ba2cf08edb034ebfdf24",
     "fixtures/svs.txt --machine": "cacf1e67745b138242a25959f110a9a44d868a6c0155c356aeb557c9911b78e6",

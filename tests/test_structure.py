@@ -1,7 +1,8 @@
 """Structural rules of the package, read from its source with ast.
 
-No module imports another module's private (_underscore) names, and every
-name a module lists in __all__ is bound at its top level.
+No module imports another module's private (_underscore) names, every
+name a module lists in __all__ is bound at its top level, and the cost
+models import numpy only where a least-squares fit needs it.
 """
 
 import ast
@@ -88,6 +89,20 @@ def test_every_all_entry_is_defined(path):
     assert missing == []
 
 
+def _top_level_imports(tree: ast.Module) -> set[str]:
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_synth_has_no_module_level_numpy_import():
+    assert "numpy" not in _top_level_imports(_tree(PACKAGE / "synth.py"))
+
+
 def test_checks_catch_violations():
     bad = ast.parse(
         "from .synth import _mhz\n"
@@ -97,3 +112,6 @@ def test_checks_catch_violations():
     )
     assert _private_imports(bad) == ["from synth import _mhz", "model_io._F32"]
     assert set(_all_entries(bad)) - _top_level_names(bad) == {"ghost"}
+    assert _top_level_imports(ast.parse("import numpy as np\nfrom numpy import linalg\n")) == {
+        "numpy"
+    }

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,14 +31,26 @@ from svmsoc import (
     parse_anchor_csv,
     save_calibration,
 )
-from svmsoc.synth import SHIPPED_ANCHORS, AffineFit, PointFit
+from svmsoc.synth import (
+    MAX_COUNT,
+    SHIPPED_ANCHORS,
+    SHIPPED_RECORDS,
+    ArmRecord,
+    CosimRecord,
+    PowerRecord,
+)
 
 CSV_HEADER = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,dsp,ff,lut"
-ANCHOR_LINES = [
-    f"{r.sv_count},{r.feature_count},{r.directive},{r.regime_mhz:g},"
-    f"{r.latency_cycles},{r.bram:g},{r.dsp},{r.ff},{r.lut}"
-    for r in SHIPPED_ANCHORS
-] + [CSV_HEADER, "# comment", ""]
+KINDS = {ArmRecord: "arm", CosimRecord: "cosim", PowerRecord: "power"}
+
+
+def csv_line(record) -> str:
+    """A record as an anchor CSV line: synth rows bare, other kinds after their kind cell."""
+    kind = [KINDS[type(record)]] if type(record) in KINDS else []
+    return ",".join(kind + [str(cell) for cell in record])
+
+
+ANCHOR_LINES = [csv_line(r) for r in SHIPPED_RECORDS] + [CSV_HEADER, "# comment", ""]
 ANCHOR_CELLS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "0", "", "x", "cyclic-1", "1.5"]),
     st.text(max_size=5),
@@ -126,31 +139,35 @@ class TestFitCalibration:
     def test_two_point_fits_solve_exactly(self):
         cal = default_calibration()
         for token, (slope, intercept) in TWO_POINT_LATENCY_FITS.items():
-            fit = cal.latency[(token, 100.0)].fit
-            assert isinstance(fit, AffineFit)
+            fit = cal.fits["latency_cycles", token, 100.0]
+            assert sorted(fit.points) == [248, 346]
             assert fit.slope == pytest.approx(slope, abs=1e-9)
             assert fit.intercept == pytest.approx(intercept, abs=1e-9)
 
     def test_fractional_slopes_match_hand_solution(self):
         cal = default_calibration()
         for token, frac in FRACTIONAL_LATENCY_SLOPES.items():
-            fit = cal.latency[(token, 100.0)].fit
+            fit = cal.fits["latency_cycles", token, 100.0]
             assert fit.slope == pytest.approx(float(frac), abs=1e-12)
         # block partitioning extrapolates to a negative intercept
-        assert cal.latency[("partition-block-2", 100.0)].fit.intercept < 0
+        assert cal.fits["latency_cycles", "partition-block-2", 100.0].intercept < 0
 
-    def test_per_feature_decomposition_attaches_where_it_fits(self):
+    def test_per_feature_decomposition_applies_where_it_fits(self):
         cal = default_calibration()
-        assert cal.latency[("interface-only", 100.0)].per_feature == (11, 23)
-        assert cal.latency[("pipeline-inner", 100.0)].per_feature == (2, 0)
-        assert cal.latency[("unroll-most", 100.0)].per_feature is None
+        assert cal.fits["latency_cycles", "interface-only", 100.0].slope == 11 * 28 + 23
+        assert cal.fits["latency_cycles", "pipeline-inner", 100.0].slope == 2 * 28 + 0
+        assert estimate_latency(248, 30, "interface-only", 100).validity == EXTRAPOLATED
+        assert estimate_latency(248, 30, "pipeline-inner", 100).validity == EXTRAPOLATED
+        with pytest.raises(FlMismatch):
+            estimate_latency(248, 30, "unroll-most", 100)
         # single-anchor entries cannot confirm a slope
-        assert cal.latency[("pipeline-inner", 250.0)].per_feature is None
+        with pytest.raises(FlMismatch):
+            estimate_latency(61, 30, "pipeline-inner", 250)
 
     def test_single_rows_become_point_fits(self):
         cal = default_calibration()
-        fit = cal.latency[("unroll-most", 250.0)].fit
-        assert isinstance(fit, PointFit) and fit.value == 2653
+        fit = cal.fits["latency_cycles", "unroll-most", 250.0]
+        assert fit.points == {61: 2653} and fit.slope is None and fit.intercept is None
 
     def test_three_collinear_rows_recover_the_line(self):
         rows = [
@@ -158,25 +175,67 @@ class TestFitCalibration:
             (200, 27, "pipeline-inner", 100.0, 56 * 200 + 250, 1, 1, 1, 1),
             (300, 27, "pipeline-inner", 100.0, 56 * 300 + 250, 1, 1, 1, 1),
         ]
-        fit = fit_calibration(rows).latency[("pipeline-inner", 100.0)].fit
+        fit = fit_calibration(rows).fits["latency_cycles", "pipeline-inner", 100.0]
         assert fit.slope == pytest.approx(56) and fit.intercept == pytest.approx(250)
 
-    def test_duplicate_identical_rows_are_deduped(self):
-        rows = list(SHIPPED_ANCHORS) + [SHIPPED_ANCHORS[0]]
-        cal = fit_calibration(rows)
-        assert cal.latency[("interface-only", 100.0)].anchors[248] == 82460
-
-    def test_conflicting_duplicate_rows_rejected(self):
-        clash = SHIPPED_ANCHORS[0]._replace(latency_cycles=1)
-        with pytest.raises(ValueError, match="conflicting"):
-            fit_calibration(list(SHIPPED_ANCHORS) + [clash])
-
-    def test_mixed_feature_counts_rejected(self):
+    @pytest.mark.parametrize(
+        "brams",
+        [(0.0, 1.7e308), (1e308, 1.7e308, 1e308)],
+        ids=["two-points", "least-squares"],
+    )
+    def test_fit_that_is_not_finite_is_refused(self, brams):
         rows = [
-            (100, 27, "pipeline-inner", 100.0, 5850, 1, 1, 1, 1),
-            (200, 28, "pipeline-inner", 100.0, 11450, 1, 1, 1, 1),
+            (248 + 98 * i, 27, "pipeline-inner", 100.0, 5850, bram, 1, 1, 1)
+            for i, bram in enumerate(brams)
         ]
-        with pytest.raises(ValueError, match="mix feature"):
+        with pytest.raises(ValueError, match="bram for pipeline-inner at 100 MHz"):
+            fit_calibration(rows)
+
+    def test_ill_conditioned_least_squares_is_refused(self):
+        rows = [
+            (s, 27, "pipeline-inner", 100.0, 5850, 1, 1, 1, 1)
+            for s in (MAX_COUNT - 2, MAX_COUNT - 1, MAX_COUNT)
+        ]
+        # the refusal must not depend on the caller's warning filters
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="no least-squares line"):
+                fit_calibration(rows)
+
+    def test_duplicate_identical_rows_are_deduped(self):
+        rows = list(SHIPPED_RECORDS) + [SHIPPED_ANCHORS[0], SHIPPED_RECORDS[-1]]
+        cal = fit_calibration(rows)
+        assert cal.records == default_calibration().records
+        assert cal.fits["latency_cycles", "interface-only", 100.0].points[248] == 82460
+
+    @pytest.mark.parametrize(
+        "clash",
+        [
+            SHIPPED_ANCHORS[0]._replace(latency_cycles=1),
+            ArmRecord(61, 27, 250.0, 250.0, 250.0, 77367, 1),
+            ArmRecord(61, 27, 250.0, 250.0, 100.0, 77367, 22398),
+            CosimRecord(61, 27, "pipeline-inner", 250.0, 250.0, 1),
+            PowerRecord(61, "pipeline-inner", "models", 3, 1.686),
+            PowerRecord(100, "pipeline-inner", "models", 1, 1.686),
+        ],
+        ids=["synth", "arm-cycles", "arm-timer", "cosim", "power-design", "power-s"],
+    )
+    def test_conflicting_duplicate_rows_rejected(self, clash):
+        with pytest.raises(ValueError, match="conflicting"):
+            fit_calibration(list(SHIPPED_RECORDS) + [clash])
+
+    @pytest.mark.parametrize(
+        "rows, what",
+        [
+            ([(100, 27, "pipeline-inner", 100.0, 5850, 1, 1, 1, 1),
+              (200, 28, "pipeline-inner", 100.0, 11450, 1, 1, 1, 1)], "feature_count"),
+            ([ArmRecord(61, 27, 250.0, 250.0, 250.0, 1, 1),
+              ArmRecord(100, 27, 250.0, 250.0, 100.0, 2, 2)], "timer_mhz"),
+        ],
+        ids=["synth-fl", "arm-timer"],
+    )
+    def test_mixed_group_columns_rejected(self, rows, what):
+        with pytest.raises(ValueError, match=f"mix {what}"):
             fit_calibration(rows)
 
     def test_require_missing_pair(self):
@@ -259,13 +318,21 @@ class TestLatencyEstimates:
         cal = default_calibration()
         sizes = list(range(1, 401, 7)) + [400]
         for token in cal.directives_for(100.0):
-            if len(cal.latency[(token, 100.0)].anchors) < 2:
+            if len(cal.fits["latency_cycles", token, 100.0].points) < 2:
                 continue  # single-anchor entries refuse other sizes
             lats = [
                 estimate_latency(s, 27, token, 100, calibration=cal).latency_cycles
                 for s in sizes
             ]
             assert lats == sorted(lats), token
+
+    def test_sizes_beyond_max_count_are_refused(self):
+        for s, fl in ((MAX_COUNT + 1, 27), (248, 10**400)):
+            with pytest.raises(ValueError, match="1..2"):
+                estimate_design(s, fl, "interface-only", 100)
+            with pytest.raises(ValueError, match="1..2"):
+                estimate_arm_cycles(s, fl, (100, 666.67))
+        assert estimate_latency(MAX_COUNT, 27, "pipeline-inner", 100).validity == EXTRAPOLATED
 
     def test_fractional_slope_anchors_within_a_tenth_percent(self):
         # the cyclic-8 anchors do not sit on an integer-slope line; the
@@ -455,6 +522,16 @@ class TestExplore:
             explore(248, 30, 100)  # no resource model generalizes across Fl
 
 
+def _default_doc() -> dict:
+    return json.loads(save_calibration(default_calibration()))
+
+
+V1_DOC = {"version": 1, "latency": {}, "resources": {}, "arm": {}, "hw_cycles": [], "power": {}}
+PIPELINE_INNER_248 = SHIPPED_ANCHORS.index(
+    next(r for r in SHIPPED_ANCHORS if (r.directive, r.sv_count) == ("pipeline-inner", 248))
+)
+
+
 class TestCalibrationPersistence:
     def test_save_load_round_trip_is_byte_stable(self):
         cal = default_calibration()
@@ -469,111 +546,117 @@ class TestCalibrationPersistence:
         assert estimate_arm_cycles(346, 27, (100, 666.67), calibration=cal) == 430967
         assert estimate_power("model2", 2, calibration=cal) == 2.125
 
-    def test_rejects_garbage(self):
-        from svmsoc import CalibrationError
+    def test_saved_file_holds_the_records(self):
+        doc = _default_doc()
+        assert list(doc) == ["version", "synth", "arm", "cosim", "power"]
+        rows = [tuple(cells) for kind in list(doc)[1:] for cells in doc[kind]]
+        assert rows == [tuple(r) for r in SHIPPED_RECORDS]
 
-        with pytest.raises(CalibrationError):
-            load_calibration("not json")
-        with pytest.raises(CalibrationError):
-            load_calibration("{}")
-        with pytest.raises(CalibrationError):
-            load_calibration('{"version": 1, "latency": {"x": {}}}')
-
-    @pytest.mark.parametrize("section", ["latency", "resources", "arm", "power"])
-    def test_rejects_non_object_section(self, section):
-        with pytest.raises(CalibrationError, match="must be a JSON object"):
-            load_calibration(json.dumps({"version": 1, section: [1]}))
+    def test_record_order_does_not_change_estimates(self):
+        cal = fit_calibration(SHIPPED_RECORDS[::-1])
+        for s, regime in ((248, 100), (300, 100), (61, 250)):
+            assert explore(s, 27, regime, calibration=cal) == explore(s, 27, regime)
 
     @pytest.mark.parametrize(
-        "section, anchors",
-        [("latency", [1]), ("resources", [1]), ("resources", {"61": [1.0]})],
+        "text",
+        ["not json", "{}", '{"version": 2, "synth": [{}]}', "[" * 100_000, "1" * 5000],
+        ids=["text", "empty", "record-object", "deep", "long-int"],
     )
-    def test_rejects_malformed_anchor_map(self, section, anchors):
-        doc = json.loads(save_calibration(default_calibration()))
-        next(iter(doc[section].values()))["anchors"] = anchors
+    def test_rejects_garbage(self, text):
         with pytest.raises(CalibrationError):
-            load_calibration(json.dumps(doc))
+            load_calibration(text)
 
-    def test_rejects_affine_fit_without_anchors_at_load_time(self):
-        doc = json.loads(save_calibration(default_calibration()))
-        doc["latency"]["pipeline-inner@100"]["fit"]["anchors"] = []
-        with pytest.raises(CalibrationError, match="affine fit has no anchors"):
-            load_calibration(json.dumps(doc))
+    def test_rejects_version_1(self):
+        with pytest.raises(CalibrationError, match="version must be 2; write it again"):
+            load_calibration(json.dumps(V1_DOC))
 
-    @pytest.mark.parametrize("per_feature", ["ab", [1, 2, 3], [1], [], ["a", 1], [True, 1], 0])
-    def test_rejects_per_feature_that_is_not_two_numbers(self, per_feature):
-        doc = json.loads(save_calibration(default_calibration()))
-        doc["latency"]["pipeline-inner@100"]["per_feature"] = per_feature
-        with pytest.raises(CalibrationError):
+    @pytest.mark.parametrize("kind", ["synth", "arm", "cosim", "power"])
+    def test_rejects_kind_that_is_not_a_list(self, kind):
+        with pytest.raises(CalibrationError, match=f"'{kind}' must be a list of records"):
+            load_calibration(json.dumps({"version": 2, kind: {}}))
+
+    def test_rejects_unknown_kind(self):
+        doc = _default_doc()
+        doc["latency"] = []
+        with pytest.raises(CalibrationError, match="unknown record kind 'latency'"):
             load_calibration(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "anchors",
-        [[[248, 1], [248, 2]], [[346, 2], [248, 1]], [[248, 1], [10**400, 2]]],
-        ids=["repeated", "falling", "huge-int"],
+        "kind, edit",
+        [
+            ("synth", lambda row: row[:-1]),
+            ("synth", lambda row: row + [1]),
+            ("arm", lambda row: row[:-1]),
+            ("cosim", lambda row: row + [1]),
+            ("power", lambda row: []),
+        ],
+        ids=["synth-short", "synth-long", "arm-short", "cosim-long", "power-empty"],
     )
-    def test_rejects_affine_anchors_without_rising_s(self, anchors):
-        doc = json.loads(save_calibration(default_calibration()))
-        doc["latency"]["pipeline-inner@100"]["fit"]["anchors"] = anchors
-        with pytest.raises(CalibrationError):
+    def test_rejects_wrong_column_count(self, kind, edit):
+        doc = _default_doc()
+        doc[kind][0] = edit(doc[kind][0])
+        with pytest.raises(CalibrationError, match=f"{kind} record has .* columns"):
+            load_calibration(json.dumps(doc))
+
+    def test_rejects_conflicting_rows(self):
+        doc = _default_doc()
+        clash = list(doc["synth"][PIPELINE_INNER_248])
+        clash[4] += 1
+        doc["synth"].append(clash)
+        with pytest.raises(CalibrationError, match="conflicting synth records"):
             load_calibration(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), -float("inf"), 10**400],
-        ids=["nan", "inf", "-inf", "huge-int"],
+        "value", [float("nan"), float("inf"), -float("inf"), 10**400, True, None, "x", [1]],
+        ids=["nan", "inf", "-inf", "huge-int", "bool", "null", "text", "list"],
     )
     @pytest.mark.parametrize(
         "path",
         [
-            ("latency", "pipeline-inner@100", "fit", "slope"),
-            ("latency", "pipeline-inner@100", "fit", "intercept"),
-            ("latency", "pipeline-inner@100", "fit", "anchors", 0, 1),
-            ("latency", "pipeline-inner@100", "per_feature", 0),
-            ("latency", "pipeline-all@250", "fit", "value"),
-            ("resources", "unroll-most@100", "anchors", "248", 0),
-            ("arm", "100/666.67", "timer_mhz"),
-            ("power", "model1/1"),
+            ("synth", PIPELINE_INNER_248, 0),
+            ("synth", PIPELINE_INNER_248, 3),
+            ("synth", PIPELINE_INNER_248, 4),
+            ("synth", PIPELINE_INNER_248, 5),
+            ("arm", 0, 4),
+            ("arm", 0, 5),
+            ("cosim", 0, 5),
+            ("power", 0, 3),
+            ("power", 0, 4),
         ],
-        ids=lambda path: "/".join(map(str, path)),
+        ids=["synth-s", "synth-clock", "synth-latency", "synth-bram", "arm-timer",
+             "arm-cycles", "cosim-cycles", "power-design", "power-watts"],
     )
-    def test_rejects_non_finite_numbers(self, path, value):
-        doc = json.loads(save_calibration(default_calibration()))
-        node = doc
-        for step in path[:-1]:
-            node = node[step]
-        node[path[-1]] = value
-        with pytest.raises(CalibrationError):
+    def test_rejects_bad_number_cells(self, path, value):
+        doc = _default_doc()
+        kind, row, column = path
+        doc[kind][row][column] = value
+        with pytest.raises(CalibrationError, match=f"malformed: {kind} "):
             load_calibration(json.dumps(doc))
 
-    def test_rejects_zero_hw_cycles(self):
-        doc = json.loads(save_calibration(default_calibration()))
-        doc["hw_cycles"][0][-1] = 0
-        with pytest.raises(CalibrationError, match="hw_cycles counts must be >= 1"):
+    def test_rejects_zero_cosim_cycles(self):
+        doc = _default_doc()
+        doc["cosim"][0][-1] = 0
+        with pytest.raises(CalibrationError, match=r"cosim cycles: must be an integer in 1\.\.2\*\*53"):
             load_calibration(json.dumps(doc))
 
-    def test_non_finite_latency_estimate_is_refused(self):
-        doc = json.loads(save_calibration(default_calibration()))
-        doc["latency"]["interface-only@100"]["fit"]["anchors"] = [[248, -1e308], [346, 1e308]]
+    def test_counts_are_bounded_by_max_count(self):
+        doc = _default_doc()
+        doc["synth"][PIPELINE_INNER_248][4] = MAX_COUNT
+        cal = load_calibration(json.dumps(doc))
+        assert estimate_latency(248, 27, "pipeline-inner", 100, calibration=cal).latency_cycles == MAX_COUNT
+        assert estimate_latency(10**6, 27, "pipeline-inner", 100, calibration=cal).validity == EXTRAPOLATED
+        doc["synth"][PIPELINE_INNER_248][4] = MAX_COUNT + 1
+        with pytest.raises(CalibrationError, match="synth latency_cycles"):
+            load_calibration(json.dumps(doc))
+
+    def test_non_finite_resource_estimate_is_refused(self):
+        doc = _default_doc()
+        for row in doc["synth"]:
+            if row[2:4] == ["unroll-most", 100.0]:
+                row[5] = 0.0 if row[0] == 248 else 1e306
         cal = load_calibration(json.dumps(doc))
         with pytest.raises(CalibrationError, match="not finite at S=1000"):
-            estimate_latency(1000, 27, "interface-only", 100, calibration=cal)
-
-    def test_non_finite_per_feature_estimate_is_refused(self):
-        doc = json.loads(save_calibration(default_calibration()))
-        doc["latency"]["interface-only@100"]["per_feature"] = [1e308, 0]
-        cal = load_calibration(json.dumps(doc))
-        with pytest.raises(CalibrationError, match="not finite"):
-            estimate_latency(248, 30, "interface-only", 100, calibration=cal)
-
-    def test_non_finite_resource_and_arm_estimates_are_refused(self):
-        doc = json.loads(save_calibration(default_calibration()))
-        doc["resources"]["unroll-most@100"]["lut"]["anchors"] = [[248, -1e308], [346, 1e308]]
-        doc["arm"]["100/666.67"]["plain"]["anchors"] = [[61, -1e308], [248, 1e308]]
-        cal = load_calibration(json.dumps(doc))
-        with pytest.raises(CalibrationError, match="not finite"):
             estimate_resources(1000, 27, "unroll-most", 100, calibration=cal)
-        with pytest.raises(CalibrationError, match="not finite"):
-            estimate_arm_cycles(61, 27, (100, 666.67), calibration=cal)
 
 
 def _leaf_paths(node, path=()):
@@ -586,7 +669,7 @@ def _leaf_paths(node, path=()):
     return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
 
 
-DEFAULT_DOC = json.loads(save_calibration(default_calibration()))
+DEFAULT_DOC = _default_doc()
 LEAF_PATHS = _leaf_paths(DEFAULT_DOC)
 LEAF_VALUES = st.one_of(
     st.none(),
@@ -616,7 +699,7 @@ class TestTotality:
             cal = load_calibration(json.dumps(doc))
         except SvmSocError:
             return
-        for directive, regime in cal.latency:
+        for directive, regime in cal.dsp:
             for s in (1, 61, 248, 300, 1000):
                 for fl in (27, 30):
                     for reuse in (False, True):
@@ -637,7 +720,7 @@ class TestTotality:
                         )
                     except SvmSocError:
                         pass
-        for regime in {r for _, r in cal.latency}:
+        for regime in {r for _, r in cal.dsp}:
             try:
                 explore(248, 27, regime, calibration=cal)
             except SvmSocError:
@@ -648,7 +731,7 @@ class TestTotality:
             st.one_of(
                 st.sampled_from(ANCHOR_LINES),
                 st.tuples(
-                    st.sampled_from(ANCHOR_LINES), st.integers(0, 8), ANCHOR_CELLS
+                    st.sampled_from(ANCHOR_LINES), st.integers(0, 9), ANCHOR_CELLS
                 ).map(lambda t: _replace_cell(*t)),
                 st.text(max_size=30),
             ),
@@ -662,7 +745,11 @@ class TestTotality:
         except ValueError:
             return
         for row in rows:
-            assert np.isfinite(row.bram) and 0 < row.regime_mhz < np.inf
+            assert all(np.isfinite(cell) for cell in row if isinstance(cell, float))
+        try:
+            fit_calibration(rows)
+        except ValueError:
+            pass
 
 
 class TestAnchorCsv:
@@ -680,6 +767,20 @@ class TestAnchorCsv:
                 r.sv_count, r.feature_count, r.directive, r.regime_mhz, calibration=cal
             )
             assert est.latency_cycles == r.latency_cycles
+
+    def test_every_record_kind_round_trips(self):
+        rows = parse_anchor_csv("\n".join([CSV_HEADER] + [csv_line(r) for r in SHIPPED_RECORDS]))
+        assert rows == list(SHIPPED_RECORDS)
+        assert save_calibration(fit_calibration(rows)) == save_calibration(default_calibration())
+
+    def test_synth_kind_cell_is_optional(self):
+        bare = "248,27,pipeline-inner,100,14138,19,5,1251,2477"
+        assert parse_anchor_csv("synth," + bare) == parse_anchor_csv(bare)
+
+    def test_unknown_kind_rejected(self):
+        text = "248,27,pipeline-inner,100,14138,19,5,1251,2477\nwatts,61,1.5\n"
+        with pytest.raises(ValueError, match="line 2: unknown record kind 'watts'"):
+            parse_anchor_csv(text)
 
     def test_header_optional_and_comments_skipped(self):
         text = "# comment\n248,27,pipeline-inner,100,14138,19,5,1251,2477\n"
@@ -722,3 +823,17 @@ class TestAnchorCsv:
     def test_malformed_csv_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_anchor_csv(bad)
+
+    @pytest.mark.parametrize(
+        "line, what",
+        [
+            ("1" + "0" * 400 + ",27,pipeline-inner,100,14138,19,5,1251,2477", "synth sv_count"),
+            ("arm,61,27,250,250,250,77367", "arm record has 7 columns, got 6"),
+            ("cosim,61,27,pipeline-inner,250,250,0", "cosim cycles"),
+            ("power,61,pipeline-inner,models,1,-1.686", "power watts"),
+        ],
+        ids=["huge-s", "arm-short", "zero-cosim-cycles", "negative-watts"],
+    )
+    def test_malformed_record_rejected(self, line, what):
+        with pytest.raises(ValueError, match=f"line 1: {what}"):
+            parse_anchor_csv(line + "\n")
