@@ -2,7 +2,6 @@
 linear-SVM FPGA accelerator."""
 
 from .accel import (
-    WeightAccumulator,
     accumulate_weight_vector,
     decide,
     dot_distance,
@@ -21,7 +20,6 @@ from .errors import (
     DimensionError,
     FlMismatch,
     FrameLengthError,
-    InsufficientAnchors,
     MalformedDataset,
     MalformedInstance,
     MalformedModel,

@@ -34,7 +34,6 @@ from .model_io import StreamFrame, TestInstance, TrainedModel, split_frame
 
 __all__ = [
     "AccelResult",
-    "WeightAccumulator",
     "accumulate_weight_vector",
     "dot_distance",
     "decide",
@@ -57,29 +56,21 @@ def f32_bits(value) -> int:
 
 
 @dataclass(frozen=True)
-class WeightAccumulator:
-    """The condensed weight vector AC, one binary32 per feature."""
-
-    values: np.ndarray
-
-    @property
-    def feature_count(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class AccelResult:
     """Outcome of one classification.
 
     distance is D - b and raw_distance is D, both exactly representable
-    in binary32.  finite is False when the distance overflowed or went
-    NaN on the way through the pipeline.
+    in binary32.  finite, derived from distance, is False when the
+    distance overflowed or went NaN on the way through the pipeline.
     """
 
     label: int
     distance: float
     raw_distance: float
-    finite: bool
+
+    @property
+    def finite(self) -> bool:
+        return math.isfinite(self.distance)
 
 
 def _accumulate(sv: np.ndarray, alpha_y: np.ndarray) -> np.ndarray:
@@ -96,25 +87,26 @@ def _dot(ac: np.ndarray, x: np.ndarray) -> np.float32:
         return np.add.accumulate(terms)[-1]
 
 
-def accumulate_weight_vector(model: TrainedModel) -> WeightAccumulator:
+def accumulate_weight_vector(model: TrainedModel) -> np.ndarray:
     """Condense the model into AC[f] = sum_s alpha_y[s] * sv[s][f].
 
+    Returns AC as a read-only binary32 array, one value per feature.
     Accumulation order is support vectors ascending, one rounding per
     multiply and per add, independently per feature lane.
     """
-    values = _accumulate(model.support_vectors, model.alpha_y)
-    values.flags.writeable = False
-    return WeightAccumulator(values)
+    ac = _accumulate(model.support_vectors, model.alpha_y)
+    ac.flags.writeable = False
+    return ac
 
 
-def dot_distance(acc: WeightAccumulator, test: TestInstance) -> np.float32:
+def dot_distance(ac: np.ndarray, test: TestInstance) -> np.float32:
     """Running binary32 dot product of AC with the test vector, feature 0 first."""
-    if acc.feature_count != test.feature_count:
+    if ac.shape[0] != test.feature_count:
         raise DimensionError(
-            f"accumulator has {acc.feature_count} features, instance has"
+            f"accumulator has {ac.shape[0]} features, instance has"
             f" {test.feature_count}"
         )
-    return _dot(acc.values, test.values)
+    return _dot(ac, test.values)
 
 
 def decide(raw_distance, bias, threshold=0.0) -> tuple[int, np.float32]:
@@ -141,9 +133,4 @@ def run_accelerator(
     ac = _accumulate(sv, alpha_y)
     raw = _dot(ac, x)
     label, distance = decide(raw, bias, threshold)
-    return AccelResult(
-        label=label,
-        distance=float(distance),
-        raw_distance=float(raw),
-        finite=bool(np.isfinite(distance)),
-    )
+    return AccelResult(label=label, distance=float(distance), raw_distance=float(raw))

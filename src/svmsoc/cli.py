@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .driver import ClockPair, CosimReport, batch_classify, cosim, run_software_reference
@@ -51,11 +52,8 @@ def _fmt_label(label: int) -> str:
     return f"{label:+d}"
 
 
-def _fmt_us(v: float) -> str:
-    return f"{v:.2f}"
-
-
-def _fmt_ratio(v: float) -> str:
+def _fmt_2dp(v: float) -> str:
+    """A time in us, a speed-up or a percentage, to two decimals."""
     return f"{v:.2f}"
 
 
@@ -109,7 +107,7 @@ def cmd_classify(args) -> str:
 
 def _classify_dataset(model, dataset: LabeledDataset, args) -> str:
     report = batch_classify(model, dataset, args.th)
-    acc = f"{report.accuracy_percent:.2f}"
+    acc = _fmt_2dp(report.accuracy_percent)
     lines = []
     for i, (pred, true, d) in enumerate(
         zip(report.predictions, report.labels, format_reals(report.distances)), start=1
@@ -153,13 +151,13 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
                 ("sw_cycles", rep.sw_cycles),
                 ("sw_cycles_optimized", rep.sw_cycles_optimized),
                 ("sw_timer_mhz", format_mhz(rep.sw_timer_mhz)),
-                ("hw_time_us", _fmt_us(rep.hw_time_us)),
-                ("sw_time_us", _fmt_us(rep.sw_time_us)),
-                ("sw_opt_time_us", _fmt_us(rep.sw_opt_time_us)),
-                ("cycle_speedup_plain", _fmt_ratio(rep.cycle_speedup_plain)),
-                ("cycle_speedup_optimized", _fmt_ratio(rep.cycle_speedup_optimized)),
-                ("time_speedup_plain", _fmt_ratio(rep.time_speedup_plain)),
-                ("time_speedup_optimized", _fmt_ratio(rep.time_speedup_optimized)),
+                ("hw_time_us", _fmt_2dp(rep.hw_time_us)),
+                ("sw_time_us", _fmt_2dp(rep.sw_time_us)),
+                ("sw_opt_time_us", _fmt_2dp(rep.sw_opt_time_us)),
+                ("cycle_speedup_plain", _fmt_2dp(rep.cycle_speedup_plain)),
+                ("cycle_speedup_optimized", _fmt_2dp(rep.cycle_speedup_optimized)),
+                ("time_speedup_plain", _fmt_2dp(rep.time_speedup_plain)),
+                ("time_speedup_optimized", _fmt_2dp(rep.time_speedup_optimized)),
             ]
         )
     match = "yes" if rep.results_match else "NO"
@@ -170,14 +168,14 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
         f"  sw: {_fmt_label(rep.sw.label)} {_WORDS[rep.sw.label]} {sw_d}\n"
         f"  results match: {match}\n"
         f"  hw cycles {rep.hw_cycles} ({rep.cycle_source}),"
-        f" time {_fmt_us(rep.hw_time_us)} us\n"
-        f"  sw cycles {rep.sw_cycles}, time {_fmt_us(rep.sw_time_us)} us\n"
+        f" time {_fmt_2dp(rep.hw_time_us)} us\n"
+        f"  sw cycles {rep.sw_cycles}, time {_fmt_2dp(rep.sw_time_us)} us\n"
         f"  sw cycles optimized {rep.sw_cycles_optimized},"
-        f" time {_fmt_us(rep.sw_opt_time_us)} us\n"
-        f"  speedup vs plain sw: {_fmt_ratio(rep.cycle_speedup_plain)} (cycles),"
-        f" {_fmt_ratio(rep.time_speedup_plain)} (time)\n"
-        f"  speedup vs optimized sw: {_fmt_ratio(rep.cycle_speedup_optimized)} (cycles),"
-        f" {_fmt_ratio(rep.time_speedup_optimized)} (time)\n"
+        f" time {_fmt_2dp(rep.sw_opt_time_us)} us\n"
+        f"  speedup vs plain sw: {_fmt_2dp(rep.cycle_speedup_plain)} (cycles),"
+        f" {_fmt_2dp(rep.time_speedup_plain)} (time)\n"
+        f"  speedup vs optimized sw: {_fmt_2dp(rep.cycle_speedup_optimized)} (cycles),"
+        f" {_fmt_2dp(rep.time_speedup_optimized)} (time)\n"
     )
 
 
@@ -321,6 +319,7 @@ def _add_common(p: argparse.ArgumentParser, calibration=False):
         p.add_argument("--calibration", help="calibration JSON (default: built-in)")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svmsoc",

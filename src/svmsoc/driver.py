@@ -126,10 +126,7 @@ def run_software_reference(
         )
     labels, distances, raw = _reference_kernel(model, test.values[None, :], threshold)
     return AccelResult(
-        label=int(labels[0]),
-        distance=float(distances[0]),
-        raw_distance=float(raw[0]),
-        finite=bool(np.isfinite(distances[0])),
+        label=int(labels[0]), distance=float(distances[0]), raw_distance=float(raw[0])
     )
 
 
@@ -161,19 +158,25 @@ class CosimReport:
     core clock except for the 100/666.67 pairing, whose measurements are
     100 MHz platform-timer ticks).  cycle_source says whether the
     hardware count is a board measurement or latency-model estimate.
-    Times and speedups derive from the cycle counts and clocks.
+    results_match derives from the two results; times and speedups
+    derive from the cycle counts and clocks.
     """
 
     directive: DirectiveConfig
     clocks: ClockPair
     hw: AccelResult
     sw: AccelResult
-    results_match: bool
     cycle_source: str
     hw_cycles: int
     sw_cycles: int
     sw_cycles_optimized: int
     sw_timer_mhz: float
+
+    @property
+    def results_match(self) -> bool:
+        """Same label and bit-identical distance from both engines."""
+        hw, sw = self.hw, self.sw
+        return hw.label == sw.label and f32_bits(hw.distance) == f32_bits(sw.distance)
 
     @property
     def hw_time_us(self) -> float:
@@ -228,9 +231,6 @@ def cosim(
 
     hw = run_accelerator(emit_stream(model, test), s, fl, threshold)
     sw = run_software_reference(model, test, threshold)
-    results_match = hw.label == sw.label and f32_bits(hw.distance) == f32_bits(
-        sw.distance
-    )
 
     pairing = clock_key(clocks)
     anchor = cal.cosim_cycles.get((s, fl, token, pairing))
@@ -261,7 +261,6 @@ def cosim(
         clocks=clocks,
         hw=hw,
         sw=sw,
-        results_match=results_match,
         cycle_source=source,
         hw_cycles=hw_cycles,
         sw_cycles=sw_cycles,
@@ -294,10 +293,10 @@ class AccuracyReport:
 def batch_classify(
     model: TrainedModel, dataset: LabeledDataset, threshold: float = 0.0
 ) -> AccuracyReport:
-    """Classify every instance with the software reference and score it.
+    """Classify every row of the dataset's feature matrix and score it.
 
     AC is accumulated once per dataset and the dot product runs with the
-    instances as lanes, so each distance is bit-identical to a per-row
+    matrix rows as lanes, so each distance is bit-identical to a per-row
     run_software_reference call.
     """
     if dataset.feature_count != model.feature_count:
@@ -305,8 +304,7 @@ def batch_classify(
             f"model has {model.feature_count} features, dataset has"
             f" {dataset.feature_count}"
         )
-    x = np.stack([inst.values for inst in dataset.instances])
-    labels, distances, _raw = _reference_kernel(model, x, threshold)
+    labels, distances, _raw = _reference_kernel(model, dataset.features, threshold)
     return AccuracyReport(
         predictions=tuple(labels.tolist()),
         distances=tuple(distances.tolist()),

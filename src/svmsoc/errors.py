@@ -50,10 +50,6 @@ class CalibrationError(SvmSocError):
     """Base class for cost-model calibration problems."""
 
 
-class InsufficientAnchors(CalibrationError):
-    """A required (directive, regime) pair has no anchor rows."""
-
-
 class UnknownCalibration(CalibrationError):
     """No calibration entry covers the requested lookup."""
 

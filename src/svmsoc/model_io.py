@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -72,6 +73,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=_F32, order="C", copy=True)
     out.flags.writeable = False
     return out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two binary32 arrays hold the same shape and bit patterns."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 def _shortest(values: np.ndarray) -> list[str]:
@@ -155,14 +161,8 @@ class TrainedModel:
         if not isinstance(other, TrainedModel):
             return NotImplemented
         return (
-            self.support_vectors.shape == other.support_vectors.shape
-            and np.array_equal(
-                self.support_vectors.view(np.uint32),
-                other.support_vectors.view(np.uint32),
-            )
-            and np.array_equal(
-                self.alpha_y.view(np.uint32), other.alpha_y.view(np.uint32)
-            )
+            _same_bits(self.support_vectors, other.support_vectors)
+            and _same_bits(self.alpha_y, other.alpha_y)
             and self.bias == other.bias
         )
 
@@ -192,37 +192,56 @@ class TestInstance:
     def __eq__(self, other):
         if not isinstance(other, TestInstance):
             return NotImplemented
-        return self.values.shape == other.values.shape and np.array_equal(
-            self.values.view(np.uint32), other.values.view(np.uint32)
-        )
+        return _same_bits(self.values, other.values)
 
     __hash__ = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Instances plus ground-truth labels, each +1 or -1."""
+    """An N x Fl binary32 feature matrix plus N ground-truth labels.
 
-    instances: tuple[TestInstance, ...]
+    features holds one finite binary32 row per instance; labels holds
+    each row's label, +1 or -1.  instances views the rows as TestInstance
+    objects, built on first use.
+    """
+
+    features: np.ndarray
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.instances) != len(self.labels):
+        x = _freeze(self.features)
+        labels = tuple(self.labels)
+        if x.ndim != 2:
+            raise MalformedDataset("features must be an N x Fl matrix")
+        if x.shape[0] != len(labels):
             raise MalformedDataset("instance/label count mismatch")
-        if len(self.instances) == 0:
+        if x.size == 0:
             raise MalformedDataset("dataset is empty")
-        if any(l not in (1, -1) for l in self.labels):
+        if any(l not in (1, -1) for l in labels):
             raise MalformedDataset("labels must be +1 or -1")
-        widths = {inst.feature_count for inst in self.instances}
-        if len(widths) != 1:
-            raise MalformedDataset("rows disagree on feature count")
+        if not np.isfinite(x).all():
+            raise MalformedDataset("non-finite feature value")
+        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def instances(self) -> tuple[TestInstance, ...]:
+        return tuple(map(TestInstance, self.features))
 
     @property
     def feature_count(self) -> int:
-        return self.instances[0].feature_count
+        return self.features.shape[1]
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.labels)
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledDataset):
+            return NotImplemented
+        return _same_bits(self.features, other.features) and self.labels == other.labels
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,7 +622,7 @@ def load_dataset(text: str) -> LabeledDataset:
         np.frombuffer(features).reshape(len(labels), width - 1),
         lambda: [c for ln in text.splitlines() if ln.strip() for c in ln.split(",")[:-1]],
     )
-    return LabeledDataset(tuple(map(TestInstance, rows)), tuple(labels))
+    return LabeledDataset(rows, labels)
 
 
 # --------------------------------------------------------------------------
@@ -623,7 +642,7 @@ def emit_test_instance(instance: TestInstance) -> str:
 
 
 def emit_dataset(dataset: LabeledDataset) -> str:
-    rows = format_reals(np.stack([inst.values for inst in dataset.instances]), ",")
+    rows = format_reals(dataset.features, ",")
     return "".join(f"{row},{label:d}\n" for row, label in zip(rows, dataset.labels))
 
 
@@ -715,11 +734,7 @@ def make_synthetic(
                 picked.append(x)
                 labels.append(1 if d >= 0.0 else -1)
         if len(picked) == instances:
-            model = TrainedModel(sv, ay, bias)
-            dataset = LabeledDataset(
-                tuple(TestInstance(x) for x in picked), tuple(labels)
-            )
-            return model, dataset
+            return TrainedModel(sv, ay, bias), LabeledDataset(np.array(picked), labels)
     raise RuntimeError(
         f"could not find separable fixtures for S={sv_count}, Fl={feature_count}"
     )

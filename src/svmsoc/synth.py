@@ -43,15 +43,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import le
 from typing import NamedTuple, Sequence, Union
 
-from .errors import (
-    CalibrationError,
-    FlMismatch,
-    InsufficientAnchors,
-    UnknownCalibration,
-    UnknownDesign,
-)
+from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign
 
 __all__ = [
     "ANCHOR_EXACT",
@@ -116,61 +111,48 @@ def _worst(*tags: str) -> str:
 # --------------------------------------------------------------------------
 # directives
 
-# Name prefix -> (kind, scope, whether a "-<factor>" follows the prefix).
-# Each kind's scopes are listed in the order its error messages give them.
+# Name prefix -> whether a "-<factor>" follows the prefix.
 _DIRECTIVES = {
-    "interface-only": ("interface_only", None, False),
-    "resource-bram": ("array_resource", "bram", False),
-    "resource-lut": ("array_resource", "lut", False),
-    "pipeline-inner": ("pipeline", "inner", False),
-    "pipeline-most": ("pipeline", "most", False),
-    "pipeline-all": ("pipeline", "all", False),
-    "unroll-inner": ("unroll", "inner", False),
-    "unroll-most": ("unroll", "most", False),
-    "unroll-partial": ("unroll", "partial", True),
-    "partition-block": ("array_partition", "block", True),
-    "partition-cyclic": ("array_partition", "cyclic", True),
-    "partition-complete": ("array_partition", "complete", False),
+    "interface-only": False,
+    "resource-bram": False,
+    "resource-lut": False,
+    "pipeline-inner": False,
+    "pipeline-most": False,
+    "pipeline-all": False,
+    "unroll-inner": False,
+    "unroll-most": False,
+    "unroll-partial": True,
+    "partition-block": True,
+    "partition-cyclic": True,
+    "partition-complete": False,
 }
-_PREFIX = {(kind, scope): prefix for prefix, (kind, scope, _) in _DIRECTIVES.items()}
 
 
 @dataclass(frozen=True)
 class DirectiveConfig:
-    """One synthesis optimization directive.
+    """One synthesis optimization directive, held as its name.
 
-    kind is one of interface_only, array_resource, pipeline, unroll, or
-    array_partition; scope refines it (e.g. which loop level, which
-    partition style) and factor holds the unroll/partition factor where
-    one applies.
+    prefix is the directive's name without a factor (pipeline-inner,
+    partition-cyclic, ...) and factor holds the unroll/partition factor
+    where one applies; name joins the two (partition-cyclic-16).
     """
 
-    kind: str
-    scope: str | None = None
+    prefix: str
     factor: int | None = None
 
     def __post_init__(self):
-        prefix = _PREFIX.get((self.kind, self.scope))
-        if prefix is None:
-            scopes = tuple(s for k, s, _ in _DIRECTIVES.values() if k == self.kind)
-            if not scopes:
-                raise ValueError(f"unknown directive kind {self.kind!r}")
-            if scopes == (None,):
-                raise ValueError(f"{self.kind} takes no scope")
-            raise ValueError(f"{self.kind} scope must be one of {scopes}")
-        if _DIRECTIVES[prefix][2]:
+        takes_factor = _DIRECTIVES.get(self.prefix)
+        if takes_factor is None:
+            raise ValueError(f"unknown directive {self.prefix!r}")
+        if takes_factor:
             if self.factor is None or self.factor < 2:
-                raise ValueError(f"{prefix} needs a factor >= 2")
+                raise ValueError(f"{self.prefix} needs a factor >= 2")
         elif self.factor is not None:
-            raise ValueError(f"{prefix} takes no factor")
-
-    def name_prefix(self) -> str:
-        return _PREFIX[(self.kind, self.scope)]
+            raise ValueError(f"{self.prefix} takes no factor")
 
     @property
     def name(self) -> str:
-        prefix = self.name_prefix()
-        return prefix if self.factor is None else f"{prefix}-{self.factor}"
+        return self.prefix if self.factor is None else f"{self.prefix}-{self.factor}"
 
     def __str__(self) -> str:
         return self.name
@@ -194,18 +176,16 @@ class DirectiveConfig:
         t = aliases.get(t, t)
         if t.count("-") == 1 and t.split("-")[0] in ("cyclic", "block"):
             t = "partition-" + t
-        entry = _DIRECTIVES.get(t)
-        if entry is not None and not entry[2]:
-            return cls(entry[0], entry[1])
+        if _DIRECTIVES.get(t) is False:
+            return cls(t)
         prefix, _, factor = t.rpartition("-")
-        entry = _DIRECTIVES.get(prefix)
-        if entry is None or not entry[2]:
+        if not _DIRECTIVES.get(prefix):
             raise ValueError(f"unknown directive {token!r}")
         try:
             factor = int(factor)
         except ValueError:
             raise ValueError(f"bad factor in directive {token!r}") from None
-        return cls(entry[0], entry[1], factor)
+        return cls(prefix, factor)
 
 
 def _directive_token(directive) -> str:
@@ -530,7 +510,7 @@ def _shared(rows, column: str, where: str):
     return values.pop()
 
 
-def _fitted(records: Sequence[Record], require: Sequence[tuple[str, float]] = ()):
+def _fitted(records: Sequence[Record]):
     """The CalibrationSet of checked records; see fit_calibration."""
     table: dict[tuple, Record] = {}
     for rec in records:
@@ -556,10 +536,6 @@ def _fitted(records: Sequence[Record], require: Sequence[tuple[str, float]] = ()
             designs.add(design)
             power[(rec.sv_count, rec.directive)] = rec.watts
 
-    for directive, regime in require:
-        key = (_directive_token(directive), _mhz(regime))
-        if key not in synth:
-            raise InsufficientAnchors(f"no anchors for {key[0]} at {format_mhz(key[1])} MHz")
     fits, dsp, timers = {}, {}, {}
     for (token, regime), rows in synth.items():
         where = f"{token} at {format_mhz(regime)} MHz"
@@ -578,10 +554,7 @@ def _fitted(records: Sequence[Record], require: Sequence[tuple[str, float]] = ()
     return CalibrationSet(tuple(table.values()), fits, dsp, timers, cosim_cycles, power)
 
 
-def fit_calibration(
-    rows: Sequence[Record | tuple],
-    require: Sequence[tuple[str, float]] = (),
-) -> CalibrationSet:
+def fit_calibration(rows: Sequence[Record | tuple]) -> CalibrationSet:
     """Check a table of measured records and fit the estimators' models.
 
     rows holds records of any kind; a plain tuple is a synth row.  Every
@@ -589,16 +562,10 @@ def fit_calibration(
     column of a clock pairing's arm rows, becomes one Fit in S: a single row
     pins a point, two rows an exact affine, three or more a least-squares
     line.  Rows in a group must share a feature count, and an identical
-    repeated row counts once.  require lists (directive, regime) pairs that
-    must have synth rows; a missing one raises InsufficientAnchors.  A
-    malformed or conflicting record, or a fit that is not finite, raises
-    ValueError.
+    repeated row counts once.  A malformed or conflicting record, or a fit
+    that is not finite, raises ValueError.
     """
-    records = [_record(_KIND.get(type(r), "synth"), r) for r in rows]
-    if not records and require:
-        missing = ", ".join(f"{d}@{format_mhz(_mhz(r))}" for d, r in require)
-        raise InsufficientAnchors(f"no anchor rows at all (required: {missing})")
-    return _fitted(records, require)
+    return _fitted([_record(_KIND.get(type(r), "synth"), r) for r in rows])
 
 
 @lru_cache(maxsize=1)
@@ -618,15 +585,20 @@ class SynthesisEstimate:
     validity is anchor_exact when every reported figure sits on a
     measured anchor, interpolated when S lies between anchors of an
     affine fit, extrapolated beyond them or across feature counts.
+    throughput_cycles derives from latency_cycles.
     """
 
     validity: str
     latency_cycles: int | None = None
-    throughput_cycles: int | None = None
     bram: float | None = None
     dsp: int | None = None
     ff: int | None = None
     lut: int | None = None
+
+    @property
+    def throughput_cycles(self) -> int | None:
+        """Cycles between successive classifications: the latency plus one."""
+        return None if self.latency_cycles is None else self.latency_cycles + 1
 
 
 def _check_sizes(sv_count: int, feature_count: int) -> None:
@@ -682,10 +654,7 @@ def estimate_latency(
             )
         value = (a * (feature_count + 1.0) + c) * sv_count + fit.intercept
         validity = EXTRAPOLATED
-    cycles = max(0, int(round(value)))
-    return SynthesisEstimate(
-        validity=validity, latency_cycles=cycles, throughput_cycles=cycles + 1
-    )
+    return SynthesisEstimate(validity=validity, latency_cycles=max(0, int(round(value))))
 
 
 def estimate_resources(
@@ -748,7 +717,6 @@ def estimate_design(
     return SynthesisEstimate(
         validity=_worst(lat.validity, res.validity),
         latency_cycles=lat.latency_cycles,
-        throughput_cycles=lat.throughput_cycles,
         bram=res.bram,
         dsp=res.dsp,
         ff=res.ff,
@@ -838,15 +806,6 @@ class ExploreEntry:
     power_w: float | None
 
 
-def _cost_tuple(est: SynthesisEstimate):
-    return (est.latency_cycles, est.dsp, est.lut, est.ff, est.bram)
-
-
-def _dominates(a: SynthesisEstimate, b: SynthesisEstimate) -> bool:
-    ca, cb = _cost_tuple(a), _cost_tuple(b)
-    return all(x <= y for x, y in zip(ca, cb)) and any(x < y for x, y in zip(ca, cb))
-
-
 def explore(
     sv_count: int,
     feature_count: int,
@@ -871,6 +830,7 @@ def explore(
     else:
         tokens = tuple(_directive_token(d) for d in directives)
     candidates: list[ExploreEntry] = []
+    costs = []
     for token in tokens:
         cfg = DirectiveConfig.parse(token)
         try:
@@ -878,18 +838,17 @@ def explore(
         except (UnknownCalibration, FlMismatch):
             continue
         candidates.append(ExploreEntry(cfg, est, cal.power.get((sv_count, cfg.name))))
+        costs.append((est.latency_cycles, est.dsp, est.lut, est.ff, est.bram))
     if not candidates:
         raise UnknownCalibration(
             f"no directive calibrated at {format_mhz(regime)} MHz can estimate"
             f" S={sv_count}, Fl={feature_count}"
         )
+    # a cost dominates another when it differs and is no worse anywhere
     front = [
         c
-        for c in candidates
-        if not any(
-            other is not c and _dominates(other.estimate, c.estimate)
-            for other in candidates
-        )
+        for c, cost in zip(candidates, costs)
+        if not any(other != cost and all(map(le, other, cost)) for other in costs)
     ]
     front.sort(key=lambda e: (e.estimate.latency_cycles, e.directive.name))
     return front

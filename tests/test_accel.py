@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from svmsoc import (
     TestInstance,
     TrainedModel,
-    WeightAccumulator,
     accumulate_weight_vector,
     decide,
     DimensionError,
@@ -15,7 +16,7 @@ from svmsoc import (
     f32_bits,
     run_accelerator,
 )
-from svmsoc.accel import _accumulate, _dot
+from svmsoc.accel import AccelResult, _accumulate, _dot
 from svmsoc.model_io import StreamFrame
 
 import ref32
@@ -31,51 +32,56 @@ def model_of(rows, ay, bias=0.0):
 class TestAccumulate:
     def test_single_sv_is_elementwise_product(self):
         acc = accumulate_weight_vector(model_of([[1.5, -2.25]], [2.0]))
-        assert acc.values.tolist() == [3.0, -4.5]
+        assert acc.tolist() == [3.0, -4.5]
+
+    def test_returns_a_read_only_binary32_array(self):
+        acc = accumulate_weight_vector(model_of([[1.5, -2.25]], [2.0]))
+        assert isinstance(acc, np.ndarray) and acc.dtype == F32
+        assert not acc.flags.writeable
 
     def test_opposite_weights_cancel_exactly(self):
         m = model_of([[0.1, 0.7, -3.3], [0.1, 0.7, -3.3]], [1.0, -1.0])
         acc = accumulate_weight_vector(m)
-        assert not acc.values.any()
+        assert not acc.any()
 
     def test_rounds_after_every_add(self):
         # 1e8 and 1 are both exact in binary32 but their sum is not:
         # a wider accumulator would keep the +1
         acc = accumulate_weight_vector(model_of([[1e8], [1.0]], [1.0, 1.0]))
-        assert acc.values.tolist() == [1e8]
+        assert acc.tolist() == [1e8]
 
     def test_matches_double_oracle_on_small_bounded_model(self, rng):
         m = random_model(rng, 3, 2)
         acc = accumulate_weight_vector(m)
         oracle = m.support_vectors.astype(np.float64).T @ m.alpha_y.astype(np.float64)
-        assert np.allclose(acc.values, oracle, rtol=1e-5, atol=1e-7)
+        assert np.allclose(acc, oracle, rtol=1e-5, atol=1e-7)
 
 
 class TestDotDistance:
     def test_simple_product(self):
-        acc = WeightAccumulator(np.array([2.0], F32))
+        acc = np.array([2.0], F32)
         assert dot_distance(acc, TestInstance(np.array([3.0], F32))) == 6.0
 
     def test_zero_instance(self):
-        acc = WeightAccumulator(np.array([1.0, -2.0, 3.0], F32))
+        acc = np.array([1.0, -2.0, 3.0], F32)
         assert dot_distance(acc, TestInstance(np.zeros(3, F32))) == 0.0
 
     def test_accumulates_in_ascending_feature_order(self):
         # (1 + 1e8) rounds to 1e8, then -1e8 cancels to zero; any other
         # association would leave the 1 behind
-        acc = WeightAccumulator(np.array([1.0, 1e8, -1e8], F32))
+        acc = np.array([1.0, 1e8, -1e8], F32)
         x = TestInstance(np.ones(3, F32))
         assert dot_distance(acc, x) == 0.0
 
     def test_length_mismatch(self):
-        acc = WeightAccumulator(np.array([1.0], F32))
+        acc = np.array([1.0], F32)
         with pytest.raises(DimensionError):
             dot_distance(acc, TestInstance(np.array([1.0, 2.0], F32)))
 
     def test_matches_double_dot_on_bounded_vectors(self, rng):
         ac = rng.uniform(-1, 1, 27).astype(F32)
         x = rng.uniform(-1, 1, 27).astype(F32)
-        got = dot_distance(WeightAccumulator(ac), TestInstance(x))
+        got = dot_distance(ac, TestInstance(x))
         want = float(ac.astype(np.float64) @ x.astype(np.float64))
         assert got == pytest.approx(want, rel=1e-5, abs=1e-6)
 
@@ -103,6 +109,13 @@ class TestDecide:
     def test_infinities(self):
         assert decide(float("inf"), 0.0)[0] == 1
         assert decide(float("-inf"), 0.0)[0] == -1
+
+
+class TestAccelResult:
+    def test_finite_derives_from_distance(self):
+        assert AccelResult(-1, math.inf, math.inf).finite is False
+        assert AccelResult(-1, math.nan, 1.0).finite is False
+        assert AccelResult(1, 0.5, 1.5).finite is True
 
 
 class TestRunAccelerator:

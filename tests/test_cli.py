@@ -13,7 +13,7 @@ from svmsoc import (
     parse_svmlight_model,
     save_calibration,
 )
-from svmsoc.cli import main
+from svmsoc.cli import _build_parser, main
 from svmsoc.synth import SHIPPED_ANCHORS, SHIPPED_RECORDS
 
 from test_synth import csv_line
@@ -574,6 +574,10 @@ class TestGen:
         assert code == 0
         got = kv(out)
         assert got["sv_count"] == "4" and got["instances"] == "32"
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_console_script_entry_point():

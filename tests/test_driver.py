@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -164,6 +166,13 @@ class TestCosim:
         assert rep.time_speedup_plain == pytest.approx(rep.cycle_speedup_plain)
         assert rep.results_match
 
+    def test_results_match_derives_from_both_results(self):
+        m, ds = small_fixture()
+        rep = cosim(m, ds.instances[0], "pipeline-inner", ClockPair(250, 250))
+        nudged = float(np.nextafter(F32(rep.sw.distance), F32(np.inf)))
+        off = replace(rep, sw=replace(rep.sw, distance=nudged))
+        assert rep.results_match and not off.results_match
+
     def test_speedups_equal_cycle_ratios_in_same_report(self):
         m, ds = small_fixture()
         for clocks in (ClockPair(250, 250), ClockPair(250, 666.67)):
@@ -264,15 +273,14 @@ class TestBatchClassify:
 
     def test_flipped_labels_score_zero(self):
         m, ds = small_fixture()
-        flipped = LabeledDataset(ds.instances, tuple(-l for l in ds.labels))
+        flipped = LabeledDataset(ds.features, tuple(-l for l in ds.labels))
         assert batch_classify(m, flipped).accuracy_percent == 0.0
 
     def test_accuracy_invariant_under_permutation(self, rng):
         m, ds = make_synthetic(9, 4, 2, instances=16)
         order = rng.permutation(len(ds))
         shuffled = LabeledDataset(
-            tuple(ds.instances[i] for i in order),
-            tuple(ds.labels[i] for i in order),
+            ds.features[order], tuple(ds.labels[i] for i in order)
         )
         assert (
             batch_classify(m, shuffled).accuracy_percent
@@ -295,7 +303,7 @@ class TestBatchClassify:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_row_reference_on_edge_lanes(self, case, threshold):
         m, rows, _kind = case
-        ds = LabeledDataset(tuple(TestInstance(x) for x in rows), (1,) * len(rows))
+        ds = LabeledDataset(np.array(rows), (1,) * len(rows))
         rep = batch_classify(m, ds, threshold)
         sv, ay = m.support_vectors.tolist(), m.alpha_y.tolist()
         for inst, label, dist in zip(ds.instances, rep.predictions, rep.distances):

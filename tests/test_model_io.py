@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from svmsoc import (
     FrameLengthError,
+    LabeledDataset,
     MalformedDataset,
     MalformedInstance,
     MalformedModel,
@@ -249,6 +250,11 @@ class TestInstanceAndDataset:
         with pytest.raises(MalformedDataset):
             load_dataset("\n\n")
 
+    def test_dataset_loads_as_one_binary32_matrix(self):
+        ds = load_dataset("1,2,1\n-0.5,0.1,-1\n")
+        assert ds.features.dtype == np.float32 and not ds.features.flags.writeable
+        assert ds.features.tolist() == [[1.0, 2.0], [-0.5, float(np.float32(0.1))]]
+
     @given(st.text(max_size=200))
     @settings(max_examples=150, deadline=None)
     def test_dataset_parser_is_total(self, text):
@@ -256,6 +262,52 @@ class TestInstanceAndDataset:
             load_dataset(text)
         except SvmSocError:
             pass
+
+
+GOOD_ROWS = np.array([[0.5, -1.0, 2.0], [0.0, 3.0, -0.25]], np.float32)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize(
+        "features,labels,match",
+        [
+            (np.where(GOOD_ROWS == -1.0, np.nan, GOOD_ROWS), (1, -1), "non-finite"),
+            (np.where(GOOD_ROWS == 2.0, np.inf, GOOD_ROWS), (1, -1), "non-finite"),
+            (GOOD_ROWS[:0], (), "empty"),
+            (GOOD_ROWS[:, :0], (1, -1), "empty"),
+            (GOOD_ROWS, (1,), "count mismatch"),
+            (GOOD_ROWS, (1, 0), r"\+1 or -1"),
+            (GOOD_ROWS, (1, 2), r"\+1 or -1"),
+            (GOOD_ROWS[0], (1, -1, 1), "N x Fl"),
+        ],
+        ids=["nan", "inf", "no-rows", "no-features", "count", "zero-label", "two-label", "1-d"],
+    )
+    def test_refuses_a_malformed_matrix(self, features, labels, match):
+        # each case is the accepted matrix below with one fault
+        assert LabeledDataset(GOOD_ROWS, (1, -1)).feature_count == 3
+        with pytest.raises(MalformedDataset, match=match):
+            LabeledDataset(features, labels)
+
+    def test_instances_are_bit_equal_rows(self):
+        rows = np.array([[-0.0, 1e-45, 3.5], [7.0, -2.0, 0.0]], np.float32)
+        ds = LabeledDataset(rows, (-1, 1))
+        assert ds.instances == (TestInstance(rows[0]), TestInstance(rows[1]))
+        for inst, row in zip(ds.instances, rows):
+            assert inst.values.view(np.uint32).tolist() == row.view(np.uint32).tolist()
+        assert ds.instances is ds.instances  # built once
+
+    def test_keeps_a_frozen_copy(self):
+        rows = GOOD_ROWS.copy()
+        ds = LabeledDataset(rows, (1, -1))
+        rows[0, 0] = 9.0
+        assert ds.features[0, 0] == 0.5 and not ds.features.flags.writeable
+
+    def test_equality_compares_bits(self):
+        plus = LabeledDataset(np.array([[0.0, 1.0]], np.float32), (1,))
+        minus = LabeledDataset(np.array([[-0.0, 1.0]], np.float32), (1,))
+        assert plus == LabeledDataset(np.array([[0.0, 1.0]], np.float32), [1])
+        assert plus != minus
+        assert plus != LabeledDataset(np.array([[0.0, 1.0]], np.float32), (-1,))
 
 
 class TestStreamFrames:

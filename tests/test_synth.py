@@ -15,7 +15,6 @@ from svmsoc import (
     CalibrationError,
     DirectiveConfig,
     FlMismatch,
-    InsufficientAnchors,
     SvmSocError,
     UnknownCalibration,
     UnknownDesign,
@@ -38,6 +37,7 @@ from svmsoc.synth import (
     ArmRecord,
     CosimRecord,
     PowerRecord,
+    SynthesisEstimate,
 )
 
 CSV_HEADER = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,dsp,ff,lut"
@@ -84,21 +84,21 @@ FRACTIONAL_LATENCY_SLOPES = {
 
 class TestDirectiveConfig:
     @pytest.mark.parametrize(
-        "token,kind,scope,factor",
+        "token,prefix,factor",
         [
-            ("interface-only", "interface_only", None, None),
-            ("resource-bram", "array_resource", "bram", None),
-            ("pipeline-inner", "pipeline", "inner", None),
-            ("unroll-most", "unroll", "most", None),
-            ("unroll-partial-2", "unroll", "partial", 2),
-            ("partition-cyclic-16", "array_partition", "cyclic", 16),
-            ("partition-block-2", "array_partition", "block", 2),
-            ("partition-complete", "array_partition", "complete", None),
+            ("interface-only", "interface-only", None),
+            ("resource-bram", "resource-bram", None),
+            ("pipeline-inner", "pipeline-inner", None),
+            ("unroll-most", "unroll-most", None),
+            ("unroll-partial-2", "unroll-partial", 2),
+            ("partition-cyclic-16", "partition-cyclic", 16),
+            ("partition-block-2", "partition-block", 2),
+            ("partition-complete", "partition-complete", None),
         ],
     )
-    def test_parse_and_name_round_trip(self, token, kind, scope, factor):
+    def test_parse_and_name_round_trip(self, token, prefix, factor):
         cfg = DirectiveConfig.parse(token)
-        assert (cfg.kind, cfg.scope, cfg.factor) == (kind, scope, factor)
+        assert (cfg.prefix, cfg.factor) == (prefix, factor)
         assert cfg.name == token
         assert DirectiveConfig.parse(cfg.name) == cfg
 
@@ -126,13 +126,17 @@ class TestDirectiveConfig:
         with pytest.raises(ValueError):
             DirectiveConfig.parse(bad)
 
+    def test_name_joins_prefix_and_factor(self):
+        assert DirectiveConfig("unroll-partial", 4).name == "unroll-partial-4"
+        assert DirectiveConfig("pipeline-inner").name == "pipeline-inner"
+
     def test_factor_rules(self):
         with pytest.raises(ValueError):
-            DirectiveConfig("pipeline", "inner", factor=4)
+            DirectiveConfig("pipeline-inner", factor=4)
         with pytest.raises(ValueError):
-            DirectiveConfig("unroll", "partial")
+            DirectiveConfig("unroll-partial")
         with pytest.raises(ValueError):
-            DirectiveConfig("array_partition", "complete", factor=2)
+            DirectiveConfig("partition-complete", factor=2)
 
 
 class TestFitCalibration:
@@ -238,14 +242,6 @@ class TestFitCalibration:
         with pytest.raises(ValueError, match=f"mix {what}"):
             fit_calibration(rows)
 
-    def test_require_missing_pair(self):
-        with pytest.raises(InsufficientAnchors, match="unroll-most"):
-            fit_calibration(SHIPPED_ANCHORS[:3], require=[("unroll-most", 250)])
-
-    def test_require_on_empty_table(self):
-        with pytest.raises(InsufficientAnchors):
-            fit_calibration([], require=[("pipeline-inner", 100)])
-
 
 class TestLatencyEstimates:
     @pytest.mark.parametrize("row", SHIPPED_ANCHORS, ids=lambda r: f"{r.directive}@{r.regime_mhz:g}/S{r.sv_count}")
@@ -307,6 +303,11 @@ class TestLatencyEstimates:
             estimate_latency(248, 27, "pipeline-inner", 333)
         with pytest.raises(UnknownCalibration):
             estimate_latency(346, 27, "resource-bram", 250)
+
+    def test_throughput_derives_from_latency(self):
+        assert SynthesisEstimate(ANCHOR_EXACT, latency_cycles=14138).throughput_cycles == 14139
+        res = estimate_resources(248, 27, "pipeline-inner", 100)
+        assert res.latency_cycles is None and res.throughput_cycles is None
 
     @given(st.integers(1, 500))
     @settings(max_examples=60, deadline=None)
