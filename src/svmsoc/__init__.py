@@ -56,7 +56,6 @@ from .synth import (
     estimate_design,
     estimate_latency,
     estimate_power,
-    estimate_resources,
     explore,
     fit_calibration,
     load_calibration,

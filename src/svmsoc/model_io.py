@@ -64,13 +64,14 @@ __all__ = [
 
 _F32 = np.float32
 
-# Largest S x Fl an SVM-Light model may declare: 2**24 binary32 values
-# (64 MiB), 650 times the 400 x 64 stress size.
+# Largest S x Fl an SVM-Light model may declare or make_synthetic draw: 2**24
+# binary32 values (64 MiB), 650 times the 400 x 64 stress size.
 MAX_DENSE_VALUES = 1 << 24
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=_F32, order="C", copy=True)
+    with np.errstate(over="ignore"):  # callers refuse the infinities it makes
+        out = np.array(arr, dtype=_F32, order="C", copy=True)
     out.flags.writeable = False
     return out
 
@@ -142,7 +143,7 @@ class TrainedModel:
             )
         if not np.isfinite(sv).all() or not np.isfinite(ay).all():
             raise MalformedModel("non-finite value in model payload")
-        b = float(_F32(self.bias))
+        b = float(_freeze(self.bias))
         if not np.isfinite(b):
             raise MalformedModel("bias must be finite")
         object.__setattr__(self, "support_vectors", sv)
@@ -163,7 +164,7 @@ class TrainedModel:
         return (
             _same_bits(self.support_vectors, other.support_vectors)
             and _same_bits(self.alpha_y, other.alpha_y)
-            and self.bias == other.bias
+            and _same_bits(_F32(self.bias), _F32(other.bias))
         )
 
     __hash__ = None
@@ -704,10 +705,16 @@ def make_synthetic(
     vectors are rejection-sampled until the double-precision decision
     value clears both a relative margin of 1e-3 and twice the worst-case
     binary32 accumulation error bound, so the binary32 pipeline provably
-    assigns every generated label correctly.
+    assigns every generated label correctly.  A model of more than
+    MAX_DENSE_VALUES values is refused before anything is allocated.
     """
     if sv_count < 1 or feature_count < 1 or instances < 1:
         raise ValueError("sv_count, feature_count, and instances must be >= 1")
+    if sv_count * feature_count > MAX_DENSE_VALUES:
+        raise ValueError(
+            f"{sv_count} support vectors x {feature_count} features exceeds"
+            f" {MAX_DENSE_VALUES} values"
+        )
     rng = np.random.default_rng(seed)
     # u = half the binary32 epsilon; gamma_n ~ n*u bounds n chained roundings
     unit = float(np.finfo(np.float32).eps) / 2.0
@@ -735,6 +742,6 @@ def make_synthetic(
                 labels.append(1 if d >= 0.0 else -1)
         if len(picked) == instances:
             return TrainedModel(sv, ay, bias), LabeledDataset(np.array(picked), labels)
-    raise RuntimeError(
+    raise ValueError(
         f"could not find separable fixtures for S={sv_count}, Fl={feature_count}"
     )

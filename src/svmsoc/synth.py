@@ -15,10 +15,10 @@ A calibration is one table of measured records, of four kinds:
   design), with the S and directive that design implements.
 
 One schema checks every record, whether it comes from an anchor CSV, a
-calibration file or a caller, and fit_calibration turns the records into
-the estimators' fits.  The built-in calibration is the fit of
-SHIPPED_RECORDS and a calibration file stores the records themselves, so
-every calibration is fitted by the same code.
+calibration file or a caller, and a CalibrationSet derives the
+estimators' fits from its records.  The built-in calibration is the fit
+of SHIPPED_RECORDS and a calibration file stores the records themselves,
+so every calibration is fitted by the same code.
 
 Each measured quantity (latency, BRAM, FF, LUT, processor cycles) is one
 Fit in S over its (directive, clock) group.  At a measured S it returns the
@@ -68,7 +68,6 @@ __all__ = [
     "fit_calibration",
     "default_calibration",
     "estimate_latency",
-    "estimate_resources",
     "estimate_design",
     "estimate_arm_cycles",
     "estimate_power",
@@ -410,16 +409,18 @@ class Fit:
     One anchor pins the value (slope and intercept are None); two give the
     exact affine through both, evaluated through the anchors themselves so
     interpolation carries no slope round-off; three or more give the
-    least-squares line.  points maps each measured S to its value, and
-    feature_count is the Fl the quantity was measured at.  A line that is
-    not finite is refused with ValueError.
+    least-squares line.  points maps each measured S to its value,
+    feature_count is the Fl the quantity was measured at, and what is the
+    label every message gives it.  A line that is not finite is refused
+    with ValueError.
     """
 
-    __slots__ = ("feature_count", "points", "lo", "hi", "slope", "intercept")
+    __slots__ = ("feature_count", "points", "lo", "hi", "slope", "intercept", "what")
 
     def __init__(self, feature_count: int, points: Sequence[tuple[int, float]], what: str):
         pts = sorted(points)
         self.feature_count = feature_count
+        self.what = what
         self.points = dict(pts)
         self.lo, self.hi = pts[0][0], pts[-1][0]
         self.slope = self.intercept = None
@@ -434,7 +435,7 @@ class Fit:
         ):
             raise ValueError(f"the fitted line of {what} is not finite")
 
-    def at(self, sv_count: int, what: str, allow_point_reuse: bool) -> tuple[float, str]:
+    def at(self, sv_count: int, allow_point_reuse: bool) -> tuple[float, str]:
         """The value at S and its validity tag."""
         value = self.points.get(sv_count)
         if value is not None:
@@ -444,7 +445,7 @@ class Fit:
             if allow_point_reuse:
                 return self.points[lo], EXTRAPOLATED
             raise UnknownCalibration(
-                f"{what} has a single anchor at S={lo}; scaling to"
+                f"{self.what} has a single anchor at S={lo}; scaling to"
                 f" S={sv_count} has no supporting data (pass allow_point_reuse"
                 " to reuse the point value)"
             )
@@ -454,7 +455,7 @@ class Fit:
         else:
             value = self.slope * sv_count + self.intercept
         if not math.isfinite(value):
-            raise CalibrationError(f"{what} is not finite at S={sv_count}")
+            raise CalibrationError(f"{self.what} is not finite at S={sv_count}")
         return value, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
 
 
@@ -476,27 +477,84 @@ def _least_squares(points, what: str) -> tuple[float, float]:
 # calibration set
 
 
+# The fitted columns of synth records and of arm records, each with the
+# name its figure has in messages.
+_SYNTH_FIGURES = {"latency_cycles": "latency", "bram": "bram", "ff": "ff", "lut": "lut"}
+_ARM_FIGURES = {
+    "plain_cycles": "plain processor cycles",
+    "optimized_cycles": "optimized processor cycles",
+}
+
+
+def _design_label(design: tuple[str, float]) -> str:
+    return f"{design[0]} at {format_mhz(design[1])} MHz"
+
+
+def _pairing_label(pairing: tuple[float, float]) -> str:
+    return f"FPGA {format_mhz(pairing[0])} MHz / ARM {format_mhz(pairing[1])} MHz"
+
+
+def _figure_label(column: str, group: tuple) -> str:
+    """How messages name a fitted figure: latency for pipeline-inner at 100 MHz."""
+    if column in _ARM_FIGURES:
+        return f"{_ARM_FIGURES[column]} for {_pairing_label(group)}"
+    return f"{_SYNTH_FIGURES[column]} for {_design_label(group)}"
+
+
 @dataclass(frozen=True)
 class CalibrationSet:
-    """The measured records and everything the estimators read from them.
+    """A table of measured records, and what the estimators read from it.
 
-    records is the table itself, each record once, in the order given;
-    save_calibration writes it.  fits maps (column, directive, regime MHz)
-    for the latency_cycles, bram, ff and lut columns of synth records, and
-    (column, FPGA MHz, ARM MHz) for the plain_cycles and optimized_cycles
-    columns of arm records, to the Fit of that column.  dsp holds the DSP
-    count by S of each (directive, regime) synthesis group, arm the timer
-    MHz of each calibrated clock pairing, cosim_cycles the cycle count by
-    (S, Fl, directive, (FPGA MHz, ARM MHz)) and power the watts by (S,
-    directive).
+    records is the table, each record once, grouped by kind; two sets are
+    equal when their records are.  The rest derives from the records when
+    the set is built.  fits maps (column, directive, regime MHz) for the
+    latency_cycles, bram, ff and lut columns of synth records, and (column,
+    FPGA MHz, ARM MHz) for the plain_cycles and optimized_cycles columns of
+    arm records, to the Fit of that column.  dsp holds the DSP count by S
+    of each (directive, regime) synthesis group, arm the timer MHz of each
+    calibrated clock pairing, cosim_cycles the cycle count by (S, Fl,
+    directive, (FPGA MHz, ARM MHz)) and power the watts by (S, directive).
+    A conflicting record or a fit that is not finite raises ValueError.
     """
 
     records: tuple[Record, ...]
-    fits: dict[tuple, Fit]
-    dsp: dict[tuple[str, float], dict[int, int]]
-    arm: dict[tuple[float, float], float]
-    cosim_cycles: dict[tuple[int, int, str, tuple[float, float]], int]
-    power: dict[tuple[int, str], float]
+
+    def __post_init__(self):
+        table: dict[tuple, Record] = {}
+        for rec in self.records:
+            kind = _KIND[type(rec)]
+            prev = table.setdefault((kind, *rec[: _SCHEMA[kind][2]]), rec)
+            if prev != rec:
+                raise ValueError(f"conflicting {kind} records {tuple(prev)} and {tuple(rec)}")
+        records = tuple(r for t in _KIND for r in table.values() if type(r) is t)
+        synth, arm, cosim_cycles, power, designs = {}, {}, {}, {}, set()
+        for rec in records:
+            if type(rec) is AnchorRow:
+                synth.setdefault((rec.directive, rec.regime_mhz), []).append(rec)
+            elif type(rec) is ArmRecord:
+                arm.setdefault((rec.fpga_mhz, rec.arm_mhz), []).append(rec)
+            elif type(rec) is CosimRecord:
+                key = (rec.sv_count, rec.feature_count, rec.directive, (rec.fpga_mhz, rec.arm_mhz))
+                cosim_cycles[key] = rec.cycles
+            else:
+                design = (rec.model_id, rec.design_id)
+                if design in designs:
+                    raise ValueError(f"conflicting power records for {design}")
+                designs.add(design)
+                power[(rec.sv_count, rec.directive)] = rec.watts
+
+        fits, dsp, timers = {}, {}, {}
+        for design, rows in synth.items():
+            fits.update(_group_fits(rows, design, _design_label(design), _SYNTH_FIGURES))
+            dsp[design] = {r.sv_count: r.dsp for r in rows}
+        for pairing, rows in arm.items():
+            where = _pairing_label(pairing)
+            fits.update(_group_fits(rows, pairing, where, _ARM_FIGURES))
+            timers[pairing] = _shared(rows, "timer_mhz", where)
+        # frozen: the derived attributes go straight into the instance dict
+        vars(self).update(
+            records=records, fits=fits, dsp=dsp, arm=timers, cosim_cycles=cosim_cycles, power=power
+        )
 
     def directives_for(self, regime_mhz: float) -> tuple[str, ...]:
         r = _mhz(regime_mhz)
@@ -510,48 +568,17 @@ def _shared(rows, column: str, where: str):
     return values.pop()
 
 
-def _fitted(records: Sequence[Record]):
-    """The CalibrationSet of checked records; see fit_calibration."""
-    table: dict[tuple, Record] = {}
-    for rec in records:
-        kind = _KIND[type(rec)]
-        prev = table.setdefault((kind, *rec[: _SCHEMA[kind][2]]), rec)
-        if prev != rec:
-            raise ValueError(f"conflicting {kind} records {tuple(prev)} and {tuple(rec)}")
-    synth: dict[tuple[str, float], list[AnchorRow]] = {}
-    arm: dict[tuple[float, float], list[ArmRecord]] = {}
-    cosim_cycles, power, designs = {}, {}, set()
-    for rec in table.values():
-        if type(rec) is AnchorRow:
-            synth.setdefault((rec.directive, rec.regime_mhz), []).append(rec)
-        elif type(rec) is ArmRecord:
-            arm.setdefault((rec.fpga_mhz, rec.arm_mhz), []).append(rec)
-        elif type(rec) is CosimRecord:
-            key = (rec.sv_count, rec.feature_count, rec.directive, (rec.fpga_mhz, rec.arm_mhz))
-            cosim_cycles[key] = rec.cycles
-        else:
-            design = (rec.model_id, rec.design_id)
-            if design in designs:
-                raise ValueError(f"conflicting power records for {design}")
-            designs.add(design)
-            power[(rec.sv_count, rec.directive)] = rec.watts
-
-    fits, dsp, timers = {}, {}, {}
-    for (token, regime), rows in synth.items():
-        where = f"{token} at {format_mhz(regime)} MHz"
-        fl = _shared(rows, "feature_count", where)
-        for column in ("latency_cycles", "bram", "ff", "lut"):
-            points = [(r.sv_count, float(getattr(r, column))) for r in rows]
-            fits[column, token, regime] = Fit(fl, points, f"{column} for {where}")
-        dsp[token, regime] = {r.sv_count: r.dsp for r in rows}
-    for pairing, rows in arm.items():
-        where = f"FPGA {format_mhz(pairing[0])} MHz / ARM {format_mhz(pairing[1])} MHz"
-        fl = _shared(rows, "feature_count", where)
-        timers[pairing] = _shared(rows, "timer_mhz", where)
-        for column in ("plain_cycles", "optimized_cycles"):
-            points = [(r.sv_count, float(getattr(r, column))) for r in rows]
-            fits[(column, *pairing)] = Fit(fl, points, f"{column} for {where}")
-    return CalibrationSet(tuple(table.values()), fits, dsp, timers, cosim_cycles, power)
+def _group_fits(rows, group: tuple, where: str, columns) -> dict[tuple, Fit]:
+    """One Fit in S per fitted column of a group of records at one Fl."""
+    fl = _shared(rows, "feature_count", where)
+    return {
+        (column, *group): Fit(
+            fl,
+            [(r.sv_count, float(getattr(r, column))) for r in rows],
+            _figure_label(column, group),
+        )
+        for column in columns
+    }
 
 
 def fit_calibration(rows: Sequence[Record | tuple]) -> CalibrationSet:
@@ -565,7 +592,7 @@ def fit_calibration(rows: Sequence[Record | tuple]) -> CalibrationSet:
     repeated row counts once.  A malformed or conflicting record, or a fit
     that is not finite, raises ValueError.
     """
-    return _fitted([_record(_KIND.get(type(r), "synth"), r) for r in rows])
+    return CalibrationSet(tuple(_record(_KIND.get(type(r), "synth"), r) for r in rows))
 
 
 @lru_cache(maxsize=1)
@@ -601,25 +628,42 @@ class SynthesisEstimate:
         return None if self.latency_cycles is None else self.latency_cycles + 1
 
 
-def _check_sizes(sv_count: int, feature_count: int) -> None:
+def _figure(cal, column, group, sv_count, feature_count, allow_point_reuse) -> tuple[float, str]:
+    """One fitted column of a (directive, regime) or clock-pairing group at (S, Fl).
+
+    Returns the value and its validity tag.  Refuses, in this order: an
+    uncalibrated group (UnknownCalibration), a size outside 1..2**53
+    (ValueError), another feature count (FlMismatch), and what Fit.at
+    refuses.
+    """
+    fit = cal.fits.get((column, *group))
+    if fit is None:
+        raise UnknownCalibration(f"{_figure_label(column, group)} is not calibrated")
     if not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):
         raise ValueError("sv_count and feature_count must be integers in 1..2**53")
+    if feature_count != fit.feature_count:
+        raise FlMismatch(
+            f"{fit.what} is calibrated for Fl={fit.feature_count}, not Fl={feature_count}"
+        )
+    return fit.at(sv_count, allow_point_reuse)
 
 
-def _lookup(cal: CalibrationSet, column, what, directive, regime_mhz, sv_count, feature_count):
-    """The Fit of one column of a (directive, regime) synthesis group.
-
-    Returns the fit, the group's key and its label.  A missing group is
-    refused before a bad size.
-    """
-    token = _directive_token(directive)
-    regime = _mhz(regime_mhz)
-    where = f"{token} at {format_mhz(regime)} MHz"
-    fit = cal.fits.get((column, token, regime))
-    if fit is None:
-        raise UnknownCalibration(f"no {what} calibration for {where}")
-    _check_sizes(sv_count, feature_count)
-    return fit, (token, regime), where
+def _latency(cal, design, sv_count, feature_count, allow_point_reuse) -> tuple[int, str]:
+    """The latency figure, bridged to another Fl by its per-feature slope where one fits."""
+    try:
+        value, validity = _figure(
+            cal, "latency_cycles", design, sv_count, feature_count, allow_point_reuse
+        )
+    except FlMismatch:
+        fit = cal.fits["latency_cycles", *design]
+        a, c = PER_FEATURE_SLOPES.get(design[0], (None, None))
+        if a is None or fit.slope is None or (
+            abs(fit.slope - (a * (fit.feature_count + 1) + c)) >= 1e-6
+        ):
+            raise
+        value = (a * (feature_count + 1.0) + c) * sv_count + fit.intercept
+        validity = EXTRAPOLATED
+    return max(0, int(round(value))), validity
 
 
 def estimate_latency(
@@ -639,65 +683,9 @@ def estimate_latency(
     decomposition and is always tagged extrapolated.
     """
     cal = calibration if calibration is not None else default_calibration()
-    fit, (token, _), where = _lookup(
-        cal, "latency_cycles", "latency", directive, regime_mhz, sv_count, feature_count
-    )
-    if feature_count == fit.feature_count:
-        value, validity = fit.at(sv_count, f"latency for {where}", allow_point_reuse)
-    else:
-        a, c = PER_FEATURE_SLOPES.get(token, (None, None))
-        if a is None or fit.slope is None or (
-            abs(fit.slope - (a * (fit.feature_count + 1) + c)) >= 1e-6
-        ):
-            raise FlMismatch(
-                f"{where} is calibrated for Fl={fit.feature_count}, not Fl={feature_count}"
-            )
-        value = (a * (feature_count + 1.0) + c) * sv_count + fit.intercept
-        validity = EXTRAPOLATED
-    return SynthesisEstimate(validity=validity, latency_cycles=max(0, int(round(value))))
-
-
-def estimate_resources(
-    sv_count: int,
-    feature_count: int,
-    directive,
-    regime_mhz,
-    *,
-    calibration: CalibrationSet | None = None,
-    allow_point_reuse: bool = False,
-) -> SynthesisEstimate:
-    """Predict BRAM/DSP/FF/LUT use for one directive.
-
-    Resource models never bridge feature counts: a mismatched Fl raises
-    FlMismatch.  DSP count is constant per (directive, regime): the
-    measured count at an anchor, the mean of the distinct measured counts
-    elsewhere.  The other three are affine in S like latency.
-    """
-    cal = calibration if calibration is not None else default_calibration()
-    bram_fit, (token, regime), where = _lookup(
-        cal, "bram", "resource", directive, regime_mhz, sv_count, feature_count
-    )
-    if feature_count != bram_fit.feature_count:
-        raise FlMismatch(
-            f"{where} resources are calibrated for Fl={bram_fit.feature_count},"
-            f" not Fl={feature_count}"
-        )
-    what = f"resources for {where}"
-    bram, v1 = bram_fit.at(sv_count, what, allow_point_reuse)
-    ff, v2 = cal.fits["ff", token, regime].at(sv_count, what, allow_point_reuse)
-    lut, v3 = cal.fits["lut", token, regime].at(sv_count, what, allow_point_reuse)
-    dsps = cal.dsp[token, regime]
-    dsp = dsps.get(sv_count)
-    if dsp is None:
-        distinct = set(dsps.values())
-        dsp = round(sum(distinct) / len(distinct))
-    return SynthesisEstimate(
-        validity=_worst(v1, v2, v3),
-        bram=max(0.0, bram),
-        dsp=dsp,
-        ff=max(0, int(round(ff))),
-        lut=max(0, int(round(lut))),
-    )
+    design = (_directive_token(directive), _mhz(regime_mhz))
+    latency, validity = _latency(cal, design, sv_count, feature_count, allow_point_reuse)
+    return SynthesisEstimate(validity=validity, latency_cycles=latency)
 
 
 def estimate_design(
@@ -709,18 +697,34 @@ def estimate_design(
     calibration: CalibrationSet | None = None,
     allow_point_reuse: bool = False,
 ) -> SynthesisEstimate:
-    """Latency and resources together, tagged with the worse validity."""
-    args = (sv_count, feature_count, directive, regime_mhz)
-    kwargs = {"calibration": calibration, "allow_point_reuse": allow_point_reuse}
-    lat = estimate_latency(*args, **kwargs)
-    res = estimate_resources(*args, **kwargs)
+    """Predict latency and BRAM/DSP/FF/LUT use for one directive.
+
+    Latency is estimate_latency's.  The resource figures never bridge
+    feature counts: another Fl raises FlMismatch.  BRAM, FF and LUT are
+    fitted in S like latency; DSP count is constant per (directive,
+    regime): the measured count at an anchor, the mean of the distinct
+    measured counts elsewhere.  The estimate carries the worst validity
+    of its figures.
+    """
+    cal = calibration if calibration is not None else default_calibration()
+    design = (_directive_token(directive), _mhz(regime_mhz))
+    args = (sv_count, feature_count, allow_point_reuse)
+    latency, v0 = _latency(cal, design, *args)
+    bram, v1 = _figure(cal, "bram", design, *args)
+    ff, v2 = _figure(cal, "ff", design, *args)
+    lut, v3 = _figure(cal, "lut", design, *args)
+    dsps = cal.dsp[design]
+    dsp = dsps.get(sv_count)
+    if dsp is None:
+        distinct = set(dsps.values())
+        dsp = round(sum(distinct) / len(distinct))
     return SynthesisEstimate(
-        validity=_worst(lat.validity, res.validity),
-        latency_cycles=lat.latency_cycles,
-        bram=res.bram,
-        dsp=res.dsp,
-        ff=res.ff,
-        lut=res.lut,
+        validity=_worst(v0, v1, v2, v3),
+        latency_cycles=latency,
+        bram=max(0.0, bram),
+        dsp=dsp,
+        ff=max(0, int(round(ff))),
+        lut=max(0, int(round(lut))),
     )
 
 
@@ -739,12 +743,11 @@ def clock_key(clocks) -> tuple[float, float]:
 def arm_timer_mhz(clocks, calibration: CalibrationSet | None = None) -> float:
     """The clock, in MHz, whose ticks a pairing's processor-cycle counts are."""
     cal = calibration if calibration is not None else default_calibration()
-    key = clock_key(clocks)
-    timer = cal.arm.get(key)
+    pairing = clock_key(clocks)
+    timer = cal.arm.get(pairing)
     if timer is None:
         raise UnknownCalibration(
-            f"no processor-cycle calibration for the FPGA {format_mhz(key[0])} MHz /"
-            f" ARM {format_mhz(key[1])} MHz pairing"
+            f"no processor-cycle calibration for the {_pairing_label(pairing)} pairing"
         )
     return timer
 
@@ -765,21 +768,9 @@ def estimate_arm_cycles(
     single-measurement pairings only reproduce their own S.
     """
     cal = calibration if calibration is not None else default_calibration()
-    key = clock_key(clocks)
-    arm_timer_mhz(key, cal)  # refuses an uncalibrated pairing
-    _check_sizes(sv_count, feature_count)
-    kind = "optimized" if optimized else "plain"
-    fit = cal.fits[(f"{kind}_cycles", *key)]
-    if feature_count != fit.feature_count:
-        raise FlMismatch(
-            f"processor cycles are calibrated for Fl={fit.feature_count},"
-            f" not Fl={feature_count}"
-        )
-    what = (
-        f"{kind} processor cycles for FPGA {format_mhz(key[0])} MHz /"
-        f" ARM {format_mhz(key[1])} MHz"
-    )
-    value, _validity = fit.at(sv_count, what, allow_point_reuse)
+    pairing = clock_key(clocks)
+    column = "optimized_cycles" if optimized else "plain_cycles"
+    value, _validity = _figure(cal, column, pairing, sv_count, feature_count, allow_point_reuse)
     return max(0, int(round(value)))
 
 
@@ -812,26 +803,20 @@ def explore(
     regime_mhz,
     *,
     calibration: CalibrationSet | None = None,
-    directives: Sequence | None = None,
 ) -> list[ExploreEntry]:
     """Pareto front over (latency, DSP, LUT, FF, BRAM), all minimized.
 
-    Candidates are every directive calibrated for the regime (or the
-    given subset).  Directives whose calibration cannot produce a full
-    estimate at this (S, Fl), e.g. single-anchor entries at a different
-    S, are skipped.  Each entry carries the power draw measured for the
+    Candidates are every directive calibrated for the regime.  Directives
+    whose calibration cannot produce a full estimate at this (S, Fl), e.g.
+    single-anchor entries at a different S, are skipped.  Each entry carries the power draw measured for the
     design built at this S with its directive, if any.  The front comes
     back sorted by latency, ties broken by directive name.
     """
     cal = calibration if calibration is not None else default_calibration()
     regime = _mhz(regime_mhz)
-    if directives is None:
-        tokens = cal.directives_for(regime)
-    else:
-        tokens = tuple(_directive_token(d) for d in directives)
     candidates: list[ExploreEntry] = []
     costs = []
-    for token in tokens:
+    for token in cal.directives_for(regime):
         cfg = DirectiveConfig.parse(token)
         try:
             est = estimate_design(sv_count, feature_count, cfg, regime, calibration=cal)
@@ -921,6 +906,6 @@ def load_calibration(text: str) -> CalibrationSet:
             if not isinstance(rows, list):
                 raise ValueError(f"{kind!r} must be a list of records")
             records += [_record(kind, cells) for cells in rows]
-        return _fitted(records)
+        return CalibrationSet(tuple(records))
     except ValueError as exc:
         raise CalibrationError(f"calibration file is malformed: {exc}") from None

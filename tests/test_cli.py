@@ -575,6 +575,11 @@ class TestGen:
         got = kv(out)
         assert got["sv_count"] == "4" and got["instances"] == "32"
 
+    def test_size_beyond_the_dense_limit_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gen", "1000000000000000", "27", "1", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()

@@ -232,6 +232,18 @@ class TestInstanceAndDataset:
         with pytest.raises(MalformedInstance):
             parse_test_instance("   \n")
 
+    def test_instance_beyond_binary32_is_refused_without_a_warning(self):
+        with pytest.raises(MalformedInstance, match="non-finite"):
+            TestInstance(np.array([1e39, 1.0]))
+
+    @given(st.text(max_size=200), st.one_of(st.none(), st.integers(1, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_instance_parser_is_total(self, text, feature_count):
+        try:
+            parse_test_instance(text, feature_count)
+        except SvmSocError:
+            pass
+
     def test_dataset_parse_and_round_trip(self):
         ds = load_dataset("1,2,1\n-0.5,0.25,-1\n")
         assert len(ds) == 2 and ds.labels == (1, -1)
@@ -302,6 +314,10 @@ class TestLabeledDataset:
         rows[0, 0] = 9.0
         assert ds.features[0, 0] == 0.5 and not ds.features.flags.writeable
 
+    def test_beyond_binary32_is_refused_without_a_warning(self):
+        with pytest.raises(MalformedDataset, match="non-finite"):
+            LabeledDataset(np.array([[1e39, 1.0]]), (1,))
+
     def test_equality_compares_bits(self):
         plus = LabeledDataset(np.array([[0.0, 1.0]], np.float32), (1,))
         minus = LabeledDataset(np.array([[-0.0, 1.0]], np.float32), (1,))
@@ -355,6 +371,20 @@ class TestStreamFrames:
         with pytest.raises(MalformedModel):
             parse_stream(StreamFrame(words), 2, 2)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_stream_is_total(self, data):
+        sizes = st.one_of(st.integers(1, 6), st.integers(1, 2**64))
+        s, fl = data.draw(sizes), data.draw(sizes)
+        # mostly a frame of the right length, its words any bit patterns
+        size = 4 * StreamFrame.word_count(s, fl) + data.draw(st.sampled_from([0, 0, 0, -4, -1, 3]))
+        fits = size <= 400
+        raw = data.draw(st.binary(min_size=size if fits else 0, max_size=size if fits else 400))
+        try:
+            parse_stream(StreamFrame.from_bytes(raw), s, fl)
+        except SvmSocError:
+            pass
+
     @given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_round_trip_is_bit_exact(self, s, fl, seed):
@@ -387,6 +417,27 @@ class TestModelValidation:
         m = TrainedModel(np.array([[0.1]]), np.array([1.0]), 0.1)
         assert m.support_vectors.dtype == np.float32
         assert m.bias == float(np.float32(0.1))
+
+    @pytest.mark.parametrize(
+        "svs, weights, bias",
+        [([[1e39, 1.0]], [1.0], 0.0), ([[1.0, 1.0]], [-1e39], 0.0), ([[1.0, 1.0]], [1.0], 1e39)],
+        ids=["support-vector", "weight", "bias"],
+    )
+    def test_beyond_binary32_is_refused_without_a_warning(self, svs, weights, bias):
+        with pytest.raises(MalformedModel, match="finite"):
+            TrainedModel(np.array(svs), np.array(weights), bias)
+
+    def test_equality_compares_the_bias_bits(self):
+        plus = TrainedModel(np.ones((1, 2), np.float32), np.ones(1, np.float32), 0.0)
+        minus = TrainedModel(np.ones((1, 2), np.float32), np.ones(1, np.float32), -0.0)
+        assert plus != minus
+        assert minus == TrainedModel(minus.support_vectors, minus.alpha_y, -0.0)
+
+    def test_negative_zero_bias_survives_the_native_round_trip(self):
+        model = TrainedModel(np.ones((1, 2), np.float32), np.ones(1, np.float32), -0.0)
+        svs, alpha = emit_native_model(model)
+        assert alpha.splitlines()[0] == "-0.0"
+        assert parse_native_model(svs, alpha) == model
 
 
 # Bit patterns where formatting is easy to get wrong: NaN payloads and
@@ -552,6 +603,10 @@ class TestMakeSynthetic:
     def test_degenerate_sizes(self):
         m, ds = make_synthetic(1, 1, 0, instances=4)
         assert m.sv_count == 1 and len(ds) == 4
+
+    def test_sizes_beyond_the_dense_limit_are_refused(self):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_DENSE_VALUES} values"):
+            make_synthetic(10**15, 27, 1)
 
 
 def _svmlight_body(*lines: str) -> str:

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from svmsoc import (
     estimate_design,
     estimate_latency,
     estimate_power,
-    estimate_resources,
     explore,
     fit_calibration,
     load_calibration,
@@ -306,8 +306,7 @@ class TestLatencyEstimates:
 
     def test_throughput_derives_from_latency(self):
         assert SynthesisEstimate(ANCHOR_EXACT, latency_cycles=14138).throughput_cycles == 14139
-        res = estimate_resources(248, 27, "pipeline-inner", 100)
-        assert res.latency_cycles is None and res.throughput_cycles is None
+        assert SynthesisEstimate(ANCHOR_EXACT, bram=19.0).throughput_cycles is None
 
     @given(st.integers(1, 500))
     @settings(max_examples=60, deadline=None)
@@ -347,12 +346,12 @@ class TestLatencyEstimates:
 class TestResourceEstimates:
     @pytest.mark.parametrize("row", SHIPPED_ANCHORS, ids=lambda r: f"{r.directive}@{r.regime_mhz:g}/S{r.sv_count}")
     def test_every_anchor_reproduces_exactly(self, row):
-        est = estimate_resources(row.sv_count, row.feature_count, row.directive, row.regime_mhz)
+        est = estimate_design(row.sv_count, row.feature_count, row.directive, row.regime_mhz)
         assert (est.bram, est.dsp, est.ff, est.lut) == (row.bram, row.dsp, row.ff, row.lut)
         assert est.validity == ANCHOR_EXACT
 
     def test_midpoint_interpolation(self):
-        est = estimate_resources(297, 27, "pipeline-inner", 100)
+        est = estimate_design(297, 27, "pipeline-inner", 100)
         assert est.bram == 27.0  # halfway between the 19 and 35 anchors
         assert est.dsp == 5
         assert est.ff == 1254  # 1254.5 rounds to even
@@ -361,20 +360,20 @@ class TestResourceEstimates:
 
     def test_dsp_constant_across_s(self):
         for s in (50, 248, 300, 346, 400):
-            assert estimate_resources(s, 27, "unroll-inner", 100).dsp == 135
+            assert estimate_design(s, 27, "unroll-inner", 100).dsp == 135
 
     def test_no_feature_count_generalization(self):
         with pytest.raises(FlMismatch):
-            estimate_resources(248, 30, "interface-only", 100)
+            estimate_design(248, 30, "interface-only", 100)
 
     def test_single_anchor_behavior(self):
         with pytest.raises(UnknownCalibration):
-            estimate_resources(100, 27, "pipeline-all", 250)
-        est = estimate_resources(100, 27, "pipeline-all", 250, allow_point_reuse=True)
+            estimate_design(100, 27, "pipeline-all", 250)
+        est = estimate_design(100, 27, "pipeline-all", 250, allow_point_reuse=True)
         assert (est.bram, est.dsp) == (30.0, 105) and est.validity == EXTRAPOLATED
 
     def test_extrapolation_never_goes_negative(self):
-        est = estimate_resources(1, 27, "partition-cyclic-8", 100)
+        est = estimate_design(1, 27, "partition-cyclic-8", 100)
         assert est.bram >= 0 and est.ff >= 0 and est.lut >= 0
 
     def test_combined_design_estimate(self):
@@ -382,6 +381,40 @@ class TestResourceEstimates:
         assert (est.latency_cycles, est.throughput_cycles) == (14138, 14139)
         assert (est.bram, est.dsp, est.ff, est.lut) == (19.0, 5, 1251, 2477)
         assert est.validity == ANCHOR_EXACT
+
+
+REFUSALS = [
+    # (estimator call, exception type, the label of the figure it refuses)
+    (lambda: estimate_latency(248, 27, "pipeline-inner", 333), UnknownCalibration,
+     "latency for pipeline-inner at 333 MHz"),
+    (lambda: estimate_latency(248, 30, "unroll-most", 100), FlMismatch,
+     "latency for unroll-most at 100 MHz"),
+    (lambda: estimate_latency(100, 27, "unroll-most", 250), UnknownCalibration,
+     "latency for unroll-most at 250 MHz"),
+    (lambda: estimate_design(248, 27, "unroll-partial-4", 100), UnknownCalibration,
+     "latency for unroll-partial-4 at 100 MHz"),
+    (lambda: estimate_design(248, 30, "interface-only", 100), FlMismatch,
+     "bram for interface-only at 100 MHz"),
+    (lambda: estimate_design(100, 27, "pipeline-all", 250), UnknownCalibration,
+     "latency for pipeline-all at 250 MHz"),
+    (lambda: estimate_arm_cycles(61, 27, (250, 500)), UnknownCalibration,
+     "plain processor cycles for FPGA 250 MHz / ARM 500 MHz"),
+    (lambda: estimate_arm_cycles(61, 13, (250, 250), optimized=True), FlMismatch,
+     "optimized processor cycles for FPGA 250 MHz / ARM 250 MHz"),
+    (lambda: estimate_arm_cycles(100, 27, (250, 666.67)), UnknownCalibration,
+     "plain processor cycles for FPGA 250 MHz / ARM 666.67 MHz"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, label",
+    REFUSALS,
+    ids=[f"{est}-{why}" for est in ("latency", "design", "arm")
+         for why in ("missing", "other-fl", "single-anchor")],
+)
+def test_refusal_names_its_figure(call, error, label):
+    with pytest.raises(error, match=re.escape(label)):
+        call()
 
 
 class TestArmCycles:
@@ -472,11 +505,15 @@ def brute_force_front(sv_count, feature_count, regime):
     return front
 
 
+def subset_calibration(*directives):
+    """The calibration fitted from the shipped synthesis runs of these directives."""
+    return fit_calibration([r for r in SHIPPED_ANCHORS if r.directive in directives])
+
+
 class TestExplore:
     def test_three_candidate_subset_all_survive(self):
-        front = explore(
-            248, 27, 100, directives=["interface-only", "pipeline-inner", "unroll-inner"]
-        )
+        cal = subset_calibration("interface-only", "pipeline-inner", "unroll-inner")
+        front = explore(248, 27, 100, calibration=cal)
         assert [e.directive.name for e in front] == [
             "unroll-inner",
             "pipeline-inner",
@@ -484,7 +521,7 @@ class TestExplore:
         ]
 
     def test_single_candidate_comes_back_alone(self):
-        front = explore(248, 27, 100, directives=["pipeline-most"])
+        front = explore(248, 27, 100, calibration=subset_calibration("pipeline-most"))
         assert len(front) == 1 and front[0].directive.name == "pipeline-most"
 
     @pytest.mark.parametrize("s,regime", [(248, 100), (346, 100), (61, 250)])
@@ -539,6 +576,21 @@ class TestCalibrationPersistence:
         text = save_calibration(cal)
         again = save_calibration(load_calibration(text))
         assert text == again
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            default_calibration,
+            # the records in reverse, so the power lines come first
+            lambda: fit_calibration(
+                parse_anchor_csv("\n".join(map(csv_line, SHIPPED_RECORDS[::-1])))
+            ),
+        ],
+        ids=["built-in", "anchor-csv"],
+    )
+    def test_load_of_save_equals_the_calibration(self, make):
+        cal = make()
+        assert load_calibration(save_calibration(cal)) == cal
 
     def test_loaded_calibration_estimates_identically(self):
         cal = load_calibration(save_calibration(default_calibration()))
@@ -657,7 +709,7 @@ class TestCalibrationPersistence:
                 row[5] = 0.0 if row[0] == 248 else 1e306
         cal = load_calibration(json.dumps(doc))
         with pytest.raises(CalibrationError, match="not finite at S=1000"):
-            estimate_resources(1000, 27, "unroll-most", 100, calibration=cal)
+            estimate_design(1000, 27, "unroll-most", 100, calibration=cal)
 
 
 def _leaf_paths(node, path=()):
