@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import le
 from typing import NamedTuple, Sequence, Union
@@ -518,6 +518,11 @@ class CalibrationSet:
     """
 
     records: tuple[Record, ...]
+    fits: dict[tuple, Fit] = field(init=False, repr=False, compare=False)
+    dsp: dict[tuple, dict[int, int]] = field(init=False, repr=False, compare=False)
+    arm: dict[tuple, float] = field(init=False, repr=False, compare=False)
+    cosim_cycles: dict[tuple, int] = field(init=False, repr=False, compare=False)
+    power: dict[tuple, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table: dict[tuple, Record] = {}
@@ -551,10 +556,12 @@ class CalibrationSet:
             where = _pairing_label(pairing)
             fits.update(_group_fits(rows, pairing, where, _ARM_FIGURES))
             timers[pairing] = _shared(rows, "timer_mhz", where)
-        # frozen: the derived attributes go straight into the instance dict
-        vars(self).update(
-            records=records, fits=fits, dsp=dsp, arm=timers, cosim_cycles=cosim_cycles, power=power
-        )
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "fits", fits)
+        object.__setattr__(self, "dsp", dsp)
+        object.__setattr__(self, "arm", timers)
+        object.__setattr__(self, "cosim_cycles", cosim_cycles)
+        object.__setattr__(self, "power", power)
 
     def directives_for(self, regime_mhz: float) -> tuple[str, ...]:
         r = _mhz(regime_mhz)
@@ -655,7 +662,7 @@ def _latency(cal, design, sv_count, feature_count, allow_point_reuse) -> tuple[i
             cal, "latency_cycles", design, sv_count, feature_count, allow_point_reuse
         )
     except FlMismatch:
-        fit = cal.fits["latency_cycles", *design]
+        fit = cal.fits[("latency_cycles", *design)]
         a, c = PER_FEATURE_SLOPES.get(design[0], (None, None))
         if a is None or fit.slope is None or (
             abs(fit.slope - (a * (fit.feature_count + 1) + c)) >= 1e-6
@@ -808,9 +815,10 @@ def explore(
 
     Candidates are every directive calibrated for the regime.  Directives
     whose calibration cannot produce a full estimate at this (S, Fl), e.g.
-    single-anchor entries at a different S, are skipped.  Each entry carries the power draw measured for the
-    design built at this S with its directive, if any.  The front comes
-    back sorted by latency, ties broken by directive name.
+    single-anchor entries at a different S, are skipped.  Each entry
+    carries the power draw measured for the design built at this S with
+    its directive, if any.  The front comes back sorted by latency, ties
+    broken by directive name.
     """
     cal = calibration if calibration is not None else default_calibration()
     regime = _mhz(regime_mhz)

@@ -1,11 +1,13 @@
 """Structural rules of the package, read from its source with ast.
 
 No module imports another module's private (_underscore) names, every
-name a module lists in __all__ is bound at its top level, and the cost
-models import numpy only where a least-squares fit needs it.
+name a module lists in __all__ is bound at its top level, the cost
+models import numpy only where a least-squares fit needs it, and every
+module parses on the oldest Python that pyproject.toml admits.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,42 @@ def test_synth_has_no_module_level_numpy_import():
     assert "numpy" not in _top_level_imports(_tree(PACKAGE / "synth.py"))
 
 
+MIN_PYTHON = tuple(
+    int(part)
+    for part in re.search(
+        r'requires-python\s*=\s*">=(\d+)\.(\d+)"',
+        (Path(__file__).parents[1] / "pyproject.toml").read_text(),
+    ).groups()
+)
+
+
+def _newer_syntax(source: str) -> list[str]:
+    """Constructs in source that the oldest supported Python cannot parse.
+
+    ast's feature_version misses a starred item in a bare subscript tuple,
+    x[a, *b], which only parses from 3.11 (PEP 646); x[(a, *b)] parses on 3.10.
+    """
+    try:
+        tree = ast.parse(source, feature_version=MIN_PYTHON)
+    except SyntaxError as exc:
+        return [f"line {exc.lineno}: {exc.msg}"]
+    if MIN_PYTHON >= (3, 11):
+        return []
+    return [
+        f"line {node.lineno}: {ast.get_source_segment(source, node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Tuple)
+        and any(isinstance(e, ast.Starred) for e in node.slice.elts)
+        and not ast.get_source_segment(source, node.slice).startswith("(")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_parses_on_the_oldest_supported_python(path):
+    assert _newer_syntax(path.read_text()) == []
+
+
 def test_checks_catch_violations():
     bad = ast.parse(
         "from .synth import _mhz\n"
@@ -115,3 +153,8 @@ def test_checks_catch_violations():
     assert _top_level_imports(ast.parse("import numpy as np\nfrom numpy import linalg\n")) == {
         "numpy"
     }
+    assert MIN_PYTHON == (3, 10)
+    assert _newer_syntax('f = fits["lat", *design]\n') == ['line 1: fits["lat", *design]']
+    assert _newer_syntax('f = fits[("lat", *design)]\n') == []
+    assert _newer_syntax("match x:\n    case 1:\n        pass\n") == []
+    assert _newer_syntax("try:\n    pass\nexcept* ValueError:\n    pass\n") != []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -35,6 +36,7 @@ from svmsoc.synth import (
     SHIPPED_ANCHORS,
     SHIPPED_RECORDS,
     ArmRecord,
+    CalibrationSet,
     CosimRecord,
     PowerRecord,
     SynthesisEstimate,
@@ -591,6 +593,15 @@ class TestCalibrationPersistence:
     def test_load_of_save_equals_the_calibration(self, make):
         cal = make()
         assert load_calibration(save_calibration(cal)) == cal
+
+    def test_derived_indices_are_declared_but_not_arguments(self):
+        derived = {"fits", "dsp", "arm", "cosim_cycles", "power"}
+        fields = {f.name: f for f in dataclasses.fields(CalibrationSet)}
+        assert set(fields) == {"records"} | derived
+        assert not any(fields[name].init or fields[name].compare for name in derived)
+        cal = default_calibration()
+        again = CalibrationSet(cal.records + cal.records)  # a repeated record counts once
+        assert again == cal and hash(again) == hash(cal)
 
     def test_loaded_calibration_estimates_identically(self):
         cal = load_calibration(save_calibration(default_calibration()))
