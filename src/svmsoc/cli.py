@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: classify, cosim, synth, explore, fit, gen.  Exit codes are
-0 on success, 1 for input problems (unreadable or malformed files, bad
-dimensions, unknown directive names), 2 when a cost-model lookup has no
-calibration to stand on.
+0 on success, 1 for input problems (a bad, missing or unknown command-line
+argument, unreadable or malformed files, bad dimensions, unknown directive
+names), 2 when a cost-model lookup has no calibration to stand on.  Every
+failure prints one "error:" line on stderr and nothing on stdout.
 
 Every command takes --machine for key=value output; those renderings are
 byte-stable for identical inputs and carry the same formatted numbers as
@@ -319,9 +320,21 @@ def _add_common(p: argparse.ArgumentParser, calibration=False):
         p.add_argument("--calibration", help="calibration JSON (default: built-in)")
 
 
+class _UsageError(Exception):
+    """A command line the parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and, through add_subparsers, its subparsers) whose
+    usage errors raise _UsageError instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svmsoc",
         description="Linear-SVM streaming accelerator simulator and cost models",
     )
@@ -381,13 +394,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         out = args.func(args)
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SvmSocError, ValueError, OSError) as exc:
+    except (_UsageError, SvmSocError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(out)

@@ -42,7 +42,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import le
 from typing import NamedTuple, Sequence, Union
 
@@ -127,6 +127,14 @@ _DIRECTIVES = {
 }
 
 
+_ALIASES = {
+    "interface": "interface-only",
+    "interfaces": "interface-only",
+    "baseline": "interface-only",
+    "complete": "partition-complete",
+}
+
+
 @dataclass(frozen=True)
 class DirectiveConfig:
     """One synthesis optimization directive, held as its name.
@@ -163,16 +171,12 @@ class DirectiveConfig:
         Underscores and hyphens are interchangeable; the array- prefix on
         partition/resource names and bare partition styles are accepted.
         """
+        if type(token) is str and _DIRECTIVES.get(token) is False:
+            return cls(token)  # already a canonical factorless name
         t = token.strip().lower().replace("_", "-")
         if t.startswith(("array-partition-", "array-resource-")):
             t = t[len("array-") :]
-        aliases = {
-            "interface": "interface-only",
-            "interfaces": "interface-only",
-            "baseline": "interface-only",
-            "complete": "partition-complete",
-        }
-        t = aliases.get(t, t)
+        t = _ALIASES.get(t, t)
         if t.count("-") == 1 and t.split("-")[0] in ("cyclic", "block"):
             t = "partition-" + t
         if _DIRECTIVES.get(t) is False:
@@ -188,6 +192,8 @@ class DirectiveConfig:
 
 
 def _directive_token(directive) -> str:
+    if type(directive) is str and _DIRECTIVES.get(directive) is False:
+        return directive
     if isinstance(directive, DirectiveConfig):
         return directive.name
     return DirectiveConfig.parse(str(directive)).name
@@ -257,12 +263,24 @@ def _integer(value, least: int) -> int:
     return value
 
 
-_count = partial(_integer, least=1)  # a size, an id or a cycle count
-_measure = partial(_integer, least=0)  # a measured count that may be zero
+def _count(value) -> int:
+    """A size, an id or a cycle count."""
+    if type(value) is int and 0 < value <= MAX_COUNT:
+        return value
+    return _integer(value, 1)
+
+
+def _measure(value) -> int:
+    """A measured count that may be zero."""
+    if type(value) is int and 0 <= value <= MAX_COUNT:
+        return value
+    return _integer(value, 0)
 
 
 def _amount(value) -> float:
     """A finite, non-negative real such as a BRAM count or a power draw."""
+    if type(value) is float and 0 <= value < math.inf:
+        return value
     if isinstance(value, str):
         value = float(value)
     elif not isinstance(value, float):
@@ -273,6 +291,8 @@ def _amount(value) -> float:
 
 
 def _clock(value) -> float:
+    if type(value) is float and 0 < value < math.inf and round(value, 2) == value:
+        return value
     return _mhz(_amount(value))
 
 
@@ -317,13 +337,21 @@ def _record(kind: str, cells) -> Record:
         raise ValueError(f"{kind} record must be a list, got {type(cells).__name__}")
     if len(cells) != len(checks):
         raise ValueError(f"{kind} record has {len(checks)} columns, got {len(cells)}")
-    values = []
+    try:
+        return row_type(*[check(cell) for check, cell in zip(checks, cells)])
+    except ValueError:
+        raise ValueError(_record_fault(kind, cells)) from None
+
+
+def _record_fault(kind: str, cells) -> str:
+    """The message for the first faulty cell of a record that has one."""
+    row_type, checks, _ = _SCHEMA[kind]
     for name, check, cell in zip(row_type._fields, checks, cells):
         try:
-            values.append(check(cell))
+            check(cell)
         except ValueError as exc:
-            raise ValueError(f"{kind} {name}: {exc}") from None
-    return row_type(*values)
+            return f"{kind} {name}: {exc}"
+    raise AssertionError("record has no fault")
 
 
 # Vendor-tool synthesis results for the shipped classifier sizes.
@@ -411,29 +439,36 @@ class Fit:
     interpolation carries no slope round-off; three or more give the
     least-squares line.  points maps each measured S to its value,
     feature_count is the Fl the quantity was measured at, and what is the
-    label every message gives it.  A line that is not finite is refused
-    with ValueError.
+    label every message gives it; it may be given as a calibration's
+    (column, *group) fits key, and is then formatted only when read.  A
+    line that is not finite is refused with ValueError.
     """
 
-    __slots__ = ("feature_count", "points", "lo", "hi", "slope", "intercept", "what")
+    __slots__ = ("feature_count", "points", "lo", "hi", "slope", "intercept", "_what")
 
-    def __init__(self, feature_count: int, points: Sequence[tuple[int, float]], what: str):
+    def __init__(
+        self, feature_count: int, points: Sequence[tuple[int, float]], what: str | tuple
+    ):
         pts = sorted(points)
         self.feature_count = feature_count
-        self.what = what
+        self._what = what
         self.points = dict(pts)
         self.lo, self.hi = pts[0][0], pts[-1][0]
-        self.slope = self.intercept = None
+        slope = intercept = None
         if len(pts) == 2:
             (s1, v1), (s2, v2) = pts
-            self.slope = (v2 - v1) / (s2 - s1)
-            self.intercept = v1 - self.slope * s1
+            slope = (v2 - v1) / (s2 - s1)
+            intercept = v1 - slope * s1
         elif len(pts) > 2:
-            self.slope, self.intercept = _least_squares(pts, what)
-        if self.slope is not None and not (
-            math.isfinite(self.slope) and math.isfinite(self.intercept)
-        ):
-            raise ValueError(f"the fitted line of {what} is not finite")
+            slope, intercept = _least_squares(pts, self)
+        self.slope, self.intercept = slope, intercept
+        if slope is not None and not (math.isfinite(slope) and math.isfinite(intercept)):
+            raise ValueError(f"the fitted line of {self.what} is not finite")
+
+    @property
+    def what(self) -> str:
+        what = self._what
+        return what if type(what) is str else _figure_label(what[0], what[1:])
 
     def at(self, sv_count: int, allow_point_reuse: bool) -> tuple[float, str]:
         """The value at S and its validity tag."""
@@ -459,7 +494,7 @@ class Fit:
         return value, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
 
 
-def _least_squares(points, what: str) -> tuple[float, float]:
+def _least_squares(points, fit: Fit) -> tuple[float, float]:
     import numpy as np
 
     with warnings.catch_warnings():
@@ -469,7 +504,7 @@ def _least_squares(points, what: str) -> tuple[float, float]:
                 [float(s) for s, _ in points], [v for _, v in points], 1
             )
         except RuntimeWarning as exc:
-            raise ValueError(f"no least-squares line fits {what}: {exc}") from None
+            raise ValueError(f"no least-squares line fits {fit.what}: {exc}") from None
     return float(slope), float(intercept)
 
 
@@ -526,36 +561,39 @@ class CalibrationSet:
 
     def __post_init__(self):
         table: dict[tuple, Record] = {}
+        by_kind: dict[type, list[Record]] = {row_type: [] for row_type in _KIND}
         for rec in self.records:
             kind = _KIND[type(rec)]
-            prev = table.setdefault((kind, *rec[: _SCHEMA[kind][2]]), rec)
-            if prev != rec:
+            key = (kind, *rec[: _SCHEMA[kind][2]])
+            prev = table.get(key)
+            if prev is None:
+                table[key] = rec
+                by_kind[type(rec)].append(rec)
+            elif prev != rec:
                 raise ValueError(f"conflicting {kind} records {tuple(prev)} and {tuple(rec)}")
-        records = tuple(r for t in _KIND for r in table.values() if type(r) is t)
         synth, arm, cosim_cycles, power, designs = {}, {}, {}, {}, set()
-        for rec in records:
-            if type(rec) is AnchorRow:
-                synth.setdefault((rec.directive, rec.regime_mhz), []).append(rec)
-            elif type(rec) is ArmRecord:
-                arm.setdefault((rec.fpga_mhz, rec.arm_mhz), []).append(rec)
-            elif type(rec) is CosimRecord:
-                key = (rec.sv_count, rec.feature_count, rec.directive, (rec.fpga_mhz, rec.arm_mhz))
-                cosim_cycles[key] = rec.cycles
-            else:
-                design = (rec.model_id, rec.design_id)
-                if design in designs:
-                    raise ValueError(f"conflicting power records for {design}")
-                designs.add(design)
-                power[(rec.sv_count, rec.directive)] = rec.watts
+        for rec in by_kind[AnchorRow]:
+            synth.setdefault((rec.directive, rec.regime_mhz), []).append(rec)
+        for rec in by_kind[ArmRecord]:
+            arm.setdefault((rec.fpga_mhz, rec.arm_mhz), []).append(rec)
+        for rec in by_kind[CosimRecord]:
+            key = (rec.sv_count, rec.feature_count, rec.directive, (rec.fpga_mhz, rec.arm_mhz))
+            cosim_cycles[key] = rec.cycles
+        for rec in by_kind[PowerRecord]:
+            design = (rec.model_id, rec.design_id)
+            if design in designs:
+                raise ValueError(f"conflicting power records for {design}")
+            designs.add(design)
+            power[(rec.sv_count, rec.directive)] = rec.watts
 
         fits, dsp, timers = {}, {}, {}
         for design, rows in synth.items():
-            fits.update(_group_fits(rows, design, _design_label(design), _SYNTH_FIGURES))
+            _group_fits(fits, rows, design, _design_label, _SYNTH_FIGURES)
             dsp[design] = {r.sv_count: r.dsp for r in rows}
         for pairing, rows in arm.items():
-            where = _pairing_label(pairing)
-            fits.update(_group_fits(rows, pairing, where, _ARM_FIGURES))
-            timers[pairing] = _shared(rows, "timer_mhz", where)
+            _group_fits(fits, rows, pairing, _pairing_label, _ARM_FIGURES)
+            timers[pairing] = _shared(rows, "timer_mhz", pairing, _pairing_label)
+        records = tuple(rec for rows in by_kind.values() for rec in rows)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "fits", fits)
         object.__setattr__(self, "dsp", dsp)
@@ -568,24 +606,21 @@ class CalibrationSet:
         return tuple(sorted(d for d, reg in self.dsp if reg == r))
 
 
-def _shared(rows, column: str, where: str):
+def _shared(rows, column: str, group: tuple, label):
+    """The one value of a column across a group's records; label names the group."""
     values = {getattr(r, column) for r in rows}
     if len(values) != 1:
-        raise ValueError(f"records for {where} mix {column} values {sorted(values)}")
+        raise ValueError(f"records for {label(group)} mix {column} values {sorted(values)}")
     return values.pop()
 
 
-def _group_fits(rows, group: tuple, where: str, columns) -> dict[tuple, Fit]:
-    """One Fit in S per fitted column of a group of records at one Fl."""
-    fl = _shared(rows, "feature_count", where)
-    return {
-        (column, *group): Fit(
-            fl,
-            [(r.sv_count, float(getattr(r, column))) for r in rows],
-            _figure_label(column, group),
-        )
-        for column in columns
-    }
+def _group_fits(fits: dict, rows, group: tuple, label, columns) -> None:
+    """Add one Fit in S per fitted column of a group of records at one Fl to fits."""
+    fl = _shared(rows, "feature_count", group, label)
+    svs = [r.sv_count for r in rows]
+    for column in columns:
+        key = (column, *group)
+        fits[key] = Fit(fl, zip(svs, [float(getattr(r, column)) for r in rows]), key)
 
 
 def fit_calibration(rows: Sequence[Record | tuple]) -> CalibrationSet:
@@ -715,6 +750,13 @@ def estimate_design(
     """
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
+    return _design_estimate(cal, design, sv_count, feature_count, allow_point_reuse)
+
+
+def _design_estimate(
+    cal, design, sv_count, feature_count, allow_point_reuse
+) -> SynthesisEstimate:
+    """estimate_design for a (directive name, regime MHz) design key, read as is."""
     args = (sv_count, feature_count, allow_point_reuse)
     latency, v0 = _latency(cal, design, *args)
     bram, v1 = _figure(cal, "bram", design, *args)
@@ -822,29 +864,33 @@ def explore(
     """
     cal = calibration if calibration is not None else default_calibration()
     regime = _mhz(regime_mhz)
-    candidates: list[ExploreEntry] = []
-    costs = []
-    for token in cal.directives_for(regime):
-        cfg = DirectiveConfig.parse(token)
+    candidates = []
+    for token, mhz in cal.dsp:
+        if mhz != regime:
+            continue
         try:
-            est = estimate_design(sv_count, feature_count, cfg, regime, calibration=cal)
+            est = _design_estimate(cal, (token, mhz), sv_count, feature_count, False)
         except (UnknownCalibration, FlMismatch):
             continue
-        candidates.append(ExploreEntry(cfg, est, cal.power.get((sv_count, cfg.name))))
-        costs.append((est.latency_cycles, est.dsp, est.lut, est.ff, est.bram))
+        candidates.append(((est.latency_cycles, est.dsp, est.lut, est.ff, est.bram), token, est))
     if not candidates:
         raise UnknownCalibration(
             f"no directive calibrated at {format_mhz(regime)} MHz can estimate"
             f" S={sv_count}, Fl={feature_count}"
         )
-    # a cost dominates another when it differs and is no worse anywhere
-    front = [
-        c
-        for c, cost in zip(candidates, costs)
-        if not any(other != cost and all(map(le, other, cost)) for other in costs)
+    # A cost dominates another when it differs and is no worse anywhere, so
+    # it sorts first, and so does whatever front member dominates it in
+    # turn: in cost order, each candidate is tested against the front so far.
+    candidates.sort()
+    front = []
+    for cost, token, est in candidates:
+        if not any(other != cost and all(map(le, other, cost)) for other, _, _ in front):
+            front.append((cost, token, est))
+    front.sort(key=lambda c: (c[0][0], c[1]))
+    return [
+        ExploreEntry(DirectiveConfig.parse(token), est, cal.power.get((sv_count, token)))
+        for _, token, est in front
     ]
-    front.sort(key=lambda e: (e.estimate.latency_cycles, e.directive.name))
-    return front
 
 
 # --------------------------------------------------------------------------

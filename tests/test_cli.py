@@ -581,6 +581,31 @@ class TestGen:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "248", "27", "pipeline-inner", "abc"],
+         "argument regime_mhz: invalid float value: 'abc'"),
+        (["explore", "24x", "27", "100"], "argument sv_count: invalid int value: '24x'"),
+        (["synth", "248", "27", "pipeline-inner"],
+         "the following arguments are required: regime_mhz"),
+        (["warp", "248"], "argument command: invalid choice: 'warp'"),
+    ],
+    ids=["bad-float", "bad-int", "missing-argument", "unknown-command"],
+)
+def test_usage_error_is_one_error_line_and_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: svmsoc synth [-h]")
+
+
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 

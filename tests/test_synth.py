@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 import warnings
@@ -40,6 +41,7 @@ from svmsoc.synth import (
     CosimRecord,
     PowerRecord,
     SynthesisEstimate,
+    _DIRECTIVES,
 )
 
 CSV_HEADER = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,dsp,ff,lut"
@@ -139,6 +141,72 @@ class TestDirectiveConfig:
             DirectiveConfig("unroll-partial")
         with pytest.raises(ValueError):
             DirectiveConfig("partition-complete", factor=2)
+
+    def test_every_name_parses_as_its_normalised_spelling(self):
+        for name in DIRECTIVE_NAMES:
+            for upper, underscore, spaces, array in itertools.product((False, True), repeat=4):
+                token = "array-" + name if array else name
+                token = token.replace("-", "_") if underscore else token
+                token = token.upper() if upper else token
+                token = f"  {token} " if spaces else token
+                assert _parse_outcome(DirectiveConfig.parse, token) == _parse_outcome(
+                    _parse_by_normalising, token
+                ), token
+
+    @given(
+        st.one_of(
+            st.text(max_size=24),
+            st.tuples(st.sampled_from(sorted(_DIRECTIVES)), st.text(max_size=4)).map("-".join),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_normalising_on_any_text(self, token):
+        assert _parse_outcome(DirectiveConfig.parse, token) == _parse_outcome(
+            _parse_by_normalising, token
+        )
+
+
+# Every directive prefix bare, and every directive name with factors 2..64.
+DIRECTIVE_NAMES = sorted(_DIRECTIVES) + [
+    f"{prefix}-{factor}"
+    for prefix, takes_factor in _DIRECTIVES.items()
+    if takes_factor
+    for factor in range(2, 65)
+]
+
+
+def _parse_by_normalising(token: str) -> DirectiveConfig:
+    """DirectiveConfig.parse with no fast path: every token is normalised first."""
+    t = token.strip().lower().replace("_", "-")
+    if t.startswith(("array-partition-", "array-resource-")):
+        t = t[len("array-") :]
+    aliases = {
+        "interface": "interface-only",
+        "interfaces": "interface-only",
+        "baseline": "interface-only",
+        "complete": "partition-complete",
+    }
+    t = aliases.get(t, t)
+    if t.count("-") == 1 and t.split("-")[0] in ("cyclic", "block"):
+        t = "partition-" + t
+    if _DIRECTIVES.get(t) is False:
+        return DirectiveConfig(t)
+    prefix, _, factor = t.rpartition("-")
+    if not _DIRECTIVES.get(prefix):
+        raise ValueError(f"unknown directive {token!r}")
+    try:
+        factor = int(factor)
+    except ValueError:
+        raise ValueError(f"bad factor in directive {token!r}") from None
+    return DirectiveConfig(prefix, factor)
+
+
+def _parse_outcome(parse, token: str):
+    """The config a parse returns, or the type and text of the error it raises."""
+    try:
+        return parse(token)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestFitCalibration:
@@ -572,6 +640,73 @@ PIPELINE_INNER_248 = SHIPPED_ANCHORS.index(
 )
 
 
+# Bad cells for the numeric columns of each record kind, and the reason each
+# is refused with, by what the column holds: a count (at least 1), a measured
+# count (at least 0) or an amount (a finite non-negative real, clocks too).
+# Recorded from the per-cell checks before they had type-exact fast paths.
+BAD_CELLS = [float("nan"), float("inf"), -float("inf"), 10**400, True, None, "x", [1]]
+BAD_CELL_IDS = ["nan", "inf", "-inf", "huge-int", "bool", "null", "text", "list"]
+BAD_CELL_PATHS = [
+    ("synth", PIPELINE_INNER_248, 0, "sv_count", "count"),
+    ("synth", PIPELINE_INNER_248, 3, "regime_mhz", "amount"),
+    ("synth", PIPELINE_INNER_248, 4, "latency_cycles", "measure"),
+    ("synth", PIPELINE_INNER_248, 5, "bram", "amount"),
+    ("arm", 0, 4, "timer_mhz", "amount"),
+    ("arm", 0, 5, "plain_cycles", "measure"),
+    ("cosim", 0, 5, "cycles", "count"),
+    ("power", 0, 3, "design_id", "count"),
+    ("power", 0, 4, "watts", "amount"),
+]
+BAD_CELL_PATH_IDS = ["synth-s", "synth-clock", "synth-latency", "synth-bram", "arm-timer",
+                     "arm-cycles", "cosim-cycles", "power-design", "power-watts"]
+_NOT_INTEGER = {
+    "nan": "nan is not an integer",
+    "inf": "inf is not an integer",
+    "-inf": "-inf is not an integer",
+    "bool": "True is not an integer",
+    "null": "None is not an integer",
+    "text": "invalid literal for int() with base 10: 'x'",
+    "list": "[1] is not an integer",
+}
+JSON_CELL_FAULTS = {
+    "count": {**_NOT_INTEGER, "huge-int": "must be an integer in 1..2**53"},
+    "measure": {**_NOT_INTEGER, "huge-int": "must be an integer in 0..2**53"},
+    "amount": {
+        "nan": "nan is not a finite non-negative number",
+        "inf": "inf is not a finite non-negative number",
+        "-inf": "-inf is not a finite non-negative number",
+        "huge-int": "must be an integer in 0..2**53",
+        "bool": "True is not an integer",
+        "null": "None is not an integer",
+        "text": "could not convert string to float: 'x'",
+        "list": "[1] is not an integer",
+    },
+}
+_NOT_INTEGER_TEXT = {
+    "nan": "invalid literal for int() with base 10: 'nan'",
+    "inf": "invalid literal for int() with base 10: 'inf'",
+    "-inf": "invalid literal for int() with base 10: '-inf'",
+    "bool": "invalid literal for int() with base 10: 'True'",
+    "null": "invalid literal for int() with base 10: 'None'",
+    "text": "invalid literal for int() with base 10: 'x'",
+    "list": "invalid literal for int() with base 10: '[1]'",
+}
+CSV_CELL_FAULTS = {
+    "count": {**_NOT_INTEGER_TEXT, "huge-int": "must be an integer in 1..2**53"},
+    "measure": {**_NOT_INTEGER_TEXT, "huge-int": "must be an integer in 0..2**53"},
+    "amount": {
+        "nan": "nan is not a finite non-negative number",
+        "inf": "inf is not a finite non-negative number",
+        "-inf": "-inf is not a finite non-negative number",
+        "huge-int": "inf is not a finite non-negative number",
+        "bool": "could not convert string to float: 'True'",
+        "null": "could not convert string to float: 'None'",
+        "text": "could not convert string to float: 'x'",
+        "list": "could not convert string to float: '[1]'",
+    },
+}
+
+
 class TestCalibrationPersistence:
     def test_save_load_round_trip_is_byte_stable(self):
         cal = default_calibration()
@@ -670,32 +805,27 @@ class TestCalibrationPersistence:
         with pytest.raises(CalibrationError, match="conflicting synth records"):
             load_calibration(json.dumps(doc))
 
-    @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), -float("inf"), 10**400, True, None, "x", [1]],
-        ids=["nan", "inf", "-inf", "huge-int", "bool", "null", "text", "list"],
-    )
-    @pytest.mark.parametrize(
-        "path",
-        [
-            ("synth", PIPELINE_INNER_248, 0),
-            ("synth", PIPELINE_INNER_248, 3),
-            ("synth", PIPELINE_INNER_248, 4),
-            ("synth", PIPELINE_INNER_248, 5),
-            ("arm", 0, 4),
-            ("arm", 0, 5),
-            ("cosim", 0, 5),
-            ("power", 0, 3),
-            ("power", 0, 4),
-        ],
-        ids=["synth-s", "synth-clock", "synth-latency", "synth-bram", "arm-timer",
-             "arm-cycles", "cosim-cycles", "power-design", "power-watts"],
-    )
-    def test_rejects_bad_number_cells(self, path, value):
+    @pytest.mark.parametrize("value_id, value", zip(BAD_CELL_IDS, BAD_CELLS), ids=BAD_CELL_IDS)
+    @pytest.mark.parametrize("path", BAD_CELL_PATHS, ids=BAD_CELL_PATH_IDS)
+    def test_rejects_bad_number_cells(self, path, value_id, value):
         doc = _default_doc()
-        kind, row, column = path
+        kind, row, column, name, holds = path
         doc[kind][row][column] = value
-        with pytest.raises(CalibrationError, match=f"malformed: {kind} "):
+        with pytest.raises(CalibrationError) as exc:
             load_calibration(json.dumps(doc))
+        reason = JSON_CELL_FAULTS[holds][value_id]
+        assert str(exc.value) == f"calibration file is malformed: {kind} {name}: {reason}"
+
+    @pytest.mark.parametrize("value_id, value", zip(BAD_CELL_IDS, BAD_CELLS), ids=BAD_CELL_IDS)
+    @pytest.mark.parametrize("path", BAD_CELL_PATHS, ids=BAD_CELL_PATH_IDS)
+    def test_rejects_bad_number_cells_as_csv_text(self, path, value_id, value):
+        kind, row, column, name, holds = path
+        cells = [str(cell) for cell in _default_doc()[kind][row]]
+        cells[column] = str(value)
+        with pytest.raises(ValueError) as exc:
+            parse_anchor_csv(",".join([kind] + cells))
+        reason = CSV_CELL_FAULTS[holds][value_id]
+        assert str(exc.value) == f"anchor csv line 1: {kind} {name}: {reason}"
 
     def test_rejects_zero_cosim_cycles(self):
         doc = _default_doc()
