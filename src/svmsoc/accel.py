@@ -117,7 +117,8 @@ def decide(raw_distance, bias, threshold=0.0) -> tuple[int, np.float32]:
     """
     with np.errstate(all="ignore"):
         distance = _F32(raw_distance) - _F32(bias)
-    label = 1 if distance >= _F32(threshold) else -1
+        # a threshold beyond the binary32 range rounds to +/-inf
+        label = 1 if distance >= _F32(threshold) else -1
     return label, distance
 
 

@@ -4,14 +4,18 @@ run_software_reference mirrors the accelerator's arithmetic bit for bit,
 but through a deliberately different mechanism: every multiply and add is
 carried out in binary64 and immediately rounded back to binary32.
 Because binary64 carries more than twice the binary32 precision plus two
-bits, that double rounding is exact for +, -, and *, so agreement with
-the native binary32 pipeline is a real cross-check rather than the same
-code run twice.  One kernel computes AC once and then the dot product
-with the instances as lanes; run_software_reference runs it with one
-lane, batch_classify once per dataset.  Each set of products (the S*Fl
-weight terms, then the Fl*N dot-product terms) is rounded in one step;
-each sum adds in place on a binary64 accumulator and rounds it through a
-binary32 buffer after every add, so no step allocates.
+bits, that double rounding is exact for +, -, and * (S. A. Figueroa,
+"When is double rounding innocuous?", SIGNUM Newsletter 30(3), 1995), so
+agreement with the native binary32 pipeline is a real cross-check rather
+than the same code run twice.  One kernel computes AC once and then the
+dot product with the instances as lanes; run_software_reference runs it
+with one lane, batch_classify once per dataset.  Each set of products
+(the S*Fl weight terms, then the Fl*N dot-product terms) is rounded in
+one step.  Each sum adds in binary64 and rounds to binary32 after every
+add: a one-lane sum (one instance's dot product) as Python floats stored
+into a one-element array("f"), a C double-to-float cast; a sum over more
+lanes in place on a binary64 accumulator through a binary32 buffer, so
+no step allocates.
 
 run_oracle is the accuracy yardstick: full binary64, per-support-vector
 dot products summed afterwards, i.e. a different association order than
@@ -22,6 +26,7 @@ labeled dataset.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +78,21 @@ class ClockPair:
 def _rounded_sum(rows: np.ndarray) -> np.ndarray:
     """Sum the rows of a binary64 matrix first to last, rounding each add.
 
-    The sum lives in one binary64 accumulator: each step adds a row in
-    place, then rounds the sum to binary32 by storing it into a binary32
-    buffer and widens it back.  Three numpy calls and no new array per
-    step; np.add.accumulate would skip the rounding after each add.
+    The sum starts at +0.0 and lives in binary64: each step adds a row,
+    then rounds the sum to binary32 by storing it into a binary32 buffer
+    and widens it back.  One column sums as Python floats through a
+    one-element array("f"), whose store is a C double-to-float cast
+    (struct would refuse finite doubles beyond the binary32 range); more
+    columns add in place with three numpy calls and no new array per
+    step.  np.add.accumulate would skip the rounding after each add.
     """
+    if rows.shape[1] == 1:
+        acc32 = array("f", (0.0,))
+        acc = 0.0
+        for term in rows[:, 0].tolist():
+            acc32[0] = acc + term
+            acc = acc32[0]
+        return np.array((acc,))
     acc = np.zeros(rows.shape[1])
     acc32 = np.empty(rows.shape[1], np.float32)
     add = np.add
@@ -106,7 +121,8 @@ def _reference_kernel(model: TrainedModel, x: np.ndarray, threshold: float):
         terms = (ac[:, None] * x.T.astype(f64)).astype(f32)
         raw = _rounded_sum(terms.astype(f64))
         distances = (raw - model.bias).astype(f32).astype(f64)
-    labels = np.where(distances >= float(np.float32(threshold)), 1, -1)
+        # a threshold beyond the binary32 range rounds to +/-inf
+        labels = np.where(distances >= float(f32(threshold)), 1, -1)
     return labels, distances, raw
 
 

@@ -171,8 +171,12 @@ class DirectiveConfig:
         Underscores and hyphens are interchangeable; the array- prefix on
         partition/resource names and bare partition styles are accepted.
         """
-        if type(token) is str and _DIRECTIVES.get(token) is False:
-            return cls(token)  # already a canonical factorless name
+        if type(token) is str:  # a canonical name takes no normalising
+            if _DIRECTIVES.get(token) is False:
+                return cls(token)
+            named = _split_canonical(token)
+            if named is not None:
+                return cls(*named)
         t = token.strip().lower().replace("_", "-")
         if t.startswith(("array-partition-", "array-resource-")):
             t = t[len("array-") :]
@@ -191,8 +195,28 @@ class DirectiveConfig:
         return cls(prefix, factor)
 
 
+def _split_canonical(token: str) -> tuple[str, int] | None:
+    """The prefix and factor of a canonical name with a factor
+    (partition-cyclic-16), else None."""
+    prefix, _, digits = token.rpartition("-")
+    if _DIRECTIVES.get(prefix) and digits.isascii() and digits.isdigit():
+        if digits[0] != "0" and digits != "1":  # the text of an int >= 2
+            try:
+                return prefix, int(digits)
+            except ValueError:  # more digits than int() reads from text
+                pass
+    return None
+
+
+def _is_canonical(directive) -> bool:
+    """Whether a directive is a str that is its own DirectiveConfig name."""
+    return type(directive) is str and (
+        _DIRECTIVES.get(directive) is False or _split_canonical(directive) is not None
+    )
+
+
 def _directive_token(directive) -> str:
-    if type(directive) is str and _DIRECTIVES.get(directive) is False:
+    if _is_canonical(directive):
         return directive
     if isinstance(directive, DirectiveConfig):
         return directive.name
@@ -549,7 +573,8 @@ class CalibrationSet:
     of each (directive, regime) synthesis group, arm the timer MHz of each
     calibrated clock pairing, cosim_cycles the cycle count by (S, Fl,
     directive, (FPGA MHz, ARM MHz)) and power the watts by (S, directive).
-    A conflicting record or a fit that is not finite raises ValueError.
+    A directive that is not spelled as its DirectiveConfig name, a
+    conflicting record or a fit that is not finite raises ValueError.
     """
 
     records: tuple[Record, ...]
@@ -564,6 +589,8 @@ class CalibrationSet:
         by_kind: dict[type, list[Record]] = {row_type: [] for row_type in _KIND}
         for rec in self.records:
             kind = _KIND[type(rec)]
+            if kind != "arm" and not _is_canonical(rec.directive):
+                raise ValueError(f"{kind} record directive {rec.directive!r} is not canonical")
             key = (kind, *rec[: _SCHEMA[kind][2]])
             prev = table.get(key)
             if prev is None:

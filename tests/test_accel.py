@@ -110,6 +110,14 @@ class TestDecide:
         assert decide(float("inf"), 0.0)[0] == 1
         assert decide(float("-inf"), 0.0)[0] == -1
 
+    def test_threshold_beyond_binary32_rounds_to_infinity(self):
+        # +1e39 rounds to +inf, which no finite distance reaches; -1e39
+        # rounds to -inf, which even a -inf distance reaches
+        assert decide(F32(3e38), 0.0, 1e39)[0] == -1
+        assert decide(float("inf"), 0.0, 1e39)[0] == 1
+        assert decide(F32(-3e38), 0.0, -1e39)[0] == 1
+        assert decide(float("-inf"), 0.0, -1e39)[0] == 1
+
 
 class TestAccelResult:
     def test_finite_derives_from_distance(self):
@@ -156,6 +164,13 @@ class TestRunAccelerator:
         res = run_accelerator(emit_stream(m, TestInstance(np.array([1.0], F32))), 1 + 1, 1)
         assert res.label == 1 and res.distance == float("inf")
         assert not res.finite
+
+    @pytest.mark.parametrize("threshold, label", [(1e39, -1), (-1e39, 1)])
+    def test_threshold_beyond_binary32_rounds_to_infinity(self, threshold, label):
+        for ay in (2.0, -2.0):  # a distance of 6 and one that overflows to -inf
+            m = model_of([[3.0 if ay > 0 else 3e38]], [ay])
+            frame = emit_stream(m, TestInstance(np.array([1.0], F32)))
+            assert run_accelerator(frame, 1, 1, threshold).label == label
 
     def test_nan_frame_word_flows_through(self):
         m = model_of([[1.0]], [1.0])

@@ -157,6 +157,20 @@ class TestClassify:
         assert caught == []
         assert code == 1 and err == "error: non-finite value in model payload\n"
 
+    @pytest.mark.parametrize("threshold", ["1e39", "-1e39"])
+    def test_threshold_beyond_binary32_writes_nothing_to_stderr(self, capsys, tiny, threshold):
+        model = ("--svs", str(tiny / "svs.txt"), "--alpha", str(tiny / "alpha.txt"))
+        want = {"1e39": "-1 non-melanoma 6.0\n", "-1e39": "+1 melanoma 6.0\n"}[threshold]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            one = run(capsys, "classify", *model, "--input", str(tiny / "test.txt"),
+                      f"--th={threshold}")
+            rows = run(capsys, "classify", *model, "--input", str(tiny / "ds.csv"),
+                       f"--th={threshold}", "--machine")
+        assert caught == []
+        assert one == (0, want, "")
+        assert rows[0] == 0 and rows[2] == ""
+
     def test_model_source_must_be_unambiguous(self, capsys, tiny, tmp_path):
         (tmp_path / "m.svml").write_text(SVMLIGHT_SMALL)
         code, _, err = run(
@@ -264,6 +278,28 @@ class TestCosim:
                                 "--fpga-mhz", "123"),
         )
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("threshold", ["1e39", "-1e39"])
+    def test_threshold_beyond_binary32_writes_nothing_to_stderr(self, capsys, gen61, threshold):
+        argv = cosim_argv(gen61, "--directive", "pipeline-inner", f"--th={threshold}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--machine")
+        assert caught == [] and (code, err) == (0, "")
+        label = "-1" if threshold == "1e39" else "+1"
+        assert f"hw_label={label}\nhw_distance=" in out and f"sw_label={label}\n" in out
+
+    def test_threshold_beyond_binary32_then_refusal_is_one_error_line(self, capsys, tiny):
+        # the tiny model has Fl=1, which the calibration does not cover
+        argv = (
+            "cosim", "--svs", str(tiny / "svs.txt"), "--alpha", str(tiny / "alpha.txt"),
+            "--test", str(tiny / "test.txt"), "--directive", "pipeline-inner", "--th=1e39",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert caught == [] and (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_directive_name(self, capsys, gen61):
         code, _, err = run(

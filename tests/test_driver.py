@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -23,9 +24,10 @@ from svmsoc import (
     run_oracle,
     run_software_reference,
 )
+from svmsoc.driver import _rounded_sum
 
 import ref32
-from conftest import edge_lane_case, random_instance, random_model
+from conftest import F32_MAX, edge_lane_case, random_instance, random_model
 
 F32 = np.float32
 
@@ -55,6 +57,18 @@ class TestSoftwareReference:
         with pytest.raises(DimensionError):
             run_software_reference(m, TestInstance(np.array([1.0], F32)))
 
+    @pytest.mark.parametrize("threshold, label", [(1e39, -1), (-1e39, 1)])
+    def test_threshold_beyond_binary32_rounds_to_infinity(self, threshold, label):
+        # +1e39 rounds to +inf, which no finite distance reaches; -1e39
+        # rounds to -inf, which even a -inf distance reaches
+        x = TestInstance(np.array([1.0], F32))
+        ds = LabeledDataset(np.array([[1.0], [2.0]], F32), (1, -1))
+        for m in (model_of([[3.0]], [2.0]), model_of([[3e38]], [-2.0])):
+            sw = run_software_reference(m, x, threshold)
+            hw = run_accelerator(emit_stream(m, x), 1, 1, threshold)
+            assert sw.label == hw.label == label
+            assert batch_classify(m, ds, threshold).predictions == (label, label)
+
     @given(
         st.integers(1, 24),
         st.integers(1, 8),
@@ -67,6 +81,9 @@ class TestSoftwareReference:
     @example(248, 27, 248, 1e3)
     @example(346, 27, 346, 1.0)
     @example(400, 64, 400, 1.0)
+    # one feature: the AC sum is one lane too
+    @example(61, 1, 61, 1.0)
+    @example(400, 1, 400, 1e35)
     def test_bit_identical_to_accelerator_and_struct_reference(self, s, fl, seed, scale):
         rng = np.random.default_rng(seed)
         m = random_model(rng, s, fl, scale=scale)
@@ -80,6 +97,40 @@ class TestSoftwareReference:
             m.support_vectors.tolist(), m.alpha_y.tolist(), t.values.tolist(), m.bias
         )
         assert (sw.label, f32_bits(sw.distance)) == (label, f32_bits(dist))
+
+
+# Binary64 terms for one lane: ordinary, subnormal and boundary binary32
+# values with +/-0, +/-inf and NaN; the largest binary32 and -0.0; values
+# beyond the binary32 range (1e39, the midpoint between the largest binary32
+# and 2**128, which rounds to inf, and the double just below it, which does
+# not); and odd multiples of 2**-150, halfway between two subnormals.
+_OVERFLOW_MIDPOINT = 2.0**128 - 2.0**103
+LANE_TERMS = st.one_of(
+    st.floats(-1e4, 1e4, width=32),
+    st.floats(width=32),
+    st.sampled_from(
+        [-0.0, F32_MAX, -F32_MAX, 1e39, -1e39, _OVERFLOW_MIDPOINT, -_OVERFLOW_MIDPOINT,
+         math.nextafter(_OVERFLOW_MIDPOINT, 0.0), -math.nextafter(_OVERFLOW_MIDPOINT, 0.0)]
+    ),
+    st.integers(-(2**21), 2**21).map(lambda k: (2 * k + 1) * 2.0**-150),
+)
+
+
+class TestRoundedSum:
+    @given(st.integers(0, 3), st.lists(LANE_TERMS, min_size=1, max_size=30))
+    @settings(max_examples=400, deadline=None)
+    @example(1, [1e39])
+    @example(0, [_OVERFLOW_MIDPOINT, -F32_MAX])
+    @example(0, [math.nextafter(_OVERFLOW_MIDPOINT, 0.0)])
+    @example(2, [3 * 2.0**-150, 2.0**-150, math.nan, 1.0])
+    @example(0, [F32_MAX, F32_MAX, -math.inf])
+    def test_one_lane_matches_the_many_lane_path(self, leading_zeros, terms):
+        col = np.array([-0.0] * leading_zeros + terms)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            one = _rounded_sum(col)
+            many = _rounded_sum(np.hstack([col, col]))
+        assert one.dtype == many.dtype == np.float64 and one.shape == (1,)
+        assert one.tobytes() == many[:1].tobytes()
 
 
 class TestOracle:

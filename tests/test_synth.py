@@ -153,6 +153,20 @@ class TestDirectiveConfig:
                     _parse_by_normalising, token
                 ), token
 
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "partition-cyclic-02", "partition-cyclic-1", "partition-cyclic-0",
+            "partition-cyclic-+2", "partition-cyclic- 2", "partition-cyclic-\u0661\u0666",
+            "partition-cyclic-\u00b2", "unroll-partial-" + "9" * 40,
+            "unroll-partial-" + "9" * 5000, "pipeline-inner-2", "cyclic-16",
+        ],
+    )
+    def test_factor_spellings_parse_as_normalised(self, token):
+        assert _parse_outcome(DirectiveConfig.parse, token) == _parse_outcome(
+            _parse_by_normalising, token
+        )
+
     @given(
         st.one_of(
             st.text(max_size=24),
@@ -737,6 +751,23 @@ class TestCalibrationPersistence:
         cal = default_calibration()
         again = CalibrationSet(cal.records + cal.records)  # a repeated record counts once
         assert again == cal and hash(again) == hash(cal)
+
+    def test_set_refuses_a_directive_that_is_not_canonical(self):
+        row = AnchorRow(248, 27, "pipeline-inner", 100.0, 14138, 19.0, 5, 1251, 2477)
+        for name in ("Pipeline_Inner", "cyclic-16", "partition-cyclic-016", " unroll-most"):
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
+                CalibrationSet((row._replace(directive=name),))
+        with pytest.raises(ValueError, match="'cyclic-2'"):
+            CalibrationSet((CosimRecord(61, 27, "cyclic-2", 250.0, 250.0, 3693),))
+        with pytest.raises(ValueError, match="'Unroll-Most'"):
+            CalibrationSet((PowerRecord(61, "Unroll-Most", "models", 2, 1.766),))
+        # the canonical spelling serves the estimators, explore and the round trip
+        cal = CalibrationSet((row, row._replace(directive="partition-cyclic-16")))
+        est = estimate_design(248, 27, "Pipeline_Inner", 100, calibration=cal)
+        assert est.latency_cycles == 14138
+        names = [e.directive.name for e in explore(248, 27, 100, calibration=cal)]
+        assert sorted(names) == ["partition-cyclic-16", "pipeline-inner"]
+        assert load_calibration(save_calibration(cal)) == cal
 
     def test_loaded_calibration_estimates_identically(self):
         cal = load_calibration(save_calibration(default_calibration()))
