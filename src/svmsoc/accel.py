@@ -15,7 +15,7 @@ rounded before the add that consumes it.  Overflow follows IEEE-754
 (round to +/-inf); NaN compares false against the threshold, so a NaN
 distance yields label -1 and a cleared finite flag.
 
-Each sum is one ordered numpy kernel: the binary32 products fill an array
+Both sums are one ordered numpy kernel: the binary32 products fill an array
 behind a +0.0 seed row, and np.add.accumulate adds the rows strictly first
 to last (np.sum adds pairwise, a different association).  The seed turns a
 leading -0.0 product into +0.0, as a zero-initialised accumulator does.
@@ -73,18 +73,15 @@ class AccelResult:
         return math.isfinite(self.distance)
 
 
-def _accumulate(sv: np.ndarray, alpha_y: np.ndarray) -> np.ndarray:
-    terms = np.zeros((sv.shape[0] + 1, sv.shape[1]), dtype=_F32)
+def _ordered_sum(coeffs: np.ndarray, rows: np.ndarray):
+    """The binary32 sum of coeffs[i] * rows[i] over i, first to last.
+
+    coeffs broadcasts against rows; 2-D rows sum to a row, 1-D to a scalar.
+    """
+    terms = np.zeros((rows.shape[0] + 1, *rows.shape[1:]), dtype=_F32)
     with np.errstate(all="ignore"):
-        np.multiply(alpha_y[:, None], sv, out=terms[1:])
+        np.multiply(coeffs, rows, out=terms[1:])
         return np.add.accumulate(terms, axis=0)[-1]
-
-
-def _dot(ac: np.ndarray, x: np.ndarray) -> np.float32:
-    terms = np.zeros(ac.shape[0] + 1, dtype=_F32)
-    with np.errstate(all="ignore"):
-        np.multiply(ac, x, out=terms[1:])
-        return np.add.accumulate(terms)[-1]
 
 
 def accumulate_weight_vector(model: TrainedModel) -> np.ndarray:
@@ -94,7 +91,7 @@ def accumulate_weight_vector(model: TrainedModel) -> np.ndarray:
     Accumulation order is support vectors ascending, one rounding per
     multiply and per add, independently per feature lane.
     """
-    ac = _accumulate(model.support_vectors, model.alpha_y)
+    ac = _ordered_sum(model.alpha_y[:, None], model.support_vectors)
     ac.flags.writeable = False
     return ac
 
@@ -102,11 +99,8 @@ def accumulate_weight_vector(model: TrainedModel) -> np.ndarray:
 def dot_distance(ac: np.ndarray, test: TestInstance) -> np.float32:
     """Running binary32 dot product of AC with the test vector, feature 0 first."""
     if ac.shape[0] != test.feature_count:
-        raise DimensionError(
-            f"accumulator has {ac.shape[0]} features, instance has"
-            f" {test.feature_count}"
-        )
-    return _dot(ac, test.values)
+        raise DimensionError("accumulator", ac.shape[0], "instance", test.feature_count)
+    return _ordered_sum(ac, test.values)
 
 
 def decide(raw_distance, bias, threshold=0.0) -> tuple[int, np.float32]:
@@ -131,7 +125,7 @@ def run_accelerator(
     through the arithmetic and surface in the result flags.
     """
     sv, bias, alpha_y, x = split_frame(frame, sv_count, feature_count)
-    ac = _accumulate(sv, alpha_y)
-    raw = _dot(ac, x)
+    ac = _ordered_sum(alpha_y[:, None], sv)
+    raw = _ordered_sum(ac, x)
     label, distance = decide(raw, bias, threshold)
     return AccelResult(label=label, distance=float(distance), raw_distance=float(raw))

@@ -65,8 +65,9 @@ def _fmt_bram(v: float) -> str:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
-        raise SvmSocError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # a decode error has none
+        raise SvmSocError(f"cannot read {path}: {reason}") from None
 
 
 def _load_model(args):

@@ -136,10 +136,7 @@ def run_software_reference(
     batch kernel run with a single instance lane.
     """
     if test.feature_count != model.feature_count:
-        raise DimensionError(
-            f"model has {model.feature_count} features, instance has"
-            f" {test.feature_count}"
-        )
+        raise DimensionError("model", model.feature_count, "instance", test.feature_count)
     labels, distances, raw = _reference_kernel(model, test.values[None, :], threshold)
     return AccelResult(
         label=int(labels[0]), distance=float(distances[0]), raw_distance=float(raw[0])
@@ -155,10 +152,7 @@ def run_oracle(
     judge accuracy, not bit equality.
     """
     if test.feature_count != model.feature_count:
-        raise DimensionError(
-            f"model has {model.feature_count} features, instance has"
-            f" {test.feature_count}"
-        )
+        raise DimensionError("model", model.feature_count, "instance", test.feature_count)
     sv = model.support_vectors.astype(np.float64)
     dots = sv @ test.values.astype(np.float64)
     d = float(model.alpha_y.astype(np.float64) @ dots - model.bias)
@@ -316,10 +310,7 @@ def batch_classify(
     run_software_reference call.
     """
     if dataset.feature_count != model.feature_count:
-        raise DimensionError(
-            f"model has {model.feature_count} features, dataset has"
-            f" {dataset.feature_count}"
-        )
+        raise DimensionError("model", model.feature_count, "dataset", dataset.feature_count)
     labels, distances, _raw = _reference_kernel(model, dataset.features, threshold)
     return AccuracyReport(
         predictions=tuple(labels.tolist()),

@@ -36,6 +36,9 @@ class MalformedDataset(SvmSocError):
 class DimensionError(SvmSocError):
     """Model and instance/dataset disagree on feature count."""
 
+    def __init__(self, side: str, features: int, other: str, other_features: int):
+        super().__init__(f"{side} has {features} features, {other} has {other_features}")
+
 
 class FrameLengthError(SvmSocError):
     """Stream frame word count does not match S*Fl + 1 + S + Fl."""

@@ -653,9 +653,7 @@ def emit_dataset(dataset: LabeledDataset) -> str:
 def emit_stream(model: TrainedModel, test: TestInstance) -> StreamFrame:
     """Serialize one classification request into transfer order."""
     if test.feature_count != model.feature_count:
-        raise DimensionError(
-            f"model has {model.feature_count} features, instance has {test.feature_count}"
-        )
+        raise DimensionError("model", model.feature_count, "instance", test.feature_count)
     payload = np.concatenate(
         [
             model.support_vectors.reshape(-1),

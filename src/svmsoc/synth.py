@@ -15,8 +15,8 @@ A calibration is one table of measured records, of four kinds:
   design), with the S and directive that design implements.
 
 One schema checks every record, whether it comes from an anchor CSV, a
-calibration file or a caller, and a CalibrationSet derives the
-estimators' fits from its records.  The built-in calibration is the fit
+calibration file or a caller: a CalibrationSet runs it on every record it
+is built from, then derives the estimators' fits from its records.  The built-in calibration is the fit
 of SHIPPED_RECORDS and a calibration file stores the records themselves,
 so every calibration is fitted by the same code.
 
@@ -208,15 +208,11 @@ def _split_canonical(token: str) -> tuple[str, int] | None:
     return None
 
 
-def _is_canonical(directive) -> bool:
-    """Whether a directive is a str that is its own DirectiveConfig name."""
-    return type(directive) is str and (
-        _DIRECTIVES.get(directive) is False or _split_canonical(directive) is not None
-    )
-
-
 def _directive_token(directive) -> str:
-    if _is_canonical(directive):
+    """A directive's DirectiveConfig name; a name that is one comes back as it is."""
+    if type(directive) is str and (
+        _DIRECTIVES.get(directive) is False or _split_canonical(directive) is not None
+    ):
         return directive
     if isinstance(directive, DirectiveConfig):
         return directive.name
@@ -355,16 +351,25 @@ def _schema(kind: str):
 
 
 def _record(kind: str, cells) -> Record:
-    """A kind's record from its cells (CSV text or JSON values), each checked once."""
+    """A kind's record from its cells (CSV text or JSON values), checked in shape only."""
     row_type, checks, _ = _schema(kind)
     if not isinstance(cells, (list, tuple)):
         raise ValueError(f"{kind} record must be a list, got {type(cells).__name__}")
     if len(cells) != len(checks):
         raise ValueError(f"{kind} record has {len(checks)} columns, got {len(cells)}")
+    return row_type(*cells)
+
+
+def _checked(rec) -> Record:
+    """The record check: a record with each cell checked and normalised."""
+    kind = _KIND.get(type(rec))
+    if kind is None:
+        raise ValueError(f"a {type(rec).__name__} is not a calibration record")
+    row_type, checks, _ = _SCHEMA[kind]
     try:
-        return row_type(*[check(cell) for check, cell in zip(checks, cells)])
+        return row_type(*[check(cell) for check, cell in zip(checks, rec)])
     except ValueError:
-        raise ValueError(_record_fault(kind, cells)) from None
+        raise ValueError(_record_fault(kind, rec)) from None
 
 
 def _record_fault(kind: str, cells) -> str:
@@ -573,8 +578,10 @@ class CalibrationSet:
     of each (directive, regime) synthesis group, arm the timer MHz of each
     calibrated clock pairing, cosim_cycles the cycle count by (S, Fl,
     directive, (FPGA MHz, ARM MHz)) and power the watts by (S, directive).
-    A directive that is not spelled as its DirectiveConfig name, a
-    conflicting record or a fit that is not finite raises ValueError.
+    Every cell is checked and normalised as the loaders do (a directive
+    respelled as its DirectiveConfig name, a clock rounded to 0.01 MHz); a
+    value that is not a record, a faulty cell, a conflicting record or a
+    fit that is not finite raises ValueError.
     """
 
     records: tuple[Record, ...]
@@ -587,10 +594,8 @@ class CalibrationSet:
     def __post_init__(self):
         table: dict[tuple, Record] = {}
         by_kind: dict[type, list[Record]] = {row_type: [] for row_type in _KIND}
-        for rec in self.records:
+        for rec in [_checked(rec) for rec in self.records]:  # every cell before any conflict
             kind = _KIND[type(rec)]
-            if kind != "arm" and not _is_canonical(rec.directive):
-                raise ValueError(f"{kind} record directive {rec.directive!r} is not canonical")
             key = (kind, *rec[: _SCHEMA[kind][2]])
             prev = table.get(key)
             if prev is None:
@@ -628,10 +633,6 @@ class CalibrationSet:
         object.__setattr__(self, "cosim_cycles", cosim_cycles)
         object.__setattr__(self, "power", power)
 
-    def directives_for(self, regime_mhz: float) -> tuple[str, ...]:
-        r = _mhz(regime_mhz)
-        return tuple(sorted(d for d, reg in self.dsp if reg == r))
-
 
 def _shared(rows, column: str, group: tuple, label):
     """The one value of a column across a group's records; label names the group."""
@@ -661,7 +662,7 @@ def fit_calibration(rows: Sequence[Record | tuple]) -> CalibrationSet:
     repeated row counts once.  A malformed or conflicting record, or a fit
     that is not finite, raises ValueError.
     """
-    return CalibrationSet(tuple(_record(_KIND.get(type(r), "synth"), r) for r in rows))
+    return CalibrationSet(tuple(r if type(r) in _KIND else _record("synth", r) for r in rows))
 
 
 @lru_cache(maxsize=1)
@@ -945,7 +946,7 @@ def parse_anchor_csv(text: str) -> list[Record]:
         if kind not in _SCHEMA and lineno == lines[0][0]:
             continue  # header row
         try:
-            records.append(_record(kind, cells))
+            records.append(_checked(_record(kind, cells)))
         except ValueError as exc:
             raise ValueError(f"anchor csv line {lineno}: {exc}") from None
     if not records:
@@ -969,7 +970,7 @@ def save_calibration(calibration: CalibrationSet) -> str:
 
 
 def load_calibration(text: str) -> CalibrationSet:
-    """Check calibration JSON (version 2: the records) and fit it."""
+    """Read calibration JSON (version 2: the records) in shape; its set checks the cells."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -978,15 +979,21 @@ def load_calibration(text: str) -> CalibrationSet:
         raise CalibrationError(
             "calibration file version must be 2; write it again with `svmsoc fit`"
         )
+    records = []
     try:
-        records = []
-        for kind, rows in doc.items():
-            if kind == "version":
-                continue
-            _schema(kind)
-            if not isinstance(rows, list):
-                raise ValueError(f"{kind!r} must be a list of records")
-            records += [_record(kind, cells) for cells in rows]
+        try:
+            for kind, rows in doc.items():
+                if kind == "version":
+                    continue
+                _schema(kind)
+                if not isinstance(rows, list):
+                    raise ValueError(f"{kind!r} must be a list of records")
+                for cells in rows:
+                    records.append(_record(kind, cells))
+        except ValueError:  # a faulty cell before a shape fault is named first
+            for rec in records:
+                _checked(rec)
+            raise
         return CalibrationSet(tuple(records))
     except ValueError as exc:
         raise CalibrationError(f"calibration file is malformed: {exc}") from None

@@ -136,6 +136,23 @@ class TestClassify:
         )
         assert code == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--svs", "svs.txt", "--alpha", "alpha.txt", "--input", "bad"],
+            ["classify", "--svs", "bad", "--alpha", "alpha.txt", "--input", "test.txt"],
+            ["synth", "248", "27", "pipeline-inner", "100", "--calibration", "bad"],
+            ["fit", "bad"],
+        ],
+        ids=["input", "svs", "calibration", "fit-anchors"],
+    )
+    def test_undecodable_file_names_the_file(self, capsys, tiny, monkeypatch, argv):
+        monkeypatch.chdir(tiny)
+        (tiny / "bad").write_bytes(b"\xff\xfe\x00 not text")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read bad: ") and err.count("\n") == 1
+
     def test_nonlinear_kernel_rejected(self, capsys, tmp_path):
         bad = SVMLIGHT_SMALL.replace("0 # kernel type", "2 # kernel type")
         (tmp_path / "m.svml").write_text(bad)

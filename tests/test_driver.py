@@ -15,8 +15,10 @@ from svmsoc import (
     TestInstance,
     TrainedModel,
     UnknownCalibration,
+    accumulate_weight_vector,
     batch_classify,
     cosim,
+    dot_distance,
     emit_stream,
     f32_bits,
     make_synthetic,
@@ -364,3 +366,22 @@ class TestBatchClassify:
                 sv, ay, inst.values.tolist(), m.bias, threshold
             )
             assert (label, f32_bits(dist)) == (want, f32_bits(want_dist))
+
+
+def test_every_feature_count_mismatch_names_both_sides():
+    """Each site's whole DimensionError message, as the sites first wrote it out."""
+    m = model_of([[1.0, 2.0]], [1.0])
+    x = TestInstance(np.array([1.0, 2.0, 3.0], F32))
+    ds = LabeledDataset(np.array([[1.0, 2.0, 3.0]], F32), (1,))
+    ac = accumulate_weight_vector(m)
+    sites = [
+        (lambda: run_software_reference(m, x), "model has 2 features, instance has 3"),
+        (lambda: run_oracle(m, x), "model has 2 features, instance has 3"),
+        (lambda: batch_classify(m, ds), "model has 2 features, dataset has 3"),
+        (lambda: emit_stream(m, x), "model has 2 features, instance has 3"),
+        (lambda: dot_distance(ac, x), "accumulator has 2 features, instance has 3"),
+    ]
+    for call, message in sites:
+        with pytest.raises(DimensionError) as err:
+            call()
+        assert str(err.value) == message

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmsoc import (
@@ -43,6 +43,8 @@ from svmsoc.synth import (
     SynthesisEstimate,
     _DIRECTIVES,
 )
+
+import ref_load_calibration
 
 CSV_HEADER = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,dsp,ff,lut"
 KINDS = {ArmRecord: "arm", CosimRecord: "cosim", PowerRecord: "power"}
@@ -401,7 +403,7 @@ class TestLatencyEstimates:
     def test_latency_nondecreasing_in_sv_count(self):
         cal = default_calibration()
         sizes = list(range(1, 401, 7)) + [400]
-        for token in cal.directives_for(100.0):
+        for token in (d for d, mhz in cal.dsp if mhz == 100.0):
             if len(cal.fits["latency_cycles", token, 100.0].points) < 2:
                 continue  # single-anchor entries refuse other sizes
             lats = [
@@ -567,7 +569,7 @@ def brute_force_front(sv_count, feature_count, regime):
     """Independent exhaustive non-domination check over all directives."""
     cal = default_calibration()
     ests = {}
-    for token in cal.directives_for(regime):
+    for token in (d for d, mhz in cal.dsp if mhz == regime):
         try:
             ests[token] = estimate_design(sv_count, feature_count, token, regime)
         except (UnknownCalibration, FlMismatch):
@@ -752,17 +754,27 @@ class TestCalibrationPersistence:
         again = CalibrationSet(cal.records + cal.records)  # a repeated record counts once
         assert again == cal and hash(again) == hash(cal)
 
-    def test_set_refuses_a_directive_that_is_not_canonical(self):
+    def test_set_respells_a_directive_as_every_loader_does(self):
         row = AnchorRow(248, 27, "pipeline-inner", 100.0, 14138, 19.0, 5, 1251, 2477)
-        for name in ("Pipeline_Inner", "cyclic-16", "partition-cyclic-016", " unroll-most"):
-            with pytest.raises(ValueError, match=re.escape(repr(name))):
-                CalibrationSet((row._replace(directive=name),))
-        with pytest.raises(ValueError, match="'cyclic-2'"):
-            CalibrationSet((CosimRecord(61, 27, "cyclic-2", 250.0, 250.0, 3693),))
-        with pytest.raises(ValueError, match="'Unroll-Most'"):
-            CalibrationSet((PowerRecord(61, "Unroll-Most", "models", 2, 1.766),))
-        # the canonical spelling serves the estimators, explore and the round trip
-        cal = CalibrationSet((row, row._replace(directive="partition-cyclic-16")))
+        cosim = CosimRecord(61, 27, "partition-cyclic-2", 250.0, 250.0, 3693)
+        power = PowerRecord(61, "unroll-most", "models", 2, 1.766)
+        for rec, name in [
+            (row, "Pipeline_Inner"),
+            (row._replace(directive="partition-cyclic-16"), "cyclic-16"),
+            (row._replace(directive="partition-cyclic-16"), "partition-cyclic-016"),
+            (row._replace(directive="unroll-most"), " unroll-most"),
+            (cosim, "cyclic-2"),
+            (power, "Unroll-Most"),
+        ]:
+            respelled = [rec._replace(directive=name)]
+            cal = CalibrationSet(tuple(respelled))
+            assert cal.records == (rec,)
+            assert cal == fit_calibration(respelled) == CalibrationSet((rec,))
+        # the respelled set serves the estimators, explore and the round trip
+        cal = CalibrationSet(
+            (row._replace(directive="Pipeline_Inner"), row._replace(directive="cyclic-16"))
+        )
+        assert cal == fit_calibration(cal.records)
         est = estimate_design(248, 27, "Pipeline_Inner", 100, calibration=cal)
         assert est.latency_cycles == 14138
         names = [e.directive.name for e in explore(248, 27, 100, calibration=cal)]
@@ -1062,3 +1074,174 @@ class TestAnchorCsv:
     def test_malformed_record_rejected(self, line, what):
         with pytest.raises(ValueError, match=f"line 1: {what}"):
             parse_anchor_csv(line + "\n")
+
+
+ROW = AnchorRow(248, 27, "pipeline-inner", 100.0, 14138, 19.0, 5, 1251, 2477)
+ARM = ArmRecord(61, 27, 250.0, 250.0, 250.0, 77367, 22398)
+
+
+def _round_trips(cal) -> bool:
+    text = save_calibration(cal)
+    return "NaN" not in text and "Infinity" not in text and load_calibration(text) == cal
+
+
+class TestRecordCheck:
+    """A CalibrationSet checks every record it is built from, as the loaders do."""
+
+    @pytest.mark.parametrize(
+        "rec, normalised",
+        [
+            (ROW._replace(regime_mhz=100.004), ROW),
+            (ARM._replace(fpga_mhz=250.004), ARM),
+            (ROW._replace(sv_count="248"), ROW),
+            (ROW._replace(bram=19, regime_mhz=100), ROW),
+        ],
+        ids=["synth-off-grid-clock", "arm-off-grid-clock", "digit-text-s", "int-amounts"],
+    )
+    def test_cells_are_normalised_and_round_trip(self, rec, normalised):
+        cal = CalibrationSet((rec,))
+        assert cal.records == (normalised,)
+        assert list(map(type, cal.records[0])) == list(map(type, normalised))
+        assert cal == fit_calibration([rec]) == CalibrationSet((normalised,))
+        assert _round_trips(cal)
+        # an off-grid clock names the calibrated one, as every lookup rounds it
+        if type(rec) is AnchorRow:
+            est = estimate_design(248, 27, "pipeline-inner", 100.004, calibration=cal)
+            assert est.latency_cycles == 14138
+        else:
+            assert estimate_arm_cycles(61, 27, (250.004, 250), calibration=cal) == 77367
+
+    @pytest.mark.parametrize(
+        "rec, message",
+        [
+            (ROW._replace(latency_cycles=-5),
+             "synth latency_cycles: must be an integer in 0..2**53"),
+            (ROW._replace(latency_cycles=True), "synth latency_cycles: True is not an integer"),
+            (ROW._replace(bram=float("nan")),
+             "synth bram: nan is not a finite non-negative number"),
+            (ARM._replace(timer_mhz=float("inf")),
+             "arm timer_mhz: inf is not a finite non-negative number"),
+            (ROW._replace(directive="pipeline-sideways"),
+             "synth directive: unknown directive 'pipeline-sideways'"),
+            (PowerRecord(61, "unroll-most", "models", 0, 1.7),
+             "power design_id: must be an integer in 1..2**53"),
+        ],
+        ids=["negative-latency", "bool-latency", "nan-bram", "inf-timer", "directive", "zero-design"],
+    )
+    def test_faulty_cells_are_refused_as_the_schema_names_them(self, rec, message):
+        for build in (lambda: CalibrationSet((rec,)), lambda: fit_calibration([rec])):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [tuple(ROW), None, "x", [tuple(ROW)]], ids=repr)
+    def test_a_value_that_is_not_a_record_is_refused(self, value):
+        with pytest.raises(ValueError, match="is not a calibration record"):
+            CalibrationSet((value,))
+
+    def test_every_cell_is_checked_before_any_conflict(self):
+        clash = ROW._replace(latency_cycles=1)
+        with pytest.raises(ValueError, match="synth bram"):
+            CalibrationSet((ROW, clash, ROW._replace(sv_count=346, bram=-1.0)))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(SHIPPED_RECORDS),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 8),
+                        st.sampled_from(
+                            [0, -1, -5, 1, 2**53, 2**53 + 1, 10**400, float("nan"),
+                             float("inf"), -float("inf"), -0.0, 0.5, 1e308, True, False,
+                             None, "", "0", "17", "248", "-3", "1e400", "nan", 100.004,
+                             250.004, 666.666, "666.666", "Cyclic_16", "Pipeline_Inner",
+                             " unroll-most", "cyclic-1", "partition-cyclic-016", "M1"]
+                        ),
+                    ),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_a_set_that_builds_equals_its_round_trip(self, edits):
+        records = []
+        for rec, cells in edits:
+            values = list(rec)
+            for column, value in cells:
+                values[column % len(values)] = value
+            records.append(type(rec)(*values))
+        try:
+            cal = CalibrationSet(tuple(records))
+        except ValueError:
+            return
+        assert _round_trips(cal)
+        assert cal == fit_calibration(records)
+
+
+def _mutate(doc: dict, mutation) -> None:
+    """Apply one edit to a calibration document: a kind, a record or a cell."""
+    what, (k, i, column), value = mutation
+    kind = list(doc)[1 + k % 4]
+    if what == "kind":
+        doc["latency" if value == "add" else kind] = [] if value == "add" else value
+        return
+    rows = doc[kind]
+    if not isinstance(rows, list) or not rows:
+        return
+    i %= len(rows)
+    if what == "record":
+        rows[i] = value
+    elif not isinstance(rows[i], list):
+        return
+    elif what == "drop":
+        rows[i] = rows[i][:-1]
+    elif what == "extend":
+        rows[i] = rows[i] + [value]
+    elif rows[i]:
+        rows[i][column % len(rows[i])] = value
+
+
+MUTATIONS = st.tuples(
+    st.sampled_from(["cell", "cell", "cell", "drop", "extend", "record", "kind"]),
+    st.tuples(st.integers(0, 3), st.integers(0, 40), st.integers(0, 8)),
+    st.one_of(LEAF_VALUES, st.sampled_from(["replace", "add"])),
+)
+
+
+class TestLoaderFaultOrder:
+    """load_calibration names the first fault in the file, as the loader that
+    checked every cell itself did (tests/ref_load_calibration.py)."""
+
+    def test_a_cell_fault_before_a_shape_fault_is_named(self):
+        doc = _default_doc()
+        doc["synth"][0][4] = -1
+        doc["synth"][1] = doc["synth"][1][:-1]
+        for load in (load_calibration, ref_load_calibration.load_calibration):
+            with pytest.raises(CalibrationError) as exc:
+                load(json.dumps(doc))
+            assert str(exc.value) == (
+                "calibration file is malformed: synth latency_cycles: must be an integer"
+                " in 0..2**53"
+            )
+
+    @given(st.lists(MUTATIONS, min_size=1, max_size=4))
+    @example([("cell", (0, 0, 4), -1), ("drop", (0, 1, 0), 0)])
+    @example([("cell", (3, 0, 4), "x"), ("kind", (0, 0, 0), "add")])
+    @example([("cell", (0, 5, 0), 0), ("record", (0, 3, 0), None)])
+    @settings(max_examples=500, deadline=None)
+    def test_refuses_as_the_cell_by_cell_loader_did(self, mutations):
+        doc = json.loads(json.dumps(DEFAULT_DOC))
+        for mutation in mutations:
+            _mutate(doc, mutation)
+        text = json.dumps(doc)
+        outcomes = []
+        for load in (load_calibration, ref_load_calibration.load_calibration):
+            try:
+                outcomes.append(load(text))
+            except SvmSocError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
