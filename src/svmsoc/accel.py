@@ -24,7 +24,8 @@ leading -0.0 product into +0.0, as a zero-initialised accumulator does.
 from __future__ import annotations
 
 import math
-import struct
+import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,12 @@ _F32 = np.float32
 
 
 def f32_bits(value) -> int:
-    """The binary32 bit pattern of a value, as an unsigned int."""
-    v = float(value)
-    try:
-        return struct.unpack("<I", struct.pack("<f", v))[0]
-    except OverflowError:
-        # struct refuses finite doubles beyond the binary32 range; they
-        # round to the matching infinity
-        return struct.unpack("<I", struct.pack("<f", math.copysign(math.inf, v)))[0]
+    """The binary32 bit pattern of a value, as an unsigned int.
+
+    The store into a one-element array("f") is a C double-to-float cast, so
+    a finite double beyond the binary32 range rounds to the matching infinity.
+    """
+    return int.from_bytes(array("f", (float(value),)).tobytes(), sys.byteorder)
 
 
 @dataclass(frozen=True)

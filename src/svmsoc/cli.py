@@ -2,8 +2,9 @@
 
 Subcommands: classify, cosim, synth, explore, fit, gen.  Exit codes are
 0 on success, 1 for input problems (a bad, missing or unknown command-line
-argument, unreadable or malformed files, bad dimensions, unknown directive
-names), 2 when a cost-model lookup has no calibration to stand on.  Every
+argument, a missing file, unreadable or malformed model and data files,
+bad dimensions, unknown directive names), 2 when a calibration file is
+unusable or a cost-model lookup has no calibration to stand on.  Every
 failure prints one "error:" line on stderr and nothing on stdout.
 
 Every command takes --machine for key=value output; those renderings are
@@ -41,6 +42,7 @@ from .synth import (
     explore,
     fit_calibration,
     format_mhz,
+    format_pairing,
     load_calibration,
     parse_anchor_csv,
     save_calibration,
@@ -62,12 +64,14 @@ def _fmt_bram(v: float) -> str:
     return f"{v:g}"
 
 
-def _read(path: str) -> str:
+def _read(path: str, undecodable=SvmSocError) -> str:
+    """A file's text; a file that is not text raises undecodable."""
     try:
         return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # a decode error has none
-        raise SvmSocError(f"cannot read {path}: {reason}") from None
+    except OSError as exc:
+        raise SvmSocError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise undecodable(f"cannot read {path}: {exc}") from None
 
 
 def _load_model(args):
@@ -82,7 +86,7 @@ def _load_model(args):
 
 def _load_calibration(args) -> CalibrationSet:
     if getattr(args, "calibration", None):
-        return load_calibration(_read(args.calibration))
+        return load_calibration(_read(args.calibration, CalibrationError))
     return default_calibration()
 
 
@@ -164,8 +168,8 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
         )
     match = "yes" if rep.results_match else "NO"
     return (
-        f"co-simulation: {rep.directive.name}, FPGA {format_mhz(rep.clocks.fpga_mhz)} MHz"
-        f" / ARM {format_mhz(rep.clocks.arm_mhz)} MHz\n"
+        f"co-simulation: {rep.directive.name},"
+        f" {format_pairing(rep.clocks.fpga_mhz, rep.clocks.arm_mhz)}\n"
         f"  hw: {_fmt_label(rep.hw.label)} {_WORDS[rep.hw.label]} {hw_d}\n"
         f"  sw: {_fmt_label(rep.sw.label)} {_WORDS[rep.sw.label]} {sw_d}\n"
         f"  results match: {match}\n"
@@ -199,6 +203,26 @@ def cmd_cosim(args) -> str:
 # --------------------------------------------------------------------------
 # synth / explore
 
+def _estimate_cells(est) -> list[tuple[str, object]]:
+    """A design estimate's (key, text) cells, in the order every row prints them."""
+    return [
+        ("latency_cycles", est.latency_cycles),
+        ("throughput_cycles", est.throughput_cycles),
+        ("bram", _fmt_bram(est.bram)),
+        ("dsp", est.dsp),
+        ("ff", est.ff),
+        ("lut", est.lut),
+        ("validity", est.validity),
+    ]
+
+
+def _table(rows) -> str:
+    """Rows of (key, text) cells as human text: a header of the keys (a cycle
+    count's without its _cycles), then each row's texts."""
+    header = " ".join(key.removesuffix("_cycles") for key, _ in rows[0])
+    return header + "\n" + "".join(" ".join(str(v) for _, v in row) + "\n" for row in rows)
+
+
 def cmd_synth(args) -> str:
     directive = DirectiveConfig.parse(args.directive)
     est = estimate_design(
@@ -208,6 +232,7 @@ def cmd_synth(args) -> str:
         args.regime_mhz,
         calibration=_load_calibration(args),
     )
+    cells = _estimate_cells(est)
     if args.machine:
         return _kv(
             [
@@ -215,20 +240,10 @@ def cmd_synth(args) -> str:
                 ("regime_mhz", format_mhz(args.regime_mhz)),
                 ("sv_count", args.sv_count),
                 ("feature_count", args.feature_count),
-                ("latency_cycles", est.latency_cycles),
-                ("throughput_cycles", est.throughput_cycles),
-                ("bram", _fmt_bram(est.bram)),
-                ("dsp", est.dsp),
-                ("ff", est.ff),
-                ("lut", est.lut),
-                ("validity", est.validity),
+                *cells,
             ]
         )
-    return (
-        "latency throughput bram dsp ff lut validity\n"
-        f"{est.latency_cycles} {est.throughput_cycles} {_fmt_bram(est.bram)}"
-        f" {est.dsp} {est.ff} {est.lut} {est.validity}\n"
-    )
+    return _table([cells])
 
 
 def cmd_explore(args) -> str:
@@ -238,26 +253,17 @@ def cmd_explore(args) -> str:
         args.regime_mhz,
         calibration=_load_calibration(args),
     )
-    lines = []
-    if not args.machine:
-        lines.append("directive latency throughput bram dsp ff lut validity power_w")
-    for entry in front:
-        est = entry.estimate
-        watts = f"{entry.power_w:.3f}" if entry.power_w is not None else "-"
-        row = (
-            f"{entry.directive.name} {est.latency_cycles} {est.throughput_cycles}"
-            f" {_fmt_bram(est.bram)} {est.dsp} {est.ff} {est.lut} {est.validity}"
-        )
-        if args.machine:
-            lines.append(
-                f"directive={entry.directive.name} latency_cycles={est.latency_cycles}"
-                f" throughput_cycles={est.throughput_cycles} bram={_fmt_bram(est.bram)}"
-                f" dsp={est.dsp} ff={est.ff} lut={est.lut} validity={est.validity}"
-                f" power_w={watts}"
-            )
-        else:
-            lines.append(f"{row} {watts}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        [
+            ("directive", entry.directive.name),
+            *_estimate_cells(entry.estimate),
+            ("power_w", "-" if entry.power_w is None else f"{entry.power_w:.3f}"),
+        ]
+        for entry in front
+    ]
+    if args.machine:
+        return "".join(" ".join(f"{k}={v}" for k, v in row) + "\n" for row in rows)
+    return _table(rows)
 
 
 # --------------------------------------------------------------------------

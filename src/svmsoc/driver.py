@@ -42,7 +42,7 @@ from .synth import (
     default_calibration,
     estimate_arm_cycles,
     estimate_latency,
-    format_mhz,
+    format_pairing,
 )
 
 __all__ = [
@@ -249,8 +249,7 @@ def cosim(
     elif strict:
         raise UnknownCalibration(
             f"no measured accelerator cycles for {token} at S={s}, Fl={fl},"
-            f" FPGA {format_mhz(clocks.fpga_mhz)} MHz /"
-            f" ARM {format_mhz(clocks.arm_mhz)} MHz"
+            f" {format_pairing(clocks.fpga_mhz, clocks.arm_mhz)}"
         )
     else:
         est = estimate_latency(s, fl, cfg, clocks.fpga_mhz, calibration=cal)
@@ -260,9 +259,8 @@ def cosim(
     timer_mhz = arm_timer_mhz(pairing, cal)
     if strict and s not in cal.fits[("plain_cycles", *pairing)].points:
         raise UnknownCalibration(
-            f"no measured processor cycles at S={s} for FPGA"
-            f" {format_mhz(clocks.fpga_mhz)} MHz /"
-            f" ARM {format_mhz(clocks.arm_mhz)} MHz"
+            f"no measured processor cycles at S={s} for"
+            f" {format_pairing(clocks.fpga_mhz, clocks.arm_mhz)}"
         )
     sw_cycles = estimate_arm_cycles(s, fl, clocks, optimized=False, calibration=cal)
     sw_opt = estimate_arm_cycles(s, fl, clocks, optimized=True, calibration=cal)

@@ -6,6 +6,20 @@ raises one of these instead of leaking ValueError/IndexError from helpers.
 
 from __future__ import annotations
 
+__all__ = [
+    "SvmSocError",
+    "UnsupportedKernel",
+    "MalformedModel",
+    "MalformedInstance",
+    "MalformedDataset",
+    "DimensionError",
+    "FrameLengthError",
+    "CalibrationError",
+    "UnknownCalibration",
+    "FlMismatch",
+    "UnknownDesign",
+]
+
 
 class SvmSocError(Exception):
     """Base class for all errors raised by this package."""

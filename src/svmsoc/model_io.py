@@ -167,8 +167,6 @@ class TrainedModel:
             and _same_bits(_F32(self.bias), _F32(other.bias))
         )
 
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
 class TestInstance:
@@ -194,8 +192,6 @@ class TestInstance:
         if not isinstance(other, TestInstance):
             return NotImplemented
         return _same_bits(self.values, other.values)
-
-    __hash__ = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,8 +238,6 @@ class LabeledDataset:
             return NotImplemented
         return _same_bits(self.features, other.features) and self.labels == other.labels
 
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
 class StreamFrame:
@@ -274,8 +268,6 @@ class StreamFrame:
         if not isinstance(other, StreamFrame):
             return NotImplemented
         return np.array_equal(self.words, other.words)
-
-    __hash__ = None
 
     def to_bytes(self) -> bytes:
         return self.words.tobytes()

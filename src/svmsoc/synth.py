@@ -75,16 +75,16 @@ __all__ = [
     "arm_timer_mhz",
     "clock_key",
     "format_mhz",
+    "format_pairing",
     "parse_anchor_csv",
     "save_calibration",
     "load_calibration",
 ]
 
-# validity tags, ordered best to worst
+# validity tags
 ANCHOR_EXACT = "anchor_exact"
 INTERPOLATED = "interpolated"
 EXTRAPOLATED = "extrapolated"
-_VALIDITY_RANK = {ANCHOR_EXACT: 0, INTERPOLATED: 1, EXTRAPOLATED: 2}
 
 # The largest count or size a record or an estimate takes: every integer up
 # to it converts to binary64 exactly, so no fit or estimate overflows on one.
@@ -103,8 +103,9 @@ def format_mhz(value: float) -> str:
     return f"{value:g}"
 
 
-def _worst(*tags: str) -> str:
-    return max(tags, key=_VALIDITY_RANK.__getitem__)
+def format_pairing(fpga_mhz: float, arm_mhz: float) -> str:
+    """A clock pairing as every message and output prints it."""
+    return f"FPGA {format_mhz(fpga_mhz)} MHz / ARM {format_mhz(arm_mhz)} MHz"
 
 
 # --------------------------------------------------------------------------
@@ -168,55 +169,42 @@ class DirectiveConfig:
     def parse(cls, token: str) -> "DirectiveConfig":
         """Build a DirectiveConfig from names like pipeline-inner or cyclic_8.
 
-        Underscores and hyphens are interchangeable; the array- prefix on
-        partition/resource names and bare partition styles are accepted.
+        Underscores and hyphens are interchangeable, case and surrounding
+        blanks are ignored, and the array- prefix on partition/resource
+        names and bare partition styles are accepted.  Every spelling,
+        canonical or not, goes through this one normaliser; its result is
+        cached by token text.  An unknown name or a bad factor raises
+        ValueError.
         """
-        if type(token) is str:  # a canonical name takes no normalising
-            if _DIRECTIVES.get(token) is False:
-                return cls(token)
-            named = _split_canonical(token)
-            if named is not None:
-                return cls(*named)
-        t = token.strip().lower().replace("_", "-")
-        if t.startswith(("array-partition-", "array-resource-")):
-            t = t[len("array-") :]
-        t = _ALIASES.get(t, t)
-        if t.count("-") == 1 and t.split("-")[0] in ("cyclic", "block"):
-            t = "partition-" + t
-        if _DIRECTIVES.get(t) is False:
-            return cls(t)
-        prefix, _, factor = t.rpartition("-")
-        if not _DIRECTIVES.get(prefix):
-            raise ValueError(f"unknown directive {token!r}")
-        try:
-            factor = int(factor)
-        except ValueError:
-            raise ValueError(f"bad factor in directive {token!r}") from None
-        return cls(prefix, factor)
+        return _parse_directive(token)
 
 
-def _split_canonical(token: str) -> tuple[str, int] | None:
-    """The prefix and factor of a canonical name with a factor
-    (partition-cyclic-16), else None."""
-    prefix, _, digits = token.rpartition("-")
-    if _DIRECTIVES.get(prefix) and digits.isascii() and digits.isdigit():
-        if digits[0] != "0" and digits != "1":  # the text of an int >= 2
-            try:
-                return prefix, int(digits)
-            except ValueError:  # more digits than int() reads from text
-                pass
-    return None
+@lru_cache(maxsize=1024)
+def _parse_directive(token: str) -> DirectiveConfig:
+    """DirectiveConfig.parse, cached on the token."""
+    t = token.strip().lower().replace("_", "-")
+    if t.startswith(("array-partition-", "array-resource-")):
+        t = t[len("array-") :]
+    t = _ALIASES.get(t, t)
+    if t.count("-") == 1 and t.split("-")[0] in ("cyclic", "block"):
+        t = "partition-" + t
+    if _DIRECTIVES.get(t) is False:
+        return DirectiveConfig(t)
+    prefix, _, factor = t.rpartition("-")
+    if not _DIRECTIVES.get(prefix):
+        raise ValueError(f"unknown directive {token!r}")
+    try:
+        factor = int(factor)
+    except ValueError:
+        raise ValueError(f"bad factor in directive {token!r}") from None
+    return DirectiveConfig(prefix, factor)
 
 
 def _directive_token(directive) -> str:
-    """A directive's DirectiveConfig name; a name that is one comes back as it is."""
-    if type(directive) is str and (
-        _DIRECTIVES.get(directive) is False or _split_canonical(directive) is not None
-    ):
-        return directive
+    """A directive's DirectiveConfig name."""
     if isinstance(directive, DirectiveConfig):
         return directive.name
-    return DirectiveConfig.parse(str(directive)).name
+    return _parse_directive(str(directive)).name
 
 
 # --------------------------------------------------------------------------
@@ -550,19 +538,15 @@ _ARM_FIGURES = {
 }
 
 
-def _design_label(design: tuple[str, float]) -> str:
-    return f"{design[0]} at {format_mhz(design[1])} MHz"
-
-
-def _pairing_label(pairing: tuple[float, float]) -> str:
-    return f"FPGA {format_mhz(pairing[0])} MHz / ARM {format_mhz(pairing[1])} MHz"
+def _design_label(directive: str, regime_mhz: float) -> str:
+    return f"{directive} at {format_mhz(regime_mhz)} MHz"
 
 
 def _figure_label(column: str, group: tuple) -> str:
     """How messages name a fitted figure: latency for pipeline-inner at 100 MHz."""
     if column in _ARM_FIGURES:
-        return f"{_ARM_FIGURES[column]} for {_pairing_label(group)}"
-    return f"{_SYNTH_FIGURES[column]} for {_design_label(group)}"
+        return f"{_ARM_FIGURES[column]} for {format_pairing(*group)}"
+    return f"{_SYNTH_FIGURES[column]} for {_design_label(*group)}"
 
 
 @dataclass(frozen=True)
@@ -623,8 +607,8 @@ class CalibrationSet:
             _group_fits(fits, rows, design, _design_label, _SYNTH_FIGURES)
             dsp[design] = {r.sv_count: r.dsp for r in rows}
         for pairing, rows in arm.items():
-            _group_fits(fits, rows, pairing, _pairing_label, _ARM_FIGURES)
-            timers[pairing] = _shared(rows, "timer_mhz", pairing, _pairing_label)
+            _group_fits(fits, rows, pairing, format_pairing, _ARM_FIGURES)
+            timers[pairing] = _shared(rows, "timer_mhz", pairing, format_pairing)
         records = tuple(rec for rows in by_kind.values() for rec in rows)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "fits", fits)
@@ -638,7 +622,7 @@ def _shared(rows, column: str, group: tuple, label):
     """The one value of a column across a group's records; label names the group."""
     values = {getattr(r, column) for r in rows}
     if len(values) != 1:
-        raise ValueError(f"records for {label(group)} mix {column} values {sorted(values)}")
+        raise ValueError(f"records for {label(*group)} mix {column} values {sorted(values)}")
     return values.pop()
 
 
@@ -773,8 +757,9 @@ def estimate_design(
     feature counts: another Fl raises FlMismatch.  BRAM, FF and LUT are
     fitted in S like latency; DSP count is constant per (directive,
     regime): the measured count at an anchor, the mean of the distinct
-    measured counts elsewhere.  The estimate carries the worst validity
-    of its figures.
+    measured counts elsewhere.  The figures share their validity: they are
+    fitted through the same records, and a latency bridged to another Fl
+    makes the resource lookups refuse.
     """
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
@@ -786,17 +771,17 @@ def _design_estimate(
 ) -> SynthesisEstimate:
     """estimate_design for a (directive name, regime MHz) design key, read as is."""
     args = (sv_count, feature_count, allow_point_reuse)
-    latency, v0 = _latency(cal, design, *args)
-    bram, v1 = _figure(cal, "bram", design, *args)
-    ff, v2 = _figure(cal, "ff", design, *args)
-    lut, v3 = _figure(cal, "lut", design, *args)
+    latency, validity = _latency(cal, design, *args)
+    bram, _ = _figure(cal, "bram", design, *args)
+    ff, _ = _figure(cal, "ff", design, *args)
+    lut, _ = _figure(cal, "lut", design, *args)
     dsps = cal.dsp[design]
     dsp = dsps.get(sv_count)
     if dsp is None:
         distinct = set(dsps.values())
         dsp = round(sum(distinct) / len(distinct))
     return SynthesisEstimate(
-        validity=_worst(v0, v1, v2, v3),
+        validity=validity,
         latency_cycles=latency,
         bram=max(0.0, bram),
         dsp=dsp,
@@ -824,7 +809,7 @@ def arm_timer_mhz(clocks, calibration: CalibrationSet | None = None) -> float:
     timer = cal.arm.get(pairing)
     if timer is None:
         raise UnknownCalibration(
-            f"no processor-cycle calibration for the {_pairing_label(pairing)} pairing"
+            f"no processor-cycle calibration for the {format_pairing(*pairing)} pairing"
         )
     return timer
 

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmsoc import (
@@ -224,3 +225,27 @@ class TestRunAccelerator:
             )
             if kind == "nan":  # inf - inf in the dot product, labelled -1
                 assert np.isnan(res.distance) and res.label == -1 and not res.finite
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+class TestF32Bits:
+    @given(st.one_of(st.integers(0, 2**64 - 1).map(_double), st.floats()))
+    @example(1e39)
+    @example(-1e39)
+    @example(2.0**128)
+    @example(-(2.0**128))
+    @example(3.4028235677973366e38)  # rounds down to the largest binary32
+    @example(2.0**-149)  # the least binary32 subnormal
+    @example(0.75 * 2.0**-126)
+    @example(2.0**-150)  # halfway to zero: rounds to even, +0
+    @example(-0.0)
+    @example(_double(0x7FF0_0000_0000_0001))  # a signalling NaN
+    @example(_double(0xFFF8_DEAD_BEEF_0001))  # a quiet NaN with a payload
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_the_numpy_binary32_cast(self, v):
+        with np.errstate(over="ignore"):
+            want = int(np.float32(v).view(np.uint32))
+        assert f32_bits(v) == want

@@ -137,21 +137,31 @@ class TestClassify:
         assert code == 1 and out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,want",
         [
-            ["classify", "--svs", "svs.txt", "--alpha", "alpha.txt", "--input", "bad"],
-            ["classify", "--svs", "bad", "--alpha", "alpha.txt", "--input", "test.txt"],
-            ["synth", "248", "27", "pipeline-inner", "100", "--calibration", "bad"],
-            ["fit", "bad"],
+            (["classify", "--svs", "svs.txt", "--alpha", "alpha.txt", "--input", "bad"], 1),
+            (["classify", "--svs", "bad", "--alpha", "alpha.txt", "--input", "test.txt"], 1),
+            # an unusable calibration file, as one that is not JSON
+            (["synth", "248", "27", "pipeline-inner", "100", "--calibration", "bad"], 2),
+            (["fit", "bad"], 1),
         ],
         ids=["input", "svs", "calibration", "fit-anchors"],
     )
-    def test_undecodable_file_names_the_file(self, capsys, tiny, monkeypatch, argv):
+    def test_undecodable_file_names_the_file(self, capsys, tiny, monkeypatch, argv, want):
         monkeypatch.chdir(tiny)
         (tiny / "bad").write_bytes(b"\xff\xfe\x00 not text")
         code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
+        assert code == want and out == ""
         assert err.startswith("error: cannot read bad: ") and err.count("\n") == 1
+
+    def test_missing_calibration_file_is_input_error(self, capsys, tiny):
+        code, out, err = run(
+            capsys, "synth", "248", "27", "pipeline-inner", "100",
+            "--calibration", str(tiny / "nope.json"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {tiny / 'nope.json'}: ")
+        assert err.count("\n") == 1
 
     def test_nonlinear_kernel_rejected(self, capsys, tmp_path):
         bad = SVMLIGHT_SMALL.replace("0 # kernel type", "2 # kernel type")

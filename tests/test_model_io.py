@@ -326,6 +326,21 @@ class TestLabeledDataset:
         assert plus != LabeledDataset(np.array([[0.0, 1.0]], np.float32), (-1,))
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        TrainedModel(np.ones((1, 2), np.float32), np.ones(1, np.float32), 0.0),
+        TestInstance(np.ones(2, np.float32)),
+        LabeledDataset(np.ones((1, 2), np.float32), (1,)),
+        StreamFrame(np.zeros(4, "<u4")),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_value_types_are_unhashable(value):
+    with pytest.raises(TypeError):
+        hash(value)
+
+
 class TestStreamFrames:
     def test_word_order_is_svs_bias_weights_test(self):
         m = TrainedModel(

@@ -3,11 +3,15 @@
 No module imports another module's private (_underscore) names, every
 name a module lists in __all__ is bound at its top level, the cost
 models import numpy only where a least-squares fit needs it, and every
-module parses on the oldest Python that pyproject.toml admits.
+module parses on the oldest Python that pyproject.toml admits.  Each
+fact is defined once: the package exports exactly its modules' __all__
+lists, and one function spells a clock pairing.
 """
 
 import ast
+import importlib
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -158,3 +162,71 @@ def test_checks_catch_violations():
     assert _newer_syntax('f = fits[("lat", *design)]\n') == []
     assert _newer_syntax("match x:\n    case 1:\n        pass\n") == []
     assert _newer_syntax("try:\n    pass\nexcept* ValueError:\n    pass\n") != []
+
+
+# The modules whose __all__ the package re-exports; cli is the front end.
+LIBRARY = [p for p in MODULES if p.stem not in ("__init__", "cli")]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)
+def test_every_library_module_has_an_all(path):
+    assert _all_entries(_tree(path)) != []
+
+
+def test_package_exports_exactly_the_modules_all_lists():
+    public = {
+        name
+        for name, value in vars(svmsoc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    exported = {name for path in LIBRARY for name in _all_entries(_tree(path))}
+    assert public == exported
+
+
+# Every name the package exported when it kept its own list, with the
+# module that defines it.
+EARLIER_EXPORTS = {
+    "accel": "accumulate_weight_vector decide dot_distance f32_bits run_accelerator",
+    "driver": "ClockPair batch_classify cosim run_oracle run_software_reference",
+    "errors": "CalibrationError DimensionError FlMismatch FrameLengthError MalformedDataset"
+    " MalformedInstance MalformedModel SvmSocError UnknownCalibration UnknownDesign"
+    " UnsupportedKernel",
+    "model_io": "LabeledDataset StreamFrame TestInstance TrainedModel emit_dataset"
+    " emit_native_model emit_stream emit_test_instance format_real load_dataset"
+    " make_synthetic parse_native_model parse_stream parse_svmlight_model"
+    " parse_test_instance",
+    "synth": "ANCHOR_EXACT EXTRAPOLATED INTERPOLATED AnchorRow DirectiveConfig"
+    " default_calibration estimate_arm_cycles estimate_design estimate_latency"
+    " estimate_power explore fit_calibration load_calibration parse_anchor_csv"
+    " save_calibration",
+}
+
+
+def test_earlier_exports_resolve_to_the_same_objects():
+    pairs = [(m, name) for m, names in EARLIER_EXPORTS.items() for name in names.split()]
+    assert len(pairs) == 51
+    for module, name in pairs:
+        assert getattr(svmsoc, name) is getattr(
+            importlib.import_module(f"svmsoc.{module}"), name
+        ), name
+
+
+def _pairing_text_sites() -> list[str]:
+    """Where the source spells a clock pairing: module and enclosing function."""
+    sites = []
+    for path in MODULES:
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and " MHz / ARM " in str(node.value):
+                owner = [
+                    f.name
+                    for f in tree.body
+                    if isinstance(f, ast.FunctionDef)
+                    and f.lineno <= node.lineno <= f.end_lineno
+                ]
+                sites.append(f"{path.stem}.{'.'.join(owner) or '<module>'}")
+    return sites
+
+
+def test_one_function_spells_a_clock_pairing():
+    assert _pairing_text_sites() == ["synth.format_pairing"]

@@ -42,6 +42,9 @@ from svmsoc.synth import (
     PowerRecord,
     SynthesisEstimate,
     _DIRECTIVES,
+    _figure,
+    _latency,
+    _parse_directive,
 )
 
 import ref_load_calibration
@@ -169,6 +172,10 @@ class TestDirectiveConfig:
             _parse_by_normalising, token
         )
 
+    def test_parse_cache_is_bounded_and_keyed_on_text(self):
+        assert _parse_directive.cache_info().maxsize is not None
+        assert DirectiveConfig.parse("Cyclic_8") is DirectiveConfig.parse("Cyclic_8")
+
     @given(
         st.one_of(
             st.text(max_size=24),
@@ -192,7 +199,7 @@ DIRECTIVE_NAMES = sorted(_DIRECTIVES) + [
 
 
 def _parse_by_normalising(token: str) -> DirectiveConfig:
-    """DirectiveConfig.parse with no fast path: every token is normalised first."""
+    """The parse normalisation spelled out on its own, as a reference."""
     t = token.strip().lower().replace("_", "-")
     if t.startswith(("array-partition-", "array-resource-")):
         t = t[len("array-") :]
@@ -501,6 +508,41 @@ REFUSALS = [
 def test_refusal_names_its_figure(call, error, label):
     with pytest.raises(error, match=re.escape(label)):
         call()
+
+
+# The shipped anchors plus a third pipeline-inner run at 100 MHz: one group
+# each of one anchor, two anchors and a least-squares line.
+FITTED = fit_calibration(
+    [*SHIPPED_ANCHORS, AnchorRow(400, 27, "pipeline-inner", 100.0, 22800, 40, 5, 1262, 2460)]
+)
+
+
+@given(
+    st.sampled_from(["shipped", "fitted"]),
+    st.integers(1, MAX_COUNT),
+    st.sampled_from([27, 30]),
+    st.booleans(),
+)
+@example("fitted", 300, 27, False)
+@example("shipped", 297, 27, False)
+@example("shipped", 100, 27, True)
+@example("shipped", MAX_COUNT, 27, True)
+@settings(max_examples=200, deadline=None)
+def test_figures_of_a_design_share_their_validity(which, s, fl, reuse):
+    """All four fitted figures of an estimate carry one tag, or the estimate refuses."""
+    cal = default_calibration() if which == "shipped" else FITTED
+    for design in cal.dsp:
+        tags = set()
+        try:
+            tags.add(_latency(cal, design, s, fl, reuse)[1])
+            for column in ("bram", "ff", "lut"):
+                tags.add(_figure(cal, column, design, s, fl, reuse)[1])
+        except CalibrationError:
+            with pytest.raises(CalibrationError):
+                estimate_design(s, fl, *design, calibration=cal, allow_point_reuse=reuse)
+            continue
+        est = estimate_design(s, fl, *design, calibration=cal, allow_point_reuse=reuse)
+        assert tags == {est.validity}
 
 
 class TestArmCycles:
