@@ -257,7 +257,7 @@ def cosim(
         source = ESTIMATED
 
     timer_mhz = arm_timer_mhz(pairing, cal)
-    if strict and s not in cal.fits[("plain_cycles", *pairing)].points:
+    if strict and s not in cal.fits[pairing].points:
         raise UnknownCalibration(
             f"no measured processor cycles at S={s} for"
             f" {format_pairing(clocks.fpga_mhz, clocks.arm_mhz)}"

@@ -16,19 +16,22 @@ A calibration is one table of measured records, of four kinds:
 
 One schema checks every record, whether it comes from an anchor CSV, a
 calibration file or a caller: a CalibrationSet runs it on every record it
-is built from, then derives the estimators' fits from its records.  The built-in calibration is the fit
-of SHIPPED_RECORDS and a calibration file stores the records themselves,
-so every calibration is fitted by the same code.
+is built from, then derives the estimators' fits from its records.  The
+built-in calibration is the fit of SHIPPED_RECORDS and a calibration file
+stores the records themselves, so every calibration is fitted by the same
+code.
 
-Each measured quantity (latency, BRAM, FF, LUT, processor cycles) is one
-Fit in S over its (directive, clock) group.  At a measured S it returns the
-measured value exactly.  A single anchor carries no S-dependence, so
-scaling it to another S is refused unless explicitly forced; two anchors
-give the exact affine through both, three or more a least-squares line.
-Every estimate carries a validity tag saying whether it hit an anchor
-exactly, interpolated between anchors, or extrapolated beyond them.  DSP
-use is constant in S: the measured count at an anchor, the mean of the
-group's distinct counts elsewhere.
+Each group of records has one Fit in S, whose columns are the measured
+quantities: latency, BRAM, FF and LUT of a (directive, regime) group,
+plain and optimized processor cycles of a clock pairing.  An estimator
+reads the columns it needs in one lookup.  At a measured S a column
+returns the measured value exactly.  A single anchor carries no
+S-dependence, so scaling it to another S is refused unless explicitly
+forced; two anchors give the exact affine through both, three or more a
+least-squares line.  Every estimate carries a validity tag saying whether
+it hit an anchor exactly, interpolated between anchors, or extrapolated
+beyond them.  DSP use is constant in S: the measured count at an anchor,
+the mean of the group's distinct counts elsewhere.
 
 Latency for the two directives whose inner loop runs Fl+1 iterations per
 support vector (the streamed arrays carry one spare slot) decomposes as
@@ -43,7 +46,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import le
+from operator import attrgetter, le
 from typing import NamedTuple, Sequence, Union
 
 from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign
@@ -335,7 +338,8 @@ def _schema(kind: str):
     try:
         return _SCHEMA[kind]
     except KeyError:
-        raise ValueError(f"unknown record kind {kind!r}") from None
+        cell = kind if len(kind) <= 40 else kind[:40] + "…"  # a data line, quoted in part
+        raise ValueError(f"unknown record kind {cell!r}") from None
 
 
 def _record(kind: str, cells) -> Record:
@@ -449,79 +453,78 @@ PER_FEATURE_SLOPES: dict[str, tuple[int, int]] = {
 
 
 class Fit:
-    """One measured quantity as a function of S, through its anchors.
+    """The fitted columns of one calibration group, as functions of S.
 
-    One anchor pins the value (slope and intercept are None); two give the
-    exact affine through both, evaluated through the anchors themselves so
-    interpolation carries no slope round-off; three or more give the
-    least-squares line.  points maps each measured S to its value,
-    feature_count is the Fl the quantity was measured at, and what is the
-    label every message gives it; it may be given as a calibration's
-    (column, *group) fits key, and is then formatted only when read.  A
-    line that is not finite is refused with ValueError.
+    group is a (directive, regime MHz) or an (FPGA MHz, ARM MHz) key and
+    columns names its fitted columns.  They share feature_count, the Fl they
+    were measured at, and points, which maps each measured S to the tuple of
+    column values there.  slope and intercept hold one entry per column, or
+    are None for a single anchor, which pins the values.  Two anchors give
+    the exact affine through both, evaluated through the anchors so
+    interpolation carries no slope round-off; three or more the least-squares
+    line.  A line that is not finite is refused with ValueError.
     """
 
-    __slots__ = ("feature_count", "points", "lo", "hi", "slope", "intercept", "_what")
+    __slots__ = ("feature_count", "points", "lo", "hi", "slope", "intercept", "group", "columns")
 
-    def __init__(
-        self, feature_count: int, points: Sequence[tuple[int, float]], what: str | tuple
-    ):
+    def __init__(self, feature_count: int, points: Sequence[tuple[int, tuple]], group, columns):
         pts = sorted(points)
-        self.feature_count = feature_count
-        self._what = what
+        self.feature_count, self.group, self.columns = feature_count, group, columns
         self.points = dict(pts)
         self.lo, self.hi = pts[0][0], pts[-1][0]
-        slope = intercept = None
-        if len(pts) == 2:
-            (s1, v1), (s2, v2) = pts
-            slope = (v2 - v1) / (s2 - s1)
-            intercept = v1 - slope * s1
-        elif len(pts) > 2:
-            slope, intercept = _least_squares(pts, self)
-        self.slope, self.intercept = slope, intercept
-        if slope is not None and not (math.isfinite(slope) and math.isfinite(intercept)):
-            raise ValueError(f"the fitted line of {self.what} is not finite")
+        self.slope = self.intercept = None
+        if len(pts) > 1:
+            self.slope, self.intercept = zip(*[_line(pts, i, self) for i in range(len(columns))])
 
-    @property
-    def what(self) -> str:
-        what = self._what
-        return what if type(what) is str else _figure_label(what[0], what[1:])
+    def what(self, column: int) -> str:
+        """The label every message gives a column: latency for pipeline-inner at 100 MHz."""
+        return _figure_label(self.columns[column], self.group)
 
-    def at(self, sv_count: int, allow_point_reuse: bool) -> tuple[float, str]:
-        """The value at S and its validity tag."""
-        value = self.points.get(sv_count)
-        if value is not None:
-            return value, ANCHOR_EXACT
+    def at(self, sv_count: int, allow_point_reuse: bool, columns) -> tuple[list[float], str]:
+        """The values at S of the columns read (indices), only those checked, and their tag."""
+        values = self.points.get(sv_count)
+        if values is not None:
+            return [values[i] for i in columns], ANCHOR_EXACT
         lo, hi = self.lo, self.hi
         if self.slope is None:
             if allow_point_reuse:
-                return self.points[lo], EXTRAPOLATED
+                return [self.points[lo][i] for i in columns], EXTRAPOLATED
             raise UnknownCalibration(
-                f"{self.what} has a single anchor at S={lo}; scaling to"
+                f"{self.what(columns[0])} has a single anchor at S={lo}; scaling to"
                 f" S={sv_count} has no supporting data (pass allow_point_reuse"
                 " to reuse the point value)"
             )
-        if len(self.points) == 2:
-            v1 = self.points[lo]
-            value = v1 + (self.points[hi] - v1) * (sv_count - lo) / (hi - lo)
-        else:
-            value = self.slope * sv_count + self.intercept
-        if not math.isfinite(value):
-            raise CalibrationError(f"{self.what} is not finite at S={sv_count}")
-        return value, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
+        v1, v2, values = self.points[lo], self.points[hi], []
+        for i in columns:
+            if len(self.points) == 2:
+                value = v1[i] + (v2[i] - v1[i]) * (sv_count - lo) / (hi - lo)
+            else:
+                value = self.slope[i] * sv_count + self.intercept[i]
+            if not math.isfinite(value):
+                raise CalibrationError(f"{self.what(i)} is not finite at S={sv_count}")
+            values.append(value)
+        return values, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
 
 
-def _least_squares(points, fit: Fit) -> tuple[float, float]:
-    import numpy as np
+def _line(points, column: int, fit: Fit) -> tuple[float, float]:
+    """The slope and intercept of one column through two or more anchors."""
+    if len(points) == 2:
+        (s1, v1), (s2, v2) = points
+        slope = (v2[column] - v1[column]) / (s2 - s1)
+        intercept = v1[column] - slope * s1
+    else:
+        import numpy as np
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an overflow or a rank-deficient fit
-        try:
-            slope, intercept = np.polyfit(
-                [float(s) for s, _ in points], [v for _, v in points], 1
-            )
-        except RuntimeWarning as exc:
-            raise ValueError(f"no least-squares line fits {fit.what}: {exc}") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow or a rank-deficient fit
+            try:
+                slope, intercept = np.polyfit(
+                    [float(s) for s, _ in points], [v[column] for _, v in points], 1
+                )
+            except RuntimeWarning as exc:
+                raise ValueError(f"no least-squares line fits {fit.what(column)}: {exc}") from None
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError(f"the fitted line of {fit.what(column)} is not finite")
     return float(slope), float(intercept)
 
 
@@ -529,13 +532,14 @@ def _least_squares(points, fit: Fit) -> tuple[float, float]:
 # calibration set
 
 
-# The fitted columns of synth records and of arm records, each with the
-# name its figure has in messages.
+# The fitted columns of synth records and of arm records, in Fit column
+# order, each with the name its figure has in messages.
 _SYNTH_FIGURES = {"latency_cycles": "latency", "bram": "bram", "ff": "ff", "lut": "lut"}
 _ARM_FIGURES = {
     "plain_cycles": "plain processor cycles",
     "optimized_cycles": "optimized processor cycles",
 }
+_SYNTH_COLUMNS, _ARM_COLUMNS = tuple(_SYNTH_FIGURES), tuple(_ARM_FIGURES)
 
 
 def _design_label(directive: str, regime_mhz: float) -> str:
@@ -555,10 +559,9 @@ class CalibrationSet:
 
     records is the table, each record once, grouped by kind; two sets are
     equal when their records are.  The rest derives from the records when
-    the set is built.  fits maps (column, directive, regime MHz) for the
-    latency_cycles, bram, ff and lut columns of synth records, and (column,
-    FPGA MHz, ARM MHz) for the plain_cycles and optimized_cycles columns of
-    arm records, to the Fit of that column.  dsp holds the DSP count by S
+    the set is built.  fits maps each (directive, regime MHz) group of synth
+    records and each (FPGA MHz, ARM MHz) pairing of arm records to the one
+    Fit of all its fitted columns.  dsp holds the DSP count by S
     of each (directive, regime) synthesis group, arm the timer MHz of each
     calibrated clock pairing, cosim_cycles the cycle count by (S, Fl,
     directive, (FPGA MHz, ARM MHz)) and power the watts by (S, directive).
@@ -604,10 +607,10 @@ class CalibrationSet:
 
         fits, dsp, timers = {}, {}, {}
         for design, rows in synth.items():
-            _group_fits(fits, rows, design, _design_label, _SYNTH_FIGURES)
+            fits[design] = _group_fit(rows, design, _design_label, _SYNTH_COLUMNS)
             dsp[design] = {r.sv_count: r.dsp for r in rows}
         for pairing, rows in arm.items():
-            _group_fits(fits, rows, pairing, format_pairing, _ARM_FIGURES)
+            fits[pairing] = _group_fit(rows, pairing, format_pairing, _ARM_COLUMNS)
             timers[pairing] = _shared(rows, "timer_mhz", pairing, format_pairing)
         records = tuple(rec for rows in by_kind.values() for rec in rows)
         object.__setattr__(self, "records", records)
@@ -626,13 +629,11 @@ def _shared(rows, column: str, group: tuple, label):
     return values.pop()
 
 
-def _group_fits(fits: dict, rows, group: tuple, label, columns) -> None:
-    """Add one Fit in S per fitted column of a group of records at one Fl to fits."""
+def _group_fit(rows, group: tuple, label, columns: tuple[str, ...]) -> Fit:
+    """The Fit in S of the fitted columns of a group of records at one Fl."""
     fl = _shared(rows, "feature_count", group, label)
-    svs = [r.sv_count for r in rows]
-    for column in columns:
-        key = (column, *group)
-        fits[key] = Fit(fl, zip(svs, [float(getattr(r, column)) for r in rows]), key)
+    values = attrgetter(*columns)
+    return Fit(fl, [(r.sv_count, tuple(map(float, values(r)))) for r in rows], group, columns)
 
 
 def fit_calibration(rows: Sequence[Record | tuple]) -> CalibrationSet:
@@ -682,24 +683,30 @@ class SynthesisEstimate:
         return None if self.latency_cycles is None else self.latency_cycles + 1
 
 
-def _figure(cal, column, group, sv_count, feature_count, allow_point_reuse) -> tuple[float, str]:
-    """One fitted column of a (directive, regime) or clock-pairing group at (S, Fl).
-
-    Returns the value and its validity tag.  Refuses, in this order: an
-    uncalibrated group (UnknownCalibration), a size outside 1..2**53
-    (ValueError), another feature count (FlMismatch), and what Fit.at
-    refuses.
-    """
-    fit = cal.fits.get((column, *group))
+def _fit(cal, column: str, group, sv_count, feature_count) -> Fit:
+    """A group's Fit for column; refuses an uncalibrated group, then a size outside 1..2**53."""
+    fit = cal.fits.get(group)
     if fit is None:
         raise UnknownCalibration(f"{_figure_label(column, group)} is not calibrated")
     if not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):
         raise ValueError("sv_count and feature_count must be integers in 1..2**53")
+    return fit
+
+
+def _figure(cal, column, group, sv_count, feature_count, allow_point_reuse) -> tuple[float, str]:
+    """One fitted column of a (directive, regime) or clock-pairing group at (S, Fl).
+
+    Returns the value and its validity tag.  Refuses, in this order: what
+    _fit refuses, another feature count (FlMismatch), and what Fit.at refuses.
+    """
+    fit = _fit(cal, column, group, sv_count, feature_count)
+    index = fit.columns.index(column)
     if feature_count != fit.feature_count:
         raise FlMismatch(
-            f"{fit.what} is calibrated for Fl={fit.feature_count}, not Fl={feature_count}"
+            f"{fit.what(index)} is calibrated for Fl={fit.feature_count}, not Fl={feature_count}"
         )
-    return fit.at(sv_count, allow_point_reuse)
+    (value,), validity = fit.at(sv_count, allow_point_reuse, (index,))
+    return value, validity
 
 
 def _latency(cal, design, sv_count, feature_count, allow_point_reuse) -> tuple[int, str]:
@@ -709,13 +716,13 @@ def _latency(cal, design, sv_count, feature_count, allow_point_reuse) -> tuple[i
             cal, "latency_cycles", design, sv_count, feature_count, allow_point_reuse
         )
     except FlMismatch:
-        fit = cal.fits[("latency_cycles", *design)]
+        fit = cal.fits[design]
         a, c = PER_FEATURE_SLOPES.get(design[0], (None, None))
         if a is None or fit.slope is None or (
-            abs(fit.slope - (a * (fit.feature_count + 1) + c)) >= 1e-6
+            abs(fit.slope[0] - (a * (fit.feature_count + 1) + c)) >= 1e-6
         ):
             raise
-        value = (a * (feature_count + 1.0) + c) * sv_count + fit.intercept
+        value = (a * (feature_count + 1.0) + c) * sv_count + fit.intercept[0]
         validity = EXTRAPOLATED
     return max(0, int(round(value))), validity
 
@@ -759,35 +766,27 @@ def estimate_design(
     regime): the measured count at an anchor, the mean of the distinct
     measured counts elsewhere.  The figures share their validity: they are
     fitted through the same records, and a latency bridged to another Fl
-    makes the resource lookups refuse.
+    makes the resource lookups refuse.  One lookup reads the four fitted figures.
     """
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
-    return _design_estimate(cal, design, sv_count, feature_count, allow_point_reuse)
+    fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
+    if feature_count != fit.feature_count:  # the latency refuses or, bridged, the BRAM
+        args = (sv_count, feature_count, allow_point_reuse)
+        _latency(cal, design, *args)
+        _figure(cal, "bram", design, *args)
+    return SynthesisEstimate(*_design_fields(fit, cal.dsp[design], sv_count, allow_point_reuse))
 
 
-def _design_estimate(
-    cal, design, sv_count, feature_count, allow_point_reuse
-) -> SynthesisEstimate:
-    """estimate_design for a (directive name, regime MHz) design key, read as is."""
-    args = (sv_count, feature_count, allow_point_reuse)
-    latency, validity = _latency(cal, design, *args)
-    bram, _ = _figure(cal, "bram", design, *args)
-    ff, _ = _figure(cal, "ff", design, *args)
-    lut, _ = _figure(cal, "lut", design, *args)
-    dsps = cal.dsp[design]
+def _design_fields(fit: Fit, dsps: dict, sv_count, allow_point_reuse) -> tuple:
+    """A design's SynthesisEstimate fields at S, from its Fit and DSP counts."""
+    (latency, bram, ff, lut), validity = fit.at(sv_count, allow_point_reuse, (0, 1, 2, 3))
     dsp = dsps.get(sv_count)
     if dsp is None:
         distinct = set(dsps.values())
         dsp = round(sum(distinct) / len(distinct))
-    return SynthesisEstimate(
-        validity=validity,
-        latency_cycles=latency,
-        bram=max(0.0, bram),
-        dsp=dsp,
-        ff=max(0, int(round(ff))),
-        lut=max(0, int(round(lut))),
-    )
+    latency, ff, lut = max(0, round(latency)), max(0, round(ff)), max(0, round(lut))
+    return validity, latency, max(0.0, bram), dsp, ff, lut
 
 
 def clock_key(clocks) -> tuple[float, float]:
@@ -878,14 +877,15 @@ def explore(
     cal = calibration if calibration is not None else default_calibration()
     regime = _mhz(regime_mhz)
     candidates = []
-    for token, mhz in cal.dsp:
-        if mhz != regime:
+    for design, dsps in cal.dsp.items():
+        if design[1] != regime:
             continue
-        try:
-            est = _design_estimate(cal, (token, mhz), sv_count, feature_count, False)
-        except (UnknownCalibration, FlMismatch):
+        fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
+        # skip what estimate_design refuses with FlMismatch or UnknownCalibration
+        if feature_count != fit.feature_count or fit.slope is None and sv_count not in fit.points:
             continue
-        candidates.append(((est.latency_cycles, est.dsp, est.lut, est.ff, est.bram), token, est))
+        fields = _, latency, bram, dsp, ff, lut = _design_fields(fit, dsps, sv_count, False)
+        candidates.append(((latency, dsp, lut, ff, bram), design[0], fields))
     if not candidates:
         raise UnknownCalibration(
             f"no directive calibrated at {format_mhz(regime)} MHz can estimate"
@@ -896,9 +896,9 @@ def explore(
     # turn: in cost order, each candidate is tested against the front so far.
     candidates.sort()
     front = []
-    for cost, token, est in candidates:
+    for cost, token, fields in candidates:
         if not any(other != cost and all(map(le, other, cost)) for other, _, _ in front):
-            front.append((cost, token, est))
+            front.append((cost, token, SynthesisEstimate(*fields)))
     front.sort(key=lambda c: (c[0][0], c[1]))
     return [
         ExploreEntry(DirectiveConfig.parse(token), est, cal.power.get((sv_count, token)))

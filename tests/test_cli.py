@@ -415,6 +415,23 @@ class TestExplore:
         code, _, err = run(capsys, "explore", "248", "30", "100")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, want_code, want_err",
+        [
+            # no group at the regime: nothing checks the size
+            (["0", "27", "300"], 2, "no directive calibrated at 300 MHz can estimate S=0, Fl=27"),
+            # a group at the regime checks the size before its Fl
+            (["0", "27", "100"], 1, "sv_count and feature_count must be integers in 1..2**53"),
+            (["0", "30", "100"], 1, "sv_count and feature_count must be integers in 1..2**53"),
+            (["248", "30", "100"], 2,
+             "no directive calibrated at 100 MHz can estimate S=248, Fl=30"),
+        ],
+        ids=["no-group", "size", "size-before-fl", "fl"],
+    )
+    def test_refusal_order(self, capsys, argv, want_code, want_err):
+        code, out, err = run(capsys, "explore", *argv)
+        assert (code, out, err) == (want_code, "", f"error: {want_err}\n")
+
 
 def anchors_csv_text() -> str:
     header = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,dsp,ff,lut"
@@ -464,6 +481,13 @@ class TestFitAndCalibrationFlag:
             builtin = run(capsys, *argv)
             fitted = run(capsys, *argv, "--calibration", str(tmp_path / "cal.json"))
             assert builtin[0] == 0 and fitted == builtin
+
+    def test_fit_on_a_model_file_quotes_part_of_its_line(self, capsys, gen61):
+        line = (gen61 / "svs.txt").read_text().splitlines()[1]
+        assert len(line) > 40
+        code, out, err = run(capsys, "fit", str(gen61 / "svs.txt"))
+        assert (code, out) == (1, "")
+        assert err == f"error: anchor csv line 2: unknown record kind {line[:40] + '…'!r}\n"
 
     def test_fpga_only_calibration_cannot_cosim(self, capsys, tmp_path, gen61):
         (tmp_path / "a.csv").write_text(anchors_csv_text())

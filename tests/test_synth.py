@@ -31,9 +31,11 @@ from svmsoc import (
     load_calibration,
     parse_anchor_csv,
     save_calibration,
+    synth,
 )
 from svmsoc.synth import (
     MAX_COUNT,
+    PER_FEATURE_SLOPES,
     SHIPPED_ANCHORS,
     SHIPPED_RECORDS,
     ArmRecord,
@@ -47,6 +49,7 @@ from svmsoc.synth import (
     _parse_directive,
 )
 
+import ref_estimates
 import ref_load_calibration
 
 CSV_HEADER = "sv_count,feature_count,directive,regime_mhz,latency_cycles,bram,dsp,ff,lut"
@@ -89,6 +92,13 @@ FRACTIONAL_LATENCY_SLOPES = {
     "partition-cyclic-16": Fraction(12960 - 9336, 98),
     "partition-block-2": Fraction(59125 - 42217, 98),
 }
+
+
+# The shipped anchors plus a third pipeline-inner run at 100 MHz: one group
+# each of one anchor, two anchors and a least-squares line.
+FITTED = fit_calibration(
+    [*SHIPPED_ANCHORS, AnchorRow(400, 27, "pipeline-inner", 100.0, 22800, 40, 5, 1262, 2460)]
+)
 
 
 class TestDirectiveConfig:
@@ -236,23 +246,23 @@ class TestFitCalibration:
     def test_two_point_fits_solve_exactly(self):
         cal = default_calibration()
         for token, (slope, intercept) in TWO_POINT_LATENCY_FITS.items():
-            fit = cal.fits["latency_cycles", token, 100.0]
+            fit = cal.fits[token, 100.0]
             assert sorted(fit.points) == [248, 346]
-            assert fit.slope == pytest.approx(slope, abs=1e-9)
-            assert fit.intercept == pytest.approx(intercept, abs=1e-9)
+            assert fit.slope[0] == pytest.approx(slope, abs=1e-9)
+            assert fit.intercept[0] == pytest.approx(intercept, abs=1e-9)
 
     def test_fractional_slopes_match_hand_solution(self):
         cal = default_calibration()
         for token, frac in FRACTIONAL_LATENCY_SLOPES.items():
-            fit = cal.fits["latency_cycles", token, 100.0]
-            assert fit.slope == pytest.approx(float(frac), abs=1e-12)
+            fit = cal.fits[token, 100.0]
+            assert fit.slope[0] == pytest.approx(float(frac), abs=1e-12)
         # block partitioning extrapolates to a negative intercept
-        assert cal.fits["latency_cycles", "partition-block-2", 100.0].intercept < 0
+        assert cal.fits["partition-block-2", 100.0].intercept[0] < 0
 
     def test_per_feature_decomposition_applies_where_it_fits(self):
         cal = default_calibration()
-        assert cal.fits["latency_cycles", "interface-only", 100.0].slope == 11 * 28 + 23
-        assert cal.fits["latency_cycles", "pipeline-inner", 100.0].slope == 2 * 28 + 0
+        assert cal.fits["interface-only", 100.0].slope[0] == 11 * 28 + 23
+        assert cal.fits["pipeline-inner", 100.0].slope[0] == 2 * 28 + 0
         assert estimate_latency(248, 30, "interface-only", 100).validity == EXTRAPOLATED
         assert estimate_latency(248, 30, "pipeline-inner", 100).validity == EXTRAPOLATED
         with pytest.raises(FlMismatch):
@@ -263,8 +273,9 @@ class TestFitCalibration:
 
     def test_single_rows_become_point_fits(self):
         cal = default_calibration()
-        fit = cal.fits["latency_cycles", "unroll-most", 250.0]
-        assert fit.points == {61: 2653} and fit.slope is None and fit.intercept is None
+        fit = cal.fits["unroll-most", 250.0]
+        assert {s: values[0] for s, values in fit.points.items()} == {61: 2653}
+        assert fit.slope is None and fit.intercept is None
 
     def test_three_collinear_rows_recover_the_line(self):
         rows = [
@@ -272,8 +283,8 @@ class TestFitCalibration:
             (200, 27, "pipeline-inner", 100.0, 56 * 200 + 250, 1, 1, 1, 1),
             (300, 27, "pipeline-inner", 100.0, 56 * 300 + 250, 1, 1, 1, 1),
         ]
-        fit = fit_calibration(rows).fits["latency_cycles", "pipeline-inner", 100.0]
-        assert fit.slope == pytest.approx(56) and fit.intercept == pytest.approx(250)
+        fit = fit_calibration(rows).fits["pipeline-inner", 100.0]
+        assert fit.slope[0] == pytest.approx(56) and fit.intercept[0] == pytest.approx(250)
 
     @pytest.mark.parametrize(
         "brams",
@@ -303,7 +314,30 @@ class TestFitCalibration:
         rows = list(SHIPPED_RECORDS) + [SHIPPED_ANCHORS[0], SHIPPED_RECORDS[-1]]
         cal = fit_calibration(rows)
         assert cal.records == default_calibration().records
-        assert cal.fits["latency_cycles", "interface-only", 100.0].points[248] == 82460
+        assert cal.fits["interface-only", 100.0].points[248][0] == 82460
+
+    def test_one_fit_per_group(self):
+        cal = default_calibration()
+        assert len(cal.fits) == 23  # 20 (directive, regime) groups and 3 clock pairings
+        assert cal.fits.keys() == cal.dsp.keys() | cal.arm.keys()
+
+    @pytest.mark.parametrize("table", [SHIPPED_RECORDS, FITTED.records], ids=["shipped", "fitted"])
+    def test_each_column_holds_its_per_column_fit(self, table):
+        """Every column of a group's Fit is, bit for bit, the Fit of that column alone."""
+        cal, reference = fit_calibration(table), ref_estimates.Calibration(table)
+        assert len(reference.fits) == 4 * len(cal.dsp) + 2 * len(cal.arm)
+        for (column, *group), ref in reference.fits.items():
+            fit = cal.fits[tuple(group)]
+            i = fit.columns.index(column)
+            assert fit.what(i) == ref.what
+            assert fit.feature_count == ref.feature_count
+            assert {s: values[i] for s, values in fit.points.items()} == ref.points
+            if ref.slope is None:
+                assert fit.slope is fit.intercept is None
+            else:
+                assert (fit.slope[i].hex(), fit.intercept[i].hex()) == (
+                    ref.slope.hex(), ref.intercept.hex()
+                )
 
     @pytest.mark.parametrize(
         "clash",
@@ -411,7 +445,7 @@ class TestLatencyEstimates:
         cal = default_calibration()
         sizes = list(range(1, 401, 7)) + [400]
         for token in (d for d, mhz in cal.dsp if mhz == 100.0):
-            if len(cal.fits["latency_cycles", token, 100.0].points) < 2:
+            if len(cal.fits[token, 100.0].points) < 2:
                 continue  # single-anchor entries refuse other sizes
             lats = [
                 estimate_latency(s, 27, token, 100, calibration=cal).latency_cycles
@@ -510,13 +544,6 @@ def test_refusal_names_its_figure(call, error, label):
         call()
 
 
-# The shipped anchors plus a third pipeline-inner run at 100 MHz: one group
-# each of one anchor, two anchors and a least-squares line.
-FITTED = fit_calibration(
-    [*SHIPPED_ANCHORS, AnchorRow(400, 27, "pipeline-inner", 100.0, 22800, 40, 5, 1262, 2460)]
-)
-
-
 @given(
     st.sampled_from(["shipped", "fitted"]),
     st.integers(1, MAX_COUNT),
@@ -543,6 +570,122 @@ def test_figures_of_a_design_share_their_validity(which, s, fl, reuse):
             continue
         est = estimate_design(s, fl, *design, calibration=cal, allow_point_reuse=reuse)
         assert tags == {est.validity}
+
+
+# Record tables for the differential property: one to three synth groups and
+# up to two clock pairings, each with its own Fl and one to four anchors.
+# BRAM reaches 1e308, so some lines are not finite and some go non-finite at
+# an S; a synth group may put its latency on its per-feature line so that
+# another Fl bridges.
+REF_DESIGNS = [(d, m) for d in ("interface-only", "pipeline-inner", "unroll-most")
+               for m in (100.0, 250.0)]
+REF_PAIRINGS = [(100.0, 666.67), (250.0, 250.0)]
+REF_SIZES = st.one_of(st.integers(1, 400), st.integers(1, MAX_COUNT))
+REF_COUNTS = st.integers(0, MAX_COUNT)
+REF_BRAMS = st.one_of(
+    st.integers(0, 100).map(float), st.floats(0, 1e308), st.sampled_from([0.0, 1e308])
+)
+
+
+@st.composite
+def record_tables(draw):
+    records = []
+    for directive, regime in draw(st.lists(st.sampled_from(REF_DESIGNS), min_size=1,
+                                           max_size=3, unique=True)):
+        fl = draw(st.one_of(st.sampled_from([27, 30]), st.integers(1, 64)))
+        a, c = PER_FEATURE_SLOPES.get(directive, (1, 0))
+        on_line, intercept = draw(st.booleans()), draw(st.integers(0, 1000))
+        for s in draw(st.lists(REF_SIZES, min_size=1, max_size=4, unique=True)):
+            latency = (a * (fl + 1) + c) * s + intercept
+            if not on_line or latency > MAX_COUNT:
+                latency = draw(REF_COUNTS)
+            records.append(AnchorRow(s, fl, directive, regime, latency, draw(REF_BRAMS),
+                                     draw(st.integers(0, 200)), draw(REF_COUNTS),
+                                     draw(REF_COUNTS)))
+        if regime == 100.0 and draw(st.booleans()):  # one (S, directive) power key at most
+            records.append(PowerRecord(s, directive, "model1", len(records), 1.5))
+    for fpga, arm in draw(st.lists(st.sampled_from(REF_PAIRINGS), max_size=2, unique=True)):
+        fl = draw(st.sampled_from([27, 30]))
+        for s in draw(st.lists(REF_SIZES, min_size=1, max_size=4, unique=True)):
+            records.append(ArmRecord(s, fl, fpga, arm, arm, draw(REF_COUNTS), draw(REF_COUNTS)))
+    return records
+
+
+def _outcome(call):
+    """What a call returns, or the type and text of the error it raises."""
+    try:
+        return call()
+    except SvmSocError as exc:
+        return type(exc), str(exc)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+# latency on a line of slope 10 and BRAM on one of slope 1e308, for
+# pipeline-inner (whose per-feature slope is 56, so it never bridges);
+# interface-only's latency on its per-feature line 331*S + 5, so it bridges
+# to another Fl; one single-anchor clock pairing
+FINITENESS_TABLE = [
+    AnchorRow(1, 27, "pipeline-inner", 100.0, 26, 0.0, 1, 1, 1),
+    AnchorRow(2, 27, "pipeline-inner", 100.0, 36, 1e308, 1, 1, 1),
+    AnchorRow(1, 27, "interface-only", 100.0, 336, 1.0, 1, 1, 1),
+    AnchorRow(2, 27, "interface-only", 100.0, 667, 2.0, 1, 1, 1),
+    ArmRecord(61, 27, 250.0, 250.0, 250.0, 77367, 22398),
+]
+
+
+@given(record_tables(), st.one_of(st.integers(0, 500), st.integers(0, MAX_COUNT + 1)),
+       st.one_of(st.sampled_from([27, 30]), st.integers(1, 64)), st.booleans())
+@example(FINITENESS_TABLE, MAX_COUNT, 27, False)
+@example(FINITENESS_TABLE, 100, 27, False)
+@example(FINITENESS_TABLE, 100, 30, True)
+@settings(max_examples=300, deadline=None)
+def test_estimates_match_the_per_column_reference(records, s, fl, reuse):
+    """Every estimator returns what one Fit per column returned, or refuses alike."""
+    built = _outcome(lambda: fit_calibration(records))
+    reference = _outcome(lambda: ref_estimates.Calibration(records))
+    if not isinstance(built, CalibrationSet):
+        assert built == reference
+        return
+    assert isinstance(reference, ref_estimates.Calibration)
+    designs = [*built.dsp, ("unroll-partial-4", 100.0)]
+    pairings = [*built.arm, (250.0, 500.0)]
+    for size in {s, *(r.sv_count for r in records if type(r) is not PowerRecord)}:
+        calls = [
+            (estimate, (size, fl, *design), {"allow_point_reuse": reuse})
+            for design in designs
+            for estimate in ("estimate_latency", "estimate_design")
+        ] + [
+            ("estimate_arm_cycles", (size, fl, pairing, optimized), {"allow_point_reuse": reuse})
+            for pairing in pairings
+            for optimized in (False, True)
+        ] + [("explore", (size, fl, mhz), {}) for mhz in (100, 250, 300)]
+        for name, args, kwargs in calls:
+            got = _outcome(lambda: getattr(synth, name)(*args, calibration=built, **kwargs))
+            want = _outcome(
+                lambda: getattr(ref_estimates, name)(*args, calibration=reference, **kwargs)
+            )
+            assert got == want, (name, args)
+
+
+def test_finiteness_covers_only_the_columns_read():
+    cal = fit_calibration(FINITENESS_TABLE)
+    assert estimate_latency(MAX_COUNT, 27, "pipeline-inner", 100, calibration=cal) == (
+        SynthesisEstimate(EXTRAPOLATED, latency_cycles=90071992547409936)
+    )
+    message = f"bram for pipeline-inner at 100 MHz is not finite at S={MAX_COUNT}"
+    with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+        estimate_design(MAX_COUNT, 27, "pipeline-inner", 100, calibration=cal)
+    # a latency bridged to another Fl leaves the design refused for its BRAM
+    assert estimate_latency(3, 30, "interface-only", 100, calibration=cal).latency_cycles == (
+        (11 * 31 + 23) * 3 + 5
+    )
+    with pytest.raises(FlMismatch, match="^bram for interface-only at 100 MHz is calibrated"):
+        estimate_design(3, 30, "interface-only", 100, calibration=cal)
+    with pytest.raises(
+        UnknownCalibration, match="^optimized processor cycles for FPGA 250 MHz / ARM 250 MHz"
+    ):
+        estimate_arm_cycles(100, 27, (250, 250), optimized=True, calibration=cal)
 
 
 class TestArmCycles:
