@@ -13,14 +13,19 @@ On-disk formats handled here:
   alpha*y weights, then the test vector).
 
 Every stored real is binary32.  Parsers round each decimal to the nearest
-binary32 exactly once: a file's binary64 values (one `float` pass and one
-finiteness check per line) go to binary32 in one array step, and a value
-that lands exactly on a binary32 midpoint on the way is settled from its
-decimal text.  Emitters format whole arrays (`format_reals`) with the
-shortest decimal that parses back to the same binary32, so emit/parse
-round-trips are bit-exact.  No body line confirms an SVM-Light header's
-"highest feature index", so a model above MAX_DENSE_VALUES support-vector
-values is refused before its dense matrix is allocated.
+binary32 exactly once: a file's binary64 values go to binary32 in one array
+step, and a value that lands exactly on a binary32 midpoint on the way is
+settled from its decimal text.  The native, instance and CSV parsers read
+the binary64 values with numpy's C text reader (`np.loadtxt`), which rounds
+each decimal as `float` does.  A text the reader refuses, or one holding a
+non-finite value, a CSV label other than +/-1 or a character the two read
+differently, goes through the per-line `float` path instead: one `float`
+pass and one finiteness check per line, which names the faulty line.
+Emitters format whole arrays (`format_reals`) with the shortest decimal
+that parses back to the same binary32, so emit/parse round-trips are
+bit-exact.  No body line confirms an SVM-Light header's "highest feature
+index", so a model above MAX_DENSE_VALUES support-vector values is refused
+before its dense matrix is allocated.
 """
 
 from __future__ import annotations
@@ -509,6 +514,27 @@ def parse_svmlight_model(text: str) -> TrainedModel:
     return TrainedModel(sv, w32[1:], float(w32[0]))
 
 
+def _matrix(text: str, delimiter: str | None = None) -> np.ndarray | None:
+    """The text's rows of finite reals as a binary64 matrix, read in C.
+
+    Rows are text.splitlines(); blank ones are skipped.  Values are cut at
+    whitespace, or at delimiter and stripped of the whitespace around them.
+    Returns None when the text is blank (the reader warns on it), when the
+    reader refuses it (a token that is no real, ragged rows), when a value
+    is not finite, or when it holds any of U+001C..U+001F: the reader strips
+    those around a cell, `float` does not.
+    """
+    if not text or text.isspace() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        values = np.loadtxt(
+            text.splitlines(), dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _parse_real_lines(text: str, fault):
     """Yield (lineno, [floats]) for every non-blank line, finiteness-checked.
 
@@ -541,6 +567,16 @@ def parse_native_model(svs_text: str, alpha_text: str) -> TrainedModel:
     svs_text holds S rows of Fl reals; alpha_text holds 1+S reals, the
     bias first and then the S alpha*y weights.
     """
+    sv, weights = _matrix(svs_text), _matrix(alpha_text)
+    if sv is None or weights is None or weights.size != sv.shape[0] + 1:
+        sv, weights = _native_lines(svs_text, alpha_text)
+    sv = _binary32(sv, svs_text.split)
+    w32 = _binary32(weights.reshape(-1), alpha_text.split)
+    return TrainedModel(sv, w32[1:], float(w32[0]))
+
+
+def _native_lines(svs_text: str, alpha_text: str) -> tuple[np.ndarray, np.ndarray]:
+    """parse_native_model's binary64 values, read line by line with `float`."""
     rows, width, values = 0, None, array("d")
     for lineno, vals in _parse_real_lines(svs_text, _model_fault("support vectors")):
         if width is None:
@@ -561,27 +597,42 @@ def parse_native_model(svs_text: str, alpha_text: str) -> TrainedModel:
         raise MalformedModel(
             f"weights: expected bias plus {rows} alpha*y values, got {len(weights)}"
         )
-    sv = _binary32(np.frombuffer(values).reshape(rows, width), svs_text.split)
-    w32 = _binary32(np.frombuffer(weights), alpha_text.split)
-    return TrainedModel(sv, w32[1:], float(w32[0]))
+    return np.frombuffer(values).reshape(rows, width), np.frombuffer(weights)
 
 
 def parse_test_instance(text: str, feature_count: int | None = None) -> TestInstance:
     """Parse whitespace-separated reals into a TestInstance."""
-    vals = array("d")
-    for _lineno, line_vals in _parse_real_lines(text, _instance_fault):
-        vals.fromlist(line_vals)
-    if not vals:
+    vals = _matrix(text)
+    if vals is None:
+        vals = array("d")
+        for _lineno, line_vals in _parse_real_lines(text, _instance_fault):
+            vals.fromlist(line_vals)
+    vals = np.asarray(vals).reshape(-1)
+    if not vals.size:
         raise MalformedInstance("test instance: no values")
     if feature_count is not None and len(vals) != feature_count:
         raise MalformedInstance(
             f"test instance has {len(vals)} values, model expects {feature_count}"
         )
-    return TestInstance(_binary32(np.frombuffer(vals), text.split))
+    return TestInstance(_binary32(vals, text.split))
 
 
 def load_dataset(text: str) -> LabeledDataset:
     """Parse labeled CSV: Fl feature columns then a +1/-1 label column."""
+    table = _matrix(text, ",")
+    if table is None or table.shape[1] < 2 or not (np.abs(table[:, -1]) == 1.0).all():
+        features, labels = _dataset_lines(text)
+    else:
+        features, labels = table[:, :-1], table[:, -1].astype(int).tolist()
+    rows = _binary32(
+        features,
+        lambda: [c for ln in text.splitlines() if ln.strip() for c in ln.split(",")[:-1]],
+    )
+    return LabeledDataset(rows, labels)
+
+
+def _dataset_lines(text: str) -> tuple[np.ndarray, list[int]]:
+    """load_dataset's binary64 features and labels, read line by line with `float`."""
     features = array("d")
     labels = []
     width = None
@@ -611,11 +662,7 @@ def load_dataset(text: str) -> LabeledDataset:
         labels.append(int(raw_label))
     if not labels:
         raise MalformedDataset("dataset is empty")
-    rows = _binary32(
-        np.frombuffer(features).reshape(len(labels), width - 1),
-        lambda: [c for ln in text.splitlines() if ln.strip() for c in ln.split(",")[:-1]],
-    )
-    return LabeledDataset(rows, labels)
+    return np.frombuffer(features).reshape(len(labels), width - 1), labels
 
 
 # --------------------------------------------------------------------------

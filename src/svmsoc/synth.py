@@ -89,8 +89,10 @@ ANCHOR_EXACT = "anchor_exact"
 INTERPOLATED = "interpolated"
 EXTRAPOLATED = "extrapolated"
 
-# The largest count or size a record or an estimate takes: every integer up
-# to it converts to binary64 exactly, so no fit or estimate overflows on one.
+# The largest count a record holds and the largest S or Fl an estimator takes:
+# every integer up to it converts to binary64 exactly.  Estimates are not
+# bounded by it: a line read at S=2**53 goes far beyond (the shipped
+# pipeline-inner latency there is about 5.0e17 cycles).
 MAX_COUNT = 1 << 53
 
 
@@ -869,10 +871,10 @@ def explore(
 
     Candidates are every directive calibrated for the regime.  Directives
     whose calibration cannot produce a full estimate at this (S, Fl), e.g.
-    single-anchor entries at a different S, are skipped.  Each entry
-    carries the power draw measured for the design built at this S with
-    its directive, if any.  The front comes back sorted by latency, ties
-    broken by directive name.
+    single-anchor entries at a different S or a line that is not finite
+    at S, are skipped.  Each entry carries the power draw measured for the
+    design built at this S with its directive, if any.  The front comes
+    back sorted by latency, ties broken by directive name.
     """
     cal = calibration if calibration is not None else default_calibration()
     regime = _mhz(regime_mhz)
@@ -884,7 +886,10 @@ def explore(
         # skip what estimate_design refuses with FlMismatch or UnknownCalibration
         if feature_count != fit.feature_count or fit.slope is None and sv_count not in fit.points:
             continue
-        fields = _, latency, bram, dsp, ff, lut = _design_fields(fit, dsps, sv_count, False)
+        try:
+            fields = _, latency, bram, dsp, ff, lut = _design_fields(fit, dsps, sv_count, False)
+        except CalibrationError:  # a column that is not finite at S
+            continue
         candidates.append(((latency, dsp, lut, ff, bram), design[0], fields))
     if not candidates:
         raise UnknownCalibration(
@@ -916,8 +921,9 @@ def parse_anchor_csv(text: str) -> list[Record]:
     A synth line is the nine AnchorRow columns, optionally after a "synth"
     cell; an arm, cosim or power line starts with its kind cell, followed
     by that record's columns.  Blank lines and # comments are skipped; the
-    first other line may be a header row.  Raises ValueError on a malformed
-    row or a non-finite measurement.
+    first other line is a header row when its first cell, no kind, starts
+    with a letter.  Raises ValueError on a malformed row or a non-finite
+    measurement.
     """
     lines = [
         (lineno, line)
@@ -928,7 +934,7 @@ def parse_anchor_csv(text: str) -> list[Record]:
     for lineno, line in lines:
         cells = [c.strip() for c in line.split(",")]
         kind = "synth" if cells[0].lstrip("-").isdigit() else cells.pop(0)
-        if kind not in _SCHEMA and lineno == lines[0][0]:
+        if kind not in _SCHEMA and kind[:1].isalpha() and lineno == lines[0][0]:
             continue  # header row
         try:
             records.append(_checked(_record(kind, cells)))

@@ -4,9 +4,10 @@ The estimators as they were when every fitted column of a calibration
 group (latency, BRAM, FF, LUT of a (directive, regime) synth group; plain
 and optimized cycles of a clock pairing's arm group) was its own Fit, and
 each figure was read through its own lookup.  explore estimated every
-candidate and skipped the ones that raised UnknownCalibration or
-FlMismatch.  A Calibration is built from a CalibrationSet's records alone,
-or from records already in their checked form, with the fits' refusals.
+candidate and skipped the ones that raised a CalibrationError
+(UnknownCalibration, FlMismatch, or a line not finite at S).  A
+Calibration is built from a CalibrationSet's records alone, or from
+records already in their checked form, with the fits' refusals.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def explore(sv_count, feature_count, regime_mhz, *, calibration):
             continue
         try:
             est = _design_estimate(cal, (token, mhz), sv_count, feature_count, False)
-        except (UnknownCalibration, FlMismatch):
+        except CalibrationError:
             continue
         candidates.append(((est.latency_cycles, est.dsp, est.lut, est.ff, est.bram), token, est))
     if not candidates:

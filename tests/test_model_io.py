@@ -1,3 +1,4 @@
+import re
 from contextlib import nullcontext
 from decimal import Decimal, localcontext
 
@@ -30,9 +31,11 @@ from svmsoc import (
     parse_test_instance,
 )
 
+from svmsoc import model_io
 from svmsoc.model_io import MAX_DENSE_VALUES, format_reals
 
 import ref_format
+import ref_text
 from conftest import random_instance, random_model
 
 SVMLIGHT_TWO_SV = """\
@@ -702,3 +705,154 @@ def test_first_fault_message_is_pinned(call, err_cls, message):
     with pytest.raises(err_cls) as err:
         call()
     assert str(err.value) == message
+
+
+# --------------------------------------------------------------------------
+# the C text reader against the per-line float path
+
+
+def _midpoint_text(low_bits: int) -> str:
+    """The exact decimal halfway between a binary32 and the next one up."""
+    lo, hi = np.array([low_bits, low_bits + 1], dtype=np.uint32).view(np.float32)
+    with localcontext() as ctx:
+        ctx.prec = 400
+        return str((Decimal(float(lo)) + Decimal(float(hi))) / 2)
+
+
+# Cells the two readers might take differently, in groups of equal weight:
+# separators float() does not strip; other Unicode spaces and NUL; tokens
+# that are no decimal to one reader, or lie beyond or at the edges of
+# binary32; exact binary32 midpoints; line ends, blank and whitespace-only
+# lines and empty cells; labels that only read as +/-1, or do not.
+MUTANT_CELLS = st.one_of(
+    st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"]),
+    st.sampled_from(["\xa0", "\u3000", "\x85", "\x00"]),
+    st.sampled_from([
+        "1_0", "\u0663", "nan", "-inf", "1e39", "1e400", "1e-50", "-0",
+        MIDPOINT, ABOVE, OVERFLOW_MIDPOINT,
+    ]),
+    st.integers(0, 0x7F7FFFFE).map(_midpoint_text),
+    st.sampled_from(["\n", "\r\n", "\n\n", " \t \n", "\n\xa0\n", "\r", "\x0c", "", " ", ",", ",,"]),
+    st.sampled_from(["1.0", "+1", "-1", "0.99999999999999999999", "-1.0000000000000000001", "2"]),
+)
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """text with a few of its tokens, cells or separators rewritten."""
+    pieces = re.split(r"([ ,\n])", text)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.sampled_from(range(len(pieces))))
+        cell = draw(MUTANT_CELLS)
+        pieces[i] = draw(st.sampled_from([cell, pieces[i] + cell, cell + pieces[i], ""]))
+    return "".join(pieces)
+
+
+@st.composite
+def gen_texts(draw):
+    """The four texts `svmsoc gen` writes, for a small drawn model and dataset."""
+    model, dataset = make_synthetic(
+        draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(0, 2**32)),
+        instances=draw(st.integers(1, 5)),
+    )
+    svs, alpha = emit_native_model(model)
+    csv = emit_dataset(dataset)
+    if draw(st.integers(0, 3)) == 0:  # a one-column CSV
+        csv = "".join(line.split(",")[-1] + "\n" for line in csv.splitlines())
+    return model, svs, alpha, emit_test_instance(dataset.instances[0]), csv
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestTextReader:
+    """The C reader's path gives the per-line float path's results and errors."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_native_model_matches_the_per_line_reference(self, data):
+        _, svs, alpha, _, _ = data.draw(gen_texts())
+        svs, alpha = data.draw(mutated(svs)), data.draw(mutated(alpha))
+        assert _outcome(lambda: parse_native_model(svs, alpha)) == _outcome(
+            lambda: ref_text.parse_native_model(svs, alpha)
+        ), (svs, alpha)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_instance_matches_the_per_line_reference(self, data):
+        model, _, _, test, _ = data.draw(gen_texts())
+        text = data.draw(mutated(test))
+        fl = data.draw(st.sampled_from([None, model.feature_count, model.feature_count + 1]))
+        assert _outcome(lambda: parse_test_instance(text, fl)) == _outcome(
+            lambda: ref_text.parse_test_instance(text, fl)
+        ), text
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_dataset_matches_the_per_line_reference(self, data):
+        *_, csv = data.draw(gen_texts())
+        text = data.draw(mutated(csv))
+        got = _outcome(lambda: load_dataset(text))
+        assert got == _outcome(lambda: ref_text.load_dataset(text)), text
+        if isinstance(got, LabeledDataset):
+            assert all(type(label) is int for label in got.labels)
+
+    @pytest.mark.parametrize(
+        "svs, alpha",
+        [
+            ("0.41\x1f 1\n", "0\n1\n"),  # float() refuses what the reader strips
+            ("1 2\n3 4\n", "0\n1 2\n"),  # weights need not be one a line
+            ("1 2\n\n \xa0\n3\u30004\r\n", "0 1 2\n"),
+            ("1_0 2\n", "0\n1\n"),
+            ("\u0663\n", "0\n1\n"),
+            ("1 2\n3\n", "0\n1\n1\n"),
+            ("1e39\n", "0\n1\n"),
+            ("1e-50\n", "0\n1\n"),
+            ("1\n", "0\n"),  # one weight short
+        ],
+    )
+    def test_native_cases(self, svs, alpha):
+        assert _outcome(lambda: parse_native_model(svs, alpha)) == _outcome(
+            lambda: ref_text.parse_native_model(svs, alpha)
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.41\x1f,1\n", "0.5,1.0\n", "0.5,+1\n", "0.5,0.99999999999999999999\n",
+            "0.5,2\n", "0.5\n-1\n", "1\n-1\n", "0.5,,1\n", "0.5,1\n  \n0.25,-1\n", "0.5,1\r\n",
+            "0.5\xa0,1\n", "1_0,1\n", "nan,1\n", "0.5,nan\n", " \n", "",
+        ],
+    )
+    def test_dataset_cases(self, text):
+        assert _outcome(lambda: load_dataset(text)) == _outcome(
+            lambda: ref_text.load_dataset(text)
+        )
+
+    def test_gen_fixtures_take_the_reader_path(self, monkeypatch, tmp_path):
+        # with the per-line path unusable, the files `svmsoc gen` writes still parse
+        from svmsoc.cli import main
+
+        assert main(["gen", "61", "27", "7", "--out", str(tmp_path)]) == 0
+        svs, alpha, test, csv = (
+            (tmp_path / name).read_text()
+            for name in ("svs.txt", "alpha.txt", "test.txt", "dataset.csv")
+        )
+        want = (
+            ref_text.parse_native_model(svs, alpha),
+            ref_text.parse_test_instance(test, 27),
+            ref_text.load_dataset(csv),
+        )
+
+        def per_line_path(*args):
+            raise AssertionError("the per-line path was taken")
+
+        monkeypatch.setattr(model_io, "_parse_real_lines", per_line_path)
+        monkeypatch.setattr(model_io, "_dataset_lines", per_line_path)
+        assert (
+            parse_native_model(svs, alpha), parse_test_instance(test, 27), load_dataset(csv)
+        ) == want

@@ -1071,14 +1071,37 @@ class TestCalibrationPersistence:
         with pytest.raises(CalibrationError, match="synth latency_cycles"):
             load_calibration(json.dumps(doc))
 
-    def test_non_finite_resource_estimate_is_refused(self):
-        doc = _default_doc()
+    @staticmethod
+    def _unroll_most_bram_overflows(doc: dict) -> CalibrationSet:
+        """doc's calibration with unroll-most's 100 MHz BRAM line overflowing at S=1000."""
         for row in doc["synth"]:
             if row[2:4] == ["unroll-most", 100.0]:
                 row[5] = 0.0 if row[0] == 248 else 1e306
-        cal = load_calibration(json.dumps(doc))
+        return load_calibration(json.dumps(doc))
+
+    def test_non_finite_resource_estimate_is_refused(self):
+        cal = self._unroll_most_bram_overflows(_default_doc())
         with pytest.raises(CalibrationError, match="not finite at S=1000"):
             estimate_design(1000, 27, "unroll-most", 100, calibration=cal)
+
+    def test_explore_skips_a_design_that_is_not_finite_at_s(self):
+        cal = self._unroll_most_bram_overflows(_default_doc())
+        front = explore(1000, 27, 100, calibration=cal)
+        names = [e.directive.name for e in front]
+        assert names and "unroll-most" not in names
+        for entry in front:
+            assert entry.estimate == estimate_design(
+                1000, 27, entry.directive.name, 100, calibration=cal
+            )
+
+    def test_explore_with_no_finite_design_is_refused(self):
+        doc = _default_doc()
+        doc["synth"] = [row for row in doc["synth"] if row[2:4] == ["unroll-most", 100.0]]
+        cal = self._unroll_most_bram_overflows(doc)
+        with pytest.raises(
+            UnknownCalibration, match="^no directive calibrated at 100 MHz can estimate S=1000"
+        ):
+            explore(1000, 27, 100, calibration=cal)
 
 
 def _leaf_paths(node, path=()):
@@ -1213,6 +1236,18 @@ class TestAnchorCsv:
         text = f"# measured\n\n{CSV_HEADER}\n248,27,pipeline-inner,100,14138,19,5,1251,2477\n"
         rows = parse_anchor_csv(text)
         assert len(rows) == 1 and rows[0].latency_cycles == 14138
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5,0.25\n", "line 1: unknown record kind '0.5'"),
+            ("0.5 0.25\n0.125 1\n", "line 1: unknown record kind '0.5 0.25'"),
+            (",sv_count\n", "line 1: unknown record kind ''"),
+        ],
+    )
+    def test_a_first_cell_without_a_letter_is_no_header(self, text, message):
+        with pytest.raises(ValueError, match=f"^anchor csv {re.escape(message)}$"):
+            parse_anchor_csv(text)
 
     def test_header_only_on_the_first_row(self):
         text = f"248,27,pipeline-inner,100,14138,19,5,1251,2477\n{CSV_HEADER}\n"
