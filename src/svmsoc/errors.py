@@ -55,12 +55,13 @@ class DimensionError(SvmSocError):
 
 
 class FrameLengthError(SvmSocError):
-    """Stream frame word count does not match S*Fl + 1 + S + Fl."""
+    """Stream frame word count does not match S*Fl + 1 + S + Fl, or its byte
+    count is not a whole number of words; unit names what was counted."""
 
-    def __init__(self, expected: int, actual: int):
+    def __init__(self, expected: int, actual: int, unit: str = "stream words"):
         self.expected = expected
         self.actual = actual
-        super().__init__(f"expected {expected} stream words, got {actual}")
+        super().__init__(f"expected {expected} {unit}, got {actual}")
 
 
 class CalibrationError(SvmSocError):

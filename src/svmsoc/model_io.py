@@ -17,10 +17,10 @@ binary32 exactly once: a file's binary64 values go to binary32 in one array
 step, and a value that lands exactly on a binary32 midpoint on the way is
 settled from its decimal text.  The native, instance and CSV parsers read
 the binary64 values with numpy's C text reader (`np.loadtxt`), which rounds
-each decimal as `float` does.  A text the reader refuses, or one holding a
-non-finite value, a CSV label other than +/-1 or a character the two read
-differently, goes through the per-line `float` path instead: one `float`
-pass and one finiteness check per line, which names the faulty line.
+each decimal as `float` does.  Each file is read on its own: a file the
+reader refuses, or one holding a non-finite value, a CSV label other than
++/-1 or a character the two read differently, is read line by line with
+`float` instead, which names the first faulty line.
 Emitters format whole arrays (`format_reals`) with the shortest decimal
 that parses back to the same binary32, so emit/parse round-trips are
 bit-exact.  No body line confirms an SVM-Light header's "highest feature
@@ -72,6 +72,16 @@ _F32 = np.float32
 # Largest S x Fl an SVM-Light model may declare or make_synthetic draw: 2**24
 # binary32 values (64 MiB), 650 times the 400 x 64 stress size.
 MAX_DENSE_VALUES = 1 << 24
+
+
+def _dense_fault(sv_count: int, feature_count: int) -> str | None:
+    """Why an S x Fl model is too large to hold densely, or None if it is not."""
+    if sv_count * feature_count <= MAX_DENSE_VALUES:
+        return None
+    return (
+        f"{sv_count} support vectors x {feature_count} features exceeds"
+        f" {MAX_DENSE_VALUES} values"
+    )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -280,7 +290,7 @@ class StreamFrame:
     @classmethod
     def from_bytes(cls, data: bytes) -> "StreamFrame":
         if len(data) % 4 != 0:
-            raise FrameLengthError(expected=(len(data) // 4 + 1) * 4, actual=len(data))
+            raise FrameLengthError((len(data) // 4 + 1) * 4, len(data), "bytes")
         return cls(np.frombuffer(data, dtype="<u4"))
 
 
@@ -292,14 +302,6 @@ def _parse_real(token: str) -> float:
         return float(token)
     except ValueError:
         raise ValueError(f"bad real {token.strip()!r}") from None
-
-
-def _parse_reals(tokens) -> list[float]:
-    """float() of every token; the ValueError names the first one that is no real."""
-    try:
-        return list(map(float, tokens))
-    except ValueError:
-        return list(map(_parse_real, tokens))  # raises at the first bad token
 
 
 def _all_finite(vals: list[float]) -> bool:
@@ -467,12 +469,8 @@ def parse_svmlight_model(text: str) -> TrainedModel:
     if len(body) != sv_count:
         raise MalformedModel(f"declared {sv_count} support vectors, found {len(body)}")
     # the body confirms S but not Fl, so the dense size needs a stated bound
-    if sv_count * feature_count > MAX_DENSE_VALUES:
-        raise MalformedModel(
-            f"{sv_count} support vectors x {feature_count} features exceeds"
-            f" {MAX_DENSE_VALUES} values",
-            line=8,
-        )
+    if too_large := _dense_fault(sv_count, feature_count):
+        raise MalformedModel(too_large, line=8)
 
     weights = array("d", [bias])
     counts: list[int] = []
@@ -517,18 +515,23 @@ def parse_svmlight_model(text: str) -> TrainedModel:
 def _matrix(text: str, delimiter: str | None = None) -> np.ndarray | None:
     """The text's rows of finite reals as a binary64 matrix, read in C.
 
-    Rows are text.splitlines(); blank ones are skipped.  Values are cut at
-    whitespace, or at delimiter and stripped of the whitespace around them.
-    Returns None when the text is blank (the reader warns on it), when the
-    reader refuses it (a token that is no real, ragged rows), when a value
-    is not finite, or when it holds any of U+001C..U+001F: the reader strips
-    those around a cell, `float` does not.
+    Rows are the text's lines that hold more than whitespace, the lines the
+    per-line readers read.  Values are cut at whitespace, or at delimiter
+    and stripped of the whitespace around them.  Returns None when no line
+    is left, when the reader refuses the rows (a token that is no real,
+    ragged rows), when a value is not finite, or when the text holds any of
+    U+001C..U+001F: the reader strips those around a cell, `float` does
+    not.  The caller then reads that one file line by line, which names the
+    first faulty line.
     """
-    if not text or text.isspace() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+    if any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    lines = list(filter(str.strip, text.splitlines()))
+    if not lines:  # the reader warns on a blank text
         return None
     try:
         values = np.loadtxt(
-            text.splitlines(), dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2
+            lines, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2
         )
     except ValueError:
         return None
@@ -545,12 +548,43 @@ def _parse_real_lines(text: str, fault):
         if not tokens:
             continue
         try:
-            vals = _parse_reals(tokens)
+            vals = list(map(_parse_real, tokens))
         except ValueError as exc:
             raise fault(lineno0 + 1, str(exc)) from None
-        if not _all_finite(vals):
+        if not all(map(math.isfinite, vals)):
             raise fault(lineno0 + 1, "non-finite value")
         yield lineno0 + 1, vals
+
+
+def _reals(text: str, fault) -> np.ndarray:
+    """The values of a flat file, alpha or test instance, as binary32, in order.
+
+    Line breaks carry no meaning there, so the C reader reads the tokens as
+    one row; a text it cannot read goes line by line, where fault(lineno,
+    message) builds the exception for the first faulty line.
+    """
+    values = _matrix(" ".join(text.split()))
+    if values is None:
+        values = np.array(
+            [v for _lineno, vals in _parse_real_lines(text, fault) for v in vals],
+            dtype=np.float64,
+        )
+    return _binary32(values.reshape(-1), text.split)
+
+
+def _svs_lines(text: str) -> np.ndarray:
+    """The support-vector matrix read line by line, each row as wide as the first."""
+    rows: list[list[float]] = []
+    for lineno, vals in _parse_real_lines(text, _model_fault("support vectors")):
+        if rows and len(vals) != len(rows[0]):
+            raise MalformedModel(
+                f"support vectors: expected {len(rows[0])} values, got {len(vals)}",
+                line=lineno,
+            )
+        rows.append(vals)
+    if not rows:
+        raise MalformedModel("support vectors: no rows")
+    return np.array(rows, dtype=np.float64)
 
 
 def _model_fault(what: str):
@@ -565,77 +599,46 @@ def parse_native_model(svs_text: str, alpha_text: str) -> TrainedModel:
     """Parse the two-file plain-text form.
 
     svs_text holds S rows of Fl reals; alpha_text holds 1+S reals, the
-    bias first and then the S alpha*y weights.
+    bias first and then the S alpha*y weights, on as many lines as it likes.
     """
-    sv, weights = _matrix(svs_text), _matrix(alpha_text)
-    if sv is None or weights is None or weights.size != sv.shape[0] + 1:
-        sv, weights = _native_lines(svs_text, alpha_text)
-    sv = _binary32(sv, svs_text.split)
-    w32 = _binary32(weights.reshape(-1), alpha_text.split)
-    return TrainedModel(sv, w32[1:], float(w32[0]))
-
-
-def _native_lines(svs_text: str, alpha_text: str) -> tuple[np.ndarray, np.ndarray]:
-    """parse_native_model's binary64 values, read line by line with `float`."""
-    rows, width, values = 0, None, array("d")
-    for lineno, vals in _parse_real_lines(svs_text, _model_fault("support vectors")):
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise MalformedModel(
-                f"support vectors: expected {width} values, got {len(vals)}", line=lineno
-            )
-        rows += 1
-        values.fromlist(vals)
-    if not rows:
-        raise MalformedModel("support vectors: no rows")
-
-    weights = array("d")
-    for _lineno, vals in _parse_real_lines(alpha_text, _model_fault("weights")):
-        weights.fromlist(vals)
-    if len(weights) != rows + 1:
+    sv = _matrix(svs_text)
+    if sv is None:
+        sv = _svs_lines(svs_text)
+    weights = _reals(alpha_text, _model_fault("weights"))
+    if weights.size != sv.shape[0] + 1:
         raise MalformedModel(
-            f"weights: expected bias plus {rows} alpha*y values, got {len(weights)}"
+            f"weights: expected bias plus {sv.shape[0]} alpha*y values, got {weights.size}"
         )
-    return np.frombuffer(values).reshape(rows, width), np.frombuffer(weights)
+    return TrainedModel(_binary32(sv, svs_text.split), weights[1:], float(weights[0]))
 
 
 def parse_test_instance(text: str, feature_count: int | None = None) -> TestInstance:
     """Parse whitespace-separated reals into a TestInstance."""
-    vals = _matrix(text)
-    if vals is None:
-        vals = array("d")
-        for _lineno, line_vals in _parse_real_lines(text, _instance_fault):
-            vals.fromlist(line_vals)
-    vals = np.asarray(vals).reshape(-1)
+    vals = _reals(text, _instance_fault)
     if not vals.size:
         raise MalformedInstance("test instance: no values")
-    if feature_count is not None and len(vals) != feature_count:
+    if feature_count is not None and vals.size != feature_count:
         raise MalformedInstance(
-            f"test instance has {len(vals)} values, model expects {feature_count}"
+            f"test instance has {vals.size} values, model expects {feature_count}"
         )
-    return TestInstance(_binary32(vals, text.split))
+    return TestInstance(vals)
 
 
 def load_dataset(text: str) -> LabeledDataset:
     """Parse labeled CSV: Fl feature columns then a +1/-1 label column."""
     table = _matrix(text, ",")
     if table is None or table.shape[1] < 2 or not (np.abs(table[:, -1]) == 1.0).all():
-        features, labels = _dataset_lines(text)
-    else:
-        features, labels = table[:, :-1], table[:, -1].astype(int).tolist()
+        table = _dataset_lines(text)
     rows = _binary32(
-        features,
+        table[:, :-1],
         lambda: [c for ln in text.splitlines() if ln.strip() for c in ln.split(",")[:-1]],
     )
-    return LabeledDataset(rows, labels)
+    return LabeledDataset(rows, table[:, -1].astype(int).tolist())
 
 
-def _dataset_lines(text: str) -> tuple[np.ndarray, list[int]]:
-    """load_dataset's binary64 features and labels, read line by line with `float`."""
-    features = array("d")
-    labels = []
-    width = None
+def _dataset_lines(text: str) -> np.ndarray:
+    """load_dataset's (N, Fl+1) table, labels last, read line by line with `float`."""
+    rows: list[list[float]] = []
     for lineno0, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
@@ -643,26 +646,22 @@ def _dataset_lines(text: str) -> tuple[np.ndarray, list[int]]:
         cells = line.split(",")  # float() ignores the whitespace around a cell
         if len(cells) < 2:
             raise MalformedDataset(f"line {lineno}: need features plus a label column")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        if rows and len(cells) != len(rows[0]):
             raise MalformedDataset(
-                f"line {lineno}: expected {width} columns, got {len(cells)}"
+                f"line {lineno}: expected {len(rows[0])} columns, got {len(cells)}"
             )
         try:
-            vals = _parse_reals(cells[:-1])
-            raw_label = _parse_real(cells[-1])
+            row = list(map(_parse_real, cells))
         except ValueError as exc:
             raise MalformedDataset(f"line {lineno}: {exc}") from None
-        if not _all_finite(vals):
+        if not all(map(math.isfinite, row[:-1])):
             raise MalformedDataset(f"line {lineno}: non-finite feature value")
-        if raw_label not in (1.0, -1.0):
+        if row[-1] not in (1.0, -1.0):
             raise MalformedDataset(f"line {lineno}: label must be +1 or -1")
-        features.fromlist(vals)
-        labels.append(int(raw_label))
-    if not labels:
+        rows.append(row)
+    if not rows:
         raise MalformedDataset("dataset is empty")
-    return np.frombuffer(features).reshape(len(labels), width - 1), labels
+    return np.array(rows, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -747,11 +746,8 @@ def make_synthetic(
     """
     if sv_count < 1 or feature_count < 1 or instances < 1:
         raise ValueError("sv_count, feature_count, and instances must be >= 1")
-    if sv_count * feature_count > MAX_DENSE_VALUES:
-        raise ValueError(
-            f"{sv_count} support vectors x {feature_count} features exceeds"
-            f" {MAX_DENSE_VALUES} values"
-        )
+    if too_large := _dense_fault(sv_count, feature_count):
+        raise ValueError(too_large)
     rng = np.random.default_rng(seed)
     # u = half the binary32 epsilon; gamma_n ~ n*u bounds n chained roundings
     unit = float(np.finfo(np.float32).eps) / 2.0

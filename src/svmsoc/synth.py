@@ -360,21 +360,13 @@ def _checked(rec) -> Record:
     if kind is None:
         raise ValueError(f"a {type(rec).__name__} is not a calibration record")
     row_type, checks, _ = _SCHEMA[kind]
+    cells: list = []
     try:
-        return row_type(*[check(cell) for check, cell in zip(checks, rec)])
-    except ValueError:
-        raise ValueError(_record_fault(kind, rec)) from None
-
-
-def _record_fault(kind: str, cells) -> str:
-    """The message for the first faulty cell of a record that has one."""
-    row_type, checks, _ = _SCHEMA[kind]
-    for name, check, cell in zip(row_type._fields, checks, cells):
-        try:
-            check(cell)
-        except ValueError as exc:
-            return f"{kind} {name}: {exc}"
-    raise AssertionError("record has no fault")
+        for check, cell in zip(checks, rec):
+            cells.append(check(cell))
+    except ValueError as exc:  # names the cell after those already checked
+        raise ValueError(f"{kind} {row_type._fields[len(cells)]}: {exc}") from None
+    return row_type(*cells)
 
 
 # Vendor-tool synthesis results for the shipped classifier sizes.

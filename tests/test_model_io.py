@@ -383,6 +383,11 @@ class TestStreamFrames:
         with pytest.raises(FrameLengthError):
             StreamFrame.from_bytes(b"\x00\x01\x02")
 
+    def test_byte_length_error_counts_bytes(self):
+        with pytest.raises(FrameLengthError, match=r"^expected 8 bytes, got 7$") as err:
+            StreamFrame.from_bytes(b"abcdefg")
+        assert (err.value.expected, err.value.actual) == (8, 7)
+
     def test_non_finite_frame_fails_validated_parse(self):
         words = np.zeros(9, np.uint32)
         words[0] = 0x7FC00000  # quiet NaN in a support vector slot
@@ -697,6 +702,26 @@ TWO_FAULT_CASES = [
     (lambda: parse_svmlight_model(
         _svmlight_body("q 1:1").replace("0.5 # threshold", "inf # threshold")),
      MalformedModel, "line 11: threshold must be finite"),
+    (lambda: parse_svmlight_model(
+        SVMLIGHT_TWO_SV.replace("2 # highest", "0 # highest").replace("3 # number of s", "1 #")),
+     MalformedModel, "line 8: highest feature index must be >= 1"),
+    (lambda: parse_svmlight_model(
+        SVMLIGHT_TWO_SV.replace("3 # number of s", "1 #").replace("0.5 # threshold", "x #")),
+     MalformedModel, "line 10: support vector count must be >= 1"),
+    (lambda: parse_svmlight_model(_svmlight_body("q 1:1").replace("0.5 # threshold", "x #")),
+     MalformedModel, "line 11: bad real 'x'"),
+    (lambda: TrainedModel(np.ones((1, 1, 2)), np.array([np.nan]), 0.0),
+     MalformedModel, "support vectors must be 2-D and weights 1-D"),
+    (lambda: TrainedModel(np.ones((1, 2)), np.ones((1, 1)), np.nan),
+     MalformedModel, "support vectors must be 2-D and weights 1-D"),
+    (lambda: TrainedModel(np.ones((2, 0)), np.ones(3), np.nan),
+     MalformedModel, "need at least one support vector and one feature"),
+    (lambda: TrainedModel(np.ones((0, 2)), np.ones(1), 0.0),
+     MalformedModel, "need at least one support vector and one feature"),
+    (lambda: TestInstance(np.array([[1.0, np.nan]])),
+     MalformedInstance, "test instance must be a non-empty vector"),
+    (lambda: TestInstance(np.ones(0)),
+     MalformedInstance, "test instance must be a non-empty vector"),
 ]
 
 
@@ -848,11 +873,23 @@ class TestTextReader:
             ref_text.load_dataset(csv),
         )
 
+        # alpha values may span lines: the bias alone, then every weight on one line
+        bias, *weights = alpha.split()
+        alpha2 = f"{bias}\n{' '.join(weights)}\n"
+        # a whitespace-only line, which the per-line path skips
+        rows = csv.splitlines(keepends=True)
+        csv2 = "".join(rows[:16] + ["  \t\n"] + rows[16:])
+        want += (ref_text.parse_native_model(svs, alpha2), ref_text.load_dataset(csv2))
+
         def per_line_path(*args):
             raise AssertionError("the per-line path was taken")
 
-        monkeypatch.setattr(model_io, "_parse_real_lines", per_line_path)
-        monkeypatch.setattr(model_io, "_dataset_lines", per_line_path)
+        for reader in ("_svs_lines", "_parse_real_lines", "_dataset_lines"):
+            monkeypatch.setattr(model_io, reader, per_line_path)
         assert (
-            parse_native_model(svs, alpha), parse_test_instance(test, 27), load_dataset(csv)
+            parse_native_model(svs, alpha),
+            parse_test_instance(test, 27),
+            load_dataset(csv),
+            parse_native_model(svs, alpha2),
+            load_dataset(csv2),
         ) == want

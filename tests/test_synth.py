@@ -16,11 +16,13 @@ from svmsoc import (
     INTERPOLATED,
     AnchorRow,
     CalibrationError,
+    ClockPair,
     DirectiveConfig,
     FlMismatch,
     SvmSocError,
     UnknownCalibration,
     UnknownDesign,
+    cosim,
     default_calibration,
     estimate_arm_cycles,
     estimate_design,
@@ -29,6 +31,7 @@ from svmsoc import (
     explore,
     fit_calibration,
     load_calibration,
+    make_synthetic,
     parse_anchor_csv,
     save_calibration,
     synth,
@@ -530,14 +533,27 @@ REFUSALS = [
      "optimized processor cycles for FPGA 250 MHz / ARM 250 MHz"),
     (lambda: estimate_arm_cycles(100, 27, (250, 666.67)), UnknownCalibration,
      "plain processor cycles for FPGA 250 MHz / ARM 666.67 MHz"),
+    # strict cosim: a measured accelerator anchor, but no processor record at its S
+    (lambda: cosim(
+        *_model_and_instance(100), "pipeline-inner", ClockPair(100, 666.67), strict=True,
+        calibration=fit_calibration(
+            SHIPPED_RECORDS + (CosimRecord(100, 27, "pipeline-inner", 100.0, 666.67, 5000),)
+        ),
+    ), UnknownCalibration,
+     "no measured processor cycles at S=100 for FPGA 100 MHz / ARM 666.67 MHz"),
 ]
+
+
+def _model_and_instance(sv_count):
+    model, dataset = make_synthetic(sv_count, 27, 1, instances=1)
+    return model, dataset.instances[0]
 
 
 @pytest.mark.parametrize(
     "call, error, label",
     REFUSALS,
     ids=[f"{est}-{why}" for est in ("latency", "design", "arm")
-         for why in ("missing", "other-fl", "single-anchor")],
+         for why in ("missing", "other-fl", "single-anchor")] + ["cosim-strict-no-arm-record"],
 )
 def test_refusal_names_its_figure(call, error, label):
     with pytest.raises(error, match=re.escape(label)):
