@@ -22,6 +22,7 @@ from pathlib import Path
 from .driver import ClockPair, CosimReport, batch_classify, cosim, run_software_reference
 from .errors import CalibrationError, SvmSocError
 from .model_io import (
+    MAX_DENSE_VALUES,
     LabeledDataset,
     emit_dataset,
     emit_native_model,
@@ -49,6 +50,7 @@ from .synth import (
 )
 
 _WORDS = {1: "melanoma", -1: "non-melanoma"}
+MAX_INPUT_BYTES = MAX_DENSE_VALUES * 32  # the dense limit's values, 32 bytes of text each
 
 
 def _fmt_label(label: int) -> str:
@@ -65,9 +67,16 @@ def _fmt_bram(v: float) -> str:
 
 
 def _read(path: str, undecodable=SvmSocError) -> str:
-    """A file's text; a file that is not text raises undecodable."""
+    """A file's text, refused past MAX_INPUT_BYTES; text that is not UTF-8 raises undecodable."""
     try:
-        return Path(path).read_text()
+        with open(path, "rb") as f:  # a read allocates all it asks for: first ask for the size
+            want = min(Path(path).stat().st_size, MAX_INPUT_BYTES) + 1
+            data = f.read(want)
+            if len(data) == want:  # longer than its size says (a pipe or device says 0)
+                data += f.read(MAX_INPUT_BYTES + 1 - want)  # one byte past the cap tells
+        if len(data) > MAX_INPUT_BYTES:
+            raise SvmSocError(f"cannot read {path}: larger than {MAX_INPUT_BYTES} bytes")
+        return data.decode()
     except OSError as exc:
         raise SvmSocError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -746,6 +746,8 @@ def make_synthetic(
     """
     if sv_count < 1 or feature_count < 1 or instances < 1:
         raise ValueError("sv_count, feature_count, and instances must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if too_large := _dense_fault(sv_count, feature_count):
         raise ValueError(too_large)
     rng = np.random.default_rng(seed)

@@ -36,7 +36,10 @@ the mean of the group's distinct counts elsewhere.
 Latency for the two directives whose inner loop runs Fl+1 iterations per
 support vector (the streamed arrays carry one spare slot) decomposes as
 slope = a*(Fl+1) + c, which lets those two generalize across feature
-counts; everything else is pinned to its calibrated Fl.
+counts; everything else is pinned to its calibrated Fl.  A fitted figure
+is refused in one order: an uncalibrated group, an S or Fl outside
+1..2**53, another Fl (FlMismatch), a single anchor at another S, then a
+value that is not finite.  Fit.at applies the last three.
 """
 
 from __future__ import annotations
@@ -474,8 +477,16 @@ class Fit:
         """The label every message gives a column: latency for pipeline-inner at 100 MHz."""
         return _figure_label(self.columns[column], self.group)
 
-    def at(self, sv_count: int, allow_point_reuse: bool, columns) -> tuple[list[float], str]:
-        """The values at S of the columns read (indices), only those checked, and their tag."""
+    def at(self, sv_count: int, feature_count: int, allow_point_reuse: bool,
+           columns) -> tuple[list[float], str]:
+        """The values at (S, Fl) of the columns read (indices), and their tag.
+
+        Refuses, in this order: another Fl (FlMismatch, naming the first column
+        read), a single anchor at another S, then a value that is not finite.
+        """
+        if feature_count != self.feature_count:
+            fl = f"calibrated for Fl={self.feature_count}, not Fl={feature_count}"
+            raise FlMismatch(f"{self.what(columns[0])} is {fl}")
         values = self.points.get(sv_count)
         if values is not None:
             return [values[i] for i in columns], ANCHOR_EXACT
@@ -687,38 +698,13 @@ def _fit(cal, column: str, group, sv_count, feature_count) -> Fit:
     return fit
 
 
-def _figure(cal, column, group, sv_count, feature_count, allow_point_reuse) -> tuple[float, str]:
-    """One fitted column of a (directive, regime) or clock-pairing group at (S, Fl).
-
-    Returns the value and its validity tag.  Refuses, in this order: what
-    _fit refuses, another feature count (FlMismatch), and what Fit.at refuses.
-    """
-    fit = _fit(cal, column, group, sv_count, feature_count)
-    index = fit.columns.index(column)
-    if feature_count != fit.feature_count:
-        raise FlMismatch(
-            f"{fit.what(index)} is calibrated for Fl={fit.feature_count}, not Fl={feature_count}"
-        )
-    (value,), validity = fit.at(sv_count, allow_point_reuse, (index,))
-    return value, validity
-
-
-def _latency(cal, design, sv_count, feature_count, allow_point_reuse) -> tuple[int, str]:
-    """The latency figure, bridged to another Fl by its per-feature slope where one fits."""
-    try:
-        value, validity = _figure(
-            cal, "latency_cycles", design, sv_count, feature_count, allow_point_reuse
-        )
-    except FlMismatch:
-        fit = cal.fits[design]
-        a, c = PER_FEATURE_SLOPES.get(design[0], (None, None))
-        if a is None or fit.slope is None or (
-            abs(fit.slope[0] - (a * (fit.feature_count + 1) + c)) >= 1e-6
-        ):
-            raise
-        value = (a * (feature_count + 1.0) + c) * sv_count + fit.intercept[0]
-        validity = EXTRAPOLATED
-    return max(0, int(round(value))), validity
+def _bridge(fit: Fit, feature_count: int) -> float | None:
+    """A design's latency slope at another Fl: None at its own Fl or off PER_FEATURE_SLOPES."""
+    a, c = PER_FEATURE_SLOPES.get(fit.group[0], (None, None))
+    if feature_count != fit.feature_count and a is not None and fit.slope is not None:
+        if abs(fit.slope[0] - (a * (fit.feature_count + 1) + c)) < 1e-6:
+            return a * (feature_count + 1.0) + c
+    return None
 
 
 def estimate_latency(
@@ -739,8 +725,13 @@ def estimate_latency(
     """
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
-    latency, validity = _latency(cal, design, sv_count, feature_count, allow_point_reuse)
-    return SynthesisEstimate(validity=validity, latency_cycles=latency)
+    fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
+    slope = _bridge(fit, feature_count)
+    if slope is None:
+        (value,), validity = fit.at(sv_count, feature_count, allow_point_reuse, (0,))
+    else:
+        value, validity = slope * sv_count + fit.intercept[0], EXTRAPOLATED
+    return SynthesisEstimate(validity=validity, latency_cycles=max(0, int(round(value))))
 
 
 def estimate_design(
@@ -754,27 +745,22 @@ def estimate_design(
 ) -> SynthesisEstimate:
     """Predict latency and BRAM/DSP/FF/LUT use for one directive.
 
-    Latency is estimate_latency's.  The resource figures never bridge
-    feature counts: another Fl raises FlMismatch.  BRAM, FF and LUT are
-    fitted in S like latency; DSP count is constant per (directive,
-    regime): the measured count at an anchor, the mean of the distinct
-    measured counts elsewhere.  The figures share their validity: they are
-    fitted through the same records, and a latency bridged to another Fl
-    makes the resource lookups refuse.  One lookup reads the four fitted figures.
+    Latency is estimate_latency's; one lookup reads it with BRAM, FF and
+    LUT, which share its validity, and DSP use is constant in S.  At
+    another Fl, FlMismatch names the latency, or the BRAM where it bridges.
     """
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
     fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
-    if feature_count != fit.feature_count:  # the latency refuses or, bridged, the BRAM
-        args = (sv_count, feature_count, allow_point_reuse)
-        _latency(cal, design, *args)
-        _figure(cal, "bram", design, *args)
-    return SynthesisEstimate(*_design_fields(fit, cal.dsp[design], sv_count, allow_point_reuse))
+    args = sv_count, feature_count, allow_point_reuse
+    if _bridge(fit, feature_count) is not None:  # the BRAM is the first figure to refuse
+        fit.at(*args, (1,))
+    return SynthesisEstimate(*_design_fields(fit, cal.dsp[design], *args))
 
 
-def _design_fields(fit: Fit, dsps: dict, sv_count, allow_point_reuse) -> tuple:
-    """A design's SynthesisEstimate fields at S, from its Fit and DSP counts."""
-    (latency, bram, ff, lut), validity = fit.at(sv_count, allow_point_reuse, (0, 1, 2, 3))
+def _design_fields(fit: Fit, dsps: dict, sv_count, feature_count, reuse) -> tuple:
+    """A design's SynthesisEstimate fields at (S, Fl), from its Fit and DSP counts."""
+    (latency, bram, ff, lut), validity = fit.at(sv_count, feature_count, reuse, (0, 1, 2, 3))
     dsp = dsps.get(sv_count)
     if dsp is None:
         distinct = set(dsps.values())
@@ -825,7 +811,8 @@ def estimate_arm_cycles(
     cal = calibration if calibration is not None else default_calibration()
     pairing = clock_key(clocks)
     column = "optimized_cycles" if optimized else "plain_cycles"
-    value, _validity = _figure(cal, column, pairing, sv_count, feature_count, allow_point_reuse)
+    fit = _fit(cal, column, pairing, sv_count, feature_count)
+    (value,), _ = fit.at(sv_count, feature_count, allow_point_reuse, (fit.columns.index(column),))
     return max(0, int(round(value)))
 
 
@@ -875,13 +862,14 @@ def explore(
         if design[1] != regime:
             continue
         fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
-        # skip what estimate_design refuses with FlMismatch or UnknownCalibration
+        # skip, without raising, what Fit.at refuses with FlMismatch or UnknownCalibration
         if feature_count != fit.feature_count or fit.slope is None and sv_count not in fit.points:
             continue
         try:
-            fields = _, latency, bram, dsp, ff, lut = _design_fields(fit, dsps, sv_count, False)
+            fields = _design_fields(fit, dsps, sv_count, feature_count, False)
         except CalibrationError:  # a column that is not finite at S
             continue
+        _, latency, bram, dsp, ff, lut = fields
         candidates.append(((latency, dsp, lut, ff, bram), design[0], fields))
     if not candidates:
         raise UnknownCalibration(

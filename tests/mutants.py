@@ -1,0 +1,289 @@
+"""Mutation catalogue: code broken on purpose, which tier-1 must notice.
+
+Each entry names a file under src/svmsoc, the exact text to replace (it must
+occur there exactly once), its replacement and the reason the change is a
+fault.  For each entry the script copies src/, tests/ and pyproject.toml
+into a temporary directory, applies the entry there and runs tier-1 with -x.
+An entry is killed when tier-1 fails, and survives when it passes.  An entry
+marked equivalent changes no behaviour that a test can observe; it is
+expected to survive and its reason says why.
+
+Usage, from the repository root (standard library only; tier-1 needs
+pytest and hypothesis):
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries
+    python tests/mutants.py --list
+
+The exit status is 1 when an entry that is not equivalent survives, or when
+an entry's text is not found exactly once; 0 otherwise.  Not part of tier-1:
+pytest does not collect this file.  Adding an entry is free; removing or
+changing one is recorded in CHANGES.md with its reason, like any other check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/svmsoc
+    old: str
+    new: str
+    reason: str
+    equivalent: bool = False
+
+
+CATALOGUE = [
+    # -- the binary32 contract: fixed order, one rounding per operation
+    Mutant(
+        "reference-many-lane-unrounded", "driver.py",
+        "        add(acc, row, out=acc)\n        acc32[...] = acc\n        acc[...] = acc32\n",
+        "        add(acc, row, out=acc)\n",
+        "the reference's many-lane sum must round to binary32 after every add",
+    ),
+    Mutant(
+        "reference-one-lane-unrounded", "driver.py",
+        "            acc32[0] = acc + term\n            acc = acc32[0]\n",
+        "            acc = acc + term\n",
+        "the reference's one-lane sum must round to binary32 after every add",
+    ),
+    Mutant(
+        "accelerator-pairwise-sum", "accel.py",
+        "        return np.add.accumulate(terms, axis=0)[-1]\n",
+        "        return np.add.reduce(terms, axis=0)\n",
+        "np.add.reduce adds pairwise: another association than first to last",
+    ),
+    Mutant(
+        "accelerator-negative-zero-seed", "accel.py",
+        "    terms = np.zeros((rows.shape[0] + 1, *rows.shape[1:]), dtype=_F32)\n",
+        "    terms = np.full((rows.shape[0] + 1, *rows.shape[1:]), -0.0, dtype=_F32)\n",
+        "a -0.0 seed keeps a leading -0.0 product, where a zeroed accumulator gives +0.0",
+    ),
+    Mutant(
+        "decide-strict-compare", "accel.py",
+        "        label = 1 if distance >= _F32(threshold) else -1\n",
+        "        label = 1 if distance > _F32(threshold) else -1\n",
+        "a distance equal to the threshold labels +1",
+    ),
+    Mutant(
+        "reference-threshold-unrounded", "driver.py",
+        "        labels = np.where(distances >= float(f32(threshold)), 1, -1)\n",
+        "        labels = np.where(distances >= float(threshold), 1, -1)\n",
+        "the reference must compare against the binary32 threshold, as the accelerator does",
+    ),
+    # -- parsers
+    Mutant(
+        "binary32-ties-unsettled", "model_io.py",
+        "    ties = _binary32_ties(values)\n    if ties.size:\n",
+        "    ties = _binary32_ties(values)\n    if False:\n",
+        "a decimal on a binary32 midpoint in binary64 must round from its text",
+    ),
+    Mutant(
+        "svmlight-duplicate-index", "model_io.py",
+        "                and len(set(idx)) == len(idx)\n",
+        "",
+        "an SVM-Light line naming one feature twice is malformed",
+    ),
+    Mutant(
+        "read-cap-one-byte-short", "cli.py",
+        "                data += f.read(MAX_INPUT_BYTES + 1 - want)",
+        "                data += f.read(MAX_INPUT_BYTES - want)",
+        "reading only up to the cap cannot tell a larger input, which is then truncated",
+    ),
+    Mutant(
+        "read-cap-trusts-the-stated-size", "cli.py",
+        "            if len(data) == want:",
+        "            if False:",
+        "a pipe or device states size 0, and a file may grow after its size is read",
+    ),
+    Mutant(
+        "read-cap-refuses-at-the-cap", "cli.py",
+        "        if len(data) > MAX_INPUT_BYTES:\n",
+        "        if len(data) >= MAX_INPUT_BYTES:\n",
+        "an input of exactly MAX_INPUT_BYTES bytes is within the cap",
+    ),
+    # -- value types
+    Mutant(
+        "eq-answers-other-types", "model_io.py",
+        "        if not isinstance(other, TrainedModel):\n            return NotImplemented\n",
+        "        if not isinstance(other, TrainedModel):\n            return False\n",
+        "__eq__ must leave another type to the other operand's __eq__",
+    ),
+    Mutant(
+        "stream-frame-keeps-2d-words", "model_io.py",
+        "        if w.ndim != 1:\n",
+        "        if False:\n",
+        "a frame's words are one flat run of S*Fl + 1 + S + Fl words, whatever shape"
+        " the caller passes",
+    ),
+    Mutant(
+        "stream-frame-second-copy-dropped", "model_io.py",
+        "            w = w.reshape(-1).copy()\n",
+        "            w = w.reshape(-1)\n",
+        "equivalent: np.array(..., copy=True) has already copied the caller's words, so"
+        " the flat words are a view of the frame's own copy either way",
+        equivalent=True,
+    ),
+    Mutant(
+        "gen-negative-seed-to-numpy", "model_io.py",
+        "    if seed < 0:\n",
+        "    if False:\n",
+        "a negative seed is refused with a message that names it",
+    ),
+    Mutant(
+        "directive-unknown-prefix-accepted", "synth.py",
+        "        if takes_factor is None:\n",
+        "        if False:\n",
+        "a DirectiveConfig is one of the known directives",
+    ),
+    Mutant(
+        "directive-str-drops-factor", "synth.py",
+        "    def __str__(self) -> str:\n        return self.name\n",
+        "    def __str__(self) -> str:\n        return self.prefix\n",
+        "a directive prints as its full name, factor included, as cosim reads it back",
+    ),
+    # -- CLI exit codes
+    Mutant(
+        "calibration-error-exits-1", "cli.py",
+        "    except CalibrationError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
+        "        return 2\n",
+        "    except CalibrationError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
+        "        return 1\n",
+        "an unusable calibration exits 2, apart from input errors",
+    ),
+    # -- cost models and their refusal order
+    Mutant(
+        "explore-strict-dominance", "synth.py",
+        "other != cost and all(map(le, other, cost))",
+        "all(a < b for a, b in zip(other, cost))",
+        "a design no worse anywhere and better somewhere dominates; strictly better"
+        " everywhere keeps dominated designs on the front",
+    ),
+    Mutant(
+        "dsp-mean-floored", "synth.py",
+        "        dsp = round(sum(distinct) / len(distinct))\n",
+        "        dsp = sum(distinct) // len(distinct)\n",
+        "the DSP count away from an anchor is the rounded mean of the distinct counts",
+    ),
+    Mutant(
+        "fit-tag-bounds-interpolated", "synth.py",
+        "INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED",
+        "INTERPOLATED if lo <= sv_count <= hi else EXTRAPOLATED",
+        "equivalent: lo and hi are anchors, and Fit.at returns anchor_exact at an anchor"
+        " before it reaches this tag",
+        equivalent=True,
+    ),
+    Mutant(
+        "fit-single-anchor-before-fl", "synth.py",
+        "        if feature_count != self.feature_count:\n",
+        "        if self.slope is None and sv_count not in self.points"
+        " and not allow_point_reuse:\n"
+        "            raise UnknownCalibration(\n"
+        "                f\"{self.what(columns[0])} has a single anchor at S={self.lo};"
+        " scaling to\"\n"
+        "                f\" S={sv_count} has no supporting data (pass allow_point_reuse\"\n"
+        "                \" to reuse the point value)\"\n"
+        "            )\n"
+        "        if feature_count != self.feature_count:\n",
+        "Fit.at refuses another Fl before a single anchor at another S",
+    ),
+    Mutant(
+        "design-bridged-fl-names-latency", "synth.py",
+        "        fit.at(*args, (1,))\n",
+        "        fit.at(*args, (0,))\n",
+        "where the latency bridges another Fl, the BRAM is the figure that refuses",
+    ),
+    Mutant(
+        "bridge-accepts-any-slope", "synth.py",
+        "        if abs(fit.slope[0] - (a * (fit.feature_count + 1) + c)) < 1e-6:\n",
+        "        if True:\n",
+        "a latency bridges another Fl only where its slope lies on PER_FEATURE_SLOPES",
+    ),
+    Mutant(
+        "explore-fl-skip-dropped", "synth.py",
+        "        if feature_count != fit.feature_count or fit.slope is None and",
+        "        if fit.slope is None and",
+        "equivalent: Fit.at then raises FlMismatch, a CalibrationError, which explore's"
+        " finiteness except skips alike; the skip saves only the exception's cost",
+        equivalent=True,
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _apply(dest: Path, mutant: Mutant) -> None:
+    path = dest / "src" / "svmsoc" / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise LookupError(f"its text occurs {text.count(mutant.old)} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run(mutant: Mutant) -> tuple[bool, float]:
+    """Whether tier-1 kills the mutant, and the seconds it took."""
+    with tempfile.TemporaryDirectory(prefix="svmsoc-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy(dest)
+        _apply(dest, mutant)
+        env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        proc = subprocess.run(TIER1, cwd=dest, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+        return proc.returncode != 0, time.perf_counter() - start
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="entries to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the entries and exit")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in CATALOGUE}
+    if args.list:
+        for m in CATALOGUE:
+            print(f"{m.name}  ({m.file}){'  equivalent' if m.equivalent else ''}: {m.reason}")
+        return 0
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown entries: {', '.join(unknown)}")
+    chosen = [known[n] for n in args.names] or CATALOGUE
+    bad = 0
+    print(f"{'entry':34} {'result':22} {'seconds':>7}")
+    for mutant in chosen:
+        try:
+            killed, seconds = run(mutant)
+        except LookupError as exc:
+            print(f"{mutant.name:34} {'stale':22} {'-':>7}  {exc}")
+            bad += 1
+            continue
+        result = "killed" if killed else "survived"
+        if killed == mutant.equivalent:  # a survivor, or an "equivalent" entry a test kills
+            bad += 1
+            result += "!" if killed else ""
+        if mutant.equivalent:
+            result += " (equivalent)"
+        print(f"{mutant.name:34} {result:22} {seconds:7.1f}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

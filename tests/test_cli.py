@@ -13,6 +13,7 @@ from svmsoc import (
     parse_svmlight_model,
     save_calibration,
 )
+from svmsoc import cli
 from svmsoc.cli import _build_parser, main
 from svmsoc.synth import SHIPPED_ANCHORS, SHIPPED_RECORDS
 
@@ -153,6 +154,27 @@ class TestClassify:
         code, out, err = run(capsys, *argv)
         assert code == want and out == ""
         assert err.startswith("error: cannot read bad: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "size, want",
+        [(64, (0, "+1 melanoma 6.0\n", "")),
+         (65, (1, "", "error: cannot read big.txt: larger than 64 bytes\n"))],
+    )
+    def test_input_past_the_read_cap_is_one_line(self, capsys, tiny, monkeypatch, size, want):
+        monkeypatch.chdir(tiny)
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 64, raising=False)
+        (tiny / "big.txt").write_text("1" + " " * (size - 2) + "\n")  # one feature, padded
+        argv = ["classify", "--svs", "svs.txt", "--alpha", "alpha.txt", "--input", "big.txt"]
+        assert run(capsys, *argv) == want
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_input_is_refused_at_the_read_cap(self, capsys, tiny, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 64)  # with no cap to patch, fails unread
+        code, out, err = run(
+            capsys, "classify", "--svs", str(tiny / "svs.txt"),
+            "--alpha", str(tiny / "alpha.txt"), "--input", "/dev/zero",
+        )
+        assert (code, out, err) == (1, "", "error: cannot read /dev/zero: larger than 64 bytes\n")
 
     def test_missing_calibration_file_is_input_error(self, capsys, tiny):
         code, out, err = run(
@@ -678,8 +700,9 @@ class TestGen:
         (["synth", "248", "27", "pipeline-inner"],
          "the following arguments are required: regime_mhz"),
         (["warp", "248"], "argument command: invalid choice: 'warp'"),
+        (["gen", "1", "1", "-5"], "seed must be a non-negative integer, got -5"),
     ],
-    ids=["bad-float", "bad-int", "missing-argument", "unknown-command"],
+    ids=["bad-float", "bad-int", "missing-argument", "unknown-command", "negative-seed"],
 )
 def test_usage_error_is_one_error_line_and_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)

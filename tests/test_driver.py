@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from svmsoc import (
     ClockPair,
     DimensionError,
+    DirectiveConfig,
     FlMismatch,
     LabeledDataset,
     StreamFrame,
@@ -234,6 +235,13 @@ class TestCosim:
             assert rep.cycle_speedup_optimized == rep.sw_cycles_optimized / rep.hw_cycles
             assert rep.time_speedup_plain == rep.sw_time_us / rep.hw_time_us
             assert rep.time_speedup_optimized == rep.sw_opt_time_us / rep.hw_time_us
+
+    @pytest.mark.parametrize("name", ["pipeline-inner", "partition-cyclic-16"])
+    def test_a_directive_config_names_the_same_design(self, name):
+        m, ds = small_fixture()
+        by_name = cosim(m, ds.instances[0], name, ClockPair(250, 250))
+        by_config = cosim(m, ds.instances[0], DirectiveConfig.parse(name), ClockPair(250, 250))
+        assert by_config == by_name and by_config.directive.name == name
 
     def test_second_measured_design_at_250_250(self):
         m, ds = small_fixture()

@@ -329,19 +329,24 @@ class TestLabeledDataset:
         assert plus != LabeledDataset(np.array([[0.0, 1.0]], np.float32), (-1,))
 
 
-@pytest.mark.parametrize(
-    "value",
-    [
-        TrainedModel(np.ones((1, 2), np.float32), np.ones(1, np.float32), 0.0),
-        TestInstance(np.ones(2, np.float32)),
-        LabeledDataset(np.ones((1, 2), np.float32), (1,)),
-        StreamFrame(np.zeros(4, "<u4")),
-    ],
-    ids=lambda v: type(v).__name__,
-)
+VALUES = [
+    TrainedModel(np.ones((1, 2), np.float32), np.ones(1, np.float32), 0.0),
+    TestInstance(np.ones(2, np.float32)),
+    LabeledDataset(np.ones((1, 2), np.float32), (1,)),
+    StreamFrame(np.zeros(4, "<u4")),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_value_types_are_unhashable(value):
     with pytest.raises(TypeError):
         hash(value)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_leave_other_types_to_compare(value):
+    assert value.__eq__(1) is NotImplemented
+    assert (value == 1) is False and value != "x"
 
 
 class TestStreamFrames:
@@ -376,6 +381,13 @@ class TestStreamFrames:
         m2, t2 = parse_stream(emit_stream(m, t), 2, 2)
         assert m2 == m
         assert t2 == t
+
+    def test_words_of_any_shape_are_copied_flat(self):
+        words = np.arange(9, dtype=np.uint32).reshape(3, 3)
+        frame = StreamFrame(words)
+        words[0, 0] = 7
+        assert frame == StreamFrame(np.arange(9, dtype=np.uint32)) and len(frame) == 9
+        assert frame.words.shape == (9,) and not frame.words.flags.writeable
 
     def test_bytes_round_trip(self):
         frame = StreamFrame(np.arange(9, dtype=np.uint32))

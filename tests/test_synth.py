@@ -47,8 +47,6 @@ from svmsoc.synth import (
     PowerRecord,
     SynthesisEstimate,
     _DIRECTIVES,
-    _figure,
-    _latency,
     _parse_directive,
 )
 
@@ -152,13 +150,19 @@ class TestDirectiveConfig:
         assert DirectiveConfig("unroll-partial", 4).name == "unroll-partial-4"
         assert DirectiveConfig("pipeline-inner").name == "pipeline-inner"
 
-    def test_factor_rules(self):
-        with pytest.raises(ValueError):
-            DirectiveConfig("pipeline-inner", factor=4)
-        with pytest.raises(ValueError):
-            DirectiveConfig("unroll-partial")
-        with pytest.raises(ValueError):
-            DirectiveConfig("partition-complete", factor=2)
+    @pytest.mark.parametrize(
+        "prefix, factor, message",
+        [
+            ("pipeline-inner", 4, "pipeline-inner takes no factor"),
+            ("unroll-partial", None, "unroll-partial needs a factor >= 2"),
+            ("unroll-partial", 1, "unroll-partial needs a factor >= 2"),
+            ("partition-complete", 2, "partition-complete takes no factor"),
+            ("bogus", None, "unknown directive 'bogus'"),
+        ],
+    )
+    def test_factor_rules(self, prefix, factor, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DirectiveConfig(prefix, factor)
 
     def test_every_name_parses_as_its_normalised_spelling(self):
         for name in DIRECTIVE_NAMES:
@@ -577,9 +581,11 @@ def test_figures_of_a_design_share_their_validity(which, s, fl, reuse):
     for design in cal.dsp:
         tags = set()
         try:
-            tags.add(_latency(cal, design, s, fl, reuse)[1])
+            est = estimate_latency(s, fl, *design, calibration=cal, allow_point_reuse=reuse)
+            tags.add(est.validity)
+            fit = cal.fits[design]
             for column in ("bram", "ff", "lut"):
-                tags.add(_figure(cal, column, design, s, fl, reuse)[1])
+                tags.add(fit.at(s, fl, reuse, (fit.columns.index(column),))[1])
         except CalibrationError:
             with pytest.raises(CalibrationError):
                 estimate_design(s, fl, *design, calibration=cal, allow_point_reuse=reuse)
