@@ -15,12 +15,15 @@ On-disk formats handled here:
 Every stored real is binary32.  Parsers round each decimal to the nearest
 binary32 exactly once: a file's binary64 values go to binary32 in one array
 step, and a value that lands exactly on a binary32 midpoint on the way is
-settled from its decimal text.  The native, instance and CSV parsers read
-the binary64 values with numpy's C text reader (`np.loadtxt`), which rounds
-each decimal as `float` does.  Each file is read on its own: a file the
-reader refuses, or one holding a non-finite value, a CSV label other than
-+/-1 or a character the two read differently, is read line by line with
-`float` instead, which names the first faulty line.
+settled from its decimal text.  The parsers read the binary64 values with
+numpy's C text reader (`np.loadtxt`), which rounds each decimal as `float`
+does.  Each file is read on its own: a file the reader refuses, or one
+holding a non-finite value, a CSV label other than +/-1 or a character the
+two read differently, is read line by line with `float` instead, which
+names the first faulty line.  An SVM-Light body goes to the reader only
+when byte-level checks prove it canonical dense (`w 1:v 2:v ... Fl:v` on
+every line); a sparse, out-of-order or otherwise different body is read
+line by line.
 Emitters format whole arrays (`format_reals`) with the shortest decimal
 that parses back to the same binary32, so emit/parse round-trips are
 bit-exact.  No body line confirms an SVM-Light header's "highest feature
@@ -266,9 +269,7 @@ class StreamFrame:
     words: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.words, dtype="<u4", copy=True)
-        if w.ndim != 1:
-            w = w.reshape(-1).copy()
+        w = np.array(self.words, dtype="<u4", copy=True).reshape(-1)
         w.flags.writeable = False
         object.__setattr__(self, "words", w)
 
@@ -472,7 +473,30 @@ def parse_svmlight_model(text: str) -> TrainedModel:
     if too_large := _dense_fault(sv_count, feature_count):
         raise MalformedModel(too_large, line=8)
 
-    weights = array("d", [bias])
+    table = _dense_body([line.strip() for _, line in body], feature_count)
+    if table is None:
+        alpha_y, sv = _svmlight_lines(body, feature_count)
+    else:
+        alpha_y, sv = table[:, 0], _binary32(table[:, 1:], lambda: _pair_values(body))
+    w32 = _binary32(
+        np.concatenate([[bias], alpha_y]),
+        lambda: [header_value(10)] + [ln.split()[0] for _, ln in body],
+    )
+    return TrainedModel(sv, w32[1:], float(w32[0]))
+
+
+def _pair_values(body: list[tuple[int, str]]) -> list[str]:
+    """The value text of every idx:val pair of the body lines, in order."""
+    return [p for _, ln in body for p in _svmlight_pairs(ln.split())[2::3]]
+
+
+def _svmlight_lines(body: list[tuple[int, str]], feature_count: int):
+    """The body's binary64 weights and binary32 S x Fl matrix, read line by line.
+
+    Each line is read with `float` and `int`; the first faulty line raises
+    MalformedModel naming it.
+    """
+    weights = array("d")
     counts: list[int] = []
     cols, vals = array("i"), array("d")  # S x Fl fits a C int
     for lineno, line in body:
@@ -497,19 +521,76 @@ def parse_svmlight_model(text: str) -> TrainedModel:
         cols.fromlist(idx)
         vals.fromlist(line_vals)
 
-    w32 = _binary32(
-        np.frombuffer(weights), lambda: [header_value(10)] + [ln.split()[0] for _, ln in body]
-    )
     # each pair's flat position: its row's start, then its 1-based column
+    sv_count = len(body)
     starts = np.arange(-1, sv_count * feature_count - 1, feature_count, dtype=np.intc)
     where = np.repeat(starts, counts)
     where += np.frombuffer(cols, dtype=np.intc)
     sv = np.zeros((sv_count, feature_count), dtype=_F32)
-    sv.reshape(-1)[where] = _binary32(
-        np.frombuffer(vals),
-        lambda: [p for _, ln in body for p in _svmlight_pairs(ln.split())[2::3]],
-    )
-    return TrainedModel(sv, w32[1:], float(w32[0]))
+    sv.reshape(-1)[where] = _binary32(np.frombuffer(vals), lambda: _pair_values(body))
+    return np.frombuffer(weights), sv
+
+
+# A canonical dense body holds printable ASCII and the separators " :\n".
+_BLOCK_BYTES = 1 << 16  # body text checked and read at a time
+_PRINTABLE = bytes(range(0x20, 0x7F)) + b"\n"
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :\n")
+
+
+def _dense_body(rows: list[str], feature_count: int) -> np.ndarray | None:
+    """The (S, 1+Fl) weights and values of a canonical dense body, read in C.
+
+    rows are the body lines without comment and surrounding whitespace.  A
+    body is canonical dense when every row reads `w 1:v 2:v ... Fl:v`: single
+    spaces, indices in order and spelled as `str` spells them, printable
+    ASCII only.  There the reader and the per-line path read the same
+    tokens, and the reader's values are `float`'s.  Any other body, or one
+    the reader refuses or reads as non-finite, returns None, so the per-line
+    path reads it and names its first faulty line.  The rows are checked and
+    read a block of about _BLOCK_BYTES at a time, which bounds the memory;
+    a block holds at least one row.
+    """
+    step = max(1, _BLOCK_BYTES // (len(rows[0]) + 1))
+    table = None
+    per_row = b" :" * feature_count + b"\n"
+    for start in range(0, len(rows), step):
+        block = "\n".join(rows[start : start + step]) + "\n"
+        count = min(step, len(rows) - start)
+        if not block.isascii():
+            return None
+        text = block.encode("ascii")
+        if text.translate(None, _PRINTABLE):  # a control character
+            return None
+        if text.translate(None, _NOT_SEPARATOR) != per_row * count:
+            return None
+        if table is None:
+            table = np.empty((len(rows), feature_count + 1))
+            at_colon, offset, want = _index_prefixes(feature_count)
+        buf = np.frombuffer(bytearray(text), dtype=np.uint8)
+        # the bytes of each " k:" prefix, found from the colon that ends it
+        at = np.flatnonzero(buf == ord(":")).reshape(count, -1)[:, at_colon] + offset
+        if not (buf[at] == want).all():
+            return None
+        buf[at] = ord(" ")
+        values = _matrix(buf.tobytes().decode("ascii"))
+        if values is None or values.shape != (count, feature_count + 1):
+            return None  # an empty value leaves its row a value short
+        table[start : start + count] = values
+    return table
+
+
+def _index_prefixes(feature_count: int):
+    """Where the bytes " k:" of each index k = 1..Fl lie: colon, offset, byte.
+
+    Each prefix byte is taken from the row's colon number at_colon, at
+    offset from it (the colon itself at 0), and must read want.
+    """
+    texts = [b" %d:" % k for k in range(1, feature_count + 1)]
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=feature_count)
+    at_colon = np.repeat(np.arange(feature_count), lengths)
+    ends = np.cumsum(lengths) - 1
+    offset = np.arange(at_colon.size) - np.repeat(ends, lengths)
+    return at_colon, offset, np.frombuffer(b"".join(texts), dtype=np.uint8)
 
 
 def _matrix(text: str, delimiter: str | None = None) -> np.ndarray | None:

@@ -99,6 +99,49 @@ CATALOGUE = [
         "an SVM-Light line naming one feature twice is malformed",
     ),
     Mutant(
+        "svmlight-dense-non-ascii", "model_io.py",
+        "        if not block.isascii():\n            return None\n",
+        "",
+        "a non-ASCII character is whitespace or a digit to `str.split`, `int` or"
+        " `float`, which the byte checks cannot see",
+    ),
+    Mutant(
+        "svmlight-dense-control-bytes", "model_io.py",
+        "        if text.translate(None, _PRINTABLE):  # a control character\n"
+        "            return None\n",
+        "",
+        "a tab or other control byte splits tokens for `str.split` and the reader"
+        " where the separator check sees none",
+    ),
+    Mutant(
+        "svmlight-dense-separators-skipped", "model_io.py",
+        "        if text.translate(None, _NOT_SEPARATOR) != per_row * count:\n"
+        "            return None\n",
+        "",
+        "only `w 1:v ... Fl:v` rows put each colon after its own index on its own line",
+    ),
+    Mutant(
+        "svmlight-dense-any-digits-index", "model_io.py",
+        "        if not (buf[at] == want).all():\n",
+        "        if not ((buf[at] == want) | (buf[at] - 48 < 10) & (want - 48 < 10)).all():\n",
+        "an index spelled with other digits, such as `2:v 1:v` or `01:v`, names"
+        " another column or reads through `int`",
+    ),
+    Mutant(
+        "svmlight-dense-shape-unchecked", "model_io.py",
+        "        if values is None or values.shape != (count, feature_count + 1):\n",
+        "        if values is None:\n",
+        "a row with an empty value reads one value short, and numpy broadcasts a"
+        " one-column block across the table",
+    ),
+    Mutant(
+        "reader-keeps-non-finite", "model_io.py",
+        "    return values if np.isfinite(values).all() else None\n",
+        "    return values\n",
+        "the C reader's non-finite values go line by line, which names the faulty"
+        " line; a model or instance would refuse them without one",
+    ),
+    Mutant(
         "read-cap-one-byte-short", "cli.py",
         "                data += f.read(MAX_INPUT_BYTES + 1 - want)",
         "                data += f.read(MAX_INPUT_BYTES - want)",
@@ -125,18 +168,10 @@ CATALOGUE = [
     ),
     Mutant(
         "stream-frame-keeps-2d-words", "model_io.py",
-        "        if w.ndim != 1:\n",
-        "        if False:\n",
+        '        w = np.array(self.words, dtype="<u4", copy=True).reshape(-1)\n',
+        '        w = np.array(self.words, dtype="<u4", copy=True)\n',
         "a frame's words are one flat run of S*Fl + 1 + S + Fl words, whatever shape"
         " the caller passes",
-    ),
-    Mutant(
-        "stream-frame-second-copy-dropped", "model_io.py",
-        "            w = w.reshape(-1).copy()\n",
-        "            w = w.reshape(-1)\n",
-        "equivalent: np.array(..., copy=True) has already copied the caller's words, so"
-        " the flat words are a view of the frame's own copy either way",
-        equivalent=True,
     ),
     Mutant(
         "gen-negative-seed-to-numpy", "model_io.py",

@@ -35,6 +35,7 @@ from svmsoc import model_io
 from svmsoc.model_io import MAX_DENSE_VALUES, format_reals
 
 import ref_format
+import ref_svmlight
 import ref_text
 from conftest import random_instance, random_model
 
@@ -806,6 +807,55 @@ def _outcome(call):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+# Rewrites of an SVM-Light body: separators the canonical dense layout does
+# not use, characters `str.split` and the C reader take differently, tokens
+# that are no canonical index or read as a real, and comment and line ends.
+SVMLIGHT_CELLS = st.sampled_from([
+    ": ", " :", "::", "\t", "\xa0", "\x1c", "\x7f", "1e2", "1.0", "01", "+1", "nan", "#", "\r",
+])
+
+
+@st.composite
+def svmlight_texts(draw) -> str:
+    """An SVM-Light text of a small drawn model, dense or sparse, its body mutated."""
+    model, _ = make_synthetic(
+        draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(0, 2**32)),
+        instances=1,
+    )
+    lines = svmlight_text(model).splitlines(keepends=True)
+    head, body = "".join(lines[:11]), lines[11:]
+    if draw(st.booleans()):  # sparse: some pairs of each line, in order or not
+        for i, line in enumerate(body):
+            weight, *pairs, comment = line.split(" ")
+            pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+            if draw(st.booleans()):
+                pairs.sort(key=lambda pair: int(pair.split(":")[0]))
+            body[i] = " ".join([weight, *pairs, comment])
+    pieces = re.split(r"([ :\n])", "".join(body))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.sampled_from(range(len(pieces))))
+        cell = draw(SVMLIGHT_CELLS)
+        pieces[i] = draw(st.sampled_from([cell, pieces[i] + cell, cell + pieces[i], ""]))
+    text = "".join(pieces)
+    if draw(st.booleans()):  # a deleted span
+        start = draw(st.integers(0, len(text)))
+        text = text[:start] + text[draw(st.integers(start, len(text))) :]
+    return head + text
+
+
+def _svmlight_dense(model: TrainedModel, documents: int = 2) -> str:
+    """The model in the benchmark's layout: `w 1:v ... Fl:v #` on every line."""
+    head = svmlight_text(model).split("\n")[:11]
+    head[6] = "empty # kernel parameter -u"
+    head[8] = f"{documents} # number of training documents"
+    rows = [
+        " ".join([format_real(ay), *(f"{k}:{v}" for k, v in enumerate(format_reals(row), 1))])
+        + " #"
+        for ay, row in zip(model.alpha_y, model.support_vectors)
+    ]
+    return "\n".join(head + rows) + "\n"
+
+
 class TestTextReader:
     """The C reader's path gives the per-line float path's results and errors."""
 
@@ -905,3 +955,54 @@ class TestTextReader:
             parse_native_model(svs, alpha2),
             load_dataset(csv2),
         ) == want
+
+    @given(svmlight_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_svmlight_matches_the_per_line_reference(self, text):
+        assert _outcome(lambda: parse_svmlight_model(text)) == _outcome(
+            lambda: ref_svmlight.parse_svmlight_model(text)
+        ), text
+
+    @pytest.mark.parametrize(
+        "fl, lines",
+        [
+            (2, ["0.5 1:\t0.25 2:1"]),  # str.split and the reader split at a tab
+            (2, ["0.5 1:\xa00.25 2:1"]),  # and at U+00A0
+            (2, ["0.5 1:0.25 2:1\x7f"]),
+            (2, ["0.5 1:0.25 2: 1:0.75", "0.7 2:0.5 0.1"]),  # colons counted across lines
+            (2, ["0.5 2:0.25 1:1"]),  # out of order
+            (2, ["0.5 01:0.25 2:1", "0.5 1:0.25 +2:1"]),  # int() reads both
+            (2, ["0.5 1:0.25 2:1.0", "0.5 1:0.25 2:1e2"]),
+            (2, ["0.5 1:0.25 1:1"]),
+            (2, ["0.5 1:0.25 2:1", "0.5 1:0.25  2:1", "0.5\xa01:0.25 2:1\xa0"]),
+            (1, ["0.5 1:", "0.25 1:"]),  # a value short on every line
+            (1, ["0.5 1:2", "0.25 :1"]),
+            (2, ["0.5 1:nan 2:1"]),
+            (2, ["nan 1:0.5 2:1"]),
+            (2, ["0.5 1:1_0 2:1"]),  # float() reads an underscore, the reader does not
+            (2, [f"{MIDPOINT} 1:{ABOVE} 2:{MIDPOINT}", f"{BELOW} 1:{MIDPOINT} 2:{BELOW}"]),
+            (12, ["0.5 " + " ".join(f"{k}:{k / 8}" for k in range(1, 13))]),
+            (12, ["0.5 " + " ".join(f"{k}:{k / 8}" for k in [*range(1, 10), 11, 10, 12])]),
+            (8000, ["0.5 " + " ".join(f"{k}:{k / 8}" for k in range(1, 8001))]),  # > 64 KiB
+        ],
+    )
+    def test_svmlight_cases(self, fl, lines):
+        text = _svmlight_body(*lines).replace("2 # highest", f"{fl} # highest")
+        assert _outcome(lambda: parse_svmlight_model(text)) == _outcome(
+            lambda: ref_svmlight.parse_svmlight_model(text)
+        )
+
+    def test_dense_svmlight_takes_the_reader_path(self, monkeypatch):
+        # with the per-line loop unusable, canonical dense models still parse
+        small, _ = make_synthetic(61, 27, 7)
+        stress, _ = make_synthetic(400, 64, 7)  # several blocks
+        wide, _ = make_synthetic(2, 150, 7)  # three-digit indices
+        texts = [svmlight_text(small), _svmlight_dense(stress, 32), _svmlight_dense(wide)]
+        want = [ref_svmlight.parse_svmlight_model(text) for text in texts]
+        assert want == [small, stress, wide]
+
+        def per_line_path(*args):
+            raise AssertionError("the per-line path was taken")
+
+        monkeypatch.setattr(model_io, "_svmlight_lines", per_line_path)
+        assert [parse_svmlight_model(text) for text in texts] == want
