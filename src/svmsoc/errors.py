@@ -21,6 +21,15 @@ __all__ = [
 ]
 
 
+def quote(text: str) -> str:
+    """repr of a token or line of input, cut to 40 characters plus "…".
+
+    Messages quote what they reject, and a line of a data file can run to
+    thousands of characters.  Shared by the modules; not exported.
+    """
+    return repr(text if len(text) <= 40 else text[:40] + "…")
+
+
 class SvmSocError(Exception):
     """Base class for all errors raised by this package."""
 

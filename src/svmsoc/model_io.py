@@ -25,10 +25,17 @@ when byte-level checks prove it canonical dense (`w 1:v 2:v ... Fl:v` on
 every line); a sparse, out-of-order or otherwise different body is read
 line by line.
 Emitters format whole arrays (`format_reals`) with the shortest decimal
-that parses back to the same binary32, so emit/parse round-trips are
-bit-exact.  No body line confirms an SVM-Light header's "highest feature
-index", so a model above MAX_DENSE_VALUES support-vector values is refused
-before its dense matrix is allocated.
+that parses back to the same binary32, as numpy's Dragon4 prints it, so
+emit/parse round-trips are bit-exact.  An array of a few hundred values or
+more is printed an array at a time: an exact binary64 digit search finds
+every value's digits at once, each value's digits are proven by parsing
+them back, and the text is built in one byte frame per block.  Dragon4
+prints the rest: small arrays, and zero, subnormals, powers of two, values
+outside [1e-4, 1e9), nan, infinities and any value not proven.
+
+No body line confirms an SVM-Light header's "highest feature index", so a
+model above MAX_DENSE_VALUES support-vector values is refused before its
+dense matrix is allocated.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .errors import (
     MalformedInstance,
     MalformedModel,
     UnsupportedKernel,
+    quote,
 )
 
 __all__ = [
@@ -100,7 +108,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _shortest(values: np.ndarray) -> list[str]:
-    """Shortest round-trip decimal of each value of a 1-D binary32 array.
+    """Shortest round-trip decimal of each value of a 1-D binary32 array, by Dragon4.
 
     numpy's float32 repr is the shortest digit string; the few values it
     prints in exponent form are rewritten positionally.  The caller pins
@@ -115,19 +123,195 @@ def _shortest(values: np.ndarray) -> list[str]:
     return texts
 
 
+# -- the certified array path of format_reals
+#
+# A value v = M * 2**e (M the 24-bit significand, ulp = 2**e) is printed by
+# Dragon4 as D * 10**Q: the largest Q at which a multiple of 10**Q lies
+# within half an ulp of v (the bounds included when M is even, as they
+# round to v), and of those the nearest (ties to even D).  The array path
+# finds D and Q for all values at once in binary64, and prints only the
+# values it can prove it got right.
+
+_ARRAY_MIN = 320  # fewer values print faster one at a time (break-even, CHANGES.md)
+_BLOCK_VALUES = 4096  # values printed through one text frame, which bounds its memory
+
+
+def _decimal_scales():
+    """Per biased binary32 exponent: m, 10**-m, and half an ulp in units of 10**m.
+
+    m is the largest integer at most 0 with 10**m <= ulp, so t = |v| * 10**-m
+    is the significand's digits, below 10**9 in the array path's range, and
+    half an ulp is at least 1/2 in its units.  From |v| = 2**-14 up to 2**53,
+    10**-m (m >= -22) and half an ulp are exact in binary64 and so is t.
+    """
+    e = np.arange(256) - 150
+    m = np.minimum(np.floor(e * math.log10(2)), 0).astype(np.intp)  # e*log10(2) is no integer
+    up = np.array([float(10**k) for k in (-m).tolist()])
+    return m, up, np.ldexp(up, e - 1)
+
+
+_SCALE, _SCALE_UP, _HALF_ULP = _decimal_scales()
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact in binary64
+
+
+def _certified(mag: np.ndarray, biased: np.ndarray):
+    """Dragon4's digits D and exponents Q of binary32 magnitudes, and which are proven.
+
+    mag holds normal binary32 magnitudes in [1e-4, 1e9) whose significand is
+    not a power of two (Dragon4 narrows the lower half-ulp there), as binary64;
+    biased holds their exponent fields.  The digit search is exact, so it
+    needs no tolerance: t and half an ulp are exact, each nearest multiple
+    of 10**j is an integer below 2**53, and t less that multiple is exact
+    (Sterbenz) wherever it is near enough to be compared with half an ulp.
+    A lane is proven when D * 10**Q also parses back to the value through
+    the exact binary64 fast path (D < 10**9, and 10**|Q| is exact for
+    |Q| <= 22), and that binary64 value, when rounded, is no binary32
+    midpoint, which would round to binary32 twice.
+    """
+    t = mag * _SCALE_UP.take(biased)
+    digits, power = np.rint(t), np.zeros(t.size, dtype=np.intp)
+    half = _HALF_ULP.take(biased)
+    even = mag.view(np.uint64) & (1 << 29) == 0  # M's last bit, in binary64
+    half[even] = np.nextafter(half[even], np.inf)  # |t - x| < that: within or on the bound
+    # a multiple of 10**j within half an ulp is one of 10**(j-1) too, so the
+    # lanes that find one at j are a subset of those that found one at j - 1
+    live, tl, j = np.arange(t.size), t, 1
+    while live.size:
+        near = np.rint(tl / _POW10[j])
+        within = np.flatnonzero(np.abs(tl - near * _POW10[j]) < half)
+        live, tl, half = live.take(within), tl.take(within), half.take(within)
+        digits[live] = near.take(within)
+        power[live] = j
+        j += 1
+    exp10 = _SCALE.take(biased) + power
+    back = digits * _POW10.take(np.maximum(exp10, 0), mode="clip")
+    back /= _POW10.take(np.maximum(-exp10, 0), mode="clip")
+    sure = (np.abs(exp10) <= 22) & (back.astype(_F32) == mag)
+    ties = _binary32_ties(back)
+    sure[ties[exp10[ties] < 0]] = False  # an integer D * 10**Q is exact in binary64
+    return digits, exp10, sure
+
+
+# Each value's text is built in one row of a byte frame: its sign, the 4-digit
+# chunks of its integer part that any value of the block needs, ".", three
+# 4-digit chunks of its fraction, then its separator.  Pad bytes are NUL and
+# are dropped at the end.  Chunks come from one table of 4-byte words in
+# three forms: all four digits, leading zeros as NUL (the leading integer
+# chunk; 0 prints "0") and trailing zeros as NUL (the fraction's last chunks;
+# 0 prints nothing).
+_LEAD, _TRAIL = 10**4, 2 * 10**4  # where the two NUL forms start in the table
+_NUL = _TRAIL  # trailing-zero form of 0: four NUL bytes
+
+
+def _digit_words() -> np.ndarray:
+    """The 4-digit chunk table: all digits, then leading and trailing zeros as NUL."""
+    digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    text = (digits + ord("0")).astype(np.uint8)
+    leading = (np.cumsum(digits, axis=1) == 0) & (np.arange(4) < 3)
+    trailing = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] == 0
+    return np.concatenate([text, text * ~leading, text * ~trailing]).view(np.uint32).ravel()
+
+
+_WORDS = _digit_words()
+
+
+def _chunks(x: np.ndarray):
+    """The three 4-digit chunks, high first, of integers below 10**12 held in binary64."""
+    high = np.floor(x / 1e8)  # exact: x / 10**k is off by far less than 10**-k
+    rest = x - high * 1e8
+    mid = np.floor(rest / 1e4)
+    return high, mid, rest - mid * 1e4
+
+
+def _text(rows: np.ndarray, sep: bytes) -> str:
+    """The text of a 2-D binary32 block: values joined by sep, each row ended by a newline."""
+    flat = rows.reshape(-1)
+    mag = np.abs(flat)
+    bits = mag.view(np.uint32)
+    lanes = np.flatnonzero((mag >= 1e-4) & (mag < 1e9) & (bits & 0x7FFFFF != 0))
+    digits, exp10 = np.zeros(flat.size), np.zeros(flat.size, dtype=np.intp)
+    found, q, sure = _certified(mag[lanes].astype(np.float64), (bits[lanes] >> 23).astype(np.intp))
+    lanes = lanes[sure]
+    digits[lanes], exp10[lanes] = found[sure], q[sure]
+
+    # integer part and fraction * 10**12, both below 10**12
+    shift = np.maximum(-exp10, 0)
+    high = np.floor(digits / _POW10[shift])
+    whole = high * _POW10[np.maximum(exp10, 0)]
+    fraction = (digits - high * _POW10[shift]) * _POW10[12 - shift]
+    i0, i1, i2 = _chunks(whole)
+    f0, f1, f2 = _chunks(fraction)
+    big, mid = whole >= 1e8, whole >= 1e4
+    columns = [
+        np.where(big, i0 + _LEAD, _NUL),
+        np.where(mid, i1 + _LEAD * ~big, _NUL),
+        i2 + _LEAD * ~mid,
+        f0 + np.where(f1 + f2 > 0, 0, np.where(f0 > 0, _TRAIL, _LEAD)),
+        f1 + _TRAIL * (f2 == 0),
+        f2 + _TRAIL,
+    ][2 - int(mid.any()) - int(big.any()) :]  # integer chunks no value needs are left out
+    n, digit_end = flat.size, 4 * len(columns) + 2
+    words = np.empty((n, len(columns)), dtype=np.intp)
+    for k, column in enumerate(columns):
+        words[:, k] = column
+    digit_bytes = _WORDS.take(words).view(np.uint8)
+    dot = digit_end - 13
+
+    count, cols = rows.shape
+    frame = np.zeros((count, cols, digit_end + max(len(sep), 1)), dtype=np.uint8)
+    flat_frame = frame.reshape(n, -1)
+    flat_frame[:, 0] = np.signbit(flat).view(np.uint8) * np.uint8(ord("-"))
+    flat_frame[:, 1:dot] = digit_bytes[:, : dot - 1]
+    flat_frame[:, dot] = ord(".")
+    flat_frame[:, dot + 1 : digit_end] = digit_bytes[:, dot - 1 :]
+    # each value's separator; the last of a row ends with "\n" instead
+    frame[:, :-1, digit_end : digit_end + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
+    frame[:, -1, digit_end] = ord("\n")
+    dragon4 = np.ones(n, dtype=bool)
+    dragon4[lanes] = False
+    flat_frame[dragon4, :digit_end] = 0
+    flat_frame[dragon4, 0] = 1  # where Dragon4's text goes
+    text = frame[frame != 0].tobytes().decode()
+    if lanes.size < flat.size:
+        pieces = text.split("\1")
+        texts = _shortest(flat[dragon4])
+        text = "".join([p for pair in zip(pieces, texts) for p in pair]) + pieces[-1]
+    return text
+
+
 def format_reals(values, sep: str = " ") -> list[str]:
     """Text of binary32 values: shortest decimals that parse back bit-exact.
 
     A 1-D array gives one string per value; a 2-D array gives one line per
-    row, its values joined by sep (formatted a row at a time, so no
-    matrix-sized string array is built).  NaN prints as "nan" and
-    infinities as "inf"/"-inf", whatever numpy's print options say.
+    row, its values joined by sep.  Each value prints as numpy's Dragon4
+    prints it in positional form (`np.format_float_positional(v,
+    unique=True, trim="0")`): NaN as "nan" and infinities as "inf"/"-inf",
+    whatever numpy's print options say.
+
+    An array of _ARRAY_MIN values or more is printed a block of rows at a
+    time (about _BLOCK_VALUES values, which bounds the memory) without
+    Dragon4: the digits of each normal value in [1e-4, 1e9) whose
+    significand is not a power of two are found by an exact binary64 search
+    for the whole block at once and proven by parsing them back
+    (`_certified`), and the block's text is built in one byte frame.  A
+    value not proven, and every other value (zero, subnormals, powers of
+    two, values outside that range, nan and inf), is printed by Dragon4
+    under the same pinned print options.  Smaller arrays, and rows joined by
+    a sep holding a control character, go to Dragon4 throughout.
     """
     arr = np.asarray(values, dtype=_F32)
     with np.printoptions(legacy=False):
-        if arr.ndim < 2:
-            return _shortest(arr.reshape(-1))
-        return [sep.join(_shortest(row)) for row in arr]
+        if arr.size < _ARRAY_MIN or arr.ndim > 1 and not sep.isprintable():
+            if arr.ndim < 2:
+                return _shortest(arr.reshape(-1))
+            return [sep.join(_shortest(row)) for row in arr]
+        rows = arr.reshape(-1, 1) if arr.ndim < 2 else arr
+        step = max(1, _BLOCK_VALUES // rows.shape[1])
+        sep_bytes = sep.encode()
+        lines: list[str] = []
+        for start in range(0, rows.shape[0], step):
+            lines += _text(rows[start : start + step], sep_bytes)[:-1].split("\n")
+        return lines
 
 
 def format_real(value) -> str:
@@ -302,7 +486,7 @@ def _parse_real(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ValueError(f"bad real {token.strip()!r}") from None
+        raise ValueError(f"bad real {quote(token.strip())}") from None
 
 
 def _all_finite(vals: list[float]) -> bool:
@@ -387,11 +571,11 @@ def _svmlight_fault(tokens: list[str], feature_count: int) -> str:
     for pair in tokens[1:]:
         idx_s, sep, val_s = pair.partition(":")
         if not sep:
-            return f"expected idx:val pair, got {pair!r}"
+            return f"expected idx:val pair, got {quote(pair)}"
         try:
             idx = int(idx_s)
         except ValueError:
-            return f"bad feature index {idx_s!r}"
+            return f"bad feature index {quote(idx_s)}"
         if not 1 <= idx <= feature_count:
             return f"feature index {idx} outside 1..{feature_count}"
         if idx in seen:
@@ -434,7 +618,7 @@ def parse_svmlight_model(text: str) -> TrainedModel:
             return int(tok)
         except ValueError:
             raise MalformedModel(
-                f"bad {_HEADER_FIELDS[idx]} {tok!r}", line=idx + 1
+                f"bad {_HEADER_FIELDS[idx]} {quote(tok)}", line=idx + 1
             ) from None
 
     kernel = header_int(1)

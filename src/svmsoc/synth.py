@@ -52,7 +52,7 @@ from functools import lru_cache
 from operator import attrgetter, le
 from typing import NamedTuple, Sequence, Union
 
-from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign
+from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign, quote
 
 __all__ = [
     "ANCHOR_EXACT",
@@ -343,8 +343,7 @@ def _schema(kind: str):
     try:
         return _SCHEMA[kind]
     except KeyError:
-        cell = kind if len(kind) <= 40 else kind[:40] + "…"  # a data line, quoted in part
-        raise ValueError(f"unknown record kind {cell!r}") from None
+        raise ValueError(f"unknown record kind {quote(kind)}") from None
 
 
 def _record(kind: str, cells) -> Record:

@@ -141,6 +141,66 @@ CATALOGUE = [
         "the C reader's non-finite values go line by line, which names the faulty"
         " line; a model or instance would refuse them without one",
     ),
+    # -- the formatter: Dragon4's text, from the array path or from Dragon4
+    Mutant(
+        "format-print-options-unpinned", "model_io.py",
+        "    with np.printoptions(legacy=False):\n        if arr.size < _ARRAY_MIN",
+        "    if True:\n        if arr.size < _ARRAY_MIN",
+        "a legacy print mode prints 6 digits, which do not round-trip",
+    ),
+    Mutant(
+        "format-exponent-form-kept", "model_io.py",
+        '    if "e" in "".join(texts):  # nan and inf hold no "e"\n',
+        "    if False:\n",
+        "numpy prints values below 1e-4 and from 1e16 in exponent form; the text is positional",
+    ),
+    Mutant(
+        "format-even-bounds-excluded", "model_io.py",
+        "    half[even] = np.nextafter(half[even], np.inf)  # |t - x| < that: within or on the bound\n",
+        "",
+        "a decimal on the half-ulp bound of a value with an even significand rounds to"
+        " it, and Dragon4 takes it when it is shorter",
+    ),
+    Mutant(
+        "format-parse-back-unchecked", "model_io.py",
+        "    sure = (np.abs(exp10) <= 22) & (back.astype(_F32) == mag)\n",
+        "    sure = np.abs(exp10) <= 22\n",
+        "equivalent: in [1e-4, 1e9) it refuses only the powers of two 2**25 and 2**26,"
+        " which the power-of-two exclusion keeps out; an exhaustive sweep of the range"
+        " finds no other value it refuses",
+        equivalent=True,
+    ),
+    Mutant(
+        "format-midpoint-unchecked", "model_io.py",
+        "    sure[ties[exp10[ties] < 0]] = False  # an integer D * 10**Q is exact in binary64\n",
+        "",
+        "equivalent: a rounded binary64 value on a binary32 midpoint would round twice,"
+        " but an exhaustive sweep of [1e-4, 1e9) finds none",
+        equivalent=True,
+    ),
+    Mutant(
+        "format-power-of-two-kept", "model_io.py",
+        "(mag >= 1e-4) & (mag < 1e9) & (bits & 0x7FFFFF != 0)",
+        "(mag >= 1e-4) & (mag < 1e9)",
+        "equivalent: below a power of two the next binary32 is half as far, but of the"
+        " 43 powers of two in [1e-4, 1e9) only 2**25 and 2**26 get other digits from"
+        " the search, and they do not parse back",
+        equivalent=True,
+    ),
+    Mutant(
+        "format-exponent-unbounded", "model_io.py",
+        "    sure = (np.abs(exp10) <= 22) & (back.astype(_F32) == mag)\n",
+        "    sure = back.astype(_F32) == mag\n",
+        "equivalent: 10**|Q| is exact in binary64 only up to 10**22, but in [1e-4, 1e9)"
+        " Q lies in -12..8",
+        equivalent=True,
+    ),
+    Mutant(
+        "format-range-unbounded", "model_io.py",
+        "(mag >= 1e-4) & (mag < 1e9) & (bits & 0x7FFFFF != 0)",
+        "(bits & 0x7FFFFF != 0)",
+        "the text frame holds 12 fraction digits, and a value below 1e-4 may need more",
+    ),
     Mutant(
         "read-cap-one-byte-short", "cli.py",
         "                data += f.read(MAX_INPUT_BYTES + 1 - want)",

@@ -4,7 +4,8 @@ The parser as it was when every body line was read in Python: each line's
 tokens are split, its weight, indices and values read with `float` and
 `int`, checked, and scattered into a zeroed matrix, so the first faulty
 line is the one reported.  The rounding to binary32 is the package's own
-(model_io._binary32); only the binary64 read is kept here.
+(model_io._binary32); only the binary64 read is kept here.  A quoted token
+longer than 40 characters is cut to 40 plus "…", as every message does.
 """
 
 from __future__ import annotations
@@ -33,11 +34,15 @@ _HEADER_FIELDS = (
 )
 
 
+def _quote(token: str) -> str:
+    return repr(token if len(token) <= 40 else token[:40] + "…")
+
+
 def _parse_real(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ValueError(f"bad real {token.strip()!r}") from None
+        raise ValueError(f"bad real {_quote(token.strip())}") from None
 
 
 def _all_finite(vals: list[float]) -> bool:
@@ -60,11 +65,11 @@ def _fault(tokens: list[str], feature_count: int) -> str:
     for pair in tokens[1:]:
         idx_s, sep, val_s = pair.partition(":")
         if not sep:
-            return f"expected idx:val pair, got {pair!r}"
+            return f"expected idx:val pair, got {_quote(pair)}"
         try:
             idx = int(idx_s)
         except ValueError:
-            return f"bad feature index {idx_s!r}"
+            return f"bad feature index {_quote(idx_s)}"
         if not 1 <= idx <= feature_count:
             return f"feature index {idx} outside 1..{feature_count}"
         if idx in seen:
@@ -99,7 +104,7 @@ def parse_svmlight_model(text: str) -> TrainedModel:
             return int(tok)
         except ValueError:
             raise MalformedModel(
-                f"bad {_HEADER_FIELDS[idx]} {tok!r}", line=idx + 1
+                f"bad {_HEADER_FIELDS[idx]} {_quote(tok)}", line=idx + 1
             ) from None
 
     kernel = header_int(1)

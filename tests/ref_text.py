@@ -4,7 +4,8 @@ The parsers as they were when every file was read line by line with
 `float`: each line's tokens (or comma-separated cells) are read, checked
 for finiteness and appended in order, so the first faulty line is the one
 reported.  The rounding to binary32 is the package's own
-(model_io._binary32); only the binary64 read is kept here.
+(model_io._binary32); only the binary64 read is kept here.  A quoted token
+longer than 40 characters is cut to 40 plus "…", as every message does.
 """
 
 from __future__ import annotations
@@ -18,11 +19,15 @@ from svmsoc.errors import MalformedDataset, MalformedInstance, MalformedModel
 from svmsoc.model_io import LabeledDataset, TestInstance, TrainedModel, _binary32
 
 
+def _quote(token: str) -> str:
+    return repr(token if len(token) <= 40 else token[:40] + "…")
+
+
 def _parse_real(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ValueError(f"bad real {token.strip()!r}") from None
+        raise ValueError(f"bad real {_quote(token.strip())}") from None
 
 
 def _parse_reals(tokens) -> list[float]:

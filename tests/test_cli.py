@@ -240,6 +240,43 @@ class TestClassify:
         assert code == 1 and "expects" in err
 
 
+class TestQuotedInput:
+    """A rejected token or line is quoted in part: 40 characters plus "…"."""
+
+    def test_dataset_as_test_instance(self, capsys, gen61):
+        line = (gen61 / "dataset.csv").read_text().splitlines()[0]
+        assert len(line) > 300
+        code, out, err = run(
+            capsys, "cosim", "--svs", str(gen61 / "svs.txt"), "--alpha", str(gen61 / "alpha.txt"),
+            "--test", str(gen61 / "dataset.csv"), "--directive", "pipeline-inner",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: test instance line 1: bad real {line[:40] + '…'!r}\n"
+        assert len(err) < 100
+
+    def test_dataset_as_svmlight_model(self, capsys, gen61):
+        line = (gen61 / "dataset.csv").read_text().splitlines()[1]
+        assert len(line) > 300
+        code, out, err = run(
+            capsys, "classify", "--model", str(gen61 / "dataset.csv"),
+            "--input", str(gen61 / "test.txt"),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: line 2: bad kernel type {line[:40] + '…'!r}\n"
+        assert len(err) < 100
+
+    @pytest.mark.parametrize("length", [40, 41])
+    def test_cut_only_past_40_characters(self, capsys, tiny, length):
+        token = "x" * length
+        (tiny / "x.txt").write_text(token + "\n")
+        code, _, err = run(
+            capsys, "classify", "--svs", str(tiny / "svs.txt"),
+            "--alpha", str(tiny / "alpha.txt"), "--input", str(tiny / "x.txt"),
+        )
+        want = repr(token) if length == 40 else repr("x" * 40 + "…")
+        assert (code, err) == (1, f"error: test instance line 1: bad real {want}\n")
+
+
 def cosim_argv(gen61, *extra):
     return [
         "cosim", "--svs", str(gen61 / "svs.txt"), "--alpha", str(gen61 / "alpha.txt"),

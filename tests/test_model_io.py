@@ -1,6 +1,7 @@
 import re
 from contextlib import nullcontext
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -535,6 +536,108 @@ class TestFormatReal:
             svs, alpha = emit_native_model(TrainedModel(finite[None, :], finite[:1], finite[1]))
         assert svs == " ".join(want) + "\n"
         assert alpha == f"{want[1]}\n{want[0]}\n"
+
+
+def _from_bits(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint32).view(np.float32)
+
+
+# values drawn log-uniform around the array path's range [1e-4, 1e9), and the
+# neighbours of the powers of two and ten it meets or refuses
+LOG_UNIFORM = st.builds(
+    lambda e, negative: np.float32(-(10.0**e) if negative else 10.0**e),
+    st.floats(-5, 10),
+    st.booleans(),
+)
+BOUNDARY_VALUES = _from_bits(sorted(set(
+    _neighbours(*(2.0**k for k in range(-17, 34)), *(10.0**k for k in range(-5, 11)), 1e-4, 1e9)
+)))
+SAMPLES = LOG_UNIFORM | st.sampled_from(list(BOUNDARY_VALUES)) | st.sampled_from(list(-BOUNDARY_VALUES))
+
+# Fixed values: signed zeros, the least and greatest subnormals, powers of two
+# (from 2**25 the search's nearest multiple of ten lies on the half-ulp bound
+# below, which is not within it: the next binary32 below is half as far),
+# the greatest binary32, nan and infinities, and values whose text lies on
+# the half-ulp bound, which an even significand rounds to.  An exhaustive
+# sweep over f32(1e-4) <= |v| < 1e9, both signs, found no other value there
+# that the array path leaves to Dragon4.
+ON_BOUND = [46450568.0, 47529232.0, 48912768.0, 840127232.0]
+FIXED_VALUES = np.concatenate([
+    _from_bits([0x00000000, 0x80000000, 0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF]),
+    np.float32([2.0**k for k in range(-20, 31)]),
+    np.float32([-(2.0**k) for k in range(-20, 31)]),
+    np.float32([np.finfo(np.float32).max, -np.finfo(np.float32).max, np.nan, np.inf, -np.inf]),
+    np.float32(ON_BOUND + [-v for v in ON_BOUND]),
+])
+
+
+class TestArrayPath:
+    """format_reals on arrays of model_io._ARRAY_MIN values or more, against Dragon4."""
+
+    @given(st.lists(SAMPLES, min_size=1, max_size=64), st.integers(0, 2**32 - 1),
+           st.integers(1, 16), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reference(self, samples, seed, cols, legacy):
+        # the drawn values, shuffled among enough log-uniform ones for the array path
+        rng = np.random.default_rng(seed)
+        size = model_io._ARRAY_MIN + 16  # rows of up to 16 still hold _ARRAY_MIN values
+        fill = 10.0 ** rng.uniform(-5, 10, size) * rng.choice([-1, 1], size)
+        values = rng.permutation(np.concatenate([np.float32(samples), np.float32(fill)]))
+        rows = values[: values.size // cols * cols].reshape(-1, cols)
+        with np.printoptions(legacy="1.13") if legacy else nullcontext():
+            want = [ref_format.format_real(v) for v in values]
+            assert format_reals(values) == want
+            assert format_reals(rows, ",") == [
+                ",".join(want[i : i + cols]) for i in range(0, rows.size, cols)
+            ]
+
+    @pytest.mark.parametrize("sep", [",", " ", ", ", "\t", "·", ""])
+    def test_fixed_values(self, sep):
+        values = np.resize(FIXED_VALUES, 2 * model_io._ARRAY_MIN)
+        want = [ref_format.format_real(v) for v in values]
+        assert format_reals(values) == want
+        assert format_reals(values.reshape(-1, 8), sep) == [
+            sep.join(want[i : i + 8]) for i in range(0, values.size, 8)
+        ]
+        assert format_reals(values[None, :], sep) == [sep.join(want)]
+        assert format_reals(values[:, None], sep) == want
+
+    @pytest.mark.parametrize("shape", [(model_io._BLOCK_VALUES + 3,), (1500, 3), (2, model_io._BLOCK_VALUES + 1)])
+    def test_rows_across_blocks(self, shape):
+        values = np.resize(FIXED_VALUES, shape)
+        want = [ref_format.format_real(v) for v in values.ravel()]
+        if values.ndim == 1:
+            assert format_reals(values) == want
+        else:
+            cols = shape[1]
+            assert format_reals(values, ",") == [
+                ",".join(want[i : i + cols]) for i in range(0, values.size, cols)
+            ]
+
+    def test_decimal_scales_are_exact(self):
+        m, up, half = model_io._decimal_scales()
+        for biased in range(256):
+            ulp, k = Fraction(2) ** (biased - 150), int(m[biased])
+            assert k <= 0 and Fraction(10) ** k <= ulp
+            assert k == 0 or ulp < Fraction(10) ** (k + 1)
+        for biased in range(113, 157):  # [2**-14, 2**30) holds the array path's range
+            scale = Fraction(10) ** -int(m[biased])
+            assert Fraction(up[biased]) == scale
+            assert Fraction(half[biased]) == Fraction(2) ** (biased - 151) * scale
+
+    def test_emitters_take_the_array_path(self, monkeypatch):
+        model, dataset = make_synthetic(400, 64, 4)
+        values = np.concatenate([model.support_vectors.ravel(), model.alpha_y, dataset.features.ravel()])
+        assert (np.abs(values) >= 1e-4).all()  # no value this seed draws needs Dragon4
+        svs, alpha = emit_native_model(model)
+        csv = emit_dataset(dataset)
+
+        def dragon4(values):
+            raise AssertionError(f"Dragon4 asked for {values.size} values")
+
+        monkeypatch.setattr(model_io, "_shortest", dragon4)
+        assert emit_native_model(model) == (svs, alpha)
+        assert emit_dataset(dataset) == csv
 
 
 def _f32_bits(values) -> list[int]:
