@@ -21,13 +21,19 @@ __all__ = [
 ]
 
 
-def quote(text: str) -> str:
-    """repr of a token or line of input, cut to 40 characters plus "…".
+def cut(text: str) -> str:
+    """text, or its first 40 characters plus "…" when it is longer.
 
-    Messages quote what they reject, and a line of a data file can run to
-    thousands of characters.  Shared by the modules; not exported.
+    Messages show what they reject, and a line of a data file or a cell of
+    a calibration file can run to thousands of characters.  Shared by the
+    modules; not exported.
     """
-    return repr(text if len(text) <= 40 else text[:40] + "…")
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
+def quote(text: str) -> str:
+    """repr of a token or line of input, cut first."""
+    return repr(cut(text))
 
 
 class SvmSocError(Exception):

@@ -44,7 +44,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -489,11 +488,6 @@ def _parse_real(token: str) -> float:
         raise ValueError(f"bad real {quote(token.strip())}") from None
 
 
-def _all_finite(vals: list[float]) -> bool:
-    # a finite sum has only finite terms; an overflowing one needs a closer look
-    return math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
-
-
 def _binary32_ties(values: np.ndarray) -> np.ndarray:
     """Flat indices of the binary64 values lying halfway between two binary32.
 
@@ -557,42 +551,6 @@ _HEADER_FIELDS = (
     "support vector count plus one",  # line 10
     "threshold b",           # line 11
 )
-
-
-def _svmlight_fault(tokens: list[str], feature_count: int) -> str:
-    """The message for the first fault of an SVM-Light body line that has one."""
-    try:
-        weight = _parse_real(tokens[0])
-    except ValueError as exc:
-        return str(exc)
-    if not math.isfinite(weight):
-        return "non-finite alpha*y weight"
-    seen: set[int] = set()
-    for pair in tokens[1:]:
-        idx_s, sep, val_s = pair.partition(":")
-        if not sep:
-            return f"expected idx:val pair, got {quote(pair)}"
-        try:
-            idx = int(idx_s)
-        except ValueError:
-            return f"bad feature index {quote(idx_s)}"
-        if not 1 <= idx <= feature_count:
-            return f"feature index {idx} outside 1..{feature_count}"
-        if idx in seen:
-            return f"duplicate feature index {idx}"
-        seen.add(idx)
-        try:
-            val = _parse_real(val_s)
-        except ValueError as exc:
-            return str(exc)
-        if not math.isfinite(val):
-            return "non-finite feature value"
-    raise AssertionError("line has no fault")
-
-
-def _svmlight_pairs(tokens: list[str]) -> list[str]:
-    """idx, ":", val, idx, ":", val, ... of a body line's pairs, split in one pass."""
-    return list(chain.from_iterable(map(str.partition, tokens[1:], repeat(":"))))
 
 
 def parse_svmlight_model(text: str) -> TrainedModel:
@@ -671,47 +629,53 @@ def parse_svmlight_model(text: str) -> TrainedModel:
 
 def _pair_values(body: list[tuple[int, str]]) -> list[str]:
     """The value text of every idx:val pair of the body lines, in order."""
-    return [p for _, ln in body for p in _svmlight_pairs(ln.split())[2::3]]
+    return [p.partition(":")[2] for _, ln in body for p in ln.split()[1:]]
 
 
 def _svmlight_lines(body: list[tuple[int, str]], feature_count: int):
     """The body's binary64 weights and binary32 S x Fl matrix, read line by line.
 
-    Each line is read with `float` and `int`; the first faulty line raises
-    MalformedModel naming it.
+    One pass reads each token once and checks it as it goes: the weight
+    and its finiteness, then for each pair in turn its ":", its index, the
+    index's range 1..Fl and repeats, its value and the value's finiteness.
+    The first fault raises MalformedModel naming its line.
     """
-    weights = array("d")
-    counts: list[int] = []
-    cols, vals = array("i"), array("d")  # S x Fl fits a C int
+    weights, vals = array("d"), array("d")  # C doubles: a list holds objects
+    where = array("q")  # each pair's flat position in the S x Fl matrix
     for lineno, line in body:
         tokens = line.split()
-        parts = _svmlight_pairs(tokens)
         try:
-            weight = float(tokens[0])
-            idx = list(map(int, parts[0::3]))  # a pair without ":" has val "": no real
-            line_vals = list(map(float, parts[2::3]))
-            ok = (
-                math.isfinite(weight)
-                and (not idx or (min(idx) >= 1 and max(idx) <= feature_count))
-                and len(set(idx)) == len(idx)
-                and _all_finite(line_vals)
-            )
-        except ValueError:
-            ok = False
-        if not ok:
-            raise MalformedModel(_svmlight_fault(tokens, feature_count), line=lineno)
+            weight = _parse_real(tokens[0])
+            if not math.isfinite(weight):
+                raise ValueError("non-finite alpha*y weight")
+            start = len(weights) * feature_count - 1  # index 1 is the row's first column
+            seen: set[int] = set()
+            for pair in tokens[1:]:
+                idx_s, sep, val_s = pair.partition(":")
+                if not sep:
+                    raise ValueError(f"expected idx:val pair, got {quote(pair)}")
+                try:
+                    idx = int(idx_s)
+                except ValueError:
+                    raise ValueError(f"bad feature index {quote(idx_s)}") from None
+                if not 1 <= idx <= feature_count:
+                    raise ValueError(f"feature index {idx} outside 1..{feature_count}")
+                if idx in seen:
+                    raise ValueError(f"duplicate feature index {idx}")
+                seen.add(idx)
+                val = _parse_real(val_s)
+                if not math.isfinite(val):
+                    raise ValueError("non-finite feature value")
+                where.append(start + idx)
+                vals.append(val)
+        except ValueError as exc:
+            raise MalformedModel(str(exc), line=lineno) from None
         weights.append(weight)
-        counts.append(len(idx))
-        cols.fromlist(idx)
-        vals.fromlist(line_vals)
 
-    # each pair's flat position: its row's start, then its 1-based column
-    sv_count = len(body)
-    starts = np.arange(-1, sv_count * feature_count - 1, feature_count, dtype=np.intc)
-    where = np.repeat(starts, counts)
-    where += np.frombuffer(cols, dtype=np.intc)
-    sv = np.zeros((sv_count, feature_count), dtype=_F32)
-    sv.reshape(-1)[where] = _binary32(np.frombuffer(vals), lambda: _pair_values(body))
+    sv = np.zeros((len(body), feature_count), dtype=_F32)
+    sv.reshape(-1)[np.frombuffer(where, dtype=np.int64)] = _binary32(
+        np.frombuffer(vals), lambda: _pair_values(body)
+    )
     return np.frombuffer(weights), sv
 
 

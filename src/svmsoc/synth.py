@@ -52,7 +52,7 @@ from functools import lru_cache
 from operator import attrgetter, le
 from typing import NamedTuple, Sequence, Union
 
-from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign, quote
+from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign, cut, quote
 
 __all__ = [
     "ANCHOR_EXACT",
@@ -99,10 +99,28 @@ EXTRAPOLATED = "extrapolated"
 MAX_COUNT = 1 << 53
 
 
+# The words int() and float() refuse a text with; their messages quote it whole
+_REFUSALS = {
+    int: "invalid literal for int() with base 10",
+    float: "could not convert string to float",
+}
+
+
+def _converted(convert, value):
+    """convert(value), int or float; a refused text that errors.cut cuts is quoted cut."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        words = _REFUSALS[convert]
+        if isinstance(value, str) and cut(value) != value and str(exc).startswith(words):
+            raise ValueError(f"{words}: {quote(value)}") from None
+        raise  # Python's own text: it quotes the value whole, or not at all
+
+
 def _mhz(value) -> float:
-    v = round(float(value), 2)
+    v = round(_converted(float, value), 2)
     if not 0 < v < math.inf:
-        raise ValueError(f"clock must be positive and finite, got {value!r}")
+        raise ValueError(f"clock must be positive and finite, got {cut(repr(value))}")
     return v
 
 
@@ -159,7 +177,7 @@ class DirectiveConfig:
     def __post_init__(self):
         takes_factor = _DIRECTIVES.get(self.prefix)
         if takes_factor is None:
-            raise ValueError(f"unknown directive {self.prefix!r}")
+            raise ValueError(f"unknown directive {quote(str(self.prefix))}")
         if takes_factor:
             if self.factor is None or self.factor < 2:
                 raise ValueError(f"{self.prefix} needs a factor >= 2")
@@ -200,11 +218,11 @@ def _parse_directive(token: str) -> DirectiveConfig:
         return DirectiveConfig(t)
     prefix, _, factor = t.rpartition("-")
     if not _DIRECTIVES.get(prefix):
-        raise ValueError(f"unknown directive {token!r}")
+        raise ValueError(f"unknown directive {quote(token)}")
     try:
         factor = int(factor)
     except ValueError:
-        raise ValueError(f"bad factor in directive {token!r}") from None
+        raise ValueError(f"bad factor in directive {quote(token)}") from None
     return DirectiveConfig(prefix, factor)
 
 
@@ -271,9 +289,9 @@ Record = Union[AnchorRow, ArmRecord, CosimRecord, PowerRecord]
 
 def _integer(value, least: int) -> int:
     if isinstance(value, str):
-        value = int(value)
+        value = _converted(int, value)
     elif isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{value!r} is not an integer")
+        raise ValueError(f"{cut(repr(value))} is not an integer")
     if not least <= value <= MAX_COUNT:
         raise ValueError(f"must be an integer in {least}..2**53")
     return value
@@ -298,7 +316,7 @@ def _amount(value) -> float:
     if type(value) is float and 0 <= value < math.inf:
         return value
     if isinstance(value, str):
-        value = float(value)
+        value = _converted(float, value)
     elif not isinstance(value, float):
         value = float(_measure(value))
     if not 0 <= value < math.inf:

@@ -21,6 +21,15 @@ from test_synth import csv_line
 
 HUGE = "1" + "0" * 400  # a 401-digit integer, beyond every float
 
+# calibration cells past the 40 characters a message quotes
+LONG_INT = "9" * 230 + "x"
+LONG_REAL = "1" * 299 + "x"
+LONG_NAME = "pipeline-" + "x" * 291
+LONG_FACTOR = "unroll-partial-" + "x" * 285
+LONG_INT_Q, LONG_REAL_Q, LONG_NAME_Q, LONG_FACTOR_Q = (
+    repr(text[:40] + "…") for text in (LONG_INT, LONG_REAL, LONG_NAME, LONG_FACTOR)
+)
+
 SVMLIGHT_SMALL = """\
 SVM-light Version V6.02
 0 # kernel type
@@ -275,6 +284,52 @@ class TestQuotedInput:
         )
         want = repr(token) if length == 40 else repr("x" * 40 + "…")
         assert (code, err) == (1, f"error: test instance line 1: bad real {want}\n")
+
+
+    # cells of a calibration JSON or an anchor CSV: a JSON list, an int cell of
+    # 231 characters, real and directive cells of 300
+    @pytest.mark.parametrize(
+        "column, cell, reason",
+        [
+            (4, [1] * 3000, f"latency_cycles: {repr([1] * 3000)[:40]}… is not an integer"),
+            (4, LONG_INT, f"latency_cycles: invalid literal for int() with base 10: {LONG_INT_Q}"),
+            (5, LONG_REAL, f"bram: could not convert string to float: {LONG_REAL_Q}"),
+            (2, LONG_NAME, f"directive: unknown directive {LONG_NAME_Q}"),
+            (2, LONG_FACTOR, f"directive: bad factor in directive {LONG_FACTOR_Q}"),
+        ],
+        ids=["list", "int", "real", "directive", "factor"],
+    )
+    def test_long_calibration_cell(self, capsys, tmp_path, column, cell, reason):
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["synth"][3][column] = cell
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "synth", "248", "27", "pipeline-inner", "100",
+            "--calibration", str(tmp_path / "cal.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: calibration file is malformed: synth {reason}\n"
+
+    @pytest.mark.parametrize(
+        "column, cell, reason",
+        [
+            (4, "1;" * 1500, f"latency_cycles: invalid literal for int() with base 10:"
+                             f" {'1;' * 20 + '…'!r}"),
+            (4, LONG_INT, f"latency_cycles: invalid literal for int() with base 10: {LONG_INT_Q}"),
+            (5, LONG_REAL, f"bram: could not convert string to float: {LONG_REAL_Q}"),
+            (2, LONG_NAME, f"directive: unknown directive {LONG_NAME_Q}"),
+            (2, LONG_FACTOR, f"directive: bad factor in directive {LONG_FACTOR_Q}"),
+        ],
+        ids=["text", "int", "real", "directive", "factor"],
+    )
+    def test_long_anchor_cell(self, capsys, tmp_path, column, cell, reason):
+        # an anchor CSV is input, not a calibration file: it exits 1
+        cells = ["248", "27", "pipeline-inner", "100", "14138", "19", "5", "1251", "2477"]
+        cells[column] = cell
+        (tmp_path / "a.csv").write_text(",".join(cells) + "\n")
+        code, out, err = run(capsys, "fit", str(tmp_path / "a.csv"))
+        assert (code, out) == (1, "")
+        assert err == f"error: anchor csv line 1: synth {reason}\n"
 
 
 def cosim_argv(gen61, *extra):

@@ -1095,17 +1095,33 @@ class TestTextReader:
             lambda: ref_svmlight.parse_svmlight_model(text)
         )
 
-    def test_dense_svmlight_takes_the_reader_path(self, monkeypatch):
-        # with the per-line loop unusable, canonical dense models still parse
+    @pytest.mark.parametrize("per_line", [False, True], ids=["reader", "per-line"])
+    def test_svmlight_bodies_read_alike_on_either_path(self, monkeypatch, per_line):
+        # with one path unusable, the other gives the reference's models
         small, _ = make_synthetic(61, 27, 7)
         stress, _ = make_synthetic(400, 64, 7)  # several blocks
         wide, _ = make_synthetic(2, 150, 7)  # three-digit indices
         texts = [svmlight_text(small), _svmlight_dense(stress, 32), _svmlight_dense(wide)]
+        # the stress model sparse: half of each line's pairs, out of order
+        rng = np.random.default_rng(7)
+        lines = texts[1].splitlines()
+        for i in range(11, len(lines)):
+            weight, *pairs, comment = lines[i].split(" ")
+            kept = [pairs[k] for k in rng.permutation(len(pairs))[: len(pairs) // 2]]
+            lines[i] = " ".join([weight, *kept, comment])
+        sparse = "\n".join(lines) + "\n"
         want = [ref_svmlight.parse_svmlight_model(text) for text in texts]
         assert want == [small, stress, wide]
 
         def per_line_path(*args):
             raise AssertionError("the per-line path was taken")
 
-        monkeypatch.setattr(model_io, "_svmlight_lines", per_line_path)
+        if per_line:
+            monkeypatch.setattr(model_io, "_dense_body", lambda rows, feature_count: None)
+            texts.append(sparse)
+            want.append(ref_svmlight.parse_svmlight_model(sparse))
+        else:
+            monkeypatch.setattr(model_io, "_svmlight_lines", per_line_path)
+            with pytest.raises(AssertionError, match="per-line path"):
+                parse_svmlight_model(sparse)
         assert [parse_svmlight_model(text) for text in texts] == want

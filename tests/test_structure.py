@@ -5,7 +5,8 @@ name a module lists in __all__ is bound at its top level, the cost
 models import numpy only where a least-squares fit needs it, and every
 module parses on the oldest Python that pyproject.toml admits.  Each
 fact is defined once: the package exports exactly its modules' __all__
-lists, and one function spells a clock pairing.
+lists, and one function spells a clock pairing.  Every entry of the
+mutation catalogue (tests/mutants.py) still finds the text it replaces.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import mutants
 import svmsoc
 
 PACKAGE = Path(svmsoc.__file__).parent
@@ -230,3 +232,9 @@ def _pairing_text_sites() -> list[str]:
 
 def test_one_function_spells_a_clock_pairing():
     assert _pairing_text_sites() == ["synth.format_pairing"]
+
+
+@pytest.mark.parametrize("mutant", mutants.CATALOGUE, ids=lambda m: m.name)
+def test_every_catalogue_entry_finds_its_text_once(mutant):
+    # a refactor that moves or deletes the text strands the entry
+    assert (PACKAGE / mutant.file).read_text().count(mutant.old) == 1

@@ -216,7 +216,12 @@ DIRECTIVE_NAMES = sorted(_DIRECTIVES) + [
 
 
 def _parse_by_normalising(token: str) -> DirectiveConfig:
-    """The parse normalisation spelled out on its own, as a reference."""
+    """The parse normalisation spelled out on its own, as a reference.
+
+    A quoted token longer than 40 characters is cut to 40 plus "…", as
+    every message does.
+    """
+    quoted = repr(token if len(token) <= 40 else token[:40] + "…")
     t = token.strip().lower().replace("_", "-")
     if t.startswith(("array-partition-", "array-resource-")):
         t = t[len("array-") :]
@@ -233,11 +238,11 @@ def _parse_by_normalising(token: str) -> DirectiveConfig:
         return DirectiveConfig(t)
     prefix, _, factor = t.rpartition("-")
     if not _DIRECTIVES.get(prefix):
-        raise ValueError(f"unknown directive {token!r}")
+        raise ValueError(f"unknown directive {quoted}")
     try:
         factor = int(factor)
     except ValueError:
-        raise ValueError(f"bad factor in directive {token!r}") from None
+        raise ValueError(f"bad factor in directive {quoted}") from None
     return DirectiveConfig(prefix, factor)
 
 
@@ -1076,6 +1081,17 @@ class TestCalibrationPersistence:
             parse_anchor_csv(",".join([kind] + cells))
         reason = CSV_CELL_FAULTS[holds][value_id]
         assert str(exc.value) == f"anchor csv line 1: {kind} {name}: {reason}"
+
+    @pytest.mark.parametrize(
+        "cell", ["x" * 40, "\U000e0001" * 40, "9" * 5000], ids=["40", "escapes", "digit-limit"]
+    )
+    def test_cell_that_is_not_cut_keeps_the_int_text(self, cell):
+        # int() quotes at most 200 characters of the repr, and nothing past its digit limit
+        with pytest.raises(ValueError) as want:
+            int(cell)
+        with pytest.raises(ValueError) as exc:
+            parse_anchor_csv(f"248,27,pipeline-inner,100,{cell},19,5,1251,2477")
+        assert str(exc.value) == f"anchor csv line 1: synth latency_cycles: {want.value}"
 
     def test_rejects_zero_cosim_cycles(self):
         doc = _default_doc()
