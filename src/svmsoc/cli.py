@@ -15,6 +15,7 @@ the human text.  Label +1 is reported as melanoma, -1 as non-melanoma.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -70,11 +71,11 @@ def _read(path: str, undecodable=SvmSocError) -> str:
     """A file's text, refused past MAX_INPUT_BYTES; text that is not UTF-8 raises undecodable."""
     try:
         with open(path, "rb") as f:  # a read allocates all it asks for: first ask for the size
-            want = min(Path(path).stat().st_size, MAX_INPUT_BYTES) + 1
-            data = f.read(want)
-            if len(data) == want:  # longer than its size says (a pipe or device says 0)
-                data += f.read(MAX_INPUT_BYTES + 1 - want)  # one byte past the cap tells
-        if len(data) > MAX_INPUT_BYTES:
+            size = os.fstat(f.fileno()).st_size
+            data = f.read(size + 1) if size <= MAX_INPUT_BYTES else b""  # a larger one unread
+            if len(data) == size + 1:  # longer than its size says (a pipe or device says 0)
+                data += f.read(MAX_INPUT_BYTES - size)  # one byte past the cap tells
+        if max(size, len(data)) > MAX_INPUT_BYTES:
             raise SvmSocError(f"cannot read {path}: larger than {MAX_INPUT_BYTES} bytes")
         return data.decode()
     except OSError as exc:

@@ -88,8 +88,8 @@ class UnknownCalibration(CalibrationError):
 
 
 class FlMismatch(CalibrationError):
-    """Requested feature count differs from the calibrated one and the
-    directive has no per-feature latency decomposition to bridge the gap."""
+    """Requested feature count differs from the calibrated one.  Only a latency
+    on its per-feature line bridges it, so a design estimate there names the BRAM."""
 
 
 class UnknownDesign(CalibrationError):

@@ -204,10 +204,10 @@ _NUL = _TRAIL  # trailing-zero form of 0: four NUL bytes
 
 def _digit_words() -> np.ndarray:
     """The 4-digit chunk table: all digits, then leading and trailing zeros as NUL."""
-    digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    digits = np.arange(10**4, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
     text = (digits + ord("0")).astype(np.uint8)
-    leading = (np.cumsum(digits, axis=1) == 0) & (np.arange(4) < 3)
-    trailing = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] == 0
+    leading = ~np.logical_or.accumulate(digits != 0, axis=1) & (np.arange(4) < 3)
+    trailing = ~np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
     return np.concatenate([text, text * ~leading, text * ~trailing]).view(np.uint32).ravel()
 
 

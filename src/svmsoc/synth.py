@@ -26,12 +26,12 @@ quantities: latency, BRAM, FF and LUT of a (directive, regime) group,
 plain and optimized processor cycles of a clock pairing.  An estimator
 reads the columns it needs in one lookup.  At a measured S a column
 returns the measured value exactly.  A single anchor carries no
-S-dependence, so scaling it to another S is refused unless explicitly
-forced; two anchors give the exact affine through both, three or more a
-least-squares line.  Every estimate carries a validity tag saying whether
-it hit an anchor exactly, interpolated between anchors, or extrapolated
-beyond them.  DSP use is constant in S: the measured count at an anchor,
-the mean of the group's distinct counts elsewhere.
+S-dependence, so scaling it to another S is refused; two anchors give the
+exact affine through both, three or more a least-squares line.  Every
+estimate carries a validity tag saying whether it hit an anchor exactly,
+interpolated between anchors, or extrapolated beyond them.  DSP use is
+constant in S: the measured count at an anchor, the mean of the group's
+distinct counts elsewhere.
 
 Latency for the two directives whose inner loop runs Fl+1 iterations per
 support vector (the streamed arrays carry one spare slot) decomposes as
@@ -181,6 +181,8 @@ class DirectiveConfig:
         if takes_factor:
             if self.factor is None or self.factor < 2:
                 raise ValueError(f"{self.prefix} needs a factor >= 2")
+            if self.factor > MAX_COUNT:
+                raise ValueError(f"{self.prefix} needs a factor of at most 2**53")
         elif self.factor is not None:
             raise ValueError(f"{self.prefix} takes no factor")
 
@@ -494,8 +496,7 @@ class Fit:
         """The label every message gives a column: latency for pipeline-inner at 100 MHz."""
         return _figure_label(self.columns[column], self.group)
 
-    def at(self, sv_count: int, feature_count: int, allow_point_reuse: bool,
-           columns) -> tuple[list[float], str]:
+    def at(self, sv_count: int, feature_count: int, columns) -> tuple[list[float], str]:
         """The values at (S, Fl) of the columns read (indices), and their tag.
 
         Refuses, in this order: another Fl (FlMismatch, naming the first column
@@ -509,13 +510,8 @@ class Fit:
             return [values[i] for i in columns], ANCHOR_EXACT
         lo, hi = self.lo, self.hi
         if self.slope is None:
-            if allow_point_reuse:
-                return [self.points[lo][i] for i in columns], EXTRAPOLATED
-            raise UnknownCalibration(
-                f"{self.what(columns[0])} has a single anchor at S={lo}; scaling to"
-                f" S={sv_count} has no supporting data (pass allow_point_reuse"
-                " to reuse the point value)"
-            )
+            anchor = f"{self.what(columns[0])} has a single anchor at S={lo}"
+            raise UnknownCalibration(f"{anchor}; scaling to S={sv_count} has no supporting data")
         v1, v2, values = self.points[lo], self.points[hi], []
         for i in columns:
             if len(self.points) == 2:
@@ -611,7 +607,7 @@ class CalibrationSet:
                 table[key] = rec
                 by_kind[type(rec)].append(rec)
             elif prev != rec:
-                raise ValueError(f"conflicting {kind} records {tuple(prev)} and {tuple(rec)}")
+                raise ValueError(f"conflicting {kind} records {_cells(prev)} and {_cells(rec)}")
         synth, arm, cosim_cycles, power, designs = {}, {}, {}, {}, set()
         for rec in by_kind[AnchorRow]:
             synth.setdefault((rec.directive, rec.regime_mhz), []).append(rec)
@@ -623,7 +619,7 @@ class CalibrationSet:
         for rec in by_kind[PowerRecord]:
             design = (rec.model_id, rec.design_id)
             if design in designs:
-                raise ValueError(f"conflicting power records for {design}")
+                raise ValueError(f"conflicting power records for {_cells(design)}")
             designs.add(design)
             power[(rec.sv_count, rec.directive)] = rec.watts
 
@@ -641,6 +637,11 @@ class CalibrationSet:
         object.__setattr__(self, "arm", timers)
         object.__setattr__(self, "cosim_cycles", cosim_cycles)
         object.__setattr__(self, "power", power)
+
+
+def _cells(cells: tuple) -> tuple:
+    """A record's cells as a message quotes them, each text cell cut."""
+    return tuple(cut(c) if isinstance(c, str) else c for c in cells)
 
 
 def _shared(rows, column: str, group: tuple, label):
@@ -731,7 +732,6 @@ def estimate_latency(
     regime_mhz,
     *,
     calibration: CalibrationSet | None = None,
-    allow_point_reuse: bool = False,
 ) -> SynthesisEstimate:
     """Predict classifier latency in clock cycles for one directive.
 
@@ -745,7 +745,7 @@ def estimate_latency(
     fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
     slope = _bridge(fit, feature_count)
     if slope is None:
-        (value,), validity = fit.at(sv_count, feature_count, allow_point_reuse, (0,))
+        (value,), validity = fit.at(sv_count, feature_count, (0,))
     else:
         value, validity = slope * sv_count + fit.intercept[0], EXTRAPOLATED
     return SynthesisEstimate(validity=validity, latency_cycles=max(0, int(round(value))))
@@ -758,7 +758,6 @@ def estimate_design(
     regime_mhz,
     *,
     calibration: CalibrationSet | None = None,
-    allow_point_reuse: bool = False,
 ) -> SynthesisEstimate:
     """Predict latency and BRAM/DSP/FF/LUT use for one directive.
 
@@ -769,15 +768,14 @@ def estimate_design(
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
     fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
-    args = sv_count, feature_count, allow_point_reuse
     if _bridge(fit, feature_count) is not None:  # the BRAM is the first figure to refuse
-        fit.at(*args, (1,))
-    return SynthesisEstimate(*_design_fields(fit, cal.dsp[design], *args))
+        fit.at(sv_count, feature_count, (1,))
+    return SynthesisEstimate(*_design_fields(fit, cal.dsp[design], sv_count, feature_count))
 
 
-def _design_fields(fit: Fit, dsps: dict, sv_count, feature_count, reuse) -> tuple:
+def _design_fields(fit: Fit, dsps: dict, sv_count, feature_count) -> tuple:
     """A design's SynthesisEstimate fields at (S, Fl), from its Fit and DSP counts."""
-    (latency, bram, ff, lut), validity = fit.at(sv_count, feature_count, reuse, (0, 1, 2, 3))
+    (latency, bram, ff, lut), validity = fit.at(sv_count, feature_count, (0, 1, 2, 3))
     dsp = dsps.get(sv_count)
     if dsp is None:
         distinct = set(dsps.values())
@@ -817,7 +815,6 @@ def estimate_arm_cycles(
     optimized: bool = False,
     *,
     calibration: CalibrationSet | None = None,
-    allow_point_reuse: bool = False,
 ) -> int:
     """Predict the software classifier's cycle count for one clock pairing.
 
@@ -829,7 +826,7 @@ def estimate_arm_cycles(
     pairing = clock_key(clocks)
     column = "optimized_cycles" if optimized else "plain_cycles"
     fit = _fit(cal, column, pairing, sv_count, feature_count)
-    (value,), _ = fit.at(sv_count, feature_count, allow_point_reuse, (fit.columns.index(column),))
+    (value,), _ = fit.at(sv_count, feature_count, (fit.columns.index(column),))
     return max(0, int(round(value)))
 
 
@@ -883,7 +880,7 @@ def explore(
         if feature_count != fit.feature_count or fit.slope is None and sv_count not in fit.points:
             continue
         try:
-            fields = _design_fields(fit, dsps, sv_count, feature_count, False)
+            fields = _design_fields(fit, dsps, sv_count, feature_count)
         except CalibrationError:  # a column that is not finite at S
             continue
         _, latency, bram, dsp, ff, lut = fields

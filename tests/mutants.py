@@ -229,21 +229,27 @@ CATALOGUE = [
     ),
     Mutant(
         "read-cap-one-byte-short", "cli.py",
-        "                data += f.read(MAX_INPUT_BYTES + 1 - want)",
-        "                data += f.read(MAX_INPUT_BYTES - want)",
+        "                data += f.read(MAX_INPUT_BYTES - size)",
+        "                data += f.read(MAX_INPUT_BYTES - size - 1)",
         "reading only up to the cap cannot tell a larger input, which is then truncated",
     ),
     Mutant(
         "read-cap-trusts-the-stated-size", "cli.py",
-        "            if len(data) == want:",
+        "            if len(data) == size + 1:",
         "            if False:",
         "a pipe or device states size 0, and a file may grow after its size is read",
     ),
     Mutant(
         "read-cap-refuses-at-the-cap", "cli.py",
-        "        if len(data) > MAX_INPUT_BYTES:\n",
-        "        if len(data) >= MAX_INPUT_BYTES:\n",
+        "        if max(size, len(data)) > MAX_INPUT_BYTES:\n",
+        "        if max(size, len(data)) >= MAX_INPUT_BYTES:\n",
         "an input of exactly MAX_INPUT_BYTES bytes is within the cap",
+    ),
+    Mutant(
+        "read-cap-reads-before-refusing", "cli.py",
+        " if size <= MAX_INPUT_BYTES else b\"\"",
+        "",
+        "a file whose stated size is past the cap is refused before a byte of it is read",
     ),
     # -- value types
     Mutant(
@@ -277,6 +283,18 @@ CATALOGUE = [
         "isinstance(value, str) and str(exc)",
         "a cell errors.cut leaves whole keeps Python's own text, which int() cuts at 200"
         " characters of its repr",
+    ),
+    Mutant(
+        "directive-factor-unbounded", "synth.py",
+        "            if self.factor > MAX_COUNT:\n",
+        "            if False:\n",
+        "a factor is a count like any other, and a message quotes it whole",
+    ),
+    Mutant(
+        "record-conflict-quoted-uncut", "synth.py",
+        "    return tuple(cut(c) if isinstance(c, str) else c for c in cells)\n",
+        "    return tuple(cells)\n",
+        "a conflicting record's message quotes each text cell cut, as every message does",
     ),
     Mutant(
         "directive-str-drops-factor", "synth.py",
@@ -318,21 +336,17 @@ CATALOGUE = [
     Mutant(
         "fit-single-anchor-before-fl", "synth.py",
         "        if feature_count != self.feature_count:\n",
-        "        if self.slope is None and sv_count not in self.points"
-        " and not allow_point_reuse:\n"
-        "            raise UnknownCalibration(\n"
-        "                f\"{self.what(columns[0])} has a single anchor at S={self.lo};"
-        " scaling to\"\n"
-        "                f\" S={sv_count} has no supporting data (pass allow_point_reuse\"\n"
-        "                \" to reuse the point value)\"\n"
-        "            )\n"
+        "        if self.slope is None and sv_count not in self.points:\n"
+        "            anchor = f\"{self.what(columns[0])} has a single anchor at S={self.lo}\"\n"
+        "            raise UnknownCalibration(f\"{anchor}; scaling to S={sv_count} has no"
+        " supporting data\")\n"
         "        if feature_count != self.feature_count:\n",
         "Fit.at refuses another Fl before a single anchor at another S",
     ),
     Mutant(
         "design-bridged-fl-names-latency", "synth.py",
-        "        fit.at(*args, (1,))\n",
-        "        fit.at(*args, (0,))\n",
+        "        fit.at(sv_count, feature_count, (1,))\n",
+        "        fit.at(sv_count, feature_count, (0,))\n",
         "where the latency bridges another Fl, the BRAM is the figure that refuses",
     ),
     Mutant(

@@ -176,6 +176,26 @@ class TestClassify:
         argv = ["classify", "--svs", "svs.txt", "--alpha", "alpha.txt", "--input", "big.txt"]
         assert run(capsys, *argv) == want
 
+    def test_file_past_the_read_cap_is_refused_unread(self, capsys, tiny, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 64)
+        (tiny / "big.txt").write_text("1" + " " * 98 + "\n")
+        reads = []  # the path of each read call
+
+        def counted_open(path, *args, **kwargs):
+            f = open(path, *args, **kwargs)
+            read = f.read
+            f.read = lambda *size: reads.append(path) or read(*size)
+            return f
+
+        monkeypatch.setattr(cli, "open", counted_open, raising=False)
+        code, out, err = run(
+            capsys, "classify", "--svs", str(tiny / "svs.txt"),
+            "--alpha", str(tiny / "alpha.txt"), "--input", str(tiny / "big.txt"),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read {tiny / 'big.txt'}: larger than 64 bytes\n"
+        assert str(tiny / "svs.txt") in reads and str(tiny / "big.txt") not in reads
+
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
     def test_endless_input_is_refused_at_the_read_cap(self, capsys, tiny, monkeypatch):
         monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 64)  # with no cap to patch, fails unread
@@ -494,6 +514,34 @@ class TestSynth:
         got = kv(out)
         assert got["latency_cycles"] == str(56 * 297 + 250)
         assert got["validity"] == "interpolated"
+
+    def test_single_anchor_refusal_ends_at_its_reason(self, capsys):
+        code, out, err = run(capsys, "synth", "100", "27", "resource-bram", "100")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: latency for resource-bram at 100 MHz has a single anchor at S=248;"
+            " scaling to S=100 has no supporting data\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, extra, prefix",
+        [
+            ("synth", ["unroll-partial-" + "9" * 4000], "unroll-partial"),
+            ("synth", ["unroll-partial-9007199254740993"], "unroll-partial"),
+            ("cosim", ["partition-cyclic-" + "7" * 3000], "partition-cyclic"),
+            ("cosim", ["partition-cyclic-" + "7" * 3000, "--strict-calibration"],
+             "partition-cyclic"),
+        ],
+        ids=["synth", "synth-2**53+1", "cosim", "cosim-strict"],
+    )
+    def test_factor_past_max_count_is_a_bad_directive(self, capsys, gen61, command, extra,
+                                                      prefix):
+        if command == "synth":
+            argv = ["synth", "61", "27", extra[0], "100"]
+        else:
+            argv = cosim_argv(gen61, "--directive", *extra)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {prefix} needs a factor of at most 2**53\n")
 
     def test_single_anchor_directive_needs_its_size(self, capsys):
         code, _, err = run(capsys, "synth", "346", "27", "unroll-partial-2", "100")
