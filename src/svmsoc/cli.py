@@ -15,6 +15,7 @@ the human text.  Label +1 is reported as melanoma, -1 as non-melanoma.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import lru_cache
@@ -107,7 +108,14 @@ def _kv(pairs) -> str:
 # --------------------------------------------------------------------------
 # classify
 
+def _check_threshold(args) -> None:
+    # an IEEE compare with nan is false, so a nan threshold would label every row -1
+    if math.isnan(args.th):
+        raise SvmSocError(f"threshold must be a number, got {args.th}")
+
+
 def cmd_classify(args) -> str:
+    _check_threshold(args)
     model = _load_model(args)
     text = _read(args.input)
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
@@ -196,6 +204,7 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
 
 
 def cmd_cosim(args) -> str:
+    _check_threshold(args)
     model = _load_model(args)
     instance = parse_test_instance(_read(args.test), model.feature_count)
     rep = cosim(

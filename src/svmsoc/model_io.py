@@ -23,7 +23,15 @@ two read differently, is read line by line with `float` instead, which
 names the first faulty line.  An SVM-Light body goes to the reader only
 when byte-level checks prove it canonical dense (`w 1:v 2:v ... Fl:v` on
 every line); a sparse, out-of-order or otherwise different body is read
-line by line.
+line by line.  An ASCII text whose first 4 KiB hold a fraction of more than
+14 digits, as `repr` and SVM-Light write them, is read with every fraction
+digit past the 14th set to "0" (`_cut_lines`), which the reader converts
+two to three times faster and which moves a value by less than 1e-14.
+Each value read that near a binary32 midpoint, or outside binary32's
+normal range, is read again from its whole token, and so is every CSV
+label, so no bit, error or line number changes.  A block where a
+non-negative exponent follows a long fraction, or where a run of 15 digits
+is no fraction, is read uncut.  The texts this module emits are not cut.
 Emitters format whole arrays (`format_reals`) with the shortest decimal
 that parses back to the same binary32, as numpy's Dragon4 prints it, so
 emit/parse round-trips are bit-exact.  An array of a few hundred values or
@@ -41,6 +49,7 @@ dense matrix is allocated.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -488,19 +497,28 @@ def _parse_real(token: str) -> float:
         raise ValueError(f"bad real {quote(token.strip())}") from None
 
 
+def _midpoint_offset(flat: np.ndarray) -> np.ndarray:
+    """Each binary64 magnitude's offset, in binary64 ulps, from the binary32 midpoint nearest it.
+
+    In binary32's normal range a binary32 holds the top 24 of binary64's 53
+    significand bits, so the midpoint between the two binary32 around a
+    value has 29 low bits 1000...0, and the offset is the value's 29 low
+    bits less 2**28: 0 on a midpoint, and in -2**28..2**28-1 otherwise.
+    """
+    return (flat.view(np.int64) & 0x1FFF_FFFF) - 0x1000_0000
+
+
 def _binary32_ties(values: np.ndarray) -> np.ndarray:
     """Flat indices of the binary64 values lying halfway between two binary32.
 
     Half the binary32 spacing at |v| = m * 2**e (1/2 <= m < 1) is 2**(e-25),
     and 2**-150 throughout the subnormal range (e <= -125); a midpoint is an
     odd multiple of it.  No binary32 is finite at or above 2**128 (e > 128).
-    In the normal range a midpoint's 29 low significand bits read 1000...0,
-    which filters the candidates cheaply first.
+    In the normal range a midpoint's offset (`_midpoint_offset`) is 0, which
+    filters the candidates cheaply first.
     """
     flat = values.ravel()
-    maybe = np.flatnonzero(
-        ((flat.view(np.uint64) & 0x1FFF_FFFF) == 0x1000_0000) | (np.abs(flat) < 2.0**-126)
-    )
+    maybe = np.flatnonzero((_midpoint_offset(flat) == 0) | (np.abs(flat) < 2.0**-126))
     e = np.frexp(flat[maybe])[1]
     halves = np.ldexp(np.abs(flat[maybe]), 25 - np.maximum(e, -125))
     return maybe[(e <= 128) & (halves % 2 == 1)]
@@ -714,13 +732,18 @@ def _dense_body(rows: list[str], feature_count: int) -> np.ndarray | None:
         if table is None:
             table = np.empty((len(rows), feature_count + 1))
             at_colon, offset, want = _index_prefixes(feature_count)
-        buf = np.frombuffer(bytearray(text), dtype=np.uint8)
+        raw = bytearray(text)
+        buf = np.frombuffer(raw, dtype=np.uint8)
         # the bytes of each " k:" prefix, found from the colon that ends it
         at = np.flatnonzero(buf == ord(":")).reshape(count, -1)[:, at_colon] + offset
         if not (buf[at] == want).all():
             return None
         buf[at] = ord(" ")
-        values = _matrix(buf.tobytes().decode("ascii"))
+        whole = raw.decode("ascii")
+        if _long_fractions(whole) and _cut(raw):
+            values = _read(raw.decode("ascii").split("\n"), original=whole)
+        else:
+            values = _read(whole.split("\n"))
         if values is None or values.shape != (count, feature_count + 1):
             return None  # an empty value leaves its row a value short
         table[start : start + count] = values
@@ -751,20 +774,157 @@ def _matrix(text: str, delimiter: str | None = None) -> np.ndarray | None:
     ragged rows), when a value is not finite, or when the text holds any of
     U+001C..U+001F: the reader strips those around a cell, `float` does
     not.  The caller then reads that one file line by line, which names the
-    first faulty line.
+    first faulty line.  A text with long fractions is read cut (`_cut_lines`).
     """
     if any(c in text for c in "\x1c\x1d\x1e\x1f"):
         return None
     lines = list(filter(str.strip, text.splitlines()))
     if not lines:  # the reader warns on a blank text
         return None
+    cut = _long_fractions(text) and _cut_lines(lines)
+    return _read(lines, delimiter, text if cut else None)
+
+
+def _read(lines: list[str], delimiter: str | None = None, original: str | None = None):
+    """The reader's binary64 rows of lines, or None if it refuses them or a value is not finite.
+
+    Empty lines are skipped.  original, when given, is the text of the lines
+    before their long fractions were cut: each value the cut could have
+    moved to another binary32 is read again from its token there.
+    """
     try:
         values = np.loadtxt(
             lines, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2
         )
     except ValueError:
         return None
+    if original is not None:
+        flat = values.reshape(-1)
+        field = flat.view(np.int64) >> 52 & 0x7FF
+        again = np.flatnonzero(np.abs(_midpoint_offset(flat)) <= _CUT_ULPS.take(field))
+        if again.size:
+            whole = list(filter(str.strip, original.splitlines()))
+            for i in again.tolist():
+                row, column = divmod(i, values.shape[1])
+                flat[i] = float(whole[row].split(delimiter)[column])
     return values if np.isfinite(values).all() else None
+
+
+# -- cutting long fractions
+#
+# The reader converts a decimal of at most 15 significant digits through an
+# exact fast path (Clinger, "How to Read Floating Point Numbers Accurately",
+# PLDI 1990), and a longer one, such as the 17 digits `repr` writes, through
+# a bignum correction (Gay, "Correctly Rounded Binary-Decimal and
+# Decimal-Binary Conversions", 1990) that is two to three times slower.  So
+# a text with long fractions is read with every fraction digit past the
+# _KEEP-th set to "0", which the reader drops.  That moves a decimal D toward
+# zero by less than 1e-14, and the value x read from the cut text lies within
+# 1e-14 + 1/2 ulp of D: x and D round to the same binary32 unless a binary32
+# midpoint lies within that distance of x, further from zero.  Each value
+# that near a midpoint (_CUT_ULPS) is read again from its original token, so
+# every binary32 read is the one the whole decimal gives.
+
+_KEEP = 14  # fraction digits a cut keeps
+_LONG_FRACTION = re.compile(r"\.[0-9]{%d}" % (_KEEP + 1))
+_PEEK = 4096  # characters of a text searched for a long fraction
+_CUT_MIN = 1 << 13  # characters; a shorter text reads faster whole than cut
+_GAP = re.compile(rb"[\s,]")  # a byte no real spans, where a piece of a cut may end
+
+
+def _cut_ulps() -> np.ndarray:
+    """Per binary64 exponent field, how near a binary32 midpoint a cut value is read again.
+
+    The distance is in binary64 ulps, the unit of `_midpoint_offset`.  In
+    field f's binade an ulp is 2**(f - 1075), so the 1e-14 a cut moves a
+    decimal is ldexp(1e-14, 1075 - f) ulps; 2 more cover the reader's
+    rounding.  Outside binary32's normal range [2**-126, 2**128), fields
+    897..1150, no offset applies and every value is read again.
+    """
+    ulps = np.full(2048, np.inf)
+    field = np.arange(897, 1151)
+    ulps[field] = np.ldexp(1e-14, 1075 - field) + 2
+    return ulps
+
+
+_CUT_ULPS = _cut_ulps()
+
+
+def _long_fractions(text: str) -> bool:
+    """Whether text is cut before it is read.
+
+    It is when it is ASCII, at least _CUT_MIN characters long (the cut costs
+    about 40 us a text, which a shorter one does not win back) and holds a
+    fraction of more than _KEEP digits in its first _PEEK characters.  The
+    texts this module emits hold at most 9 significant digits and are not.
+    """
+    return (
+        len(text) >= _CUT_MIN
+        and text.isascii()
+        and _LONG_FRACTION.search(text, 0, _PEEK) is not None
+    )
+
+
+def _cut_lines(lines: list[str]) -> bool:
+    """Cut the long fractions of ASCII lines in place; whether any line was cut.
+
+    The lines are cut a block of about _BLOCK_BYTES at a time, which bounds
+    the memory the cut takes beside the lines.
+    """
+    step = max(1, _BLOCK_BYTES // (len(lines[0]) + 1))
+    cut = False
+    for start in range(0, len(lines), step):
+        raw = bytearray("\n".join(lines[start : start + step]), "ascii")
+        if _cut(raw):
+            lines[start : start + step] = raw.decode("ascii").split("\n")
+            cut = True
+    return cut
+
+
+def _cut(raw: bytearray) -> bool:
+    """Set every fraction digit of ASCII text past the _KEEP-th to "0", in place; whether any was.
+
+    A long line is cut a piece of about _BLOCK_BYTES at a time, each ending
+    at whitespace or a comma, which bounds the memory the cut takes.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    cut, start = False, 0
+    while start < len(raw):
+        gap = _GAP.search(raw, start + _BLOCK_BYTES)
+        end = gap.end() if gap else len(raw)
+        cut |= _cut_piece(buf[start:end])
+        start = end
+    return cut
+
+
+def _cut_piece(buf: np.ndarray) -> bool:
+    """Set every fraction digit past the _KEEP-th to "0", in place; whether the piece was cut.
+
+    A fraction is the run of digits after a ".".  The cut sets each digit
+    that ends a run of _KEEP + 1 digits, which is right only when every such
+    run is a fraction, and only when what follows the fraction does not
+    scale it up.  So a piece is left whole when a run of more than _KEEP
+    digits starts after anything but a "." (an integer part or exponent
+    that long), or when an exponent other than a negative one follows a
+    long fraction.  Every step works on the whole piece at once.
+    """
+    runs, width = (buf - ord("0")) < 10, 1  # runs[p]: the width bytes from p are all digits
+    while width < _KEEP + 1:
+        step = min(width, _KEEP + 1 - width)
+        runs, width = runs[:-step] & runs[step:], width + step
+    if not runs.any():
+        return False
+    dot_or_digit = (buf - ord(".")) < 12  # "/" too: no real holds it
+    if runs[0] or (runs[1:] > dot_or_digit[: -_KEEP - 1]).any():
+        return False
+    exponent = (buf | 0x20) == ord("e")
+    if exponent.any():
+        exponent[:-1] &= buf[1:] != ord("-")  # a negative one only scales the cut down
+        if (runs[:-1] & exponent[_KEEP + 1 :]).any():
+            return False
+    tail = buf[_KEEP:]  # tail[p] is the last digit of the run runs[p] marks
+    tail -= (tail - ord("0")) * runs
+    return True
 
 
 def _parse_real_lines(text: str, fault):
@@ -856,6 +1016,9 @@ def parse_test_instance(text: str, feature_count: int | None = None) -> TestInst
 def load_dataset(text: str) -> LabeledDataset:
     """Parse labeled CSV: Fl feature columns then a +1/-1 label column."""
     table = _matrix(text, ",")
+    if table is not None and _long_fractions(text):
+        # a label must read exactly +/-1 in binary64, which a cut does not keep
+        table[:, -1] = [float(ln.rpartition(",")[2]) for ln in text.splitlines() if ln.strip()]
     if table is None or table.shape[1] < 2 or not (np.abs(table[:, -1]) == 1.0).all():
         table = _dataset_lines(text)
     rows = _binary32(

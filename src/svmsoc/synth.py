@@ -179,6 +179,9 @@ class DirectiveConfig:
         if takes_factor is None:
             raise ValueError(f"unknown directive {quote(str(self.prefix))}")
         if takes_factor:
+            if self.factor is not None and not hasattr(self.factor, "__index__"):
+                got = cut(repr(self.factor))
+                raise ValueError(f"{self.prefix} needs an integer factor, got {got}")
             if self.factor is None or self.factor < 2:
                 raise ValueError(f"{self.prefix} needs a factor >= 2")
             if self.factor > MAX_COUNT:

@@ -167,6 +167,55 @@ CATALOGUE = [
         "the C reader's non-finite values go line by line, which names the faulty"
         " line; a model or instance would refuse them without one",
     ),
+    Mutant(
+        "cut-window-zero", "model_io.py",
+        "    ulps[field] = np.ldexp(1e-14, 1075 - field) + 2\n",
+        "    ulps[field] = 0\n",
+        "a cut moves a value up to 1e-14 toward zero, past a binary32 midpoint it lay"
+        " beyond: every value that near one is read again, not only one on it",
+    ),
+    Mutant(
+        "cut-range-guard-dropped", "model_io.py",
+        "    ulps = np.full(2048, np.inf)\n",
+        "    ulps = np.zeros(2048)\n",
+        "below 2**-126 a value's low bits say nothing of binary32 midpoints: a cut"
+        " decimal that reads 0 may round to the least subnormal",
+    ),
+    Mutant(
+        "cut-exponent-guard-dropped", "model_io.py",
+        '    exponent = (buf | 0x20) == ord("e")\n    if exponent.any():\n',
+        '    exponent = (buf | 0x20) == ord("e")\n    if False:\n',
+        "an exponent scales what the cut moves: 1e-14 off the mantissa of"
+        " 1.6...e1 moves it 1e-13, past the window",
+    ),
+    Mutant(
+        "cut-integer-runs", "model_io.py",
+        "    if runs[0] or (runs[1:] > dot_or_digit[: -_KEEP - 1]).any():\n",
+        "    if False:\n",
+        "a run of 15 digits that is no fraction, such as an integer part, is no"
+        " place to cut",
+    ),
+    Mutant(
+        "cut-keeps-13", "model_io.py",
+        "_KEEP = 14  # fraction digits a cut keeps\n",
+        "_KEEP = 13  # fraction digits a cut keeps\n",
+        "a cut to 13 digits moves a decimal up to 1e-13, past the 1e-14 window",
+    ),
+    Mutant(
+        "cut-keeps-15", "model_io.py",
+        "_KEEP = 14  # fraction digits a cut keeps\n",
+        "_KEEP = 15  # fraction digits a cut keeps\n",
+        "equivalent: a cut to 15 digits moves a decimal less than 1e-15, which the"
+        " 1e-14 window covers; it only cuts fewer texts",
+        equivalent=True,
+    ),
+    Mutant(
+        "cut-labels-kept", "model_io.py",
+        "    if table is not None and _long_fractions(text):\n",
+        "    if False:\n",
+        "a label is compared with +/-1 in binary64, which a cut does not keep:"
+        " 1.000000000000001 reads 1 cut",
+    ),
     # -- the formatter: Dragon4's text, from the array path or from Dragon4
     Mutant(
         "format-print-options-unpinned", "model_io.py",

@@ -249,6 +249,24 @@ class TestClassify:
         assert one == (0, want, "")
         assert rows[0] == 0 and rows[2] == ""
 
+    @pytest.mark.parametrize("threshold", ["nan", "-nan", "NaN"])
+    @pytest.mark.parametrize("input_name", ["dataset.csv", "test.txt"])
+    def test_nan_threshold_is_one_error_line(self, capsys, gen61, threshold, input_name):
+        # every compare with nan is false: the gen fixture scored 56.25% with exit 0
+        code, out, err = run(
+            capsys, "classify", "--svs", str(gen61 / "svs.txt"), "--alpha",
+            str(gen61 / "alpha.txt"), "--input", str(gen61 / input_name), f"--th={threshold}",
+        )
+        assert (code, out, err) == (1, "", "error: threshold must be a number, got nan\n")
+
+    def test_infinite_threshold_labels_every_row(self, capsys, gen61):
+        model = ("--svs", str(gen61 / "svs.txt"), "--alpha", str(gen61 / "alpha.txt"))
+        for threshold, label in (("inf", "-1"), ("-inf", "+1")):
+            code, out, err = run(capsys, "classify", *model, "--input",
+                                 str(gen61 / "dataset.csv"), f"--th={threshold}", "--machine")
+            assert (code, err) == (0, "")
+            assert {ln.split()[1] for ln in out.splitlines()[:-3]} == {f"predicted={label}"}
+
     def test_model_source_must_be_unambiguous(self, capsys, tiny, tmp_path):
         (tmp_path / "m.svml").write_text(SVMLIGHT_SMALL)
         code, _, err = run(
@@ -449,6 +467,11 @@ class TestCosim:
         assert caught == [] and (code, err) == (0, "")
         label = "-1" if threshold == "1e39" else "+1"
         assert f"hw_label={label}\nhw_distance=" in out and f"sw_label={label}\n" in out
+
+    def test_nan_threshold_is_one_error_line(self, capsys, gen61):
+        argv = cosim_argv(gen61, "--directive", "pipeline-inner", "--th=nan")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: threshold must be a number, got nan\n")
 
     def test_threshold_beyond_binary32_then_refusal_is_one_error_line(self, capsys, tiny):
         # the tiny model has Fl=1, which the calibration does not cover

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from svmsoc import (
@@ -1125,3 +1125,158 @@ class TestTextReader:
             with pytest.raises(AssertionError, match="per-line path"):
                 parse_svmlight_model(sparse)
         assert [parse_svmlight_model(text) for text in texts] == want
+
+
+# --------------------------------------------------------------------------
+# long fractions, cut before the C reader reads them
+
+# 1e-20 above the binary32 midpoint after 0x3F000021 (0.5000019967555999755859375):
+# the cut to 14 fraction digits moves it about 90 binary64 ulps below the
+# midpoint, so only the value read again from the whole token rounds up.
+NEAR_HALF = "0.5000019967555999755959375"
+# the same, written with an exponent: a cut of the mantissa would move it 1e-13
+NEAR_SIXTEEN = "1.6000000953674316406250000001e1"  # above 16 + 2**-20, a midpoint
+
+
+def _long(value: float, digits: int) -> str:
+    """value's exact decimal, positional and rounded to digits fraction digits."""
+    return format(Decimal(value), f".{digits}f")
+
+
+def _nudged_midpoint(low_bits: int, offset: Decimal, exponent_form: bool) -> str:
+    with localcontext() as ctx:
+        ctx.prec = 400
+        value = Decimal(_midpoint_text(low_bits)) + offset
+        return format(value, "e" if exponent_form else "f")
+
+
+@st.composite
+def long_cells(draw) -> str:
+    """A real with a long fraction: binary32 values with 15 to 25 fraction digits,
+    binary32 midpoints nudged by 1e-20 to 1e-13 either way (positional, or with
+    an exponent), values below 2**-126 and near 2**128, and a long fraction
+    holding a character no real holds."""
+    kind = draw(st.integers(0, 5))
+    digits = draw(st.integers(15, 25))
+    sign = draw(st.sampled_from(["", "-"]))
+    if kind == 0:
+        value = draw(st.floats(-1, 1, width=32))
+        return _long(value, digits)
+    if kind in (1, 2):
+        low = draw(st.one_of(st.integers(0x3A000000, 0x4B000000), st.integers(0, 0x7F7FFFFE)))
+        offset = Decimal(draw(st.sampled_from([-1, 1]))).scaleb(-draw(st.integers(13, 20)))
+        return sign + _nudged_midpoint(low, offset, exponent_form=kind == 2)
+    if kind == 3:  # below the least normal binary32, some on a subnormal midpoint
+        low = draw(st.integers(0, 0x007FFFFF))
+        offset = Decimal(draw(st.sampled_from([-1, 0, 1]))).scaleb(-draw(st.integers(46, 60)))
+        return sign + _nudged_midpoint(low, offset, exponent_form=False)
+    if kind == 4:  # around the binary32 overflow midpoint, with a long fraction
+        offset = draw(st.integers(-3, 3)) + Decimal(draw(st.integers(1, 9))).scaleb(-digits)
+        return sign + format(Decimal(OVERFLOW_MIDPOINT) + offset, "f")
+    text = _long(draw(st.floats(-1, 1, width=32)), digits)
+    at = draw(st.integers(text.index(".") + 1, len(text)))
+    return text[:at] + draw(st.sampled_from(["x", "_"])) + text[at:]
+
+
+LONG_LABELS = st.sampled_from([
+    "1", "-1", "1.00000000000000000000", "0.99999999999999999999", "-1.0000000000000000001",
+    "1.000000000000001", "1.0000000000000001", "-0.999999999999999",
+])
+
+
+@st.composite
+def long_texts(draw):
+    """Texts for each text parser built from long_cells, the first cell always long."""
+    s, fl = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    first = _long(draw(st.floats(-1, 1, width=32)), draw(st.integers(15, 25)))
+    count = s * fl + s + fl
+    cells = [first] + draw(st.lists(long_cells(), min_size=count, max_size=count))
+    rows = [cells[r * fl : (r + 1) * fl] for r in range(s)]
+    weights = cells[s * fl : s * fl + s + 1]
+    instance = cells[-fl:]
+    labels = draw(st.lists(LONG_LABELS, min_size=s, max_size=s))
+    svs = "".join(" ".join(row) + "\n" for row in rows)
+    alpha = "\n".join(weights) + "\n"
+    csv = "".join(",".join(row + [label]) + "\n" for row, label in zip(rows, labels))
+    body = [
+        " ".join([w, *(f"{k}:{v}" for k, v in enumerate(row, 1))])
+        for w, row in zip(weights[1:], rows)
+    ]
+    light = _svmlight_body(*body).replace("2 # highest", f"{fl} # highest").replace(
+        "0.5 # threshold", f"{weights[0]} # threshold"
+    )
+    return svs, alpha, " ".join(instance) + "\n", csv, light
+
+
+class TestLongFractions:
+    """A text with long fractions is read cut, and gives the whole decimals' results."""
+
+    @pytest.fixture(autouse=True)
+    def cut_short_texts(self, monkeypatch):
+        monkeypatch.setattr(model_io, "_CUT_MIN", 0)
+
+    def test_a_cut_that_crosses_a_midpoint_is_read_again(self):
+        want = [0x3F000022]
+        native = parse_native_model(f"{NEAR_HALF}\n", f"{NEAR_HALF}\n{NEAR_HALF}\n")
+        assert _f32_bits(native.support_vectors[0]) == want
+        assert _f32_bits([native.bias, native.alpha_y[0]]) == want * 2
+        assert _f32_bits(parse_test_instance(NEAR_HALF).values) == want
+        assert _f32_bits(load_dataset(f"{NEAR_HALF},1\n").features[0]) == want
+        light = parse_svmlight_model(
+            _svmlight_body(f"{NEAR_HALF} 1:{NEAR_HALF} 2:{NEAR_HALF}")
+        )
+        assert _f32_bits([*light.support_vectors[0], light.alpha_y[0]]) == want * 3
+
+    def test_an_exponent_keeps_its_fraction(self):
+        want = [0x41800001]  # above the midpoint, 16 + 2**-19
+        assert _f32_bits(parse_test_instance(f"{NEAR_HALF} {NEAR_SIXTEEN}").values[1:]) == want
+
+    @pytest.mark.parametrize(
+        "token, bits",
+        [
+            (_nudged_midpoint(0, Decimal("1e-60"), False), 0x00000001),  # reads 0 cut
+            (_nudged_midpoint(0, Decimal("-1e-60"), False), 0x00000000),
+            ("-" + _nudged_midpoint(0x7F7FFFFE, Decimal("1e-14"), False), 0xFF7FFFFF),
+        ],
+    )
+    def test_values_beyond_the_normal_range(self, token, bits):
+        assert _f32_bits(parse_test_instance(f"{NEAR_HALF} {token}").values[1:]) == [bits]
+
+    @pytest.mark.parametrize(
+        "label", ["1.000000000000001", "0.99999999999999999999", "-1.0000000000000000001"]
+    )
+    def test_labels_read_whole(self, label):
+        text = f"{NEAR_HALF},{label}\n"
+        assert _outcome(lambda: load_dataset(text)) == _outcome(
+            lambda: ref_text.load_dataset(text)
+        )
+
+    def test_blocks_past_the_first(self):
+        # a cut block far into a text, and one left whole (a 15-digit integer part)
+        tokens = list(map(repr, np.random.default_rng(7).uniform(-1, 1, 64).tolist()))
+        rows = [" ".join(tokens)] * 200
+        rows[150] = " ".join([NEAR_HALF, "123456789012345.5", *tokens[2:]])
+        rows[190] = " ".join([NEAR_HALF, *tokens[1:]])
+        svs = "\n".join(rows) + "\n"
+        alpha = "\n".join(["0.5"] * 201) + "\n"
+        assert len(svs) > 3 * model_io._BLOCK_BYTES  # several blocks
+        model = parse_native_model(svs, alpha)
+        assert model == ref_text.parse_native_model(svs, alpha)
+        assert _f32_bits(model.support_vectors[[150, 190], 0]) == [0x3F000022] * 2
+
+    @given(long_texts(), st.sampled_from([16, 64, 1 << 16]))
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # it only sets _CUT_MIN
+    )
+    def test_every_parser_matches_its_reference(self, texts, block_bytes):
+        svs, alpha, instance, csv, light = texts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_io, "_BLOCK_BYTES", block_bytes)
+            for parse, ref, args in [
+                (parse_native_model, ref_text.parse_native_model, (svs, alpha)),
+                (parse_test_instance, ref_text.parse_test_instance, (instance,)),
+                (load_dataset, ref_text.load_dataset, (csv,)),
+                (parse_svmlight_model, ref_svmlight.parse_svmlight_model, (light,)),
+            ]:
+                assert _outcome(lambda: parse(*args)) == _outcome(lambda: ref(*args)), texts

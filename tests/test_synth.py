@@ -222,6 +222,16 @@ class TestDirectiveConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DirectiveConfig.parse("unroll-partial-" + "9" * 4000)
 
+    def test_a_float_factor_is_refused(self):
+        # it would name unroll-partial-2.5, which parse refuses
+        message = r"^unroll-partial needs an integer factor, got 2\.5$"
+        with pytest.raises(ValueError, match=message):
+            DirectiveConfig("unroll-partial", 2.5)
+
+    def test_a_string_factor_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unroll-partial needs an integer factor, got '4'$"):
+            DirectiveConfig("unroll-partial", "4")
+
     def test_every_name_parses_as_its_normalised_spelling(self):
         for name in DIRECTIVE_NAMES:
             for upper, underscore, spaces, array in itertools.product((False, True), repeat=4):
