@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -114,12 +115,16 @@ def _check_threshold(args) -> None:
         raise SvmSocError(f"threshold must be a number, got {args.th}")
 
 
+# blank lines, then the first non-blank line up to a line break as
+# str.splitlines ends lines; every such break is whitespace to str.isspace
+_FIRST_LINE = re.compile(r"\s*[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
 def cmd_classify(args) -> str:
     _check_threshold(args)
     model = _load_model(args)
     text = _read(args.input)
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    if "," in first:
+    if "," in _FIRST_LINE.match(text)[0]:  # a labelled CSV
         return _classify_dataset(model, load_dataset(text), args)
     instance = parse_test_instance(text, model.feature_count)
     res = run_software_reference(model, instance, args.th)

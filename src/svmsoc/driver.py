@@ -63,16 +63,15 @@ ESTIMATED = "estimated"
 class ClockPair:
     """FPGA fabric clock and host core clock, both in MHz.
 
-    Any positive pair is representable; cycle estimates exist only for
-    the calibrated pairings (100/666.67, 250/250, 250/666.67).
+    Any pair that clock_key accepts is representable; cycle estimates
+    exist only for the calibrated pairings (100/666.67, 250/250, 250/666.67).
     """
 
     fpga_mhz: float
     arm_mhz: float
 
     def __post_init__(self):
-        if not (self.fpga_mhz > 0 and self.arm_mhz > 0):
-            raise ValueError("clocks must be positive")
+        clock_key(self)
 
 
 def _rounded_sum(rows: np.ndarray) -> np.ndarray:

@@ -36,10 +36,11 @@ Emitters format whole arrays (`format_reals`) with the shortest decimal
 that parses back to the same binary32, as numpy's Dragon4 prints it, so
 emit/parse round-trips are bit-exact.  An array of a few hundred values or
 more is printed an array at a time: an exact binary64 digit search finds
-every value's digits at once, each value's digits are proven by parsing
-them back, and the text is built in one byte frame per block.  Dragon4
-prints the rest: small arrays, and zero, subnormals, powers of two, values
-outside [1e-4, 1e9), nan, infinities and any value not proven.
+every value's digits at once, and the text is built in one byte frame per
+block.  Dragon4 prints the rest: small arrays, and zero, subnormals, powers
+of two, values outside [1e-4, 1e9), nan and infinities.  The array path's
+digits are not parsed back: `tests/sweep_format.py` checks them once, for
+every binary32 in its range, against Dragon4.
 
 No body line confirms an SVM-Light header's "highest feature index", so a
 model above MAX_DENSE_VALUES support-vector values is refused before its
@@ -137,8 +138,8 @@ def _shortest(values: np.ndarray) -> list[str]:
 # Dragon4 as D * 10**Q: the largest Q at which a multiple of 10**Q lies
 # within half an ulp of v (the bounds included when M is even, as they
 # round to v), and of those the nearest (ties to even D).  The array path
-# finds D and Q for all values at once in binary64, and prints only the
-# values it can prove it got right.
+# finds D and Q for all values at once in binary64; tests/sweep_format.py
+# compares its text with Dragon4's for every binary32 in its range.
 
 _ARRAY_MIN = 320  # fewer values print faster one at a time (break-even, CHANGES.md)
 _BLOCK_VALUES = 4096  # values printed through one text frame, which bounds its memory
@@ -163,18 +164,17 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # exact in binary64
 
 
 def _certified(mag: np.ndarray, biased: np.ndarray):
-    """Dragon4's digits D and exponents Q of binary32 magnitudes, and which are proven.
+    """Dragon4's digits D and exponents Q of binary32 magnitudes.
 
     mag holds normal binary32 magnitudes in [1e-4, 1e9) whose significand is
-    not a power of two (Dragon4 narrows the lower half-ulp there), as binary64;
-    biased holds their exponent fields.  The digit search is exact, so it
-    needs no tolerance: t and half an ulp are exact, each nearest multiple
-    of 10**j is an integer below 2**53, and t less that multiple is exact
-    (Sterbenz) wherever it is near enough to be compared with half an ulp.
-    A lane is proven when D * 10**Q also parses back to the value through
-    the exact binary64 fast path (D < 10**9, and 10**|Q| is exact for
-    |Q| <= 22), and that binary64 value, when rounded, is no binary32
-    midpoint, which would round to binary32 twice.
+    not a power of two (Dragon4 narrows the lower half-ulp there, which
+    gives 2**25 and 2**26 other digits), as binary64; biased holds their
+    exponent fields.  The digit search is exact, so it needs no tolerance: t
+    and half an ulp are exact, each nearest multiple of 10**j is an integer
+    below 2**53, and t less that multiple is exact (Sterbenz) wherever it is
+    near enough to be compared with half an ulp.  D and Q are not parsed
+    back: tests/sweep_format.py finds them equal to Dragon4's for every such
+    value.
     """
     t = mag * _SCALE_UP.take(biased)
     digits, power = np.rint(t), np.zeros(t.size, dtype=np.intp)
@@ -191,13 +191,7 @@ def _certified(mag: np.ndarray, biased: np.ndarray):
         digits[live] = near.take(within)
         power[live] = j
         j += 1
-    exp10 = _SCALE.take(biased) + power
-    back = digits * _POW10.take(np.maximum(exp10, 0), mode="clip")
-    back /= _POW10.take(np.maximum(-exp10, 0), mode="clip")
-    sure = (np.abs(exp10) <= 22) & (back.astype(_F32) == mag)
-    ties = _binary32_ties(back)
-    sure[ties[exp10[ties] < 0]] = False  # an integer D * 10**Q is exact in binary64
-    return digits, exp10, sure
+    return digits, _SCALE.take(biased) + power
 
 
 # Each value's text is built in one row of a byte frame: its sign, the 4-digit
@@ -238,9 +232,9 @@ def _text(rows: np.ndarray, sep: bytes) -> str:
     bits = mag.view(np.uint32)
     lanes = np.flatnonzero((mag >= 1e-4) & (mag < 1e9) & (bits & 0x7FFFFF != 0))
     digits, exp10 = np.zeros(flat.size), np.zeros(flat.size, dtype=np.intp)
-    found, q, sure = _certified(mag[lanes].astype(np.float64), (bits[lanes] >> 23).astype(np.intp))
-    lanes = lanes[sure]
-    digits[lanes], exp10[lanes] = found[sure], q[sure]
+    digits[lanes], exp10[lanes] = _certified(
+        mag[lanes].astype(np.float64), (bits[lanes] >> 23).astype(np.intp)
+    )
 
     # integer part and fraction * 10**12, both below 10**12
     shift = np.maximum(-exp10, 0)
@@ -300,12 +294,13 @@ def format_reals(values, sep: str = " ") -> list[str]:
     time (about _BLOCK_VALUES values, which bounds the memory) without
     Dragon4: the digits of each normal value in [1e-4, 1e9) whose
     significand is not a power of two are found by an exact binary64 search
-    for the whole block at once and proven by parsing them back
-    (`_certified`), and the block's text is built in one byte frame.  A
-    value not proven, and every other value (zero, subnormals, powers of
-    two, values outside that range, nan and inf), is printed by Dragon4
-    under the same pinned print options.  Smaller arrays, and rows joined by
-    a sep holding a control character, go to Dragon4 throughout.
+    for the whole block at once (`_certified`), and the block's text is
+    built in one byte frame.  The digits are not parsed back: the
+    exhaustive sweep `tests/sweep_format.py` checks them against Dragon4
+    once, for every such binary32.  Every other value (zero, subnormals,
+    powers of two, values outside that range, nan and inf) is printed by
+    Dragon4 under the same pinned print options.  Smaller arrays, and rows
+    joined by a sep holding a control character, go to Dragon4 throughout.
     """
     arr = np.asarray(values, dtype=_F32)
     with np.printoptions(legacy=False):

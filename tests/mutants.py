@@ -237,38 +237,11 @@ CATALOGUE = [
         " it, and Dragon4 takes it when it is shorter",
     ),
     Mutant(
-        "format-parse-back-unchecked", "model_io.py",
-        "    sure = (np.abs(exp10) <= 22) & (back.astype(_F32) == mag)\n",
-        "    sure = np.abs(exp10) <= 22\n",
-        "equivalent: in [1e-4, 1e9) it refuses only the powers of two 2**25 and 2**26,"
-        " which the power-of-two exclusion keeps out; an exhaustive sweep of the range"
-        " finds no other value it refuses",
-        equivalent=True,
-    ),
-    Mutant(
-        "format-midpoint-unchecked", "model_io.py",
-        "    sure[ties[exp10[ties] < 0]] = False  # an integer D * 10**Q is exact in binary64\n",
-        "",
-        "equivalent: a rounded binary64 value on a binary32 midpoint would round twice,"
-        " but an exhaustive sweep of [1e-4, 1e9) finds none",
-        equivalent=True,
-    ),
-    Mutant(
         "format-power-of-two-kept", "model_io.py",
         "(mag >= 1e-4) & (mag < 1e9) & (bits & 0x7FFFFF != 0)",
         "(mag >= 1e-4) & (mag < 1e9)",
-        "equivalent: below a power of two the next binary32 is half as far, but of the"
-        " 43 powers of two in [1e-4, 1e9) only 2**25 and 2**26 get other digits from"
-        " the search, and they do not parse back",
-        equivalent=True,
-    ),
-    Mutant(
-        "format-exponent-unbounded", "model_io.py",
-        "    sure = (np.abs(exp10) <= 22) & (back.astype(_F32) == mag)\n",
-        "    sure = back.astype(_F32) == mag\n",
-        "equivalent: 10**|Q| is exact in binary64 only up to 10**22, but in [1e-4, 1e9)"
-        " Q lies in -12..8",
-        equivalent=True,
+        "below a power of two the next binary32 is half as far, so Dragon4 narrows the"
+        " lower bound there: the search prints 2**25 and 2**26 with other digits",
     ),
     Mutant(
         "format-range-unbounded", "model_io.py",
@@ -359,6 +332,18 @@ CATALOGUE = [
         "    except CalibrationError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
         "        return 1\n",
         "an unusable calibration exits 2, apart from input errors",
+    ),
+    Mutant(
+        "clock-pair-unchecked", "driver.py",
+        "    def __post_init__(self):\n        clock_key(self)\n",
+        "",
+        "a clock that is not positive and finite is refused where the pair is made",
+    ),
+    Mutant(
+        "classify-first-line-misses-a-break", "cli.py",
+        "\\x1c-\\x1e\\x85",
+        "\\x1c-\\x1e",
+        "str.splitlines ends a line at \\x85: a comma past it is not on the first line",
     ),
     # -- cost models and their refusal order
     Mutant(

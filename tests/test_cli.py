@@ -6,6 +6,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svmsoc import (
     default_calibration,
@@ -195,6 +197,16 @@ class TestClassify:
         assert (code, out) == (1, "")
         assert err == f"error: cannot read {tiny / 'big.txt'}: larger than 64 bytes\n"
         assert str(tiny / "svs.txt") in reads and str(tiny / "big.txt") not in reads
+
+    # lines of commas, other characters and whitespace that breaks no line,
+    # joined by each line break str.splitlines knows
+    @pytest.mark.parametrize("brk", [*"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "\r\n"], ids=repr)
+    @given(st.lists(st.text(" \t\x1f\xa0,1x", max_size=4)))
+    @settings(max_examples=40)
+    def test_csv_decision_reads_the_first_non_blank_line(self, brk, lines):
+        text = brk.join(lines)
+        first = next((ln for ln in text.splitlines() if ln.strip()), "")
+        assert ("," in cli._FIRST_LINE.match(text)[0]) == ("," in first)
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
     def test_endless_input_is_refused_at_the_read_cap(self, capsys, tiny, monkeypatch):
@@ -784,10 +796,14 @@ class TestFitAndCalibrationFlag:
         code, out, _ = run(capsys, "fit", str(tmp_path / "a.csv"))
         assert code == 0 and json.loads(out)["version"] == 2
 
-    @pytest.mark.parametrize("clock", ["inf", "nan"])
-    def test_non_finite_clock_is_one_error_line(self, capsys, clock):
-        code, _, err = run(capsys, "synth", "248", "27", "pipeline-inner", clock)
-        assert code == 1 and err == f"error: clock must be positive and finite, got {clock}\n"
+    @pytest.mark.parametrize("clock", ["nan", "inf", "0", "-1", "0.004"])
+    def test_bad_clock_is_one_error_line(self, capsys, gen61, clock):
+        # cosim and synth refuse a clock through the one check, synth.clock_key;
+        # 0.004 rounds to 0.00 MHz
+        want = (1, "", f"error: clock must be positive and finite, got {float(clock)!r}\n")
+        assert run(capsys, "synth", "61", "27", "pipeline-inner", clock) == want
+        argv = cosim_argv(gen61, "--directive", "pipeline-inner", f"--fpga-mhz={clock}")
+        assert run(capsys, *argv) == want
 
     @pytest.mark.parametrize(
         "argv",

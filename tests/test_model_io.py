@@ -38,6 +38,7 @@ from svmsoc.model_io import MAX_DENSE_VALUES, format_reals
 import ref_format
 import ref_svmlight
 import ref_text
+import sweep_format
 from conftest import random_instance, random_model
 
 SVMLIGHT_TWO_SV = """\
@@ -558,9 +559,9 @@ SAMPLES = LOG_UNIFORM | st.sampled_from(list(BOUNDARY_VALUES)) | st.sampled_from
 # (from 2**25 the search's nearest multiple of ten lies on the half-ulp bound
 # below, which is not within it: the next binary32 below is half as far),
 # the greatest binary32, nan and infinities, and values whose text lies on
-# the half-ulp bound, which an even significand rounds to.  An exhaustive
-# sweep over f32(1e-4) <= |v| < 1e9, both signs, found no other value there
-# that the array path leaves to Dragon4.
+# the half-ulp bound, which an even significand rounds to.  The array path
+# does not parse its digits back: the exhaustive sweep tests/sweep_format.py
+# checks them once against Dragon4 over f32(1e-4) <= |v| < 1e9, both signs.
 ON_BOUND = [46450568.0, 47529232.0, 48912768.0, 840127232.0]
 FIXED_VALUES = np.concatenate([
     _from_bits([0x00000000, 0x80000000, 0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF]),
@@ -613,6 +614,19 @@ class TestArrayPath:
             assert format_reals(values, ",") == [
                 ",".join(want[i : i + cols]) for i in range(0, values.size, cols)
             ]
+
+    @pytest.mark.parametrize("centre", [
+        int(np.float32(2.0**25).view(np.uint32)),  # the powers of two the array path leaves out
+        int(np.float32(2.0**26).view(np.uint32)),
+        sweep_format.LOW,  # f32(1e-4), the sweep's first value
+        sweep_format.HIGH - 1,  # the largest binary32 below 1e9, its last
+    ], ids=["2**25", "2**26", "1e-4", "below-1e9"])
+    @pytest.mark.parametrize("sign", [0, sweep_format.SIGN], ids=["+", "-"])
+    def test_sweep_slice(self, centre, sign):
+        # the exhaustive sweep's chunk check on 2**12 values each side of a
+        # centre, which keeps the script in step with the formatter
+        start = sign | centre - 2**12
+        assert sweep_format.compare(start, start + 2**13) == (2**13, 0, [])
 
     def test_decimal_scales_are_exact(self):
         m, up, half = model_io._decimal_scales()
