@@ -19,7 +19,12 @@ calibration file or a caller: a CalibrationSet runs it on every record it
 is built from, then derives the estimators' fits from its records.  The
 built-in calibration is the fit of SHIPPED_RECORDS and a calibration file
 stores the records themselves, so every calibration is fitted by the same
-code.
+code.  The set checks each kind's records a column at a time: a column of
+counts or amounts passes when every cell has the exact type and the column's
+min and max lie in range, a column of directives, clocks or model ids is
+checked once per distinct cell.  When a column may fail, or two records
+share an identity, the set checks its records one at a time instead, which
+gives the same records or names the first fault in record order.
 
 Each group of records has one Fit in S, whose columns are the measured
 quantities: latency, BRAM, FF and LUT of a (directive, regime) group,
@@ -49,7 +54,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter, le
+from itertools import repeat
+from operator import is_not, le, mul, sub, truediv
 from typing import NamedTuple, Sequence, Union
 
 from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign, cut, quote
@@ -394,6 +400,102 @@ def _checked(rec) -> Record:
     return row_type(*cells)
 
 
+def _int_column(least: int):
+    """The column check of _count (least 1) or _measure (least 0)."""
+
+    def column(cells: tuple):
+        if set(map(type, cells)) == {int} and least <= min(cells) and max(cells) <= MAX_COUNT:
+            return cells
+        return None
+
+    return column
+
+
+def _amount_column(cells: tuple):
+    # min and max can miss a nan, which makes the sum nan
+    if set(map(type, cells)) == {float} and 0 <= min(cells) and sum(cells) < math.inf:
+        return cells
+    return None
+
+
+def _distinct_column(check):
+    """The column check that runs check once per distinct cell, in a column of one
+    type: 1, 1.0 and True are equal values, but only the int is a count."""
+
+    def column(cells: tuple):
+        if len(set(map(type, cells))) != 1:
+            return None
+        checked = {cell: check(cell) for cell in set(cells)}
+        if all(type(new) is type(cell) and new == cell for cell, new in checked.items()):
+            return cells  # already in checked form
+        return list(map(checked.__getitem__, cells))
+
+    return column
+
+
+# Each cell check's column check: a kind's column of cells checked and normalised
+# as the cell check would, or None when a cell may fail it (or raises anything).
+_COLUMN_CHECKS = {
+    _count: _int_column(1),
+    _measure: _int_column(0),
+    _amount: _amount_column,
+    _clock: _distinct_column(_clock),
+    _directive_token: _distinct_column(_directive_token),
+    _model_id: _distinct_column(_model_id),
+}
+
+
+def _by_column(records) -> dict | None:
+    """Each kind's checked records, checked a column at a time.
+
+    None when a value is not a record, a cell may fail its check or two
+    records share an identity: _by_record then keeps one of two identical
+    records, or names the first fault in record order.
+    """
+    by_kind: dict[type, list] = {row_type: [] for row_type in _KIND}
+    for rec in records:
+        rows = by_kind.get(type(rec))
+        if rows is None:
+            return None
+        rows.append(rec)
+    for row_type, rows in by_kind.items():
+        if not rows:
+            continue
+        _, checks, identity = _SCHEMA[_KIND[row_type]]
+        if set(map(len, rows)) != {len(checks)}:  # a tuple made past its type's constructor
+            return None
+        cells = list(zip(*rows))
+        try:
+            columns = [_COLUMN_CHECKS[check](column) for check, column in zip(checks, cells)]
+        except Exception:  # whatever a cell raises, _by_record raises it in record order
+            return None
+        if None in columns or len(set(zip(*columns[:identity]))) != len(rows):
+            return None
+        if any(map(is_not, columns, cells)):  # a cell respelled
+            by_kind[row_type] = list(map(row_type._make, zip(*columns)))
+    return by_kind
+
+
+def _by_record(records) -> dict:
+    """Each kind's checked records, each once, checked record by record.
+
+    Every cell is checked before any conflict, so the first faulty cell in
+    record order is named, or else the first conflicting record.
+    """
+    table: dict[tuple, Record] = {}
+    by_kind: dict[type, list] = {row_type: [] for row_type in _KIND}
+    for rec in [_checked(rec) for rec in records]:
+        kind = _KIND[type(rec)]
+        key = (kind, *rec[: _SCHEMA[kind][2]])
+        prev = table.get(key)
+        if prev is None:
+            table[key] = rec
+            by_kind[type(rec)].append(rec)
+        elif prev != rec:
+            raise ValueError(f"conflicting {kind} records {_cells(prev)} and {_cells(rec)}")
+    return by_kind
+
+
 # Vendor-tool synthesis results for the shipped classifier sizes.
 SHIPPED_ANCHORS: tuple[AnchorRow, ...] = tuple(
     AnchorRow(*row)
@@ -480,20 +582,33 @@ class Fit:
     column values there.  slope and intercept hold one entry per column, or
     are None for a single anchor, which pins the values.  Two anchors give
     the exact affine through both, evaluated through the anchors so
-    interpolation carries no slope round-off; three or more the least-squares
-    line.  A line that is not finite is refused with ValueError.
+    interpolation carries no slope round-off: rise holds each column's
+    difference between them, and is None otherwise.  Three or more anchors
+    give the least-squares line.  A line that is not finite is refused with
+    ValueError.
     """
 
-    __slots__ = ("feature_count", "points", "lo", "hi", "slope", "intercept", "group", "columns")
+    __slots__ = (
+        "feature_count", "points", "lo", "hi", "slope", "intercept", "rise", "group", "columns"
+    )
 
     def __init__(self, feature_count: int, points: Sequence[tuple[int, tuple]], group, columns):
         pts = sorted(points)
         self.feature_count, self.group, self.columns = feature_count, group, columns
         self.points = dict(pts)
         self.lo, self.hi = pts[0][0], pts[-1][0]
-        self.slope = self.intercept = None
-        if len(pts) > 1:
-            self.slope, self.intercept = zip(*[_line(pts, i, self) for i in range(len(columns))])
+        self.slope = self.intercept = self.rise = None
+        if len(pts) == 2:  # every column in one pass
+            (s1, v1), (s2, v2) = pts
+            self.rise = tuple(map(sub, v2, v1))
+            self.slope = tuple(map(truediv, self.rise, repeat(s2 - s1)))
+            self.intercept = tuple(map(sub, v1, map(mul, self.slope, repeat(s1))))
+            if not all(map(math.isfinite, self.intercept)):  # as it is where a slope is not
+                column = next(i for i, b in enumerate(self.intercept) if not math.isfinite(b))
+                raise _not_finite(self, column)
+        elif len(pts) > 2:
+            lines = map(_line, repeat(pts), range(len(columns)), repeat(self))
+            self.slope, self.intercept = zip(*lines)
 
     def what(self, column: int) -> str:
         """The label every message gives a column: latency for pipeline-inner at 100 MHz."""
@@ -508,44 +623,47 @@ class Fit:
         if feature_count != self.feature_count:
             fl = f"calibrated for Fl={self.feature_count}, not Fl={feature_count}"
             raise FlMismatch(f"{self.what(columns[0])} is {fl}")
-        values = self.points.get(sv_count)
-        if values is not None:
-            return [values[i] for i in columns], ANCHOR_EXACT
+        # loops, not comprehensions: on Python 3.11 each comprehension is a call
+        point, values = self.points.get(sv_count), []
+        if point is not None:
+            for i in columns:
+                values.append(point[i])
+            return values, ANCHOR_EXACT
         lo, hi = self.lo, self.hi
         if self.slope is None:
             anchor = f"{self.what(columns[0])} has a single anchor at S={lo}"
             raise UnknownCalibration(f"{anchor}; scaling to S={sv_count} has no supporting data")
-        v1, v2, values = self.points[lo], self.points[hi], []
-        for i in columns:
-            if len(self.points) == 2:
-                value = v1[i] + (v2[i] - v1[i]) * (sv_count - lo) / (hi - lo)
-            else:
-                value = self.slope[i] * sv_count + self.intercept[i]
-            if not math.isfinite(value):
-                raise CalibrationError(f"{self.what(i)} is not finite at S={sv_count}")
-            values.append(value)
+        if self.rise is not None:  # v1 + (v2 - v1) * (S - lo) / (hi - lo)
+            v1, rise, steps = self.points[lo], self.rise, sv_count - lo
+            for i in columns:
+                values.append(v1[i] + rise[i] * steps / (hi - lo))
+        else:
+            for i in columns:
+                values.append(self.slope[i] * sv_count + self.intercept[i])
+        if not all(map(math.isfinite, values)):
+            column = next(i for i, v in zip(columns, values) if not math.isfinite(v))
+            raise CalibrationError(f"{self.what(column)} is not finite at S={sv_count}")
         return values, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
 
 
-def _line(points, column: int, fit: Fit) -> tuple[float, float]:
-    """The slope and intercept of one column through two or more anchors."""
-    if len(points) == 2:
-        (s1, v1), (s2, v2) = points
-        slope = (v2[column] - v1[column]) / (s2 - s1)
-        intercept = v1[column] - slope * s1
-    else:
-        import numpy as np
+def _not_finite(fit: Fit, column: int) -> ValueError:
+    return ValueError(f"the fitted line of {fit.what(column)} is not finite")
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an overflow or a rank-deficient fit
-            try:
-                slope, intercept = np.polyfit(
-                    [float(s) for s, _ in points], [v[column] for _, v in points], 1
-                )
-            except RuntimeWarning as exc:
-                raise ValueError(f"no least-squares line fits {fit.what(column)}: {exc}") from None
+
+def _line(points, column: int, fit: Fit) -> tuple[float, float]:
+    """The least-squares slope and intercept of one column through three or more anchors."""
+    import numpy as np
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or a rank-deficient fit
+        try:
+            slope, intercept = np.polyfit(
+                [float(s) for s, _ in points], [v[column] for _, v in points], 1
+            )
+        except RuntimeWarning as exc:
+            raise ValueError(f"no least-squares line fits {fit.what(column)}: {exc}") from None
     if not (math.isfinite(slope) and math.isfinite(intercept)):
-        raise ValueError(f"the fitted line of {fit.what(column)} is not finite")
+        raise _not_finite(fit, column)
     return float(slope), float(intercept)
 
 
@@ -582,40 +700,32 @@ class CalibrationSet:
     equal when their records are.  The rest derives from the records when
     the set is built.  fits maps each (directive, regime MHz) group of synth
     records and each (FPGA MHz, ARM MHz) pairing of arm records to the one
-    Fit of all its fitted columns.  dsp holds the DSP count by S
-    of each (directive, regime) synthesis group, arm the timer MHz of each
+    Fit of all its fitted columns.  dsp holds, for each (directive, regime)
+    synthesis group, its DSP count by S and its count elsewhere: the rounded
+    mean of its distinct counts.  arm holds the timer MHz of each
     calibrated clock pairing, cosim_cycles the cycle count by (S, Fl,
     directive, (FPGA MHz, ARM MHz)) and power the watts by (S, directive).
     Every cell is checked and normalised as the loaders do (a directive
     respelled as its DirectiveConfig name, a clock rounded to 0.01 MHz); a
     value that is not a record, a faulty cell, a conflicting record or a
-    fit that is not finite raises ValueError.
+    fit that is not finite raises ValueError.  Each kind's records are
+    checked a column at a time; when a column may fail, or a record repeats
+    another's identity, they are checked record by record, which names the
+    first fault in record order.
     """
 
     records: tuple[Record, ...]
     fits: dict[tuple, Fit] = field(init=False, repr=False, compare=False)
-    dsp: dict[tuple, dict[int, int]] = field(init=False, repr=False, compare=False)
+    dsp: dict[tuple, tuple[dict[int, int], int]] = field(init=False, repr=False, compare=False)
     arm: dict[tuple, float] = field(init=False, repr=False, compare=False)
     cosim_cycles: dict[tuple, int] = field(init=False, repr=False, compare=False)
     power: dict[tuple, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table: dict[tuple, Record] = {}
-        by_kind: dict[type, list[Record]] = {row_type: [] for row_type in _KIND}
-        for rec in [_checked(rec) for rec in self.records]:  # every cell before any conflict
-            kind = _KIND[type(rec)]
-            key = (kind, *rec[: _SCHEMA[kind][2]])
-            prev = table.get(key)
-            if prev is None:
-                table[key] = rec
-                by_kind[type(rec)].append(rec)
-            elif prev != rec:
-                raise ValueError(f"conflicting {kind} records {_cells(prev)} and {_cells(rec)}")
-        synth, arm, cosim_cycles, power, designs = {}, {}, {}, {}, set()
-        for rec in by_kind[AnchorRow]:
-            synth.setdefault((rec.directive, rec.regime_mhz), []).append(rec)
-        for rec in by_kind[ArmRecord]:
-            arm.setdefault((rec.fpga_mhz, rec.arm_mhz), []).append(rec)
+        by_kind = _by_column(self.records)
+        if by_kind is None:
+            by_kind = _by_record(self.records)
+        cosim_cycles, power, designs = {}, {}, set()
         for rec in by_kind[CosimRecord]:
             key = (rec.sv_count, rec.feature_count, rec.directive, (rec.fpga_mhz, rec.arm_mhz))
             cosim_cycles[key] = rec.cycles
@@ -627,12 +737,17 @@ class CalibrationSet:
             power[(rec.sv_count, rec.directive)] = rec.watts
 
         fits, dsp, timers = {}, {}, {}
-        for design, rows in synth.items():
-            fits[design] = _group_fit(rows, design, _design_label, _SYNTH_COLUMNS)
-            dsp[design] = {r.sv_count: r.dsp for r in rows}
-        for pairing, rows in arm.items():
-            fits[pairing] = _group_fit(rows, pairing, format_pairing, _ARM_COLUMNS)
-            timers[pairing] = _shared(rows, "timer_mhz", pairing, format_pairing)
+        synth = _groups(by_kind[AnchorRow], _SYNTH_COLUMNS, "dsp")
+        for design, (points, fls, counts) in synth.items():
+            fl = _one(fls, "feature_count", design, _design_label)
+            fits[design] = Fit(fl, points, design, _SYNTH_COLUMNS)
+            distinct = set(counts.values())
+            dsp[design] = counts, round(sum(distinct) / len(distinct))
+        arm = _groups(by_kind[ArmRecord], _ARM_COLUMNS, "timer_mhz")
+        for pairing, (points, fls, timer) in arm.items():
+            fl = _one(fls, "feature_count", pairing, format_pairing)
+            fits[pairing] = Fit(fl, points, pairing, _ARM_COLUMNS)
+            timers[pairing] = _one(set(timer.values()), "timer_mhz", pairing, format_pairing)
         records = tuple(rec for rows in by_kind.values() for rec in rows)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "fits", fits)
@@ -647,19 +762,34 @@ def _cells(cells: tuple) -> tuple:
     return tuple(cut(c) if isinstance(c, str) else c for c in cells)
 
 
-def _shared(rows, column: str, group: tuple, label):
-    """The one value of a column across a group's records; label names the group."""
-    values = {getattr(r, column) for r in rows}
+def _groups(rows: list, columns: tuple[str, ...], by_s: str) -> dict[tuple, tuple]:
+    """Each group of records, in first-seen order, as its Fit's points, its set of
+    feature counts and its column by_s by S.
+
+    A group is a record's third and fourth cells: the (directive, regime MHz)
+    of a synth record, the (FPGA MHz, ARM MHz) of an arm record.  A point is
+    an S and its values of the fitted columns, as floats.
+    """
+    groups: dict[tuple, tuple] = {}
+    if not rows:
+        return groups
+    cells = dict(zip(rows[0]._fields, zip(*rows)))
+    values = zip(*[map(float, cells[column]) for column in columns])
+    for rec, point, value in zip(rows, zip(cells["sv_count"], values), cells[by_s]):
+        group = groups.get(rec[2:4])
+        if group is None:
+            group = groups[rec[2:4]] = [], set(), {}
+        group[0].append(point)
+        group[1].add(rec.feature_count)
+        group[2][point[0]] = value
+    return groups
+
+
+def _one(values: set, column: str, group: tuple, label):
+    """The one value a column takes across a group's records; label names the group."""
     if len(values) != 1:
         raise ValueError(f"records for {label(*group)} mix {column} values {sorted(values)}")
-    return values.pop()
-
-
-def _group_fit(rows, group: tuple, label, columns: tuple[str, ...]) -> Fit:
-    """The Fit in S of the fitted columns of a group of records at one Fl."""
-    fl = _shared(rows, "feature_count", group, label)
-    values = attrgetter(*columns)
-    return Fit(fl, [(r.sv_count, tuple(map(float, values(r)))) for r in rows], group, columns)
+    return next(iter(values))
 
 
 def fit_calibration(rows: Sequence[Record | tuple]) -> CalibrationSet:
@@ -776,15 +906,12 @@ def estimate_design(
     return SynthesisEstimate(*_design_fields(fit, cal.dsp[design], sv_count, feature_count))
 
 
-def _design_fields(fit: Fit, dsps: dict, sv_count, feature_count) -> tuple:
-    """A design's SynthesisEstimate fields at (S, Fl), from its Fit and DSP counts."""
+def _design_fields(fit: Fit, dsp: tuple, sv_count, feature_count) -> tuple:
+    """A design's SynthesisEstimate fields at (S, Fl), from its Fit and CalibrationSet.dsp."""
     (latency, bram, ff, lut), validity = fit.at(sv_count, feature_count, (0, 1, 2, 3))
-    dsp = dsps.get(sv_count)
-    if dsp is None:
-        distinct = set(dsps.values())
-        dsp = round(sum(distinct) / len(distinct))
+    counts, elsewhere = dsp
     latency, ff, lut = max(0, round(latency)), max(0, round(ff)), max(0, round(lut))
-    return validity, latency, max(0.0, bram), dsp, ff, lut
+    return validity, latency, max(0.0, bram), counts.get(sv_count, elsewhere), ff, lut
 
 
 def clock_key(clocks) -> tuple[float, float]:
@@ -899,7 +1026,10 @@ def explore(
     candidates.sort()
     front = []
     for cost, token, fields in candidates:
-        if not any(other != cost and all(map(le, other, cost)) for other, _, _ in front):
+        for other, _, _ in front:
+            if other != cost and all(map(le, other, cost)):
+                break
+        else:
             front.append((cost, token, SynthesisEstimate(*fields)))
     front.sort(key=lambda c: (c[0][0], c[1]))
     return [
@@ -957,10 +1087,21 @@ def save_calibration(calibration: CalibrationSet) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object; one that names a key twice is refused, where json keeps the last."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            twice = f"key {quote(key)} appears twice"
+            raise CalibrationError(f"calibration file is malformed: {twice}")
+        obj[key] = value
+    return obj
+
+
 def load_calibration(text: str) -> CalibrationSet:
     """Read calibration JSON (version 2: the records) in shape; its set checks the cells."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:
         raise CalibrationError(f"calibration file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != 2:
@@ -973,10 +1114,13 @@ def load_calibration(text: str) -> CalibrationSet:
             for kind, rows in doc.items():
                 if kind == "version":
                     continue
-                _schema(kind)
+                row_type, checks, _ = _schema(kind)
                 if not isinstance(rows, list):
                     raise ValueError(f"{kind!r} must be a list of records")
-                for cells in rows:
+                if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(checks)}:
+                    records += map(row_type._make, rows)
+                    continue
+                for cells in rows:  # names the first row of another shape
                     records.append(_record(kind, cells))
         except ValueError:  # a faulty cell before a shape fault is named first
             for rec in records:

@@ -1,18 +1,23 @@
 """Mutation catalogue: code broken on purpose, which tier-1 must notice.
 
 Each entry names a file under src/svmsoc, the exact text to replace (it must
-occur there exactly once), its replacement and the reason the change is a
-fault.  For each entry the script copies src/, tests/ and pyproject.toml
-into a temporary directory, applies the entry there and runs tier-1 with -x.
-An entry is killed when tier-1 fails, and survives when it passes.  An entry
-marked equivalent changes no behaviour that a test can observe; it is
-expected to survive and its reason says why.
+occur there exactly once), its replacement, the reason the change is a
+fault and the test modules that kill it (by default the one named after its
+file: tests/test_synth.py for synth.py).  For each entry the script copies
+src/, tests/ and pyproject.toml into a temporary directory and applies the
+entry there.  It runs the entry's test modules with -x first, and tier-1
+with -x only when the mutant survives them; --full runs tier-1 alone.  An
+entry is killed when a run fails, and survives when tier-1 passes.  An
+entry marked equivalent changes no behaviour that a test can observe; it
+is expected to survive and its reason says why.
 
 Usage, from the repository root (standard library only; tier-1 needs
 pytest and hypothesis):
 
-    python tests/mutants.py            # every entry
-    python tests/mutants.py NAME ...   # the named entries
+    python tests/mutants.py                # every entry
+    python tests/mutants.py NAME ...       # the named entries
+    python tests/mutants.py --file synth.py  # the entries on one file
+    python tests/mutants.py --full ...     # tier-1 for every entry, as before
     python tests/mutants.py --list
 
 The exit status is 1 when an entry that is not equivalent survives, or when
@@ -34,10 +39,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-# tier-1 without the test that each entry's text is found: a mutant copy lacks its own
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors",
-         "--deselect", "tests/test_structure.py::test_every_catalogue_entry_finds_its_text_once"]
+# pytest without the test that each entry's text is found: a mutant copy lacks its own
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--deselect", "tests/test_structure.py::test_every_catalogue_entry_finds_its_text_once"]
+TIER1 = [*PYTEST, "--continue-on-collection-errors"]
 
 
 class Mutant(NamedTuple):
@@ -47,6 +52,12 @@ class Mutant(NamedTuple):
     new: str
     reason: str
     equivalent: bool = False
+    tests: tuple[str, ...] = ()  # test modules that kill it, under tests/; () for the default
+
+    @property
+    def modules(self) -> tuple[str, ...]:
+        """The test modules run first: the entry's, or the one named after its file."""
+        return self.tests or (f"test_{Path(self.file).stem}.py",)
 
 
 CATALOGUE = [
@@ -323,6 +334,7 @@ CATALOGUE = [
         "    def __str__(self) -> str:\n        return self.name\n",
         "    def __str__(self) -> str:\n        return self.prefix\n",
         "a directive prints as its full name, factor included, as cosim reads it back",
+        tests=("test_driver.py",),
     ),
     # -- CLI exit codes
     Mutant(
@@ -355,8 +367,8 @@ CATALOGUE = [
     ),
     Mutant(
         "dsp-mean-floored", "synth.py",
-        "        dsp = round(sum(distinct) / len(distinct))\n",
-        "        dsp = sum(distinct) // len(distinct)\n",
+        "            dsp[design] = counts, round(sum(distinct) / len(distinct))\n",
+        "            dsp[design] = counts, sum(distinct) // len(distinct)\n",
         "the DSP count away from an anchor is the rounded mean of the distinct counts",
     ),
     Mutant(
@@ -389,6 +401,44 @@ CATALOGUE = [
         "        if True:\n",
         "a latency bridges another Fl only where its slope lies on PER_FEATURE_SLOPES",
     ),
+    # -- the calibration set's column check, and its per-record fallback
+    Mutant(
+        "column-count-accepts-bool", "synth.py",
+        "        if set(map(type, cells)) == {int} and least <= min(cells)",
+        "        if set(map(type, cells)) <= {int, bool} and least <= min(cells)",
+        "True is equal to 1, but a count is an int, and the per-record check refuses a bool",
+    ),
+    Mutant(
+        "column-amount-accepts-nan", "synth.py",
+        "0 <= min(cells) and sum(cells) < math.inf",
+        "0 <= min(cells) and max(cells) < math.inf",
+        "min and max skip a nan that is neither first nor alone; a sum of the column is nan",
+    ),
+    Mutant(
+        "column-mixed-types-keyed-by-value", "synth.py",
+        "        if len(set(map(type, cells))) != 1:\n            return None\n",
+        "",
+        "1.0 and True are one value: a column holding both would check only the first"
+        " and give the bool the float's result",
+    ),
+    Mutant(
+        "column-identity-unchecked", "synth.py",
+        "        if None in columns or len(set(zip(*columns[:identity]))) != len(rows):\n",
+        "        if None in columns:\n",
+        "two records that share an identity are one record, or a conflict to name",
+    ),
+    Mutant(
+        "column-respelling-dropped", "synth.py",
+        "        if any(map(is_not, columns, cells)):  # a cell respelled\n",
+        "        if False:\n",
+        "a directive is kept as its DirectiveConfig name, a clock rounded to 0.01 MHz",
+    ),
+    Mutant(
+        "column-fallback-skipped", "synth.py",
+        "            by_kind = _by_record(self.records)\n",
+        "            by_kind = {t: [r for r in self.records if type(r) is t] for t in _KIND}\n",
+        "a set the column check refuses keeps its records unchecked",
+    ),
     Mutant(
         "explore-fl-skip-dropped", "synth.py",
         "        if feature_count != fit.feature_count or fit.slope is None and",
@@ -415,22 +465,39 @@ def _apply(dest: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def run(mutant: Mutant) -> tuple[bool, float]:
-    """Whether tier-1 kills the mutant, and the seconds it took."""
+def _pytest(command: list[str], dest: Path) -> tuple[bool, float]:
+    """Whether the command fails in the mutant copy, and the seconds it took."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=dest, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return proc.returncode != 0, time.perf_counter() - start
+
+
+def run(mutant: Mutant, full: bool = False) -> tuple[bool, str, float]:
+    """Whether the mutant is killed, by which run, and the seconds the runs took.
+
+    Its test modules run first, unless full; tier-1 runs when they do not kill it.
+    """
     with tempfile.TemporaryDirectory(prefix="svmsoc-mutant-") as tmp:
         dest = Path(tmp)
         _copy(dest)
         _apply(dest, mutant)
-        env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
-        start = time.perf_counter()
-        proc = subprocess.run(TIER1, cwd=dest, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL)
-        return proc.returncode != 0, time.perf_counter() - start
+        seconds = 0.0
+        if not full:
+            killed, seconds = _pytest([*PYTEST, *(f"tests/{m}" for m in mutant.modules)], dest)
+            if killed:
+                return True, " ".join(mutant.modules), seconds
+        killed, more = _pytest(TIER1, dest)
+        return killed, "tier-1", seconds + more
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="entries to run (default: all)")
+    parser.add_argument("--file", help="run the entries on this file under src/svmsoc")
+    parser.add_argument("--full", action="store_true",
+                        help="run tier-1 alone for each entry, not its test modules first")
     parser.add_argument("--list", action="store_true", help="list the entries and exit")
     args = parser.parse_args(argv)
     known = {m.name: m for m in CATALOGUE}
@@ -442,13 +509,16 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown entries: {', '.join(unknown)}")
     chosen = [known[n] for n in args.names] or CATALOGUE
+    if args.file:
+        chosen = [m for m in chosen if m.file == args.file]
     bad = 0
-    print(f"{'entry':34} {'result':22} {'seconds':>7}")
+    start = time.perf_counter()
+    print(f"{'entry':34} {'result':22} {'killed by':16} {'seconds':>7}")
     for mutant in chosen:
         try:
-            killed, seconds = run(mutant)
+            killed, by, seconds = run(mutant, args.full)
         except LookupError as exc:
-            print(f"{mutant.name:34} {'stale':22} {'-':>7}  {exc}")
+            print(f"{mutant.name:34} {'stale':22} {'-':16} {'-':>7}  {exc}")
             bad += 1
             continue
         result = "killed" if killed else "survived"
@@ -457,7 +527,9 @@ def main(argv=None) -> int:
             result += "!" if killed else ""
         if mutant.equivalent:
             result += " (equivalent)"
-        print(f"{mutant.name:34} {result:22} {seconds:7.1f}", flush=True)
+        by = by if killed else "-"
+        print(f"{mutant.name:34} {result:22} {by:16} {seconds:7.1f}", flush=True)
+    print(f"{len(chosen)} entries in {time.perf_counter() - start:.0f} s")
     return 1 if bad else 0
 
 

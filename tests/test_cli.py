@@ -725,6 +725,19 @@ class TestFitAndCalibrationFlag:
         assert code == 2
         assert err == "error: calibration file is malformed: 'synth' must be a list of records\n"
 
+    def test_calibration_kind_named_twice(self, capsys, tmp_path):
+        # json keeps the last "synth": the two 100 MHz anchors would vanish unsaid
+        (tmp_path / "a.csv").write_text(anchors_csv_text())
+        _, out, _ = run(capsys, "fit", str(tmp_path / "a.csv"))
+        text = out.rstrip().removesuffix("}") + ', "synth": []}'
+        (tmp_path / "cal.json").write_text(text)
+        code, out, err = run(
+            capsys, "synth", "248", "27", "pipeline-inner", "100",
+            "--calibration", str(tmp_path / "cal.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: calibration file is malformed: key 'synth' appears twice\n"
+
     def test_unknown_calibration_kind(self, capsys, tmp_path):
         (tmp_path / "a.csv").write_text(anchors_csv_text())
         _, out, _ = run(capsys, "fit", str(tmp_path / "a.csv"))

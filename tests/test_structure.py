@@ -6,7 +6,8 @@ models import numpy only where a least-squares fit needs it, and every
 module parses on the oldest Python that pyproject.toml admits.  Each
 fact is defined once: the package exports exactly its modules' __all__
 lists, and one function spells a clock pairing.  Every entry of the
-mutation catalogue (tests/mutants.py) still finds the text it replaces.
+mutation catalogue (tests/mutants.py) still finds the text it replaces, and
+names test modules that exist.
 """
 
 import ast
@@ -238,3 +239,10 @@ def test_one_function_spells_a_clock_pairing():
 def test_every_catalogue_entry_finds_its_text_once(mutant):
     # a refactor that moves or deletes the text strands the entry
     assert (PACKAGE / mutant.file).read_text().count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", mutants.CATALOGUE, ids=lambda m: m.name)
+def test_every_catalogue_entry_names_test_modules_that_exist(mutant):
+    # a stale or misspelt module would send every run of the entry to tier-1
+    tests = Path(mutants.__file__).parent
+    assert all((tests / module).is_file() for module in mutant.modules)

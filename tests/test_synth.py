@@ -50,6 +50,7 @@ from svmsoc.synth import (
     _parse_directive,
 )
 
+import ref_calibration_set
 import ref_estimates
 import ref_load_calibration
 
@@ -1022,6 +1023,13 @@ CSV_CELL_FAULTS = {
 }
 
 
+ROWS_248_346_61 = tuple(
+    json.dumps(list(r._replace(bram=float(r.bram))))
+    for r in SHIPPED_ANCHORS
+    if r.directive == "pipeline-inner"
+)
+
+
 class TestCalibrationPersistence:
     def test_save_load_round_trip_is_byte_stable(self):
         cal = default_calibration()
@@ -1121,6 +1129,21 @@ class TestCalibrationPersistence:
         doc["latency"] = []
         with pytest.raises(CalibrationError, match="unknown record kind 'latency'"):
             load_calibration(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # json.loads keeps the last of the two: the file read as the 61 row alone
+            ('{"version": 2, "synth": [%s, %s], "synth": [%s]}' % ROWS_248_346_61, "synth"),
+            ('{"version": 2, "synth": [%s], "version": 2}' % ROWS_248_346_61[0], "version"),
+            ('{"version": 2, "synth": [[{"a": 1, "a": 2}]]}', "a"),
+        ],
+        ids=["kind", "version", "in-a-cell"],
+    )
+    def test_rejects_a_key_named_twice(self, text, key):
+        with pytest.raises(CalibrationError) as exc:
+            load_calibration(text)
+        assert str(exc.value) == f"calibration file is malformed: key {key!r} appears twice"
 
     @pytest.mark.parametrize(
         "kind, edit",
@@ -1531,6 +1554,76 @@ class TestRecordCheck:
             return
         assert _round_trips(cal)
         assert cal == fit_calibration(records)
+
+
+ROW_346 = ROW._replace(sv_count=346, latency_cycles=19626, bram=35.0, ff=1258, lut=2465)
+COSIM = CosimRecord(61, 27, "pipeline-inner", 250.0, 250.0, 3693)
+POWER = PowerRecord(248, "pipeline-inner", "model1", 1, 1.756)
+NAN = float("nan")
+# A few records of each kind, so that a drawn record often repeats another's identity
+RECORD_POOL = [ROW, ROW_346, ARM, ARM._replace(sv_count=248), COSIM, POWER,
+               POWER._replace(design_id=2, directive="unroll-most")]
+CELL_VALUES = [1, 1.0, True, False, 0, -1, 2**53 + 1, "1", " 248 ", "17", NAN, float("inf"),
+               -0.0, 0.0, 0.5, 100.0, 250.0, 666.666, 100.004, "Pipeline_Inner", "Cyclic_16",
+               "pipeline-inner", "M1", "model1", None, [1], [], {"a": 1}]
+
+
+def _set_outcome(build, records):
+    """The records of the set built, in repr (which tells 1 from 1.0 and True, and
+    -0.0 from 0.0), or the error raised."""
+    try:
+        return repr(build(tuple(records)).records)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+class TestColumnCheck:
+    """A CalibrationSet checks its records a column at a time, and refuses or
+    keeps exactly what the record-by-record check did (tests/ref_calibration_set.py)."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(RECORD_POOL),
+                st.lists(st.tuples(st.integers(0, 8), st.sampled_from(CELL_VALUES)), max_size=2),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    # a nan amount behind a finite one: min and max are both finite
+    @example([(ROW, []), (ROW_346, [(5, NAN)])])
+    # 1.0 and True are one value, but a bool is no clock
+    @example([(ROW, [(3, 1.0)]), (ROW_346, [(3, True)])])
+    @example([(ROW, [(0, True)]), (ARM, [(5, True)])])
+    # a conflict after a faulty cell, kinds interleaved
+    @example([(ROW, []), (ARM, []), (ROW_346, [(7, "x")]), (ROW, [(8, 1)]), (POWER, [])])
+    # unhashable cells, respellings and cells of mixed types in one column
+    @example([(ROW, [(2, [1])]), (ROW_346, [(2, "Pipeline_Inner")])])
+    @example([(ROW, [(3, 100)]), (ROW_346, [(3, 100.004)]), (COSIM, [(4, 666.666)])])
+    @example([(POWER, [(2, -0.0)]), (POWER, [(2, 0.0), (3, 2)])])
+    @example([(ROW, [(0, " 248 ")]), (ROW, [])])
+    @settings(max_examples=600, deadline=None)
+    def test_outcome_matches_the_record_by_record_check(self, edits):
+        records = []
+        for rec, cells in edits:
+            values = list(rec)
+            for column, value in cells:
+                values[column % len(values)] = value
+            records.append(type(rec)(*values))
+        new = _set_outcome(CalibrationSet, records)
+        assert new == _set_outcome(ref_calibration_set.calibration_set, records)
+
+    @pytest.mark.parametrize("value", [None, tuple(ROW), "x"], ids=repr)
+    def test_a_value_that_is_not_a_record_is_named_in_record_order(self, value):
+        records = (ROW, ROW_346._replace(bram=-1.0), value)
+        assert _set_outcome(CalibrationSet, records) == (
+            ValueError, "synth bram: -1.0 is not a finite non-negative number"
+        )
+        records = (ROW, value, ROW_346._replace(bram=-1.0))
+        assert _set_outcome(CalibrationSet, records) == (
+            ValueError, f"a {type(value).__name__} is not a calibration record"
+        )
 
 
 def _mutate(doc: dict, mutation) -> None:
