@@ -19,24 +19,17 @@ calibration file or a caller: a CalibrationSet runs it on every record it
 is built from, then derives the estimators' fits from its records.  The
 built-in calibration is the fit of SHIPPED_RECORDS and a calibration file
 stores the records themselves, so every calibration is fitted by the same
-code.  The set checks each kind's records a column at a time: a column of
-counts or amounts passes when every cell has the exact type and the column's
-min and max lie in range, a column of directives, clocks or model ids is
-checked once per distinct cell.  When a column may fail, or two records
-share an identity, the set checks its records one at a time instead, which
-gives the same records or names the first fault in record order.
+code.  The set transposes each kind's records once and checks, groups and
+fits those columns; when a column may fail, or two records share an
+identity, it checks its records one at a time instead, which gives the same
+records or names the first fault in record order.
 
-Each group of records has one Fit in S, whose columns are the measured
-quantities: latency, BRAM, FF and LUT of a (directive, regime) group,
-plain and optimized processor cycles of a clock pairing.  An estimator
-reads the columns it needs in one lookup.  At a measured S a column
-returns the measured value exactly.  A single anchor carries no
-S-dependence, so scaling it to another S is refused; two anchors give the
-exact affine through both, three or more a least-squares line.  Every
-estimate carries a validity tag saying whether it hit an anchor exactly,
-interpolated between anchors, or extrapolated beyond them.  DSP use is
-constant in S: the measured count at an anchor, the mean of the group's
-distinct counts elsewhere.
+Each group of records has one Fit in S of its measured quantities (see
+Fit), from which an estimator reads the columns it needs in one lookup.
+Every estimate carries a validity tag saying whether it hit an anchor
+exactly, interpolated between anchors, or extrapolated beyond them.  DSP
+use is constant in S: the measured count at an anchor, the mean of the
+group's distinct counts elsewhere.
 
 Latency for the two directives whose inner loop runs Fl+1 iterations per
 support vector (the streamed arrays carry one spare slot) decomposes as
@@ -55,7 +48,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from operator import is_not, le, mul, sub, truediv
+from operator import is_not
 from typing import NamedTuple, Sequence, Union
 
 from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign, cut, quote
@@ -238,7 +231,9 @@ def _parse_directive(token: str) -> DirectiveConfig:
 
 
 def _directive_token(directive) -> str:
-    """A directive's DirectiveConfig name."""
+    """A directive's DirectiveConfig name; a name without a factor is its own."""
+    if type(directive) is str and _DIRECTIVES.get(directive) is False:
+        return directive
     if isinstance(directive, DirectiveConfig):
         return directive.name
     return _parse_directive(str(directive)).name
@@ -355,12 +350,8 @@ def _model_id(model_id) -> str:
 # kind -> (record type, one check per column, how many leading columns
 # identify a record; two records that agree there must agree everywhere)
 _SCHEMA = {
-    "synth": (
-        AnchorRow,
-        (_count, _count, _directive_token, _clock, _measure, _amount, _measure,
-         _measure, _measure),
-        4,
-    ),
+    "synth": (AnchorRow, (_count, _count, _directive_token, _clock, _measure, _amount, _measure,
+                          _measure, _measure), 4),
     "arm": (ArmRecord, (_count, _count, _clock, _clock, _clock, _measure, _measure), 4),
     "cosim": (CosimRecord, (_count, _count, _directive_token, _clock, _clock, _count), 5),
     "power": (PowerRecord, (_count, _directive_token, _model_id, _count, _amount), 2),
@@ -425,10 +416,11 @@ def _distinct_column(check):
     def column(cells: tuple):
         if len(set(map(type, cells))) != 1:
             return None
-        checked = {cell: check(cell) for cell in set(cells)}
-        if all(type(new) is type(cell) and new == cell for cell, new in checked.items()):
+        distinct = list(set(cells))
+        checked = list(map(check, distinct))
+        if checked == distinct and type(checked[0]) is type(cells[0]):  # a check returns one type
             return cells  # already in checked form
-        return list(map(checked.__getitem__, cells))
+        return list(map(dict(zip(distinct, checked)).__getitem__, cells))
 
     return column
 
@@ -446,7 +438,7 @@ _COLUMN_CHECKS = {
 
 
 def _by_column(records) -> dict | None:
-    """Each kind's checked records, checked a column at a time.
+    """Each kind's checked records and their columns, checked a column at a time.
 
     None when a value is not a record, a cell may fail its check or two
     records share an identity: _by_record then keeps one of two identical
@@ -460,6 +452,7 @@ def _by_column(records) -> dict | None:
         rows.append(rec)
     for row_type, rows in by_kind.items():
         if not rows:
+            by_kind[row_type] = rows, []
             continue
         _, checks, identity = _SCHEMA[_KIND[row_type]]
         if set(map(len, rows)) != {len(checks)}:  # a tuple made past its type's constructor
@@ -472,12 +465,13 @@ def _by_column(records) -> dict | None:
         if None in columns or len(set(zip(*columns[:identity]))) != len(rows):
             return None
         if any(map(is_not, columns, cells)):  # a cell respelled
-            by_kind[row_type] = list(map(row_type._make, zip(*columns)))
+            rows = list(map(row_type._make, zip(*columns)))
+        by_kind[row_type] = rows, columns
     return by_kind
 
 
 def _by_record(records) -> dict:
-    """Each kind's checked records, each once, checked record by record.
+    """Each kind's checked records, each once, and their columns, checked record by record.
 
     Every cell is checked before any conflict, so the first faulty cell in
     record order is named, or else the first conflicting record.
@@ -493,7 +487,7 @@ def _by_record(records) -> dict:
             by_kind[type(rec)].append(rec)
         elif prev != rec:
             raise ValueError(f"conflicting {kind} records {_cells(prev)} and {_cells(rec)}")
-    return by_kind
+    return {row_type: (rows, list(zip(*rows))) for row_type, rows in by_kind.items()}
 
 
 # Vendor-tool synthesis results for the shipped classifier sizes.
@@ -501,39 +495,39 @@ SHIPPED_ANCHORS: tuple[AnchorRow, ...] = tuple(
     AnchorRow(*row)
     for row in [
         # S=248, Fl=27, 100 MHz
-        (248, 27, "interface-only", 100.0, 82460, 17, 5, 1265, 2417),
-        (248, 27, "resource-bram", 100.0, 82460, 19, 5, 1137, 2376),
-        (248, 27, "resource-lut", 100.0, 82460, 0, 5, 1393, 6015),
-        (248, 27, "pipeline-inner", 100.0, 14138, 19, 5, 1251, 2477),
-        (248, 27, "pipeline-most", 100.0, 14129, 19, 10, 2622, 3999),
-        (248, 27, "pipeline-all", 100.0, 14129, 30, 58, 5460, 9516),
-        (248, 27, "unroll-inner", 100.0, 9876, 28, 135, 13080, 28039),
-        (248, 27, "unroll-most", 100.0, 8366, 29, 135, 13226, 49625),
-        (248, 27, "unroll-partial-2", 100.0, 78959, 19, 5, 1266, 2645),
-        (248, 27, "partition-cyclic-2", 100.0, 13858, 22, 10, 2105, 3454),
-        (248, 27, "partition-cyclic-8", 100.0, 13827, 17, 10, 6925, 10103),
-        (248, 27, "partition-cyclic-16", 100.0, 9336, 16, 20, 11113, 12835),
-        (248, 27, "partition-block-2", 100.0, 42217, 22, 7, 10916, 12821),
-        (248, 27, "partition-complete", 100.0, 23512, 27, 5, 23056, 10218),
+        (248, 27, "interface-only", 100.0, 82460, 17.0, 5, 1265, 2417),
+        (248, 27, "resource-bram", 100.0, 82460, 19.0, 5, 1137, 2376),
+        (248, 27, "resource-lut", 100.0, 82460, 0.0, 5, 1393, 6015),
+        (248, 27, "pipeline-inner", 100.0, 14138, 19.0, 5, 1251, 2477),
+        (248, 27, "pipeline-most", 100.0, 14129, 19.0, 10, 2622, 3999),
+        (248, 27, "pipeline-all", 100.0, 14129, 30.0, 58, 5460, 9516),
+        (248, 27, "unroll-inner", 100.0, 9876, 28.0, 135, 13080, 28039),
+        (248, 27, "unroll-most", 100.0, 8366, 29.0, 135, 13226, 49625),
+        (248, 27, "unroll-partial-2", 100.0, 78959, 19.0, 5, 1266, 2645),
+        (248, 27, "partition-cyclic-2", 100.0, 13858, 22.0, 10, 2105, 3454),
+        (248, 27, "partition-cyclic-8", 100.0, 13827, 17.0, 10, 6925, 10103),
+        (248, 27, "partition-cyclic-16", 100.0, 9336, 16.0, 20, 11113, 12835),
+        (248, 27, "partition-block-2", 100.0, 42217, 22.0, 7, 10916, 12821),
+        (248, 27, "partition-complete", 100.0, 23512, 27.0, 5, 23056, 10218),
         # S=346, Fl=27, 100 MHz
-        (346, 27, "interface-only", 100.0, 114898, 33, 5, 1271, 2429),
-        (346, 27, "pipeline-inner", 100.0, 19626, 35, 5, 1258, 2465),
-        (346, 27, "pipeline-most", 100.0, 19617, 35, 10, 2629, 4048),
-        (346, 27, "pipeline-all", 100.0, 19617, 30, 58, 5467, 9550),
-        (346, 27, "unroll-inner", 100.0, 13698, 28, 135, 13919, 29975),
-        (346, 27, "unroll-most", 100.0, 11600, 29, 135, 13793, 63328),
-        (346, 27, "partition-block-2", 100.0, 59125, 38, 7, 11004, 12921),
-        (346, 27, "partition-cyclic-2", 100.0, 19248, 38, 10, 2117, 3503),
-        (346, 27, "partition-cyclic-8", 100.0, 19215, 40, 10, 6490, 10027),
-        (346, 27, "partition-cyclic-16", 100.0, 12960, 28, 20, 11123, 12938),
-        (346, 27, "partition-complete", 100.0, 32724, 27, 5, 29334, 11276),
+        (346, 27, "interface-only", 100.0, 114898, 33.0, 5, 1271, 2429),
+        (346, 27, "pipeline-inner", 100.0, 19626, 35.0, 5, 1258, 2465),
+        (346, 27, "pipeline-most", 100.0, 19617, 35.0, 10, 2629, 4048),
+        (346, 27, "pipeline-all", 100.0, 19617, 30.0, 58, 5467, 9550),
+        (346, 27, "unroll-inner", 100.0, 13698, 28.0, 135, 13919, 29975),
+        (346, 27, "unroll-most", 100.0, 11600, 29.0, 135, 13793, 63328),
+        (346, 27, "partition-block-2", 100.0, 59125, 38.0, 7, 11004, 12921),
+        (346, 27, "partition-cyclic-2", 100.0, 19248, 38.0, 10, 2117, 3503),
+        (346, 27, "partition-cyclic-8", 100.0, 19215, 40.0, 10, 6490, 10027),
+        (346, 27, "partition-cyclic-16", 100.0, 12960, 28.0, 20, 11123, 12938),
+        (346, 27, "partition-complete", 100.0, 32724, 27.0, 5, 29334, 11276),
         # S=61, Fl=27, 250 MHz
-        (61, 27, "interface-only", 250.0, 40885, 5, 5, 1656, 2548),
-        (61, 27, "pipeline-inner", 250.0, 3830, 7, 5, 1666, 2511),
-        (61, 27, "pipeline-all", 250.0, 3822, 30, 105, 13854, 16195),
-        (61, 27, "unroll-inner", 250.0, 3343, 29, 135, 20626, 26393),
-        (61, 27, "unroll-most", 250.0, 2653, 27, 135, 19429, 45233),
-        (61, 27, "partition-cyclic-16", 250.0, 4483, 27, 19, 15447, 16498),
+        (61, 27, "interface-only", 250.0, 40885, 5.0, 5, 1656, 2548),
+        (61, 27, "pipeline-inner", 250.0, 3830, 7.0, 5, 1666, 2511),
+        (61, 27, "pipeline-all", 250.0, 3822, 30.0, 105, 13854, 16195),
+        (61, 27, "unroll-inner", 250.0, 3343, 29.0, 135, 20626, 26393),
+        (61, 27, "unroll-most", 250.0, 2653, 27.0, 135, 19429, 45233),
+        (61, 27, "partition-cyclic-16", 250.0, 4483, 27.0, 19, 15447, 16498),
     ]
 )
 
@@ -577,38 +571,39 @@ class Fit:
     """The fitted columns of one calibration group, as functions of S.
 
     group is a (directive, regime MHz) or an (FPGA MHz, ARM MHz) key and
-    columns names its fitted columns.  They share feature_count, the Fl they
-    were measured at, and points, which maps each measured S to the tuple of
-    column values there.  slope and intercept hold one entry per column, or
-    are None for a single anchor, which pins the values.  Two anchors give
-    the exact affine through both, evaluated through the anchors so
-    interpolation carries no slope round-off: rise holds each column's
-    difference between them, and is None otherwise.  Three or more anchors
-    give the least-squares line.  A line that is not finite is refused with
-    ValueError.
+    columns names its fitted columns: latency, BRAM, FF and LUT, or plain and
+    optimized processor cycles.  They share feature_count, the Fl they were
+    measured at, and points, the dict that maps each measured S to the tuple
+    of column values there, which returns them exactly.  slope and intercept
+    hold one entry per column, or are None for a single anchor: scaling it to
+    another S is refused.  Two anchors give the exact affine through both,
+    evaluated through the anchors so interpolation carries no slope round-off
+    (rise holds each column's difference between them, else None); three or
+    more the least-squares line.  A line that is not finite raises ValueError.
     """
 
     __slots__ = (
         "feature_count", "points", "lo", "hi", "slope", "intercept", "rise", "group", "columns"
     )
 
-    def __init__(self, feature_count: int, points: Sequence[tuple[int, tuple]], group, columns):
-        pts = sorted(points)
-        self.feature_count, self.group, self.columns = feature_count, group, columns
-        self.points = dict(pts)
-        self.lo, self.hi = pts[0][0], pts[-1][0]
+    def __init__(self, feature_count: int, points: dict[int, tuple], group, columns):
+        self.feature_count, self.points, self.group = feature_count, points, group
+        self.columns = columns
+        lo, hi = self.lo, self.hi = min(points), max(points)
         self.slope = self.intercept = self.rise = None
-        if len(pts) == 2:  # every column in one pass
-            (s1, v1), (s2, v2) = pts
-            self.rise = tuple(map(sub, v2, v1))
-            self.slope = tuple(map(truediv, self.rise, repeat(s2 - s1)))
-            self.intercept = tuple(map(sub, v1, map(mul, self.slope, repeat(s1))))
-            if not all(map(math.isfinite, self.intercept)):  # as it is where a slope is not
-                column = next(i for i, b in enumerate(self.intercept) if not math.isfinite(b))
+        if len(points) == 2:  # every column in one loop (no comprehension: each is a call)
+            span, rise, slope, intercept = hi - lo, [], [], []
+            for v1, v2 in zip(points[lo], points[hi]):
+                rise.append(v2 - v1)
+                slope.append(rise[-1] / span)
+                intercept.append(v1 - slope[-1] * lo)
+            self.rise, self.slope, self.intercept = tuple(rise), tuple(slope), tuple(intercept)
+            if not all(map(math.isfinite, intercept)):  # as it is where a slope is not
+                column = next(i for i, b in enumerate(intercept) if not math.isfinite(b))
                 raise _not_finite(self, column)
-        elif len(pts) > 2:
-            lines = map(_line, repeat(pts), range(len(columns)), repeat(self))
-            self.slope, self.intercept = zip(*lines)
+        elif len(points) > 2:
+            pts = sorted(points.items())
+            self.slope, self.intercept = zip(*[_line(pts, i, self) for i in range(len(columns))])
 
     def what(self, column: int) -> str:
         """The label every message gives a column: latency for pipeline-inner at 100 MHz."""
@@ -697,26 +692,25 @@ class CalibrationSet:
     """A table of measured records, and what the estimators read from it.
 
     records is the table, each record once, grouped by kind; two sets are
-    equal when their records are.  The rest derives from the records when
-    the set is built.  fits maps each (directive, regime MHz) group of synth
-    records and each (FPGA MHz, ARM MHz) pairing of arm records to the one
-    Fit of all its fitted columns.  dsp holds, for each (directive, regime)
-    synthesis group, its DSP count by S and its count elsewhere: the rounded
-    mean of its distinct counts.  arm holds the timer MHz of each
-    calibrated clock pairing, cosim_cycles the cycle count by (S, Fl,
-    directive, (FPGA MHz, ARM MHz)) and power the watts by (S, directive).
-    Every cell is checked and normalised as the loaders do (a directive
-    respelled as its DirectiveConfig name, a clock rounded to 0.01 MHz); a
-    value that is not a record, a faulty cell, a conflicting record or a
-    fit that is not finite raises ValueError.  Each kind's records are
-    checked a column at a time; when a column may fail, or a record repeats
-    another's identity, they are checked record by record, which names the
-    first fault in record order.
+    equal when their records are.  The rest derives from them when the set
+    is built.  fits maps each (directive, regime MHz) group of synth records
+    and each (FPGA MHz, ARM MHz) pairing of arm records to the one Fit of
+    all its fitted columns.  dsp holds, for each (directive, regime) group,
+    its DSP count by S and elsewhere the rounded mean of its distinct counts;
+    regimes, for each regime, the (name, DirectiveConfig, Fit, dsp entry) of
+    each directive calibrated there, which explore goes through.  arm holds
+    the timer MHz of each calibrated clock pairing, cosim_cycles the cycle
+    count by (S, Fl, directive, (FPGA MHz, ARM MHz)) and power the watts by
+    (S, directive).  Every cell is checked and normalised as the loaders do
+    (a directive respelled as its DirectiveConfig name, a clock rounded to
+    0.01 MHz); a non-record, a faulty cell, a conflicting record or a fit
+    that is not finite raises ValueError.
     """
 
     records: tuple[Record, ...]
     fits: dict[tuple, Fit] = field(init=False, repr=False, compare=False)
     dsp: dict[tuple, tuple[dict[int, int], int]] = field(init=False, repr=False, compare=False)
+    regimes: dict[float, list[tuple]] = field(init=False, repr=False, compare=False)
     arm: dict[tuple, float] = field(init=False, repr=False, compare=False)
     cosim_cycles: dict[tuple, int] = field(init=False, repr=False, compare=False)
     power: dict[tuple, float] = field(init=False, repr=False, compare=False)
@@ -726,35 +720,33 @@ class CalibrationSet:
         if by_kind is None:
             by_kind = _by_record(self.records)
         cosim_cycles, power, designs = {}, {}, set()
-        for rec in by_kind[CosimRecord]:
+        for rec in by_kind[CosimRecord][0]:
             key = (rec.sv_count, rec.feature_count, rec.directive, (rec.fpga_mhz, rec.arm_mhz))
             cosim_cycles[key] = rec.cycles
-        for rec in by_kind[PowerRecord]:
+        for rec in by_kind[PowerRecord][0]:
             design = (rec.model_id, rec.design_id)
             if design in designs:
                 raise ValueError(f"conflicting power records for {_cells(design)}")
             designs.add(design)
             power[(rec.sv_count, rec.directive)] = rec.watts
 
-        fits, dsp, timers = {}, {}, {}
-        synth = _groups(by_kind[AnchorRow], _SYNTH_COLUMNS, "dsp")
-        for design, (points, fls, counts) in synth.items():
+        fits, dsp, regimes, timers = {}, {}, {}, {}
+        for design, (fls, points, counts) in _groups(by_kind, AnchorRow, _SYNTH_COLUMNS, "dsp"):
             fl = _one(fls, "feature_count", design, _design_label)
-            fits[design] = Fit(fl, points, design, _SYNTH_COLUMNS)
+            fit = fits[design] = Fit(fl, points, design, _SYNTH_COLUMNS)
             distinct = set(counts.values())
             dsp[design] = counts, round(sum(distinct) / len(distinct))
-        arm = _groups(by_kind[ArmRecord], _ARM_COLUMNS, "timer_mhz")
-        for pairing, (points, fls, timer) in arm.items():
+            row = design[0], _parse_directive(design[0]), fit, dsp[design]
+            regimes.setdefault(design[1], []).append(row)
+        for pairing, (fls, points, timer) in _groups(by_kind, ArmRecord, _ARM_COLUMNS, "timer_mhz"):
             fl = _one(fls, "feature_count", pairing, format_pairing)
             fits[pairing] = Fit(fl, points, pairing, _ARM_COLUMNS)
             timers[pairing] = _one(set(timer.values()), "timer_mhz", pairing, format_pairing)
-        records = tuple(rec for rows in by_kind.values() for rec in rows)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "fits", fits)
-        object.__setattr__(self, "dsp", dsp)
-        object.__setattr__(self, "arm", timers)
-        object.__setattr__(self, "cosim_cycles", cosim_cycles)
-        object.__setattr__(self, "power", power)
+        records = tuple(rec for rows, _ in by_kind.values() for rec in rows)
+        derived = {"records": records, "fits": fits, "dsp": dsp, "regimes": regimes,
+                   "arm": timers, "cosim_cycles": cosim_cycles, "power": power}
+        for name, value in derived.items():  # not through __dict__: that slows every read
+            object.__setattr__(self, name, value)
 
 
 def _cells(cells: tuple) -> tuple:
@@ -762,27 +754,23 @@ def _cells(cells: tuple) -> tuple:
     return tuple(cut(c) if isinstance(c, str) else c for c in cells)
 
 
-def _groups(rows: list, columns: tuple[str, ...], by_s: str) -> dict[tuple, tuple]:
-    """Each group of records, in first-seen order, as its Fit's points, its set of
-    feature counts and its column by_s by S.
-
-    A group is a record's third and fourth cells: the (directive, regime MHz)
-    of a synth record, the (FPGA MHz, ARM MHz) of an arm record.  A point is
-    an S and its values of the fitted columns, as floats.
-    """
+def _groups(by_kind: dict, row_type, fitted: tuple[str, ...], by_s: str):
+    """Each group (third and fourth cells) of a kind's checked columns, in first-seen
+    order: its feature counts, its Fit's points (fitted columns as floats) by S and
+    its column by_s by S."""
     groups: dict[tuple, tuple] = {}
-    if not rows:
-        return groups
-    cells = dict(zip(rows[0]._fields, zip(*rows)))
-    values = zip(*[map(float, cells[column]) for column in columns])
-    for rec, point, value in zip(rows, zip(cells["sv_count"], values), cells[by_s]):
-        group = groups.get(rec[2:4])
-        if group is None:
-            group = groups[rec[2:4]] = [], set(), {}
-        group[0].append(point)
-        group[1].add(rec.feature_count)
-        group[2][point[0]] = value
-    return groups
+    columns = by_kind[row_type][1]
+    if columns:
+        cells = dict(zip(row_type._fields, columns))
+        values = zip(*[map(float, cells[name]) for name in fitted])
+        for group, s, f, value, cell in zip(zip(*columns[2:4]), *columns[:2], values, cells[by_s]):
+            found = groups.get(group)
+            if found is None:
+                found = groups[group] = set(), {}, {}
+            found[0].add(f)
+            found[1][s] = value
+            found[2][s] = cell
+    return groups.items()
 
 
 def _one(values: set, column: str, group: tuple, label):
@@ -868,10 +856,9 @@ def estimate_latency(
 ) -> SynthesisEstimate:
     """Predict classifier latency in clock cycles for one directive.
 
-    At a calibrated anchor the measured value comes back exactly; between
-    anchors the affine fit applies; a feature count other than the
-    calibrated one works only for directives with a per-feature slope
-    decomposition and is always tagged extrapolated.
+    At a calibrated anchor the measured value comes back exactly, elsewhere
+    the fit's; another feature count works only for directives with a
+    per-feature slope decomposition and is always tagged extrapolated.
     """
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
@@ -903,15 +890,19 @@ def estimate_design(
     fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
     if _bridge(fit, feature_count) is not None:  # the BRAM is the first figure to refuse
         fit.at(sv_count, feature_count, (1,))
-    return SynthesisEstimate(*_design_fields(fit, cal.dsp[design], sv_count, feature_count))
+    (latency, dsp, lut, ff, bram), tag = _design_cost(fit, cal.dsp[design], sv_count, feature_count)
+    return SynthesisEstimate(tag, latency, bram, dsp, ff, lut)
 
 
-def _design_fields(fit: Fit, dsp: tuple, sv_count, feature_count) -> tuple:
-    """A design's SynthesisEstimate fields at (S, Fl), from its Fit and CalibrationSet.dsp."""
+def _design_cost(fit: Fit, dsp: tuple, sv_count, feature_count) -> tuple:
+    """A design's (latency, DSP, LUT, FF, BRAM) at (S, Fl), fitted ones clamped at 0; validity."""
     (latency, bram, ff, lut), validity = fit.at(sv_count, feature_count, (0, 1, 2, 3))
     counts, elsewhere = dsp
-    latency, ff, lut = max(0, round(latency)), max(0, round(ff)), max(0, round(lut))
-    return validity, latency, max(0.0, bram), counts.get(sv_count, elsewhere), ff, lut
+    latency, ff, lut = round(latency), round(ff), round(lut)
+    return (
+        latency if latency > 0 else 0, counts.get(sv_count, elsewhere), lut if lut > 0 else 0,
+        ff if ff > 0 else 0, bram if bram > 0.0 else 0.0,
+    ), validity
 
 
 def clock_key(clocks) -> tuple[float, float]:
@@ -960,9 +951,7 @@ def estimate_arm_cycles(
     return max(0, int(round(value)))
 
 
-def estimate_power(
-    model_id, design_id: int, *, calibration: CalibrationSet | None = None
-) -> float:
+def estimate_power(model_id, design_id: int, *, calibration: CalibrationSet | None = None) -> float:
     """Board power draw in watts for an implemented (model, design) pair."""
     cal = calibration if calibration is not None else default_calibration()
     key = (_model_id(model_id), int(design_id))
@@ -992,50 +981,61 @@ def explore(
 ) -> list[ExploreEntry]:
     """Pareto front over (latency, DSP, LUT, FF, BRAM), all minimized.
 
-    Candidates are every directive calibrated for the regime.  Directives
-    whose calibration cannot produce a full estimate at this (S, Fl), e.g.
-    single-anchor entries at a different S or a line that is not finite
-    at S, are skipped.  Each entry carries the power draw measured for the
-    design built at this S with its directive, if any.  The front comes
-    back sorted by latency, ties broken by directive name.
+    Candidates are the directives CalibrationSet.regimes lists for the
+    regime, less those that cannot give a full estimate at (S, Fl): a single
+    anchor at another S, another Fl or a line not finite at S.  Each entry
+    carries the power measured for this S and directive, if any, and the
+    front is sorted by latency, ties broken by directive name.
     """
     cal = calibration if calibration is not None else default_calibration()
     regime = _mhz(regime_mhz)
+    rows = cal.regimes.get(regime, ())
+    if rows and not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):
+        raise ValueError("sv_count and feature_count must be integers in 1..2**53")
     candidates = []
-    for design, dsps in cal.dsp.items():
-        if design[1] != regime:
-            continue
-        fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
+    for token, config, fit, dsps in rows:
         # skip, without raising, what Fit.at refuses with FlMismatch or UnknownCalibration
         if feature_count != fit.feature_count or fit.slope is None and sv_count not in fit.points:
             continue
         try:
-            fields = _design_fields(fit, dsps, sv_count, feature_count)
+            cost, validity = _design_cost(fit, dsps, sv_count, feature_count)
         except CalibrationError:  # a column that is not finite at S
             continue
-        _, latency, bram, dsp, ff, lut = fields
-        candidates.append(((latency, dsp, lut, ff, bram), design[0], fields))
+        candidates.append((cost, token, validity, config))
     if not candidates:
         raise UnknownCalibration(
             f"no directive calibrated at {format_mhz(regime)} MHz can estimate"
             f" S={sv_count}, Fl={feature_count}"
         )
-    # A cost dominates another when it differs and is no worse anywhere, so
-    # it sorts first, and so does whatever front member dominates it in
-    # turn: in cost order, each candidate is tested against the front so far.
+    # A cost dominates another when it differs and is no worse anywhere, so it
+    # sorts first, as does any front member dominating it: in cost order, each
+    # candidate meets a front of costs no slower, so latency needs no test.
     candidates.sort()
-    front = []
-    for cost, token, fields in candidates:
-        for other, _, _ in front:
-            if other != cost and all(map(le, other, cost)):
+    front, costs = [], []
+    for candidate in candidates:
+        cost = candidate[0]
+        _, dsp, lut, ff, bram = cost
+        for o in costs:
+            if o != cost and o[1] <= dsp and o[2] <= lut and o[3] <= ff and o[4] <= bram:
                 break
         else:
-            front.append((cost, token, SynthesisEstimate(*fields)))
+            front.append(candidate)
+            costs.append(cost)
     front.sort(key=lambda c: (c[0][0], c[1]))
     return [
-        ExploreEntry(DirectiveConfig.parse(token), est, cal.power.get((sv_count, token)))
-        for _, token, est in front
+        _entry(config, cost, validity, cal.power.get((sv_count, token)))
+        for cost, token, validity, config in front
     ]
+
+
+def _entry(config: DirectiveConfig, cost: tuple, validity: str, power_w) -> ExploreEntry:
+    """A front member as the constructors make it, each field stored without a call."""
+    est, entry = object.__new__(SynthesisEstimate), object.__new__(ExploreEntry)
+    (latency, dsp, lut, ff, bram), e, d = cost, est.__dict__, entry.__dict__
+    e["validity"], e["latency_cycles"], e["bram"] = validity, latency, bram
+    e["dsp"], e["ff"], e["lut"] = dsp, ff, lut
+    d["directive"], d["estimate"], d["power_w"] = config, est, power_w
+    return entry
 
 
 # --------------------------------------------------------------------------
@@ -1118,7 +1118,7 @@ def load_calibration(text: str) -> CalibrationSet:
                 if not isinstance(rows, list):
                     raise ValueError(f"{kind!r} must be a list of records")
                 if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(checks)}:
-                    records += map(row_type._make, rows)
+                    records += map(tuple.__new__, repeat(row_type), rows)
                     continue
                 for cells in rows:  # names the first row of another shape
                     records.append(_record(kind, cells))

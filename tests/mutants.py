@@ -360,8 +360,8 @@ CATALOGUE = [
     # -- cost models and their refusal order
     Mutant(
         "explore-strict-dominance", "synth.py",
-        "other != cost and all(map(le, other, cost))",
-        "all(a < b for a, b in zip(other, cost))",
+        "o != cost and o[1] <= dsp and o[2] <= lut and o[3] <= ff and o[4] <= bram",
+        "all(a < b for a, b in zip(o, cost))",
         "a design no worse anywhere and better somewhere dominates; strictly better"
         " everywhere keeps dominated designs on the front",
     ),
@@ -436,7 +436,8 @@ CATALOGUE = [
     Mutant(
         "column-fallback-skipped", "synth.py",
         "            by_kind = _by_record(self.records)\n",
-        "            by_kind = {t: [r for r in self.records if type(r) is t] for t in _KIND}\n",
+        "            by_kind = {t: (rows, list(zip(*rows))) for t in _KIND\n"
+        "                       for rows in [[r for r in self.records if type(r) is t]]}\n",
         "a set the column check refuses keeps its records unchecked",
     ),
     Mutant(
@@ -446,6 +447,56 @@ CATALOGUE = [
         "equivalent: Fit.at then raises FlMismatch, a CalibrationError, which explore's"
         " finiteness except skips alike; the skip saves only the exception's cost",
         equivalent=True,
+    ),
+    # -- the one-pass set build, its per-regime table and the front's instances
+    Mutant(
+        "directive-factor-prefix-as-name", "synth.py",
+        "    if type(directive) is str and _DIRECTIVES.get(directive) is False:\n",
+        "    if type(directive) is str and directive in _DIRECTIVES:\n",
+        "only a name that takes no factor is its own name: a bare unroll-partial is unknown",
+    ),
+    Mutant(
+        "distinct-column-type-unchecked", "synth.py",
+        "        if checked == distinct and type(checked[0]) is type(cells[0]):",
+        "        if checked == distinct:",
+        "a clock column of ints equals its checked floats, but the set keeps clocks as floats",
+    ),
+    Mutant(
+        "groups-feature-counts-dropped", "synth.py",
+        "            found[0].add(f)\n",
+        "",
+        "each group's feature counts are collected: one Fl is fitted, two are refused",
+    ),
+    Mutant(
+        "fit-two-anchor-intercept-unchecked", "synth.py",
+        "            if not all(map(math.isfinite, intercept)):",
+        "            if False:",
+        "a two-anchor line that is not finite is refused when it is fitted",
+    ),
+    Mutant(
+        "explore-range-before-regime", "synth.py",
+        "    if rows and not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):\n",
+        "    if not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):\n",
+        "an uncalibrated regime is refused before an S or Fl out of range, as estimate_design"
+        " refuses an uncalibrated group first",
+    ),
+    Mutant(
+        "explore-other-regimes-read", "synth.py",
+        "    rows = cal.regimes.get(regime, ())\n",
+        "    rows = [row for table in cal.regimes.values() for row in table]\n",
+        "explore's candidates are the directives calibrated at the requested regime",
+    ),
+    Mutant(
+        "design-bram-unclamped", "synth.py",
+        "bram if bram > 0.0 else 0.0",
+        "bram",
+        "a BRAM line below 0 reads 0, as max(0.0, bram) did (923 candidates of the sweep)",
+    ),
+    Mutant(
+        "front-entry-fields-swapped", "synth.py",
+        '    e["dsp"], e["ff"], e["lut"] = dsp, ff, lut\n',
+        '    e["dsp"], e["ff"], e["lut"] = dsp, lut, ff\n',
+        "a front member's estimate holds each figure in its own field",
     ),
 ]
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -44,6 +45,7 @@ from svmsoc.synth import (
     ArmRecord,
     CalibrationSet,
     CosimRecord,
+    ExploreEntry,
     PowerRecord,
     SynthesisEstimate,
     _DIRECTIVES,
@@ -401,6 +403,25 @@ class TestFitCalibration:
         cal = default_calibration()
         assert len(cal.fits) == 23  # 20 (directive, regime) groups and 3 clock pairings
         assert cal.fits.keys() == cal.dsp.keys() | cal.arm.keys()
+
+    def test_each_regime_lists_its_designs(self):
+        cal = default_calibration()
+        rows = [(token, regime, *rest)
+                for regime, table in cal.regimes.items() for token, *rest in table]
+        assert [(token, regime) for token, regime, *_ in rows] == list(cal.dsp)
+        for token, regime, config, fit, dsp in rows:
+            assert config == DirectiveConfig.parse(token) and config.name == token
+            assert fit is cal.fits[token, regime] and dsp is cal.dsp[token, regime]
+
+    def test_shipped_records_take_the_column_check(self, monkeypatch):
+        def by_record(records):
+            raise AssertionError("the records were checked one at a time")
+
+        monkeypatch.setattr(synth, "_by_record", by_record)
+        cal = fit_calibration(SHIPPED_RECORDS)
+        assert cal.records == SHIPPED_RECORDS
+        assert load_calibration(save_calibration(cal)) == cal
+        assert fit_calibration(SHIPPED_ANCHORS).records == SHIPPED_ANCHORS
 
     @pytest.mark.parametrize("table", [SHIPPED_RECORDS, FITTED.records], ids=["shipped", "fitted"])
     def test_each_column_holds_its_per_column_fit(self, table):
@@ -891,6 +912,12 @@ def brute_force_front(sv_count, feature_count, regime):
     return front
 
 
+# The explore sweep of the benchmark's explore workload, at both shipped regimes,
+# and its digest (TestExplore.test_sweep_digest).
+SWEEP = [(mhz, s) for mhz in (100.0, 250.0) for s in range(1, 401)]
+SWEEP_DIGEST = "c90569e2d963890afb5ced3a00556e7f8ad398a7265cf90195b4b926b17ae39b"
+
+
 def subset_calibration(*directives):
     """The calibration fitted from the shipped synthesis runs of these directives."""
     return fit_calibration([r for r in SHIPPED_ANCHORS if r.directive in directives])
@@ -944,6 +971,70 @@ class TestExplore:
             explore(248, 27, 400)
         with pytest.raises(UnknownCalibration):
             explore(248, 30, 100)  # no resource model generalizes across Fl
+
+    def test_an_uncalibrated_regime_is_refused_before_a_size(self):
+        with pytest.raises(UnknownCalibration, match="^no directive calibrated at 400 MHz"):
+            explore(0, 27, 400)
+        with pytest.raises(ValueError, match=r"integers in 1\.\.2\*\*53$") as exc:
+            explore(0, 27, 100)
+        assert exc.type is ValueError
+
+    def test_entries_are_the_dataclasses_their_constructors_make(self):
+        for entry in explore(200, 27, 100) + explore(248, 27, 100):
+            est = entry.estimate
+            fields = [f.name for f in dataclasses.fields(SynthesisEstimate)]
+            made = ExploreEntry(entry.directive, SynthesisEstimate(**vars(est)), entry.power_w)
+            assert list(vars(est)) == fields
+            assert list(vars(entry)) == ["directive", "estimate", "power_w"]
+            assert (entry, hash(entry), repr(entry)) == (made, hash(made), repr(made))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                est.bram = 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [default_calibration, lambda: load_calibration(save_calibration(default_calibration()))],
+        ids=["built-in", "round-trip"],
+    )
+    def test_sweep_digest(self, make):
+        """Every front of the S = 1..400 sweep at both shipped regimes, refusals
+        included, hashes to the digest pinned before calibrations were built in
+        one pass over their columns: every figure's bytes, BRAM as its float hex."""
+        digest, cal = hashlib.sha256(), make()
+        for mhz, s in SWEEP:
+            try:
+                front = explore(s, 27, mhz, calibration=cal)
+            except SvmSocError as exc:
+                digest.update(repr((mhz, s, type(exc).__name__, str(exc))).encode())
+                continue
+            for e in front:
+                est = e.estimate
+                cells = (est.validity, est.latency_cycles, est.throughput_cycles,
+                         float(est.bram).hex(), est.dsp, est.ff, est.lut, e.power_w)
+                digest.update(repr((mhz, s, e.directive.name, *cells)).encode())
+        assert digest.hexdigest() == SWEEP_DIGEST
+
+    def test_clamp_counts_over_the_sweep(self):
+        """How many candidates of the sweep clamp a fitted line below 0 (ROADMAP
+        item 11), counted from Fit.at's raw values: each reads 0 BRAM."""
+        cal = default_calibration()
+        candidates = bram = latency = on_front = 0
+        for mhz, s in SWEEP:
+            try:
+                front = {e.directive.name for e in explore(s, 27, mhz)}
+            except UnknownCalibration:
+                front = set()
+            for design in (d for d in cal.dsp if d[1] == mhz):
+                try:
+                    (raw_latency, raw_bram, _, _), _ = cal.fits[design].at(s, 27, (0, 1, 2, 3))
+                except CalibrationError:  # a candidate explore skips
+                    continue
+                candidates += 1
+                if raw_bram < 0:
+                    assert estimate_design(s, 27, *design).bram == 0.0
+                    bram += 1
+                    latency += round(raw_latency) < 0
+                    on_front += design[0] in front
+        assert (candidates, bram, latency, on_front) == (4409, 923, 3, 699)
 
 
 def _default_doc() -> dict:
@@ -1053,7 +1144,7 @@ class TestCalibrationPersistence:
         assert load_calibration(save_calibration(cal)) == cal
 
     def test_derived_indices_are_declared_but_not_arguments(self):
-        derived = {"fits", "dsp", "arm", "cosim_cycles", "power"}
+        derived = {"fits", "dsp", "regimes", "arm", "cosim_cycles", "power"}
         fields = {f.name: f for f in dataclasses.fields(CalibrationSet)}
         assert set(fields) == {"records"} | derived
         assert not any(fields[name].init or fields[name].compare for name in derived)
@@ -1497,10 +1588,13 @@ class TestRecordCheck:
              "arm timer_mhz: inf is not a finite non-negative number"),
             (ROW._replace(directive="pipeline-sideways"),
              "synth directive: unknown directive 'pipeline-sideways'"),
+            (ROW._replace(directive="unroll-partial"),
+             "synth directive: unknown directive 'unroll-partial'"),
             (PowerRecord(61, "unroll-most", "models", 0, 1.7),
              "power design_id: must be an integer in 1..2**53"),
         ],
-        ids=["negative-latency", "bool-latency", "nan-bram", "inf-timer", "directive", "zero-design"],
+        ids=["negative-latency", "bool-latency", "nan-bram", "inf-timer", "directive",
+             "factorless-directive", "zero-design"],
     )
     def test_faulty_cells_are_refused_as_the_schema_names_them(self, rec, message):
         for build in (lambda: CalibrationSet((rec,)), lambda: fit_calibration([rec])):
