@@ -20,9 +20,9 @@ is built from, then derives the estimators' fits from its records.  The
 built-in calibration is the fit of SHIPPED_RECORDS and a calibration file
 stores the records themselves, so every calibration is fitted by the same
 code.  The set transposes each kind's records once and checks, groups and
-fits those columns; when a column may fail, or two records share an
-identity, it checks its records one at a time instead, which gives the same
-records or names the first fault in record order.
+fits those columns: a column not already in checked form is checked cell by
+cell, and an identical repeated record counts once.  At a fault, one walk
+over the records, which builds nothing, names the first in record order.
 
 Each group of records has one Fit in S of its measured quantities (see
 Fit), from which an estimator reads the columns it needs in one lookup.
@@ -305,22 +305,16 @@ def _integer(value, least: int) -> int:
 
 def _count(value) -> int:
     """A size, an id or a cycle count."""
-    if type(value) is int and 0 < value <= MAX_COUNT:
-        return value
     return _integer(value, 1)
 
 
 def _measure(value) -> int:
     """A measured count that may be zero."""
-    if type(value) is int and 0 <= value <= MAX_COUNT:
-        return value
     return _integer(value, 0)
 
 
 def _amount(value) -> float:
     """A finite, non-negative real such as a BRAM count or a power draw."""
-    if type(value) is float and 0 <= value < math.inf:
-        return value
     if isinstance(value, str):
         value = _converted(float, value)
     elif not isinstance(value, float):
@@ -366,22 +360,21 @@ def _schema(kind: str):
         raise ValueError(f"unknown record kind {quote(kind)}") from None
 
 
-def _record(kind: str, cells) -> Record:
-    """A kind's record from its cells (CSV text or JSON values), checked in shape only."""
-    row_type, checks, _ = _schema(kind)
+def _record(row_type, cells) -> Record:
+    """A record of cells (CSV text or JSON values), unchecked: see _checked."""
     if not isinstance(cells, (list, tuple)):
-        raise ValueError(f"{kind} record must be a list, got {type(cells).__name__}")
-    if len(cells) != len(checks):
-        raise ValueError(f"{kind} record has {len(checks)} columns, got {len(cells)}")
-    return row_type(*cells)
+        raise ValueError(f"{_KIND[row_type]} record must be a list, got {type(cells).__name__}")
+    return tuple.__new__(row_type, cells)
 
 
 def _checked(rec) -> Record:
-    """The record check: a record with each cell checked and normalised."""
+    """The record check: a record's width, then each cell checked and normalised."""
     kind = _KIND.get(type(rec))
     if kind is None:
         raise ValueError(f"a {type(rec).__name__} is not a calibration record")
     row_type, checks, _ = _SCHEMA[kind]
+    if len(rec) != len(checks):  # a tuple made past its type's constructor
+        raise ValueError(f"{kind} record has {len(checks)} columns, got {len(rec)}")
     cells: list = []
     try:
         for check, cell in zip(checks, rec):
@@ -391,103 +384,86 @@ def _checked(rec) -> Record:
     return row_type(*cells)
 
 
-def _int_column(least: int):
-    """The column check of _count (least 1) or _measure (least 0)."""
-
-    def column(cells: tuple):
-        if set(map(type, cells)) == {int} and least <= min(cells) and max(cells) <= MAX_COUNT:
-            return cells
-        return None
-
-    return column
+def _ints(least: int):
+    """Whether a column of cells is of ints in least..2**53: _count's or _measure's form."""
+    return lambda cells: (
+        set(map(type, cells)) == {int} and least <= min(cells) and max(cells) <= MAX_COUNT
+    )
 
 
-def _amount_column(cells: tuple):
+def _amounts(cells) -> bool:
     # min and max can miss a nan, which makes the sum nan
-    if set(map(type, cells)) == {float} and 0 <= min(cells) and sum(cells) < math.inf:
-        return cells
-    return None
+    return set(map(type, cells)) == {float} and 0 <= min(cells) and sum(cells) < math.inf
 
 
-def _distinct_column(check):
-    """The column check that runs check once per distinct cell, in a column of one
-    type: 1, 1.0 and True are equal values, but only the int is a count."""
+def _distinct(check, form: type):
+    """Whether a column of cells of type form is in check's form, checking each distinct
+    cell once: 1, 1.0 and True are equal values, but only the float is a clock."""
 
-    def column(cells: tuple):
-        if len(set(map(type, cells))) != 1:
-            return None
+    def whole(cells) -> bool:
+        if set(map(type, cells)) != {form}:
+            return False
         distinct = list(set(cells))
-        checked = list(map(check, distinct))
-        if checked == distinct and type(checked[0]) is type(cells[0]):  # a check returns one type
-            return cells  # already in checked form
-        return list(map(dict(zip(distinct, checked)).__getitem__, cells))
+        return list(map(check, distinct)) == distinct
 
-    return column
+    return whole
 
 
-# Each cell check's column check: a kind's column of cells checked and normalised
-# as the cell check would, or None when a cell may fail it (or raises anything).
-_COLUMN_CHECKS = {
-    _count: _int_column(1),
-    _measure: _int_column(0),
-    _amount: _amount_column,
-    _clock: _distinct_column(_clock),
-    _directive_token: _distinct_column(_directive_token),
-    _model_id: _distinct_column(_model_id),
+# Each cell check's column test: whether every cell of a column is already in the form
+# the check gives it, so the column stands whole.  It raises only where a cell check would.
+_WHOLE = {
+    _count: _ints(1),
+    _measure: _ints(0),
+    _amount: _amounts,
+    _clock: _distinct(_clock, float),
+    _directive_token: _distinct(_directive_token, str),
+    _model_id: _distinct(_model_id, str),
 }
 
 
 def _by_column(records) -> dict | None:
-    """Each kind's checked records and their columns, checked a column at a time.
+    """Each kind's checked records, each once, and their columns, checked a column at a time.
 
-    None when a value is not a record, a cell may fail its check or two
-    records share an identity: _by_record then keeps one of two identical
-    records, or names the first fault in record order.
+    A column not in checked form is checked cell by cell, and an identical
+    repeated record is kept once.  None at a fault: a value that is not a
+    record, a record of another width, a faulty cell or a conflict.
     """
     by_kind: dict[type, list] = {row_type: [] for row_type in _KIND}
-    for rec in records:
-        rows = by_kind.get(type(rec))
-        if rows is None:
-            return None
-        rows.append(rec)
-    for row_type, rows in by_kind.items():
-        if not rows:
-            by_kind[row_type] = rows, []
-            continue
-        _, checks, identity = _SCHEMA[_KIND[row_type]]
-        if set(map(len, rows)) != {len(checks)}:  # a tuple made past its type's constructor
-            return None
-        cells = list(zip(*rows))
-        try:
-            columns = [_COLUMN_CHECKS[check](column) for check, column in zip(checks, cells)]
-        except Exception:  # whatever a cell raises, _by_record raises it in record order
-            return None
-        if None in columns or len(set(zip(*columns[:identity]))) != len(rows):
-            return None
-        if any(map(is_not, columns, cells)):  # a cell respelled
-            rows = list(map(row_type._make, zip(*columns)))
-        by_kind[row_type] = rows, columns
+    try:
+        for rec in records:
+            by_kind[type(rec)].append(rec)
+        for row_type, rows in by_kind.items():
+            _, checks, identity = _SCHEMA[_KIND[row_type]]
+            if not rows:
+                by_kind[row_type] = rows, []
+                continue
+            if set(map(len, rows)) != {len(checks)}:
+                return None
+            cells = list(zip(*rows))
+            columns = [
+                column if _WHOLE[check](column) else list(map(check, column))
+                for check, column in zip(checks, cells)
+            ]
+            if any(map(is_not, columns, cells)) or len(set(zip(*columns[:identity]))) != len(rows):
+                rows = list(dict.fromkeys(map(row_type._make, zip(*columns))))  # each once
+                columns = list(zip(*rows))
+                if len(set(zip(*columns[:identity]))) != len(rows):
+                    return None
+            by_kind[row_type] = rows, columns
+    except Exception:  # whatever a cell check raises, _fault raises in record order
+        return None
     return by_kind
 
 
-def _by_record(records) -> dict:
-    """Each kind's checked records, each once, and their columns, checked record by record.
-
-    Every cell is checked before any conflict, so the first faulty cell in
-    record order is named, or else the first conflicting record.
-    """
+def _fault(records) -> None:
+    """Raise the first fault in record order, building nothing: every record's width and
+    cells are checked before any conflict, then an identity held with other cells is named."""
     table: dict[tuple, Record] = {}
-    by_kind: dict[type, list] = {row_type: [] for row_type in _KIND}
     for rec in [_checked(rec) for rec in records]:
         kind = _KIND[type(rec)]
-        key = (kind, *rec[: _SCHEMA[kind][2]])
-        prev = table.get(key)
-        if prev is None:
-            table[key] = rec
-            by_kind[type(rec)].append(rec)
-        elif prev != rec:
+        prev = table.setdefault((kind, *rec[: _SCHEMA[kind][2]]), rec)
+        if prev != rec:
             raise ValueError(f"conflicting {kind} records {_cells(prev)} and {_cells(rec)}")
-    return {row_type: (rows, list(zip(*rows))) for row_type, rows in by_kind.items()}
 
 
 # Vendor-tool synthesis results for the shipped classifier sizes.
@@ -703,8 +679,8 @@ class CalibrationSet:
     count by (S, Fl, directive, (FPGA MHz, ARM MHz)) and power the watts by
     (S, directive).  Every cell is checked and normalised as the loaders do
     (a directive respelled as its DirectiveConfig name, a clock rounded to
-    0.01 MHz); a non-record, a faulty cell, a conflicting record or a fit
-    that is not finite raises ValueError.
+    0.01 MHz); a non-record, a record of another width, a faulty cell, a
+    conflicting record or a fit that is not finite raises ValueError.
     """
 
     records: tuple[Record, ...]
@@ -717,8 +693,8 @@ class CalibrationSet:
 
     def __post_init__(self):
         by_kind = _by_column(self.records)
-        if by_kind is None:
-            by_kind = _by_record(self.records)
+        if by_kind is None:  # a fault, which the walk names
+            _fault(self.records)
         cosim_cycles, power, designs = {}, {}, set()
         for rec in by_kind[CosimRecord][0]:
             key = (rec.sv_count, rec.feature_count, rec.directive, (rec.fpga_mhz, rec.arm_mhz))
@@ -791,7 +767,7 @@ def fit_calibration(rows: Sequence[Record | tuple]) -> CalibrationSet:
     repeated row counts once.  A malformed or conflicting record, or a fit
     that is not finite, raises ValueError.
     """
-    return CalibrationSet(tuple(r if type(r) in _KIND else _record("synth", r) for r in rows))
+    return CalibrationSet(tuple(r if type(r) in _KIND else _record(AnchorRow, r) for r in rows))
 
 
 @lru_cache(maxsize=1)
@@ -832,9 +808,14 @@ def _fit(cal, column: str, group, sv_count, feature_count) -> Fit:
     fit = cal.fits.get(group)
     if fit is None:
         raise UnknownCalibration(f"{_figure_label(column, group)} is not calibrated")
+    _sizes(sv_count, feature_count)
+    return fit
+
+
+def _sizes(sv_count, feature_count) -> None:
+    """Refuse an S or Fl outside 1..2**53."""
     if not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):
         raise ValueError("sv_count and feature_count must be integers in 1..2**53")
-    return fit
 
 
 def _bridge(fit: Fit, feature_count: int) -> float | None:
@@ -990,8 +971,8 @@ def explore(
     cal = calibration if calibration is not None else default_calibration()
     regime = _mhz(regime_mhz)
     rows = cal.regimes.get(regime, ())
-    if rows and not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):
-        raise ValueError("sv_count and feature_count must be integers in 1..2**53")
+    if rows:  # an uncalibrated regime is refused first
+        _sizes(sv_count, feature_count)
     candidates = []
     for token, config, fit, dsps in rows:
         # skip, without raising, what Fit.at refuses with FlMismatch or UnknownCalibration
@@ -1064,7 +1045,7 @@ def parse_anchor_csv(text: str) -> list[Record]:
         if kind not in _SCHEMA and kind[:1].isalpha() and lineno == lines[0][0]:
             continue  # header row
         try:
-            records.append(_checked(_record(kind, cells)))
+            records.append(_checked(_record(_schema(kind)[0], cells)))
         except ValueError as exc:
             raise ValueError(f"anchor csv line {lineno}: {exc}") from None
     if not records:
@@ -1099,7 +1080,7 @@ def _json_object(pairs: list) -> dict:
 
 
 def load_calibration(text: str) -> CalibrationSet:
-    """Read calibration JSON (version 2: the records) in shape; its set checks the cells."""
+    """Read calibration JSON (version 2: the records) as lists; its set checks each record."""
     try:
         doc = json.loads(text, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:
@@ -1114,17 +1095,13 @@ def load_calibration(text: str) -> CalibrationSet:
             for kind, rows in doc.items():
                 if kind == "version":
                     continue
-                row_type, checks, _ = _schema(kind)
+                row_type = _schema(kind)[0]
                 if not isinstance(rows, list):
                     raise ValueError(f"{kind!r} must be a list of records")
-                if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(checks)}:
-                    records += map(tuple.__new__, repeat(row_type), rows)
-                    continue
-                for cells in rows:  # names the first row of another shape
-                    records.append(_record(kind, cells))
-        except ValueError:  # a faulty cell before a shape fault is named first
-            for rec in records:
-                _checked(rec)
+                build = tuple.__new__ if set(map(type, rows)) <= {list} else _record
+                records += map(build, repeat(row_type), rows)
+        except ValueError:  # a faulty record before a shape fault is named first
+            list(map(_checked, records))
             raise
         return CalibrationSet(tuple(records))
     except ValueError as exc:

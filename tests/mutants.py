@@ -401,12 +401,12 @@ CATALOGUE = [
         "        if True:\n",
         "a latency bridges another Fl only where its slope lies on PER_FEATURE_SLOPES",
     ),
-    # -- the calibration set's column check, and its per-record fallback
+    # -- the calibration set's column check, its per-column fallback and its fault walk
     Mutant(
         "column-count-accepts-bool", "synth.py",
-        "        if set(map(type, cells)) == {int} and least <= min(cells)",
-        "        if set(map(type, cells)) <= {int, bool} and least <= min(cells)",
-        "True is equal to 1, but a count is an int, and the per-record check refuses a bool",
+        "        set(map(type, cells)) == {int} and least <= min(cells)",
+        "        set(map(type, cells)) <= {int, bool} and least <= min(cells)",
+        "True is equal to 1, but a count is an int, and the cell check refuses a bool",
     ),
     Mutant(
         "column-amount-accepts-nan", "synth.py",
@@ -416,29 +416,51 @@ CATALOGUE = [
     ),
     Mutant(
         "column-mixed-types-keyed-by-value", "synth.py",
-        "        if len(set(map(type, cells))) != 1:\n            return None\n",
+        "        if set(map(type, cells)) != {form}:\n            return False\n",
         "",
-        "1.0 and True are one value: a column holding both would check only the first"
-        " and give the bool the float's result",
+        "1.0 and True are one value, as are 100 and 100.0: a column holding both would check"
+        " only the first and keep the other unchecked",
     ),
     Mutant(
         "column-identity-unchecked", "synth.py",
-        "        if None in columns or len(set(zip(*columns[:identity]))) != len(rows):\n",
-        "        if None in columns:\n",
+        "                if len(set(zip(*columns[:identity]))) != len(rows):\n"
+        "                    return None\n",
+        "",
         "two records that share an identity are one record, or a conflict to name",
     ),
     Mutant(
         "column-respelling-dropped", "synth.py",
-        "        if any(map(is_not, columns, cells)):  # a cell respelled\n",
-        "        if False:\n",
+        "            if any(map(is_not, columns, cells)) or len(",
+        "            if len(",
         "a directive is kept as its DirectiveConfig name, a clock rounded to 0.01 MHz",
     ),
     Mutant(
         "column-fallback-skipped", "synth.py",
-        "            by_kind = _by_record(self.records)\n",
-        "            by_kind = {t: (rows, list(zip(*rows))) for t in _KIND\n"
-        "                       for rows in [[r for r in self.records if type(r) is t]]}\n",
-        "a set the column check refuses keeps its records unchecked",
+        "column if _WHOLE[check](column) else list(map(check, column))",
+        "column",
+        "a column not in checked form is checked cell by cell: kept as it is, an int BRAM"
+        " stays an int and a faulty cell passes",
+    ),
+    Mutant(
+        "checked-width-unchecked", "synth.py",
+        "    if len(rec) != len(checks):  # a tuple made past its type's constructor\n",
+        "    if False:\n",
+        "a record of another width is refused with ValueError: a long one would be cut to its"
+        " type's width, a short one fail in its constructor with TypeError",
+    ),
+    Mutant(
+        "column-repeats-kept", "synth.py",
+        "                rows = list(dict.fromkeys(map(row_type._make, zip(*columns))))",
+        "                rows = list(map(row_type._make, zip(*columns)))",
+        "the column path keeps an identical repeated record once; kept twice, it is a clash"
+        " the fault walk finds no fault in",
+    ),
+    Mutant(
+        "fault-conflict-before-cells", "synth.py",
+        "    for rec in [_checked(rec) for rec in records]:\n",
+        "    for rec in map(_checked, records):\n",
+        "the fault walk checks every record before any conflict, so a faulty cell after a"
+        " conflict is the fault named",
     ),
     Mutant(
         "explore-fl-skip-dropped", "synth.py",
@@ -457,8 +479,8 @@ CATALOGUE = [
     ),
     Mutant(
         "distinct-column-type-unchecked", "synth.py",
-        "        if checked == distinct and type(checked[0]) is type(cells[0]):",
-        "        if checked == distinct:",
+        "        if set(map(type, cells)) != {form}:\n",
+        "        if len(set(map(type, cells))) != 1:\n",
         "a clock column of ints equals its checked floats, but the set keeps clocks as floats",
     ),
     Mutant(
@@ -475,8 +497,8 @@ CATALOGUE = [
     ),
     Mutant(
         "explore-range-before-regime", "synth.py",
-        "    if rows and not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):\n",
-        "    if not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):\n",
+        "    if rows:  # an uncalibrated regime is refused first\n",
+        "    if True:\n",
         "an uncalibrated regime is refused before an S or Fl out of range, as estimate_design"
         " refuses an uncalibrated group first",
     ),

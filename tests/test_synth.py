@@ -155,6 +155,10 @@ FITTED = fit_calibration(
 )
 
 
+def _no_fault(records):
+    raise AssertionError("a set that builds ran the fault walk")
+
+
 class TestDirectiveConfig:
     @pytest.mark.parametrize(
         "token,prefix,factor",
@@ -414,14 +418,19 @@ class TestFitCalibration:
             assert fit is cal.fits[token, regime] and dsp is cal.dsp[token, regime]
 
     def test_shipped_records_take_the_column_check(self, monkeypatch):
-        def by_record(records):
-            raise AssertionError("the records were checked one at a time")
-
-        monkeypatch.setattr(synth, "_by_record", by_record)
+        monkeypatch.setattr(synth, "_fault", _no_fault)
         cal = fit_calibration(SHIPPED_RECORDS)
         assert cal.records == SHIPPED_RECORDS
-        assert load_calibration(save_calibration(cal)) == cal
+        loaded = load_calibration(save_calibration(cal))
+        assert loaded == cal
         assert fit_calibration(SHIPPED_ANCHORS).records == SHIPPED_ANCHORS
+        # every column stands whole: none is checked cell by cell
+        for records in (SHIPPED_RECORDS, loaded.records, SHIPPED_ANCHORS):
+            for row_type, kind in synth._KIND.items():
+                rows = [r for r in records if type(r) is row_type]
+                checks = synth._SCHEMA[kind][1]
+                for check, column in zip(checks, zip(*rows)):
+                    assert synth._WHOLE[check](column), (kind, check.__name__)
 
     @pytest.mark.parametrize("table", [SHIPPED_RECORDS, FITTED.records], ids=["shipped", "fitted"])
     def test_each_column_holds_its_per_column_fit(self, table):
@@ -1607,6 +1616,30 @@ class TestRecordCheck:
         with pytest.raises(ValueError, match="is not a calibration record"):
             CalibrationSet((value,))
 
+    @pytest.mark.parametrize(
+        "row_type, cells, message",
+        [
+            (AnchorRow, tuple(ROW)[:8], "synth record has 9 columns, got 8"),
+            (AnchorRow, (*ROW, 1), "synth record has 9 columns, got 10"),
+            (ArmRecord, tuple(ARM)[:6], "arm record has 7 columns, got 6"),
+            (PowerRecord, (), "power record has 5 columns, got 0"),
+        ],
+        ids=["synth-short", "synth-long", "arm-short", "power-empty"],
+    )
+    def test_a_record_of_another_width_is_refused(self, row_type, cells, message):
+        rec = tuple.__new__(row_type, cells)  # past the type's constructor
+        for build in (lambda: CalibrationSet((rec,)), lambda: fit_calibration([ROW, rec])):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+        # in record order with the cells of other records
+        bad_cell = ROW_346._replace(bram=-1.0)
+        with pytest.raises(ValueError, match="synth bram"):
+            CalibrationSet((bad_cell, rec))
+        with pytest.raises(ValueError) as exc:
+            CalibrationSet((rec, bad_cell))
+        assert str(exc.value) == message
+
     def test_every_cell_is_checked_before_any_conflict(self):
         clash = ROW._replace(latency_cycles=1)
         with pytest.raises(ValueError, match="synth bram"):
@@ -1718,6 +1751,50 @@ class TestColumnCheck:
         assert _set_outcome(CalibrationSet, records) == (
             ValueError, f"a {type(value).__name__} is not a calibration record"
         )
+
+
+def _hand_written(edit) -> str:
+    """The shipped calibration file as a person might write it: edit(doc) changes the doc."""
+    doc = _default_doc()
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set_cells(rows, column, value):
+    for row in rows:
+        row[column] = value(row[column])
+
+
+HAND_WRITTEN = {
+    "int-bram": lambda doc: _set_cells(doc["synth"], 5, int),
+    "int-clocks": lambda doc: (_set_cells(doc["synth"], 3, int), _set_cells(doc["cosim"], 3, int)),
+    "mixed-int-float-clocks": lambda doc: _set_cells(doc["arm"][:1], 2, int),
+    "repeated-record": lambda doc: (doc["synth"].append(doc["synth"][3]),
+                                    doc["power"].insert(1, doc["power"][0])),
+    "respelled-directive": lambda doc: (_set_cells(doc["synth"][:3], 2, str.upper),
+                                        _set_cells(doc["power"], 1, lambda d: d.replace("-", "_"))),
+}
+
+
+class TestHandWrittenCalibration:
+    """A calibration written by hand, with integer cells, repeats or respellings,
+    builds the shipped set on the column path: the fault walk never runs."""
+
+    @pytest.mark.parametrize("edit", HAND_WRITTEN.values(), ids=HAND_WRITTEN)
+    def test_builds_the_canonical_set_without_the_fault_walk(self, monkeypatch, edit):
+        text = _hand_written(edit)
+        assert text != json.dumps(_default_doc())
+        monkeypatch.setattr(synth, "_fault", _no_fault)
+        cal = load_calibration(text)
+        assert cal == default_calibration()
+        assert repr(cal.records) == repr(SHIPPED_RECORDS)  # 19 becomes 19.0, 100 becomes 100.0
+        assert save_calibration(cal) == save_calibration(default_calibration())
+
+    def test_a_clash_left_after_the_repeats_go_is_named(self):
+        doc = _default_doc()
+        doc["synth"] += [doc["synth"][3], doc["synth"][3][:4] + [1, 1.0, 1, 1, 1]]
+        with pytest.raises(CalibrationError, match="conflicting synth records"):
+            load_calibration(json.dumps(doc))
 
 
 def _mutate(doc: dict, mutation) -> None:
