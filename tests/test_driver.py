@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svmsoc import (
+    SHIPPED_RECORDS,
+    AccelResult,
+    ArmRecord,
     ClockPair,
     DimensionError,
     DirectiveConfig,
@@ -17,11 +21,18 @@ from svmsoc import (
     TrainedModel,
     UnknownCalibration,
     accumulate_weight_vector,
+    arm_timer_mhz,
     batch_classify,
+    clock_key,
     cosim,
+    default_calibration,
     dot_distance,
     emit_stream,
+    estimate_arm_cycles,
+    estimate_latency,
     f32_bits,
+    fit_calibration,
+    format_pairing,
     make_synthetic,
     run_accelerator,
     run_oracle,
@@ -323,6 +334,121 @@ class TestCosim:
     def test_clock_pair_must_be_positive(self):
         with pytest.raises(ValueError):
             ClockPair(0, 666.67)
+
+
+# The shipped records, plus a (100 MHz, 250 MHz) pairing timed by a 50 MHz
+# timer whose plain line falls below 0 at S >= 3, where the count clamps to 0.
+FALLING_ARM = fit_calibration(
+    SHIPPED_RECORDS
+    + (ArmRecord(1, 27, 100.0, 250.0, 50.0, 1000, 10), ArmRecord(2, 27, 100.0, 250.0, 50.0, 10, 1000))
+)
+
+
+def assembled_cosim(model, test, directive, clocks, threshold, strict, calibration):
+    """cosim's report fields built from its public pieces, refusing as it refuses."""
+    cal = calibration if calibration is not None else default_calibration()
+    config = DirectiveConfig.parse(str(directive))
+    s, fl = model.sv_count, model.feature_count
+    hw = run_accelerator(emit_stream(model, test), s, fl, threshold)
+    sw = run_software_reference(model, test, threshold)
+    pairing = clock_key(clocks)
+    where = format_pairing(clocks.fpga_mhz, clocks.arm_mhz)
+    anchor = cal.cosim_cycles.get((s, fl, config.name, pairing))
+    if anchor is not None:
+        hw_cycles, source = anchor, "measured_anchor"
+    elif strict:
+        raise UnknownCalibration(
+            f"no measured accelerator cycles for {config.name} at S={s}, Fl={fl}, {where}"
+        )
+    else:
+        latency = estimate_latency(s, fl, config, clocks.fpga_mhz, calibration=cal)
+        hw_cycles = latency.latency_cycles + StreamFrame.word_count(s, fl)
+        source = "estimated"
+    timer = arm_timer_mhz(clocks, cal)
+    if strict and s not in cal.fits[pairing].points:
+        raise UnknownCalibration(f"no measured processor cycles at S={s} for {where}")
+    plain = estimate_arm_cycles(s, fl, clocks, optimized=False, calibration=cal)
+    optimized = estimate_arm_cycles(s, fl, clocks, optimized=True, calibration=cal)
+    return config, clocks, hw, sw, source, hw_cycles, plain, optimized, timer
+
+
+def bit_key(value):
+    """A value as a key that tells every type and every binary64 bit pattern apart."""
+    if isinstance(value, AccelResult):
+        return tuple(map(bit_key, (value.label, value.distance, value.raw_distance)))
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+def outcome(call):
+    """The bit keys of what call returns, or the type and message of what it raises."""
+    try:
+        fields = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(map(bit_key, fields))
+
+
+def report_fields(rep) -> list:
+    return [getattr(rep, name) for name in (
+        "directive", "clocks", "hw", "sw", "cycle_source", "hw_cycles", "sw_cycles",
+        "sw_cycles_optimized", "sw_timer_mhz",
+    )]
+
+
+COSIM_CLOCKS = [
+    ClockPair(100, 666.67),
+    ClockPair(250, 250),
+    ClockPair(250, 666.67),
+    ClockPair(250, 666.666),  # the 250/666.67 pairing, spelt otherwise in messages
+    ClockPair(100, 250),  # calibrated only in FALLING_ARM
+    ClockPair(300, 666.67),  # an uncalibrated regime
+]
+
+
+@given(
+    st.one_of(st.sampled_from([1, 2, 61, 248]), st.integers(1, 300)),
+    st.sampled_from([27, 27, 27, 5]),
+    st.sampled_from([0] * 9 + [1]),
+    st.sampled_from(
+        ["pipeline-inner"] * 3
+        + ["unroll-most", "interface-only", "partition-cyclic-16",
+           DirectiveConfig.parse("unroll-most"), "pipeline-outer"]
+    ),
+    st.sampled_from(COSIM_CLOCKS[:1] * 4 + COSIM_CLOCKS),
+    st.sampled_from([False, False, True]),
+    st.sampled_from([0.0, 0.25, -1e39]),
+    st.sampled_from([None, FALLING_ARM]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e35]),
+)
+@settings(max_examples=400, deadline=None)
+@example(61, 27, 0, "pipeline-inner", COSIM_CLOCKS[1], True, 0.0, None, 1, 1.0)
+@example(61, 27, 0, "unroll-most", COSIM_CLOCKS[1], True, 0.0, None, 2, 1.0)
+@example(61, 27, 0, "pipeline-inner", COSIM_CLOCKS[3], True, 0.0, None, 3, 1.0)
+@example(248, 27, 0, "pipeline-inner", COSIM_CLOCKS[0], True, 0.0, None, 4, 1.0)
+@example(248, 27, 0, "pipeline-inner", COSIM_CLOCKS[0], False, 0.0, None, 5, 1e35)
+@example(61, 27, 0, "interface-only", COSIM_CLOCKS[3], True, 0.0, None, 6, 1.0)
+@example(200, 27, 0, "pipeline-inner", COSIM_CLOCKS[4], False, 0.0, None, 7, 1.0)
+@example(2, 27, 0, "pipeline-inner", COSIM_CLOCKS[4], True, 0.0, FALLING_ARM, 8, 1.0)
+@example(61, 27, 0, "pipeline-inner", COSIM_CLOCKS[4], False, -1e39, FALLING_ARM, 9, 1.0)
+@example(61, 5, 0, "pipeline-inner", COSIM_CLOCKS[0], False, 0.0, None, 10, 1.0)
+@example(61, 27, 1, "pipeline-inner", COSIM_CLOCKS[1], False, 0.0, None, 11, 1.0)
+def test_cosim_matches_its_public_pieces(
+    s, fl, extra, directive, clocks, strict, threshold, calibration, seed, scale
+):
+    # every field to the bit, and every refusal's type and message, which pins their order
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, s, fl, scale=scale)
+    t = random_instance(rng, fl + extra, scale=scale)
+    want = outcome(
+        lambda: assembled_cosim(m, t, directive, clocks, threshold, strict, calibration)
+    )
+    got = outcome(lambda: report_fields(
+        cosim(m, t, directive, clocks, threshold, calibration=calibration, strict=strict)
+    ))
+    assert got == want
 
 
 class TestBatchClassify:
