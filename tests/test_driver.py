@@ -12,6 +12,7 @@ from svmsoc import (
     AccelResult,
     ArmRecord,
     ClockPair,
+    CosimRecord,
     DimensionError,
     DirectiveConfig,
     FlMismatch,
@@ -107,6 +108,8 @@ class TestSoftwareReference:
         assert hw.label == sw.label
         assert f32_bits(hw.distance) == f32_bits(sw.distance)
         assert f32_bits(hw.raw_distance) == f32_bits(sw.raw_distance)
+        # each distance a binary32 value: the same binary64 bits, not just the same rounding
+        assert bit_key(sw) == bit_key(hw)
         label, dist, _raw = ref32.classify(
             m.support_vectors.tolist(), m.alpha_y.tolist(), t.values.tolist(), m.bias
         )
@@ -337,11 +340,14 @@ class TestCosim:
 
 
 # The shipped records, plus a (100 MHz, 250 MHz) pairing timed by a 50 MHz
-# timer whose plain line falls below 0 at S >= 3, where the count clamps to 0.
-FALLING_ARM = fit_calibration(
-    SHIPPED_RECORDS
-    + (ArmRecord(1, 27, 100.0, 250.0, 50.0, 1000, 10), ArmRecord(2, 27, 100.0, 250.0, 50.0, 10, 1000))
-)
+# timer whose plain line falls below 0 at S >= 3, where the count clamps to 0,
+# and accelerator cycles measured at S=5 for 100/666.67, whose processor
+# cycles were measured at S=61 and 248 only.
+MORE_RECORDS = fit_calibration(SHIPPED_RECORDS + (
+    ArmRecord(1, 27, 100.0, 250.0, 50.0, 1000, 10),
+    ArmRecord(2, 27, 100.0, 250.0, 50.0, 10, 1000),
+    CosimRecord(5, 27, "pipeline-inner", 100.0, 666.67, 1234),
+))
 
 
 def assembled_cosim(model, test, directive, clocks, threshold, strict, calibration):
@@ -402,7 +408,7 @@ COSIM_CLOCKS = [
     ClockPair(250, 250),
     ClockPair(250, 666.67),
     ClockPair(250, 666.666),  # the 250/666.67 pairing, spelt otherwise in messages
-    ClockPair(100, 250),  # calibrated only in FALLING_ARM
+    ClockPair(100, 250),  # calibrated only in MORE_RECORDS
     ClockPair(300, 666.67),  # an uncalibrated regime
 ]
 
@@ -419,7 +425,7 @@ COSIM_CLOCKS = [
     st.sampled_from(COSIM_CLOCKS[:1] * 4 + COSIM_CLOCKS),
     st.sampled_from([False, False, True]),
     st.sampled_from([0.0, 0.25, -1e39]),
-    st.sampled_from([None, FALLING_ARM]),
+    st.sampled_from([None, MORE_RECORDS]),
     st.integers(0, 2**32 - 1),
     st.sampled_from([1.0, 1e35]),
 )
@@ -431,10 +437,12 @@ COSIM_CLOCKS = [
 @example(248, 27, 0, "pipeline-inner", COSIM_CLOCKS[0], False, 0.0, None, 5, 1e35)
 @example(61, 27, 0, "interface-only", COSIM_CLOCKS[3], True, 0.0, None, 6, 1.0)
 @example(200, 27, 0, "pipeline-inner", COSIM_CLOCKS[4], False, 0.0, None, 7, 1.0)
-@example(2, 27, 0, "pipeline-inner", COSIM_CLOCKS[4], True, 0.0, FALLING_ARM, 8, 1.0)
-@example(61, 27, 0, "pipeline-inner", COSIM_CLOCKS[4], False, -1e39, FALLING_ARM, 9, 1.0)
+@example(2, 27, 0, "pipeline-inner", COSIM_CLOCKS[4], True, 0.0, MORE_RECORDS, 8, 1.0)
+@example(61, 27, 0, "pipeline-inner", COSIM_CLOCKS[4], False, -1e39, MORE_RECORDS, 9, 1.0)
 @example(61, 5, 0, "pipeline-inner", COSIM_CLOCKS[0], False, 0.0, None, 10, 1.0)
 @example(61, 27, 1, "pipeline-inner", COSIM_CLOCKS[1], False, 0.0, None, 11, 1.0)
+@example(5, 27, 0, "pipeline-inner", COSIM_CLOCKS[0], True, 0.0, MORE_RECORDS, 12, 1.0)
+@example(5, 27, 0, "pipeline-inner", COSIM_CLOCKS[0], False, 0.0, MORE_RECORDS, 13, 1.0)
 def test_cosim_matches_its_public_pieces(
     s, fl, extra, directive, clocks, strict, threshold, calibration, seed, scale
 ):
