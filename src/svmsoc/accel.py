@@ -19,6 +19,8 @@ Both sums are one ordered numpy kernel: the binary32 products fill an array
 behind a +0.0 seed row, and np.add.accumulate adds the rows strictly first
 to last (np.sum adds pairwise, a different association).  The seed turns a
 leading -0.0 product into +0.0, as a zero-initialised accumulator does.
+run_accelerator ignores numpy's overflow and NaN warnings in one
+np.errstate for the frame's every step; the public steps each hold one.
 """
 
 from __future__ import annotations
@@ -76,11 +78,11 @@ def _ordered_sum(coeffs: np.ndarray, rows: np.ndarray):
     """The binary32 sum of coeffs[i] * rows[i] over i, first to last.
 
     coeffs broadcasts against rows; 2-D rows sum to a row, 1-D to a scalar.
+    The caller ignores numpy's overflow and NaN warnings: IEEE results flow on.
     """
     terms = np.zeros((rows.shape[0] + 1, *rows.shape[1:]), dtype=_F32)
-    with np.errstate(all="ignore"):
-        np.multiply(coeffs, rows, out=terms[1:])
-        return np.add.accumulate(terms, axis=0)[-1]
+    np.multiply(coeffs, rows, out=terms[1:])
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def accumulate_weight_vector(model: TrainedModel) -> np.ndarray:
@@ -90,7 +92,8 @@ def accumulate_weight_vector(model: TrainedModel) -> np.ndarray:
     Accumulation order is support vectors ascending, one rounding per
     multiply and per add, independently per feature lane.
     """
-    ac = _ordered_sum(model.alpha_y[:, None], model.support_vectors)
+    with np.errstate(all="ignore"):
+        ac = _ordered_sum(model.alpha_y[:, None], model.support_vectors)
     ac.flags.writeable = False
     return ac
 
@@ -99,7 +102,15 @@ def dot_distance(ac: np.ndarray, test: TestInstance) -> np.float32:
     """Running binary32 dot product of AC with the test vector, feature 0 first."""
     if ac.shape[0] != test.feature_count:
         raise DimensionError("accumulator", ac.shape[0], "instance", test.feature_count)
-    return _ordered_sum(ac, test.values)
+    with np.errstate(all="ignore"):
+        return _ordered_sum(ac, test.values)
+
+
+def _decided(raw_distance, bias, threshold) -> tuple[int, np.float32]:
+    """decide, with the caller ignoring numpy's overflow and NaN warnings."""
+    distance = _F32(raw_distance) - _F32(bias)
+    # a threshold beyond the binary32 range rounds to +/-inf
+    return 1 if distance >= _F32(threshold) else -1, distance
 
 
 def decide(raw_distance, bias, threshold=0.0) -> tuple[int, np.float32]:
@@ -109,10 +120,7 @@ def decide(raw_distance, bias, threshold=0.0) -> tuple[int, np.float32]:
     under an IEEE binary32 compare, so a NaN distance labels -1.
     """
     with np.errstate(all="ignore"):
-        distance = _F32(raw_distance) - _F32(bias)
-        # a threshold beyond the binary32 range rounds to +/-inf
-        label = 1 if distance >= _F32(threshold) else -1
-    return label, distance
+        return _decided(raw_distance, bias, threshold)
 
 
 def run_accelerator(
@@ -124,7 +132,10 @@ def run_accelerator(
     through the arithmetic and surface in the result flags.
     """
     sv, bias, alpha_y, x = split_frame(frame, sv_count, feature_count)
-    ac = _ordered_sum(alpha_y[:, None], sv)
-    raw = _ordered_sum(ac, x)
-    label, distance = decide(raw, bias, threshold)
-    return AccelResult(label=label, distance=float(distance), raw_distance=float(raw))
+    with np.errstate(all="ignore"):  # one for the frame's every step
+        raw = _ordered_sum(_ordered_sum(alpha_y[:, None], sv), x)
+        label, distance = _decided(raw, bias, threshold)
+    result = object.__new__(AccelResult)  # each field stored without a call
+    fields = result.__dict__
+    fields["label"], fields["distance"], fields["raw_distance"] = label, float(distance), float(raw)
+    return result

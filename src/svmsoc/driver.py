@@ -7,15 +7,16 @@ Because binary64 carries more than twice the binary32 precision plus two
 bits, that double rounding is exact for +, -, and * (S. A. Figueroa,
 "When is double rounding innocuous?", SIGNUM Newsletter 30(3), 1995), so
 agreement with the native binary32 pipeline is a real cross-check rather
-than the same code run twice.  One kernel computes AC once and then the
-dot product with the instances as lanes; run_software_reference runs it
-with one lane, batch_classify once per dataset.  Each set of products
-(the S*Fl weight terms, then the Fl*N dot-product terms) is rounded in
-one step.  Each sum adds in binary64 and rounds to binary32 after every
-add: a one-lane sum (one instance's dot product) as Python floats stored
-into a one-element array("f"), a C double-to-float cast; a sum over more
-lanes in place on a binary64 accumulator through a binary32 buffer, so
-no step allocates.
+than the same code run twice.  One kernel computes AC: batch_classify
+runs it once per dataset and takes the dot product with the rows as
+lanes, run_software_reference once per instance and takes the dot product
+as Python floats.  Each set of products (the S*Fl weight terms, then the
+Fl*N dot-product terms) is rounded in one step.  Each sum adds in binary64
+and rounds to binary32 after every add: a one-lane sum (one instance's dot
+product, or AC at Fl=1) as Python floats stored into a one-element
+array("f"), a C double-to-float cast; a sum over more lanes in place on a
+binary64 accumulator through a binary32 buffer, so no step allocates.  One
+instance's bias step and threshold round through array("f") as well.
 
 run_oracle is the accuracy yardstick: full binary64, per-support-vector
 dot products summed afterwards, i.e. a different association order than
@@ -40,7 +41,6 @@ from .synth import (
     arm_timer_mhz,
     clock_key,
     default_calibration,
-    estimate_arm_cycles,
     estimate_latency,
     format_pairing,
 )
@@ -74,24 +74,32 @@ class ClockPair:
         clock_key(self)
 
 
+def _lane_sum(terms) -> float:
+    """Sum binary32 values first to last from +0.0, rounding each add to binary32.
+
+    The sum is a Python float: each add is binary64, stored into a
+    one-element array("f") and read back.  The store is a C double-to-float
+    cast (struct would refuse finite doubles beyond the binary32 range).
+    """
+    acc32 = array("f", (0.0,))
+    acc = 0.0
+    for term in terms:
+        acc32[0] = acc + term
+        acc = acc32[0]
+    return acc
+
+
 def _rounded_sum(rows: np.ndarray) -> np.ndarray:
     """Sum the rows of a binary64 matrix first to last, rounding each add.
 
     The sum starts at +0.0 and lives in binary64: each step adds a row,
     then rounds the sum to binary32 by storing it into a binary32 buffer
-    and widens it back.  One column sums as Python floats through a
-    one-element array("f"), whose store is a C double-to-float cast
-    (struct would refuse finite doubles beyond the binary32 range); more
-    columns add in place with three numpy calls and no new array per
+    and widens it back.  One column sums as Python floats (_lane_sum);
+    more columns add in place with three numpy calls and no new array per
     step.  np.add.accumulate would skip the rounding after each add.
     """
     if rows.shape[1] == 1:
-        acc32 = array("f", (0.0,))
-        acc = 0.0
-        for term in rows[:, 0].tolist():
-            acc32[0] = acc + term
-            acc = acc32[0]
-        return np.array((acc,))
+        return np.array((_lane_sum(rows[:, 0].tolist()),))
     acc = np.zeros(rows.shape[1])
     acc32 = np.empty(rows.shape[1], np.float32)
     add = np.add
@@ -102,27 +110,17 @@ def _rounded_sum(rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _reference_kernel(model: TrainedModel, x: np.ndarray, threshold: float):
-    """Score the rows of the (N, Fl) binary32 matrix x against one model.
+def _weight_vector(model: TrainedModel) -> np.ndarray:
+    """AC[f] = sum_i alpha_i*y_i*SV_i[f] in binary64, each value a binary32.
 
-    Every multiply and add is evaluated in binary64 and rounded once to
-    binary32.  The S*Fl products alpha_i*y_i*SV_i[f] are rounded in one
-    step and summed in SV order over Fl lanes into AC; the Fl*N products
-    AC[f]*x[n, f] are rounded in one step and summed in feature order over
-    N instance lanes.  Returns (labels, distances, raw distances), each of
-    length N.
+    The S*Fl products are rounded in one step and summed in SV order over
+    Fl lanes.  The caller ignores numpy's overflow and NaN warnings, so IEEE
+    results flow on.
     """
-    f32, f64 = np.float32, np.float64
-    with np.errstate(all="ignore"):
-        ay = model.alpha_y.astype(f64)
-        products = (ay[:, None] * model.support_vectors.astype(f64)).astype(f32)
-        ac = _rounded_sum(products.astype(f64))
-        terms = (ac[:, None] * x.T.astype(f64)).astype(f32)
-        raw = _rounded_sum(terms.astype(f64))
-        distances = (raw - model.bias).astype(f32).astype(f64)
-        # a threshold beyond the binary32 range rounds to +/-inf
-        labels = np.where(distances >= float(f32(threshold)), 1, -1)
-    return labels, distances, raw
+    f64 = np.float64
+    ay = model.alpha_y.astype(f64)
+    products = (ay[:, None] * model.support_vectors.astype(f64)).astype(np.float32)
+    return _rounded_sum(products.astype(f64))
 
 
 def run_software_reference(
@@ -131,15 +129,23 @@ def run_software_reference(
     """Binary64-with-rounding replica of the accelerator pipeline.
 
     Same accumulation orders as the hardware, one rounding to binary32
-    after every operation; returns bit-identical distances.  This is the
-    batch kernel run with a single instance lane.
+    after every operation; returns bit-identical distances.  AC comes from
+    the kernel batch_classify shares; the Fl products AC[f]*x[f] are rounded
+    in one step and summed as Python floats (_lane_sum), and the bias step
+    and the threshold are rounded through one array("f").
     """
     if test.feature_count != model.feature_count:
         raise DimensionError("model", model.feature_count, "instance", test.feature_count)
-    labels, distances, raw = _reference_kernel(model, test.values[None, :], threshold)
-    return AccelResult(
-        label=int(labels[0]), distance=float(distances[0]), raw_distance=float(raw[0])
+    with np.errstate(all="ignore"):
+        raw = _lane_sum((_weight_vector(model) * test.values).astype(np.float32).tolist())
+    # a threshold beyond the binary32 range rounds to +/-inf
+    distance, limit = array("f", (raw - model.bias, float(threshold)))
+    result = object.__new__(AccelResult)  # each field stored without a call
+    fields = result.__dict__
+    fields["label"], fields["distance"], fields["raw_distance"] = (
+        1 if distance >= limit else -1, distance, raw
     )
+    return result
 
 
 def run_oracle(
@@ -255,25 +261,22 @@ def cosim(
         hw_cycles = est.latency_cycles + StreamFrame.word_count(s, fl)
         source = ESTIMATED
 
-    timer_mhz = arm_timer_mhz(pairing, cal)
-    if strict and s not in cal.fits[pairing].points:
+    timer_mhz = cal.arm.get(pairing)
+    if timer_mhz is None:
+        arm_timer_mhz(pairing, cal)  # refuses the uncalibrated pairing
+    fit = cal.fits[pairing]
+    if strict and s not in fit.points:
         raise UnknownCalibration(
             f"no measured processor cycles at S={s} for"
             f" {format_pairing(clocks.fpga_mhz, clocks.arm_mhz)}"
         )
-    sw_cycles = estimate_arm_cycles(s, fl, clocks, optimized=False, calibration=cal)
-    sw_opt = estimate_arm_cycles(s, fl, clocks, optimized=True, calibration=cal)
-    return CosimReport(
-        directive=cfg,
-        clocks=clocks,
-        hw=hw,
-        sw=sw,
-        cycle_source=source,
-        hw_cycles=hw_cycles,
-        sw_cycles=sw_cycles,
-        sw_cycles_optimized=sw_opt,
-        sw_timer_mhz=timer_mhz,
-    )
+    sw_cycles, sw_opt = fit.counts(s, fl, (0, 1))  # plain, then optimized
+    report = object.__new__(CosimReport)  # each field stored without a call
+    r = report.__dict__
+    r["directive"], r["clocks"], r["hw"], r["sw"], r["cycle_source"] = cfg, clocks, hw, sw, source
+    r["hw_cycles"], r["sw_cycles"], r["sw_cycles_optimized"] = hw_cycles, sw_cycles, sw_opt
+    r["sw_timer_mhz"] = timer_mhz
+    return report
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,13 @@ def batch_classify(
     """
     if dataset.feature_count != model.feature_count:
         raise DimensionError("model", model.feature_count, "dataset", dataset.feature_count)
-    labels, distances, _raw = _reference_kernel(model, dataset.features, threshold)
+    f32, f64 = np.float32, np.float64
+    with np.errstate(all="ignore"):
+        ac = _weight_vector(model)
+        terms = (ac[:, None] * dataset.features.T.astype(f64)).astype(f32)
+        distances = (_rounded_sum(terms.astype(f64)) - model.bias).astype(f32).astype(f64)
+        # a threshold beyond the binary32 range rounds to +/-inf
+        labels = np.where(distances >= float(f32(threshold)), 1, -1)
     return AccuracyReport(
         predictions=tuple(labels.tolist()),
         distances=tuple(distances.tolist()),

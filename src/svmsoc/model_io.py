@@ -1079,15 +1079,19 @@ def emit_stream(model: TrainedModel, test: TestInstance) -> StreamFrame:
     """Serialize one classification request into transfer order."""
     if test.feature_count != model.feature_count:
         raise DimensionError("model", model.feature_count, "instance", test.feature_count)
-    payload = np.concatenate(
+    words = np.concatenate(
         [
             model.support_vectors.reshape(-1),
             np.array([model.bias], dtype=_F32),
             model.alpha_y,
             test.values,
-        ]
-    ).astype("<f4")
-    return StreamFrame(payload.view("<u4"))
+        ],
+        dtype="<f4",
+    ).view("<u4")
+    words.flags.writeable = False
+    frame = object.__new__(StreamFrame)  # the one copy, stored as __post_init__ stores it
+    frame.__dict__["words"] = words
+    return frame
 
 
 def split_frame(frame: StreamFrame, sv_count: int, feature_count: int):

@@ -331,6 +331,8 @@ def _clock(value) -> float:
 
 
 def _model_id(model_id) -> str:
+    if isinstance(model_id, bool) or not isinstance(model_id, (str, int)):
+        raise ValueError(f"{cut(repr(model_id))} is not a model name or number")
     t = str(model_id).strip().lower().replace(" ", "").replace("-", "").replace("_", "")
     if t in ("1", "model1", "m1"):
         return "model1"
@@ -615,6 +617,11 @@ class Fit:
             column = next(i for i, v in zip(columns, values) if not math.isfinite(v))
             raise CalibrationError(f"{self.what(column)} is not finite at S={sv_count}")
         return values, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
+
+    def counts(self, sv_count: int, feature_count: int, columns) -> list[int]:
+        """at's values of the columns read as counts: each rounded to an int, clamped at 0."""
+        values, _ = self.at(sv_count, feature_count, columns)
+        return [max(0, int(round(v))) for v in values]
 
 
 def _not_finite(fit: Fit, column: int) -> ValueError:
@@ -928,8 +935,7 @@ def estimate_arm_cycles(
     pairing = clock_key(clocks)
     column = "optimized_cycles" if optimized else "plain_cycles"
     fit = _fit(cal, column, pairing, sv_count, feature_count)
-    (value,), _ = fit.at(sv_count, feature_count, (fit.columns.index(column),))
-    return max(0, int(round(value)))
+    return fit.counts(sv_count, feature_count, (fit.columns.index(column),))[0]
 
 
 def estimate_power(model_id, design_id: int, *, calibration: CalibrationSet | None = None) -> float:

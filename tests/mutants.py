@@ -70,14 +70,26 @@ CATALOGUE = [
     ),
     Mutant(
         "reference-one-lane-unrounded", "driver.py",
-        "            acc32[0] = acc + term\n            acc = acc32[0]\n",
-        "            acc = acc + term\n",
+        "        acc32[0] = acc + term\n        acc = acc32[0]\n",
+        "        acc = acc + term\n",
         "the reference's one-lane sum must round to binary32 after every add",
     ),
     Mutant(
+        "reference-dot-products-unrounded", "driver.py",
+        "(_weight_vector(model) * test.values).astype(np.float32).tolist()",
+        "(_weight_vector(model) * test.values).tolist()",
+        "each product of the reference's dot product is rounded to binary32 before it is added",
+    ),
+    Mutant(
+        "reference-bias-unrounded", "driver.py",
+        '    distance, limit = array("f", (raw - model.bias, float(threshold)))\n',
+        '    distance, limit = raw - model.bias, array("f", (float(threshold),))[0]\n',
+        "the reference rounds the bias subtraction to binary32, as the accelerator does",
+    ),
+    Mutant(
         "accelerator-pairwise-sum", "accel.py",
-        "        return np.add.accumulate(terms, axis=0)[-1]\n",
-        "        return np.add.reduce(terms, axis=0)\n",
+        "    return np.add.accumulate(terms, axis=0)[-1]\n",
+        "    return np.add.reduce(terms, axis=0)\n",
         "np.add.reduce adds pairwise: another association than first to last",
     ),
     Mutant(
@@ -88,15 +100,33 @@ CATALOGUE = [
     ),
     Mutant(
         "decide-strict-compare", "accel.py",
-        "        label = 1 if distance >= _F32(threshold) else -1\n",
-        "        label = 1 if distance > _F32(threshold) else -1\n",
+        "    return 1 if distance >= _F32(threshold) else -1, distance\n",
+        "    return 1 if distance > _F32(threshold) else -1, distance\n",
         "a distance equal to the threshold labels +1",
     ),
     Mutant(
+        "accelerator-overflow-raises", "accel.py",
+        '    with np.errstate(all="ignore"):  # one for the frame\'s every step\n',
+        '    with np.errstate(over="raise"):\n',
+        "an overflowing frame flows through IEEE arithmetic to an infinite distance",
+    ),
+    Mutant(
         "reference-threshold-unrounded", "driver.py",
+        '    distance, limit = array("f", (raw - model.bias, float(threshold)))\n',
+        '    distance, limit = array("f", (raw - model.bias,))[0], float(threshold)\n',
+        "the reference must compare against the binary32 threshold, as the accelerator does",
+    ),
+    Mutant(
+        "batch-threshold-unrounded", "driver.py",
         "        labels = np.where(distances >= float(f32(threshold)), 1, -1)\n",
         "        labels = np.where(distances >= float(threshold), 1, -1)\n",
-        "the reference must compare against the binary32 threshold, as the accelerator does",
+        "batch_classify must compare against the binary32 threshold, as the accelerator does",
+    ),
+    Mutant(
+        "stream-frame-writeable", "model_io.py",
+        "    words.flags.writeable = False\n    frame = object.__new__(StreamFrame)",
+        "    frame = object.__new__(StreamFrame)",
+        "emit_stream's frame holds read-only words, as the StreamFrame constructor stores them",
     ),
     # -- parsers
     Mutant(
@@ -346,6 +376,25 @@ CATALOGUE = [
         "an unusable calibration exits 2, apart from input errors",
     ),
     Mutant(
+        "cosim-cycle-columns-swapped", "driver.py",
+        "    sw_cycles, sw_opt = fit.counts(s, fl, (0, 1))  # plain, then optimized\n",
+        "    sw_cycles, sw_opt = fit.counts(s, fl, (1, 0))  # plain, then optimized\n",
+        "the report's plain and optimized processor cycles come from their own columns",
+    ),
+    Mutant(
+        "cosim-timer-refusal-dropped", "driver.py",
+        "        arm_timer_mhz(pairing, cal)  # refuses the uncalibrated pairing\n",
+        "        pass\n",
+        "an uncalibrated pairing is refused with arm_timer_mhz's UnknownCalibration,"
+        " not a KeyError",
+    ),
+    Mutant(
+        "cosim-strict-arm-anchor-unchecked", "driver.py",
+        "    if strict and s not in fit.points:\n",
+        "    if False:\n",
+        "strict refuses processor cycles read off a line rather than measured",
+    ),
+    Mutant(
         "clock-pair-unchecked", "driver.py",
         "    def __post_init__(self):\n        clock_key(self)\n",
         "",
@@ -513,6 +562,18 @@ CATALOGUE = [
         "bram if bram > 0.0 else 0.0",
         "bram",
         "a BRAM line below 0 reads 0, as max(0.0, bram) did (923 candidates of the sweep)",
+    ),
+    Mutant(
+        "model-id-any-cell", "synth.py",
+        "    if isinstance(model_id, bool) or not isinstance(model_id, (str, int)):\n",
+        "    if False:\n",
+        "a model id is text or an integer: a list or null cell is refused, not loaded as text",
+    ),
+    Mutant(
+        "fit-counts-unclamped", "synth.py",
+        "        return [max(0, int(round(v))) for v in values]\n",
+        "        return [int(round(v)) for v in values]\n",
+        "a processor-cycle line below 0 reads 0 cycles",
     ),
     Mutant(
         "front-entry-fields-swapped", "synth.py",

@@ -360,6 +360,21 @@ class TestQuotedInput:
         assert (code, out) == (2, "")
         assert err == f"error: calibration file is malformed: synth {reason}\n"
 
+    @pytest.mark.parametrize("cell", [[1], None], ids=["list", "null"])
+    def test_model_id_that_is_no_name_or_number(self, capsys, tmp_path, cell):
+        # loaded before as the model '[1]' or 'none'; now an unusable file
+        doc = json.loads(save_calibration(default_calibration()))
+        doc["power"][0][2] = cell
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "explore", "248", "27", "100", "--calibration", str(tmp_path / "cal.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: calibration file is malformed: power model_id: {cell!r} is not a model"
+            " name or number\n"
+        )
+
     @pytest.mark.parametrize(
         "column, cell, reason",
         [

@@ -363,6 +363,9 @@ class TestStreamFrames:
         frame = emit_stream(m, t)
         reals = frame.words.view("<f4").tolist()
         assert reals == [1.0, 2.0, 3.0, 4.0, 7.0, 5.0, 6.0, 8.0, 9.0]
+        # the words as the constructor stores them: flat, read-only little-endian u32
+        assert frame.words.dtype == np.dtype("<u4") and frame.words.shape == (9,)
+        assert not frame.words.flags.writeable and frame == StreamFrame(frame.words)
 
     def test_word_count_formula(self):
         assert StreamFrame.word_count(2, 2) == 9
@@ -760,6 +763,24 @@ class TestMakeSynthetic:
     def test_sizes_beyond_the_dense_limit_are_refused(self):
         with pytest.raises(ValueError, match=f"exceeds {MAX_DENSE_VALUES} values"):
             make_synthetic(10**15, 27, 1)
+
+    @pytest.mark.parametrize("sizes", [(0, 27, 4), (61, 0, 4), (61, 27, 0)])
+    def test_empty_sizes_are_refused(self, sizes):
+        s, fl, instances = sizes
+        with pytest.raises(ValueError) as exc:
+            make_synthetic(s, fl, 1, instances=instances)
+        assert str(exc.value) == "sv_count, feature_count, and instances must be >= 1"
+
+    def test_no_separable_draw_is_refused(self, monkeypatch):
+        # every draw 0: each decision value is 0, inside the margin, on every attempt
+        class Zeros:
+            def uniform(self, low, high, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+        with pytest.raises(ValueError) as exc:
+            make_synthetic(3, 2, 1, instances=1)
+        assert str(exc.value) == "could not find separable fixtures for S=3, Fl=2"
 
 
 def _svmlight_body(*lines: str) -> str:

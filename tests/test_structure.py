@@ -5,7 +5,9 @@ name a module lists in __all__ is bound at its top level, the cost
 models import numpy only where a least-squares fit needs it, and every
 module parses on the oldest Python that pyproject.toml admits.  Each
 fact is defined once: the package exports exactly its modules' __all__
-lists, and one function spells a clock pairing.  Every entry of the
+lists, and one function spells a clock pairing.  The software reference
+reaches no accel function and no ufunc accumulate, so it stays a second
+mechanism beside the accelerator model.  Every entry of the
 mutation catalogue (tests/mutants.py) still finds the text it replaces, and
 names test modules that exist.
 """
@@ -233,6 +235,53 @@ def _pairing_text_sites() -> list[str]:
 
 def test_one_function_spells_a_clock_pairing():
     assert _pairing_text_sites() == ["synth.format_pairing"]
+
+
+def _reference_path(tree: ast.Module, root: str = "run_software_reference") -> dict:
+    """The module's top-level functions that root reaches through calls, by name."""
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    path, todo = {}, [root]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in path:
+            path[name] = defs[name]
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    return path
+
+
+def _reference_path_faults(tree: ast.Module) -> list[str]:
+    """Where the software reference path uses the accelerator's mechanism: a name
+    imported from accel other than AccelResult, or any ufunc's accumulate."""
+    accel = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "accel"
+        for alias in node.names
+    } - {"AccelResult"}
+    found = []
+    for name, func in _reference_path(tree).items():
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id in accel:
+                found.append(f"{name}: {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr == "accumulate":
+                found.append(f"{name}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_software_reference_keeps_its_own_mechanism():
+    # a speed-up that merged the reference into the accelerator would check nothing
+    tree = _tree(PACKAGE / "driver.py")
+    assert {"run_software_reference", "_weight_vector", "_rounded_sum", "_lane_sum"} <= set(
+        _reference_path(tree)
+    )
+    assert _reference_path_faults(tree) == []
+    merged = ast.parse(
+        "from .accel import AccelResult, decide as settle, run_accelerator\n"
+        "def run_software_reference(m, t):\n    return AccelResult(*_sum(m, t))\n"
+        "def _sum(m, t):\n    return settle(np.add.accumulate(m)[-1], t)\n"
+        "def other():\n    return run_accelerator()\n"
+    )
+    assert _reference_path_faults(merged) == ["_sum: settle", "_sum: np.add.accumulate"]
 
 
 @pytest.mark.parametrize("mutant", mutants.CATALOGUE, ids=lambda m: m.name)

@@ -851,6 +851,15 @@ class TestArmCycles:
         assert estimate_arm_cycles(346, 27, (100, 666.67)) == 430967
         assert estimate_arm_cycles(346, 27, (100, 666.67), optimized=True) == 126319
 
+    def test_a_falling_line_clamps_at_zero(self):
+        falling = (ArmRecord(1, 27, 100.0, 250.0, 50.0, 1000, 10),
+                   ArmRecord(2, 27, 100.0, 250.0, 50.0, 10, 1000))
+        cal = fit_calibration(SHIPPED_RECORDS + falling)
+        # plain: 1000 - 990 * (S - 1), below 0 from S=3; optimized rises
+        assert estimate_arm_cycles(2, 27, (100, 250), calibration=cal) == 10
+        assert estimate_arm_cycles(3, 27, (100, 250), calibration=cal) == 0
+        assert estimate_arm_cycles(3, 27, (100, 250), optimized=True, calibration=cal) == 1990
+
     def test_single_point_pairings_refuse_other_s(self):
         with pytest.raises(UnknownCalibration):
             estimate_arm_cycles(100, 27, (250, 250))
@@ -885,6 +894,33 @@ class TestPower:
         assert estimate_power(1, 1) == 1.756
         assert estimate_power("model 2", 2) == 2.125
         assert estimate_power("S", 1) == 1.686
+
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [([1], "[1]"), (None, "None"), (True, "True"), (1.0, "1.0"), ({"m": 1}, "{'m': 1}"),
+         (["m"] * 30, repr(["m"] * 30)[:40] + "…")],
+        ids=["list", "null", "bool", "real", "object", "long"],
+    )
+    def test_model_id_is_text_or_an_integer(self, cell, shown):
+        # json gives a list, null, true, 1.0 or an object where a model name or number belongs
+        doc = _default_doc()
+        doc["power"][0][2] = cell
+        with pytest.raises(CalibrationError) as exc:
+            load_calibration(json.dumps(doc))
+        reason = f"{shown} is not a model name or number"
+        assert str(exc.value) == f"calibration file is malformed: power model_id: {reason}"
+        with pytest.raises(ValueError, match="is not a model name or number"):
+            estimate_power(cell, 1)
+
+    def test_model_id_cells_as_text_and_integers_load(self):
+        doc = _default_doc()
+        spelt = {"model1": 1, "model2": "Model 2", "models": "m-s"}
+        for rec in doc["power"]:
+            rec[2] = spelt[rec[2]]
+        cal = load_calibration(json.dumps(doc))
+        assert cal == default_calibration()
+        for _, _, model_id, design, watts in doc["power"]:
+            assert estimate_power(model_id, design, calibration=cal) == watts
 
     def test_unknown_design(self):
         with pytest.raises(UnknownDesign):
