@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from functools import lru_cache
+from itertools import count
 from pathlib import Path
 
 from .driver import ClockPair, CosimReport, batch_classify, cosim, run_software_reference
@@ -53,11 +54,8 @@ from .synth import (
 )
 
 _WORDS = {1: "melanoma", -1: "non-melanoma"}
+_SIGN = {1: "+1", -1: "-1"}  # a label as the outputs print it
 MAX_INPUT_BYTES = MAX_DENSE_VALUES * 32  # the dense limit's values, 32 bytes of text each
-
-
-def _fmt_label(label: int) -> str:
-    return f"{label:+d}"
 
 
 def _fmt_2dp(v: float) -> str:
@@ -130,32 +128,22 @@ def cmd_classify(args) -> str:
     res = run_software_reference(model, instance, args.th)
     dist = format_real(res.distance)
     if args.machine:
-        return _kv([("label", _fmt_label(res.label)), ("distance", dist)])
-    return f"{_fmt_label(res.label)} {_WORDS[res.label]} {dist}\n"
+        return _kv([("label", _SIGN[res.label]), ("distance", dist)])
+    return f"{_SIGN[res.label]} {_WORDS[res.label]} {dist}\n"
 
 
 def _classify_dataset(model, dataset: LabeledDataset, args) -> str:
     report = batch_classify(model, dataset, args.th)
-    acc = _fmt_2dp(report.accuracy_percent)
-    lines = []
-    for i, (pred, true, d) in enumerate(
-        zip(report.predictions, report.labels, format_reals(report.distances)), start=1
-    ):
-        if args.machine:
-            lines.append(
-                f"row={i} predicted={_fmt_label(pred)} true={_fmt_label(true)}"
-                f" distance={d}"
-            )
-        else:
-            lines.append(
-                f"row {i}: {_fmt_label(pred)} {_WORDS[pred]} {d} (true {_fmt_label(true)})"
-            )
+    rows = zip(count(1), report.predictions, report.labels, format_reals(report.distances))
+    acc, correct, total = _fmt_2dp(report.accuracy_percent), report.correct, report.total
     if args.machine:
-        lines.append(f"correct={report.correct}")
-        lines.append(f"total={report.total}")
-        lines.append(f"accuracy_percent={acc}")
+        lines = [
+            f"row={i} predicted={_SIGN[p]} true={_SIGN[t]} distance={d}" for i, p, t, d in rows
+        ]
+        lines += [f"correct={correct}", f"total={total}", f"accuracy_percent={acc}"]
     else:
-        lines.append(f"accuracy {acc}% ({report.correct}/{report.total})")
+        lines = [f"row {i}: {_SIGN[p]} {_WORDS[p]} {d} (true {_SIGN[t]})" for i, p, t, d in rows]
+        lines.append(f"accuracy {acc}% ({correct}/{total})")
     return "\n".join(lines) + "\n"
 
 
@@ -170,9 +158,9 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
                 ("directive", rep.directive.name),
                 ("fpga_mhz", format_mhz(rep.clocks.fpga_mhz)),
                 ("arm_mhz", format_mhz(rep.clocks.arm_mhz)),
-                ("hw_label", _fmt_label(rep.hw.label)),
+                ("hw_label", _SIGN[rep.hw.label]),
                 ("hw_distance", hw_d),
-                ("sw_label", _fmt_label(rep.sw.label)),
+                ("sw_label", _SIGN[rep.sw.label]),
                 ("sw_distance", sw_d),
                 ("results_match", int(rep.results_match)),
                 ("cycle_source", rep.cycle_source),
@@ -193,8 +181,8 @@ def _render_cosim(rep: CosimReport, machine: bool) -> str:
     return (
         f"co-simulation: {rep.directive.name},"
         f" {format_pairing(rep.clocks.fpga_mhz, rep.clocks.arm_mhz)}\n"
-        f"  hw: {_fmt_label(rep.hw.label)} {_WORDS[rep.hw.label]} {hw_d}\n"
-        f"  sw: {_fmt_label(rep.sw.label)} {_WORDS[rep.sw.label]} {sw_d}\n"
+        f"  hw: {_SIGN[rep.hw.label]} {_WORDS[rep.hw.label]} {hw_d}\n"
+        f"  sw: {_SIGN[rep.sw.label]} {_WORDS[rep.sw.label]} {sw_d}\n"
         f"  results match: {match}\n"
         f"  hw cycles {rep.hw_cycles} ({rep.cycle_source}),"
         f" time {_fmt_2dp(rep.hw_time_us)} us\n"

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -291,7 +292,7 @@ class AccuracyReport:
     def total(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property  # read by accuracy_percent and by the report's renderers
     def correct(self) -> int:
         return sum(p == t for p, t in zip(self.predictions, self.labels))
 

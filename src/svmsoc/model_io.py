@@ -25,13 +25,14 @@ when byte-level checks prove it canonical dense (`w 1:v 2:v ... Fl:v` on
 every line); a sparse, out-of-order or otherwise different body is read
 line by line.  An ASCII text whose first 4 KiB hold a fraction of more than
 14 digits, as `repr` and SVM-Light write them, is read with every fraction
-digit past the 14th set to "0" (`_cut_lines`), which the reader converts
-two to three times faster and which moves a value by less than 1e-14.
-Each value read that near a binary32 midpoint, or outside binary32's
-normal range, is read again from its whole token, and so is every CSV
-label, so no bit, error or line number changes.  A block where a
-non-negative exponent follows a long fraction, or where a run of 15 digits
-is no fraction, is read uncut.  The texts this module emits are not cut.
+digit past the 14th set to "0" and split once (`_reader_lines`), which the
+reader converts two to three times faster and which moves a value by less
+than 1e-14.  Each value read that near a binary32 midpoint, or outside
+binary32's normal range, is read again from its whole token, and so is a
+CSV's label column when a cut can move a label onto or off +/-1, so no bit,
+error or line number changes.  A block where a non-negative exponent
+follows a long fraction, or where a run of 15 digits is no fraction, is
+read uncut.  The texts this module emits are not cut.
 Emitters format whole arrays (`format_reals`) with the shortest decimal
 that parses back to the same binary32, as numpy's Dragon4 prints it, so
 emit/parse round-trips are bit-exact.  An array of a few hundred values or
@@ -273,7 +274,7 @@ def _text(rows: np.ndarray, sep: bytes) -> str:
     dragon4[lanes] = False
     flat_frame[dragon4, :digit_end] = 0
     flat_frame[dragon4, 0] = 1  # where Dragon4's text goes
-    text = frame[frame != 0].tobytes().decode()
+    text = frame.tobytes().translate(None, b"\0").decode()
     if lanes.size < flat.size:
         pieces = text.split("\1")
         texts = _shortest(flat[dragon4])
@@ -759,25 +760,24 @@ def _index_prefixes(feature_count: int):
     return at_colon, offset, np.frombuffer(b"".join(texts), dtype=np.uint8)
 
 
-def _matrix(text: str, delimiter: str | None = None) -> np.ndarray | None:
-    """The text's rows of finite reals as a binary64 matrix, read in C.
+def _matrix(text: str, delimiter: str | None = None) -> tuple[np.ndarray | None, list[str] | None]:
+    """The text's rows of finite reals as a binary64 matrix read in C, and its lines if cut.
 
     Rows are the text's lines that hold more than whitespace, the lines the
     per-line readers read.  Values are cut at whitespace, or at delimiter
-    and stripped of the whitespace around them.  Returns None when no line
-    is left, when the reader refuses the rows (a token that is no real,
+    and stripped of the whitespace around them.  The matrix is None when no
+    line is left, when the reader refuses the rows (a token that is no real,
     ragged rows), when a value is not finite, or when the text holds any of
     U+001C..U+001F: the reader strips those around a cell, `float` does
     not.  The caller then reads that one file line by line, which names the
-    first faulty line.  A text with long fractions is read cut (`_cut_lines`).
+    first faulty line.  A text with long fractions is read cut (`_reader_lines`).
     """
     if any(c in text for c in "\x1c\x1d\x1e\x1f"):
-        return None
-    lines = list(filter(str.strip, text.splitlines()))
+        return None, None
+    lines, cut = _reader_lines(text)
     if not lines:  # the reader warns on a blank text
-        return None
-    cut = _long_fractions(text) and _cut_lines(lines)
-    return _read(lines, delimiter, text if cut else None)
+        return None, None
+    return _read(lines, delimiter, text if cut else None), lines if cut else None
 
 
 def _read(lines: list[str], delimiter: str | None = None, original: str | None = None):
@@ -825,6 +825,7 @@ _LONG_FRACTION = re.compile(r"\.[0-9]{%d}" % (_KEEP + 1))
 _PEEK = 4096  # characters of a text searched for a long fraction
 _CUT_MIN = 1 << 13  # characters; a shorter text reads faster whole than cut
 _GAP = re.compile(rb"[\s,]")  # a byte no real spans, where a piece of a cut may end
+_LINE_BREAK = re.compile(r"[\n\r\v\f]")  # str.splitlines' ASCII breaks that _matrix reads
 
 
 def _cut_ulps() -> np.ndarray:
@@ -860,32 +861,37 @@ def _long_fractions(text: str) -> bool:
     )
 
 
-def _cut_lines(lines: list[str]) -> bool:
-    """Cut the long fractions of ASCII lines in place; whether any line was cut.
+def _reader_lines(text: str) -> tuple[list[str], bool]:
+    """The text's non-blank lines, long fractions cut (`_long_fractions`); whether any was cut.
 
-    The lines are cut a block of about _BLOCK_BYTES at a time, which bounds
-    the memory the cut takes beside the lines.
+    A text with long fractions is cut and split by `str.splitlines` a block at a
+    time, which bounds the memory the cut takes; a block ends at the first line
+    break _BLOCK_BYTES past its start (a CR LF split there adds a blank line).
     """
-    step = max(1, _BLOCK_BYTES // (len(lines[0]) + 1))
-    cut = False
-    for start in range(0, len(lines), step):
-        raw = bytearray("\n".join(lines[start : start + step]), "ascii")
-        if _cut(raw):
-            lines[start : start + step] = raw.decode("ascii").split("\n")
-            cut = True
-    return cut
+    if not _long_fractions(text):
+        return list(filter(str.strip, text.splitlines())), False
+    lines: list[str] = []
+    cut, start = False, 0
+    while start < len(text):
+        brk = _LINE_BREAK.search(text, start + _BLOCK_BYTES)
+        end = brk.end() if brk else len(text)
+        raw = bytearray(text[start:end], "ascii")
+        cut |= _cut(raw)
+        lines += filter(str.strip, raw.decode("ascii").splitlines())
+        start = end
+    return lines, cut
 
 
 def _cut(raw: bytearray) -> bool:
     """Set every fraction digit of ASCII text past the _KEEP-th to "0", in place; whether any was.
 
-    A long line is cut a piece of about _BLOCK_BYTES at a time, each ending
-    at whitespace or a comma, which bounds the memory the cut takes.
+    A long text is cut a piece of one to two _BLOCK_BYTES at a time, which keeps a
+    `_reader_lines` block whole; each ends at whitespace or a comma, bounding the memory.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
     cut, start = False, 0
     while start < len(raw):
-        gap = _GAP.search(raw, start + _BLOCK_BYTES)
+        gap = _GAP.search(raw, start + 2 * _BLOCK_BYTES)
         end = gap.end() if gap else len(raw)
         cut |= _cut_piece(buf[start:end])
         start = end
@@ -947,7 +953,7 @@ def _reals(text: str, fault) -> np.ndarray:
     one row; a text it cannot read goes line by line, where fault(lineno,
     message) builds the exception for the first faulty line.
     """
-    values = _matrix(" ".join(text.split()))
+    values, _ = _matrix(" ".join(text.split()))
     if values is None:
         values = np.array(
             [v for _lineno, vals in _parse_real_lines(text, fault) for v in vals],
@@ -985,7 +991,7 @@ def parse_native_model(svs_text: str, alpha_text: str) -> TrainedModel:
     svs_text holds S rows of Fl reals; alpha_text holds 1+S reals, the
     bias first and then the S alpha*y weights, on as many lines as it likes.
     """
-    sv = _matrix(svs_text)
+    sv, _ = _matrix(svs_text)
     if sv is None:
         sv = _svs_lines(svs_text)
     weights = _reals(alpha_text, _model_fault("weights"))
@@ -1010,10 +1016,10 @@ def parse_test_instance(text: str, feature_count: int | None = None) -> TestInst
 
 def load_dataset(text: str) -> LabeledDataset:
     """Parse labeled CSV: Fl feature columns then a +1/-1 label column."""
-    table = _matrix(text, ",")
-    if table is not None and _long_fractions(text):
-        # a label must read exactly +/-1 in binary64, which a cut does not keep
-        table[:, -1] = [float(ln.rpartition(",")[2]) for ln in text.splitlines() if ln.strip()]
+    table, cut = _matrix(text, ",")
+    # a cut keeps cell lengths; one it moves onto or off +/-1 is longer than "1." + _KEEP digits
+    if table is not None and cut and any(len(ln) - ln.rfind(",") > _KEEP + 3 for ln in cut):
+        table[:, -1] = _whole_labels(text)
     if table is None or table.shape[1] < 2 or not (np.abs(table[:, -1]) == 1.0).all():
         table = _dataset_lines(text)
     rows = _binary32(
@@ -1021,6 +1027,11 @@ def load_dataset(text: str) -> LabeledDataset:
         lambda: [c for ln in text.splitlines() if ln.strip() for c in ln.split(",")[:-1]],
     )
     return LabeledDataset(rows, table[:, -1].astype(int).tolist())
+
+
+def _whole_labels(text: str) -> list[float]:
+    """Each non-blank CSV line's last cell, read whole: a cut does not keep a label's +/-1."""
+    return [float(ln.rpartition(",")[2]) for ln in text.splitlines() if ln.strip()]
 
 
 def _dataset_lines(text: str) -> np.ndarray:

@@ -1,10 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from svmsoc import TestInstance, TrainedModel
+from svmsoc import AccelResult, TestInstance, TrainedModel
 
 
 def random_model(rng: np.random.Generator, sv_count: int, feature_count: int, scale=1.0):
@@ -16,6 +17,19 @@ def random_model(rng: np.random.Generator, sv_count: int, feature_count: int, sc
 
 def random_instance(rng: np.random.Generator, feature_count: int, scale=1.0):
     return TestInstance(rng.uniform(-scale, scale, feature_count).astype(np.float32))
+
+
+def bit_key(value):
+    """A value as a key that tells every type and every binary64 bit pattern apart.
+
+    Engines that agree on a binary32 result agree on these keys; `f32_bits`
+    rounds first, so a distance left unrounded in binary64 would pass it.
+    """
+    if isinstance(value, AccelResult):
+        return tuple(map(bit_key, (value.label, value.distance, value.raw_distance)))
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    return type(value), value
 
 
 @pytest.fixture

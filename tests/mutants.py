@@ -85,12 +85,20 @@ CATALOGUE = [
         '    distance, limit = array("f", (raw - model.bias, float(threshold)))\n',
         '    distance, limit = raw - model.bias, array("f", (float(threshold),))[0]\n',
         "the reference rounds the bias subtraction to binary32, as the accelerator does",
+        tests=("test_driver.py", "test_acceptance.py"),
     ),
     Mutant(
         "accelerator-pairwise-sum", "accel.py",
         "    return np.add.accumulate(terms, axis=0)[-1]\n",
         "    return np.add.reduce(terms, axis=0)\n",
         "np.add.reduce adds pairwise: another association than first to last",
+    ),
+    Mutant(
+        "accelerator-bias-unrounded", "accel.py",
+        "    distance = _F32(raw_distance) - _F32(bias)\n",
+        "    distance = float(raw_distance) - float(_F32(bias))\n",
+        "the accelerator subtracts the bias in binary32; a binary64 difference rounds"
+        " to the same binary32, so only a binary64 bit comparison sees it",
     ),
     Mutant(
         "accelerator-negative-zero-seed", "accel.py",
@@ -252,10 +260,23 @@ CATALOGUE = [
     ),
     Mutant(
         "cut-labels-kept", "model_io.py",
-        "    if table is not None and _long_fractions(text):\n",
-        "    if False:\n",
+        "    if table is not None and cut and any(",
+        "    if False and any(",
         "a label is compared with +/-1 in binary64, which a cut does not keep:"
         " 1.000000000000001 reads 1 cut",
+    ),
+    Mutant(
+        "cut-label-bound-one-long", "model_io.py",
+        'any(len(ln) - ln.rfind(",") > _KEEP + 3 for ln in cut)',
+        'any(len(ln) - ln.rfind(",") > _KEEP + 4 for ln in cut)',
+        "a label of \"1.\" and _KEEP + 1 digits is cut: 1.000000000000009 reads 1 cut",
+    ),
+    Mutant(
+        "cut-blocks-split-at-newline", "model_io.py",
+        'raw.decode("ascii").splitlines())',
+        'raw.decode("ascii").split("\\n"))',
+        "the reader's rows are the lines str.splitlines ends, at \\r, \\v and \\f too,"
+        " as the per-line path reads them",
     ),
     # -- the formatter: Dragon4's text, from the array path or from Dragon4
     Mutant(
@@ -333,6 +354,7 @@ CATALOGUE = [
         "    if seed < 0:\n",
         "    if False:\n",
         "a negative seed is refused with a message that names it",
+        tests=("test_cli.py",),
     ),
     Mutant(
         "directive-unknown-prefix-accepted", "synth.py",
@@ -399,6 +421,12 @@ CATALOGUE = [
         "    def __post_init__(self):\n        clock_key(self)\n",
         "",
         "a clock that is not positive and finite is refused where the pair is made",
+    ),
+    Mutant(
+        "classify-render-modes-swapped", "cli.py",
+        "    if args.machine:\n        lines = [\n",
+        "    if not args.machine:\n        lines = [\n",
+        "--machine prints key=value rows, the default the human text",
     ),
     Mutant(
         "classify-first-line-misses-a-break", "cli.py",

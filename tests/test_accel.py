@@ -21,7 +21,7 @@ from svmsoc.accel import AccelResult, _ordered_sum
 from svmsoc.model_io import StreamFrame
 
 import ref32
-from conftest import edge_lane_case, random_instance, random_model
+from conftest import bit_key, edge_lane_case, random_instance, random_model
 
 F32 = np.float32
 
@@ -196,9 +196,7 @@ class TestRunAccelerator:
         label, dist, raw = ref32.classify(
             m.support_vectors.tolist(), m.alpha_y.tolist(), t.values.tolist(), m.bias
         )
-        assert res.label == label
-        assert f32_bits(res.distance) == f32_bits(dist)
-        assert f32_bits(res.raw_distance) == f32_bits(raw)
+        assert bit_key(res) == bit_key(AccelResult(label, dist, raw))
 
     @given(edge_lane_case())
     @settings(max_examples=300, deadline=None)
@@ -207,9 +205,7 @@ class TestRunAccelerator:
         sv, ay = m.support_vectors.tolist(), m.alpha_y.tolist()
         with np.errstate(all="ignore"):  # the kernel's callers hold one for it
             ac = _ordered_sum(m.alpha_y[:, None], m.support_vectors)
-        assert [f32_bits(v) for v in ac] == [
-            f32_bits(v) for v in ref32.accumulate(sv, ay)
-        ]
+        assert [bit_key(float(v)) for v in ac] == list(map(bit_key, ref32.accumulate(sv, ay)))
         assert f32_bits(ac[0]) == 0  # -0.0 products sum to +0.0
         if kind != "finite":
             assert ac[2] == np.inf
@@ -219,13 +215,11 @@ class TestRunAccelerator:
                 assert f32_bits(_ordered_sum(ac[:2], x[:2])) == 0
                 partial = _ordered_sum(ac, x)
             label, dist, raw = ref32.classify(sv, ay, x.tolist(), m.bias)
-            assert f32_bits(partial) == f32_bits(raw)
+            assert bit_key(float(partial)) == bit_key(raw)
             res = run_accelerator(
                 emit_stream(m, TestInstance(x)), m.sv_count, m.feature_count
             )
-            assert (res.label, f32_bits(res.distance), f32_bits(res.raw_distance)) == (
-                label, f32_bits(dist), f32_bits(raw)
-            )
+            assert bit_key(res) == bit_key(AccelResult(label, dist, raw))
             if kind == "nan":  # inf - inf in the dot product, labelled -1
                 assert np.isnan(res.distance) and res.label == -1 and not res.finite
 

@@ -37,16 +37,14 @@ from svmsoc.driver import run_oracle
 from svmsoc.errors import FlMismatch, UnknownCalibration
 from svmsoc.model_io import format_real
 
+from conftest import bit_key
+
 POOL_SEED = 20260823
 POOL_SIZE = 10_000
 
 
 def _pass(n: int, name: str) -> None:
     print(f"CRITERION {n} ({name}): PASS")
-
-
-def _bits(v: float) -> int:
-    return int(np.float32(v).view(np.uint32))
 
 
 @pytest.fixture(scope="session")
@@ -80,8 +78,8 @@ def pool():
             @ np.abs(x.astype(np.float64))
             + abs(b)
         )
-        recs["hw_bits"].append(_bits(hw.distance))
-        recs["sw_bits"].append(_bits(sw.distance))
+        recs["hw_bits"].append(bit_key(hw.distance))
+        recs["sw_bits"].append(bit_key(sw.distance))
         recs["hw_label"].append(hw.label)
         recs["sw_label"].append(sw.label)
         recs["oracle_label"].append(olabel)
@@ -233,7 +231,7 @@ def test_c07_serialization_round_trip():
         inst = TestInstance(rng.uniform(-1, 1, fl).astype(np.float32))
         d1 = run_software_reference(via_light, inst).distance
         d2 = run_software_reference(via_native, inst).distance
-        assert _bits(d1) == _bits(d2)
+        assert bit_key(d1) == bit_key(d2)
     _pass(7, "serialization round trip")
 
 

@@ -1,5 +1,4 @@
 import math
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +30,6 @@ from svmsoc import (
     emit_stream,
     estimate_arm_cycles,
     estimate_latency,
-    f32_bits,
     fit_calibration,
     format_pairing,
     make_synthetic,
@@ -42,7 +40,7 @@ from svmsoc import (
 from svmsoc.driver import _rounded_sum
 
 import ref32
-from conftest import F32_MAX, edge_lane_case, random_instance, random_model
+from conftest import F32_MAX, bit_key, edge_lane_case, random_instance, random_model
 
 F32 = np.float32
 
@@ -105,15 +103,12 @@ class TestSoftwareReference:
         t = random_instance(rng, fl, scale=scale)
         hw = run_accelerator(emit_stream(m, t), s, fl)
         sw = run_software_reference(m, t)
-        assert hw.label == sw.label
-        assert f32_bits(hw.distance) == f32_bits(sw.distance)
-        assert f32_bits(hw.raw_distance) == f32_bits(sw.raw_distance)
         # each distance a binary32 value: the same binary64 bits, not just the same rounding
         assert bit_key(sw) == bit_key(hw)
-        label, dist, _raw = ref32.classify(
+        label, dist, raw = ref32.classify(
             m.support_vectors.tolist(), m.alpha_y.tolist(), t.values.tolist(), m.bias
         )
-        assert (sw.label, f32_bits(sw.distance)) == (label, f32_bits(dist))
+        assert bit_key(sw) == bit_key(AccelResult(label, dist, raw))
 
 
 # Binary64 terms for one lane: ordinary, subnormal and boundary binary32
@@ -378,15 +373,6 @@ def assembled_cosim(model, test, directive, clocks, threshold, strict, calibrati
     return config, clocks, hw, sw, source, hw_cycles, plain, optimized, timer
 
 
-def bit_key(value):
-    """A value as a key that tells every type and every binary64 bit pattern apart."""
-    if isinstance(value, AccelResult):
-        return tuple(map(bit_key, (value.label, value.distance, value.raw_distance)))
-    if isinstance(value, float):
-        return float, struct.pack("<d", value)
-    return type(value), value
-
-
 def outcome(call):
     """The bit keys of what call returns, or the type and message of what it raises."""
     try:
@@ -503,11 +489,11 @@ class TestBatchClassify:
         sv, ay = m.support_vectors.tolist(), m.alpha_y.tolist()
         for inst, label, dist in zip(ds.instances, rep.predictions, rep.distances):
             sw = run_software_reference(m, inst, threshold)
-            assert (label, f32_bits(dist)) == (sw.label, f32_bits(sw.distance))
+            assert (label, bit_key(dist)) == (sw.label, bit_key(sw.distance))
             want, want_dist, _raw = ref32.classify(
                 sv, ay, inst.values.tolist(), m.bias, threshold
             )
-            assert (label, f32_bits(dist)) == (want, f32_bits(want_dist))
+            assert (label, bit_key(dist)) == (want, bit_key(want_dist))
 
 
 def test_every_feature_count_mismatch_names_both_sides():

@@ -1278,7 +1278,13 @@ class TestLongFractions:
         assert _f32_bits(parse_test_instance(f"{NEAR_HALF} {token}").values[1:]) == [bits]
 
     @pytest.mark.parametrize(
-        "label", ["1.000000000000001", "0.99999999999999999999", "-1.0000000000000000001"]
+        "label", [
+            "1.000000000000001", "0.99999999999999999999", "-1.0000000000000000001",
+            # either side of the length a label's cut can reach +/-1 from: "1." and 14
+            # digits is not cut, "1." and 15 is, and "." and 15 stays below 1 cut or whole
+            "1.00000000000000", "1.00000000000001", "1.000000000000009", "-1.000000000000009",
+            "1.000000000000000", ".999999999999999", "-.999999999999999", " .99999999999999",
+        ]
     )
     def test_labels_read_whole(self, label):
         text = f"{NEAR_HALF},{label}\n"
@@ -1298,6 +1304,63 @@ class TestLongFractions:
         model = parse_native_model(svs, alpha)
         assert model == ref_text.parse_native_model(svs, alpha)
         assert _f32_bits(model.support_vectors[[150, 190], 0]) == [0x3F000022] * 2
+
+    @pytest.mark.parametrize("block_bytes", [16, 1 << 16])
+    @pytest.mark.parametrize(
+        "ends",
+        [
+            ["\r\n"], ["\r"], ["\v"], ["\f"], ["\n", "\r\n", "\r", "\v", "\f"],
+            ["\n", "  \n", "\t\r\n \f\n"],  # whitespace-only lines between rows
+        ],
+        ids=repr,
+    )
+    def test_lines_end_where_str_splitlines_ends_them(self, monkeypatch, ends, block_bytes):
+        # at 16 bytes every line is longer than a block, and a "\r\n" may fall across two
+        monkeypatch.setattr(model_io, "_BLOCK_BYTES", block_bytes)
+        rows = [[NEAR_HALF, "-0.12345678901234567"], ["0.25", NEAR_HALF], [NEAR_HALF, "2.5"]]
+        lines = [(cells, ends[i % len(ends)]) for i, cells in enumerate(rows)]
+        svs = "".join(" ".join(cells) + end for cells, end in lines)
+        alpha = "".join(f"{NEAR_HALF}{end}" for _, end in [*lines, lines[0]])
+        csv = "".join(",".join([*cells, "-1"]) + end for cells, end in lines)
+        for parse, ref, args in [
+            (parse_native_model, ref_text.parse_native_model, (svs, alpha)),
+            (parse_test_instance, ref_text.parse_test_instance, (svs,)),
+            (load_dataset, ref_text.load_dataset, (csv,)),
+        ]:
+            assert _outcome(lambda: parse(*args)) == _outcome(lambda: ref(*args))
+        assert _f32_bits(parse_native_model(svs, alpha).support_vectors[:, 0]) == [
+            0x3F000022, 0x3E800000, 0x3F000022,
+        ]
+
+    def test_a_line_longer_than_a_block(self):
+        tokens = list(map(repr, np.random.default_rng(8).uniform(-1, 1, 8000).tolist()))
+        tokens[4000] = NEAR_HALF
+        line = " ".join(tokens)
+        assert len(line) > 2 * model_io._BLOCK_BYTES  # cut in pieces too
+        for end in ("\n", "\r\n"):
+            svs, alpha = f"{line}{end}{line}{end}", "0.5\n0.5\n0.5\n"
+            csv = f"{line.replace(' ', ',')},1{end}" * 2
+            model = parse_native_model(svs, alpha)
+            assert model == ref_text.parse_native_model(svs, alpha)
+            assert load_dataset(csv) == ref_text.load_dataset(csv)
+            assert _f32_bits(model.support_vectors[:, 4000]) == [0x3F000022] * 2
+
+    def test_a_repr_csv_keeps_its_labels_from_the_cut_read(self, monkeypatch):
+        # labels written as integers are never cut, so the cut text's labels stand
+        model, dataset = make_synthetic(61, 27, 7, instances=200)
+        rows = dataset.features.astype(np.float64).tolist()
+        csv = "".join(
+            ",".join(map(repr, row)) + f",{label}\n" for row, label in zip(rows, dataset.labels)
+        )
+        want = ref_text.load_dataset(csv)
+        assert model_io._reader_lines(csv)[1]  # the text is cut
+
+        def refused(*args):
+            raise AssertionError("the labels were read again")
+
+        monkeypatch.setattr(model_io, "_whole_labels", refused)
+        monkeypatch.setattr(model_io, "_dataset_lines", refused)
+        assert load_dataset(csv) == want
 
     @given(long_texts(), st.sampled_from([16, 64, 1 << 16]))
     @settings(
