@@ -35,10 +35,10 @@ follows a long fraction, or where a run of 15 digits is no fraction, is
 read uncut.  The texts this module emits are not cut.
 Emitters format whole arrays (`format_reals`) with the shortest decimal
 that parses back to the same binary32, as numpy's Dragon4 prints it, so
-emit/parse round-trips are bit-exact.  An array of a few hundred values or
+emit/parse round-trips are bit-exact.  An array of _ARRAY_MIN values or
 more is printed an array at a time: an exact binary64 digit search finds
 every value's digits at once, and the text is built in one byte frame per
-block.  Dragon4 prints the rest: small arrays, and zero, subnormals, powers
+block.  Dragon4 prints the rest: smaller arrays, and zero, subnormals, powers
 of two, values outside [1e-4, 1e9), nan and infinities.  The array path's
 digits are not parsed back: `tests/sweep_format.py` checks them once, for
 every binary32 in its range, against Dragon4.
@@ -142,7 +142,7 @@ def _shortest(values: np.ndarray) -> list[str]:
 # finds D and Q for all values at once in binary64; tests/sweep_format.py
 # compares its text with Dragon4's for every binary32 in its range.
 
-_ARRAY_MIN = 320  # fewer values print faster one at a time (break-even, CHANGES.md)
+_ARRAY_MIN = 128  # fewer values print faster by Dragon4 (break-even, ROADMAP item 15)
 _BLOCK_VALUES = 4096  # values printed through one text frame, which bounds its memory
 
 
@@ -181,7 +181,8 @@ def _certified(mag: np.ndarray, biased: np.ndarray):
     digits, power = np.rint(t), np.zeros(t.size, dtype=np.intp)
     half = _HALF_ULP.take(biased)
     even = mag.view(np.uint64) & (1 << 29) == 0  # M's last bit, in binary64
-    half[even] = np.nextafter(half[even], np.inf)  # |t - x| < that: within or on the bound
+    # where M is even, the next binary64 up: |t - x| < that is within or on the bound
+    half = (half.view(np.int64) + even).view(np.float64)
     # a multiple of 10**j within half an ulp is one of 10**(j-1) too, so the
     # lanes that find one at j are a subset of those that found one at j - 1
     live, tl, j = np.arange(t.size), t, 1
@@ -195,15 +196,15 @@ def _certified(mag: np.ndarray, biased: np.ndarray):
     return digits, _SCALE.take(biased) + power
 
 
-# Each value's text is built in one row of a byte frame: its sign, the 4-digit
-# chunks of its integer part that any value of the block needs, ".", three
-# 4-digit chunks of its fraction, then its separator.  Pad bytes are NUL and
-# are dropped at the end.  Chunks come from one table of 4-byte words in
-# three forms: all four digits, leading zeros as NUL (the leading integer
-# chunk; 0 prints "0") and trailing zeros as NUL (the fraction's last chunks;
-# 0 prints nothing).
+# Each value's text is built in one row of a byte frame: its sign, its integer
+# part, ".", three 4-digit chunks of its fraction, then its separator.  The
+# integer part is one digit byte when every value of the block has one digit,
+# and otherwise the 4-digit chunks of it that any value of the block needs.
+# Pad bytes are NUL and are dropped at the end.  Chunks come from one table of
+# 4-byte words in three forms: all four digits, leading zeros as NUL (the
+# leading integer chunk; 0 prints "0") and trailing zeros as NUL (the
+# fraction's last chunks; 0 prints nothing).
 _LEAD, _TRAIL = 10**4, 2 * 10**4  # where the two NUL forms start in the table
-_NUL = _TRAIL  # trailing-zero form of 0: four NUL bytes
 
 
 def _digit_words() -> np.ndarray:
@@ -226,60 +227,74 @@ def _chunks(x: np.ndarray):
     return high, mid, rest - mid * 1e4
 
 
+# Per Q + 12, Q from -12 to 8: 10**-Q and 10**Q (each at least 1), and the
+# table offsets of the fraction's first two chunks.  Where Q < 0, D ends in a
+# non-zero digit, so the fraction holds -Q digits and the chunk with the last
+# of them prints its trailing zeros as NUL; an integer's fraction prints "0".
+_PLACES = np.maximum(12 - np.arange(21), 0)  # fraction digits
+_DOWN, _UP = _POW10.take(_PLACES), _POW10.take(np.maximum(np.arange(21) - 12, 0))
+_FIRST = np.where(_PLACES > 4, 0, np.where(_PLACES > 0, _TRAIL, _LEAD))
+_SECOND = np.where(_PLACES > 8, 0, _TRAIL)
+
+
 def _text(rows: np.ndarray, sep: bytes) -> str:
     """The text of a 2-D binary32 block: values joined by sep, each row ended by a newline."""
     flat = rows.reshape(-1)
     mag = np.abs(flat)
-    bits = mag.view(np.uint32)
-    lanes = np.flatnonzero((mag >= 1e-4) & (mag < 1e9) & (bits & 0x7FFFFF != 0))
-    digits, exp10 = np.zeros(flat.size), np.zeros(flat.size, dtype=np.intp)
-    digits[lanes], exp10[lanes] = _certified(
-        mag[lanes].astype(np.float64), (bits[lanes] >> 23).astype(np.intp)
-    )
+    certified = (mag >= 1e-4) & (mag < 1e9) & (mag.view(np.uint32) & 0x7FFFFF != 0)
+    every = certified.all()
+    if not every:  # a stand-in for the others, whose text Dragon4's replaces
+        mag = np.where(certified, mag, np.float32(0.3))
+    digits, exp10 = _certified(mag.astype(np.float64), (mag.view(np.uint32) >> 23).astype(np.intp))
 
     # integer part and fraction * 10**12, both below 10**12
-    shift = np.maximum(-exp10, 0)
-    high = np.floor(digits / _POW10[shift])
-    whole = high * _POW10[np.maximum(exp10, 0)]
-    fraction = (digits - high * _POW10[shift]) * _POW10[12 - shift]
-    i0, i1, i2 = _chunks(whole)
+    q = exp10 + 12
+    down = _DOWN.take(q)
+    whole = np.floor(digits / down)
+    fraction = (digits - whole * down) * (1e12 / down)
+    whole *= _UP.take(q)
     f0, f1, f2 = _chunks(fraction)
-    big, mid = whole >= 1e8, whole >= 1e4
-    columns = [
-        np.where(big, i0 + _LEAD, _NUL),
-        np.where(mid, i1 + _LEAD * ~big, _NUL),
-        i2 + _LEAD * ~mid,
-        f0 + np.where(f1 + f2 > 0, 0, np.where(f0 > 0, _TRAIL, _LEAD)),
-        f1 + _TRAIL * (f2 == 0),
-        f2 + _TRAIL,
-    ][2 - int(mid.any()) - int(big.any()) :]  # integer chunks no value needs are left out
-    n, digit_end = flat.size, 4 * len(columns) + 2
+    columns = [f0 + _FIRST.take(q), f1 + _SECOND.take(q), f2 + _TRAIL]
+    top = whole.max()
+    if top >= 1e4:  # the integer chunks any value needs
+        i0, i1, i2 = _chunks(whole)
+        big, mid = whole >= 1e8, whole >= 1e4
+        columns[:0] = [
+            np.where(big, i0 + _LEAD, _TRAIL),
+            np.where(mid, i1 + _LEAD * ~big, _TRAIL),
+            i2 + _LEAD * ~mid,
+        ][int(top < 1e8) :]
+    elif top >= 10:
+        columns.insert(0, whole + _LEAD)
+    n, k = flat.size, len(columns) - 3
+    width = 14 + (4 * k or 1)  # sign, integer part, ".", 12 fraction digits
     words = np.empty((n, len(columns)), dtype=np.intp)
-    for k, column in enumerate(columns):
-        words[:, k] = column
+    for c, column in enumerate(columns):
+        words[:, c] = column
     digit_bytes = _WORDS.take(words).view(np.uint8)
-    dot = digit_end - 13
 
     count, cols = rows.shape
-    frame = np.zeros((count, cols, digit_end + max(len(sep), 1)), dtype=np.uint8)
+    slot = max(len(sep), 1)
+    frame = np.empty((count, cols, width + slot), dtype=np.uint8)
     flat_frame = frame.reshape(n, -1)
     flat_frame[:, 0] = np.signbit(flat).view(np.uint8) * np.uint8(ord("-"))
-    flat_frame[:, 1:dot] = digit_bytes[:, : dot - 1]
-    flat_frame[:, dot] = ord(".")
-    flat_frame[:, dot + 1 : digit_end] = digit_bytes[:, dot - 1 :]
+    if k:
+        flat_frame[:, 1 : width - 13] = digit_bytes[:, :-12]
+    else:
+        flat_frame[:, 1] = whole + ord("0")
+    flat_frame[:, width - 13] = ord(".")
+    flat_frame[:, width - 12 : width] = digit_bytes[:, -12:]
     # each value's separator; the last of a row ends with "\n" instead
-    frame[:, :-1, digit_end : digit_end + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
-    frame[:, -1, digit_end] = ord("\n")
-    dragon4 = np.ones(n, dtype=bool)
-    dragon4[lanes] = False
-    flat_frame[dragon4, :digit_end] = 0
-    flat_frame[dragon4, 0] = 1  # where Dragon4's text goes
+    frame[:, :-1, width:] = np.frombuffer(sep.ljust(slot, b"\0"), dtype=np.uint8)
+    frame[:, -1, width:] = np.frombuffer(b"\n".ljust(slot, b"\0"), dtype=np.uint8)
+    if not every:
+        flat_frame[~certified, :width] = np.arange(width) == 0  # a 1 where Dragon4's text goes
     text = frame.tobytes().translate(None, b"\0").decode()
-    if lanes.size < flat.size:
-        pieces = text.split("\1")
-        texts = _shortest(flat[dragon4])
-        text = "".join([p for pair in zip(pieces, texts) for p in pair]) + pieces[-1]
-    return text
+    if every:
+        return text
+    pieces = text.split("\1")
+    texts = _shortest(flat[~certified])
+    return "".join([p for pair in zip(pieces, texts) for p in pair]) + pieces[-1]
 
 
 def format_reals(values, sep: str = " ") -> list[str]:
@@ -299,11 +314,15 @@ def format_reals(values, sep: str = " ") -> list[str]:
     built in one byte frame.  The digits are not parsed back: the
     exhaustive sweep `tests/sweep_format.py` checks them against Dragon4
     once, for every such binary32.  Every other value (zero, subnormals,
-    powers of two, values outside that range, nan and inf) is printed by
-    Dragon4 under the same pinned print options.  Smaller arrays, and rows
-    joined by a sep holding a control character, go to Dragon4 throughout.
+    powers of two, values outside that range, nan and inf) is searched as
+    a stand-in and its text replaced by Dragon4's, under the same pinned
+    print options.  Smaller arrays, and rows joined by a sep holding a
+    control character, go to Dragon4 throughout.  An array of more than two
+    dimensions is refused with ValueError.
     """
     arr = np.asarray(values, dtype=_F32)
+    if arr.ndim > 2:
+        raise ValueError(f"format_reals takes a 1-D or 2-D array, not one of shape {arr.shape}")
     with np.printoptions(legacy=False):
         if arr.size < _ARRAY_MIN or arr.ndim > 1 and not sep.isprintable():
             if arr.ndim < 2:

@@ -293,23 +293,36 @@ CATALOGUE = [
     ),
     Mutant(
         "format-even-bounds-excluded", "model_io.py",
-        "    half[even] = np.nextafter(half[even], np.inf)  # |t - x| < that: within or on the bound\n",
+        "    half = (half.view(np.int64) + even).view(np.float64)\n",
         "",
         "a decimal on the half-ulp bound of a value with an even significand rounds to"
         " it, and Dragon4 takes it when it is shorter",
     ),
     Mutant(
         "format-power-of-two-kept", "model_io.py",
-        "(mag >= 1e-4) & (mag < 1e9) & (bits & 0x7FFFFF != 0)",
+        "(mag >= 1e-4) & (mag < 1e9) & (mag.view(np.uint32) & 0x7FFFFF != 0)",
         "(mag >= 1e-4) & (mag < 1e9)",
         "below a power of two the next binary32 is half as far, so Dragon4 narrows the"
         " lower bound there: the search prints 2**25 and 2**26 with other digits",
     ),
     Mutant(
         "format-range-unbounded", "model_io.py",
-        "(mag >= 1e-4) & (mag < 1e9) & (bits & 0x7FFFFF != 0)",
-        "(bits & 0x7FFFFF != 0)",
+        "(mag >= 1e-4) & (mag < 1e9) & (mag.view(np.uint32) & 0x7FFFFF != 0)",
+        "(mag.view(np.uint32) & 0x7FFFFF != 0)",
         "the text frame holds 12 fraction digits, and a value below 1e-4 may need more",
+    ),
+    Mutant(
+        "format-stand-in-text-kept", "model_io.py",
+        "    if not every:\n        flat_frame[~certified, :width]",
+        "    if False:\n        flat_frame[~certified, :width]",
+        "a value off the array path is searched as a stand-in, and its text must give way"
+        " to Dragon4's",
+    ),
+    Mutant(
+        "format-one-digit-column-at-10", "model_io.py",
+        "    elif top >= 10:\n",
+        "    elif top > 10:\n",
+        "an integer part of 10 has two digits, which the one-byte integer column cannot hold",
     ),
     Mutant(
         "read-cap-one-byte-short", "cli.py",

@@ -575,6 +575,29 @@ FIXED_VALUES = np.concatenate([
 ])
 
 
+SEPARATORS = ["", ",", " ", "·"]
+# values no array path prints: signed zeros, a subnormal, powers of two, values
+# outside [1e-4, 1e9), nan and infinities
+OFF_PATH = np.float32([0.0, -0.0, 1e-40, 2.0**-10, -(2.0**20), 1e-5, -3e-7, 2e9, np.nan, np.inf, -np.inf])
+
+
+def _integer_digits(digits: int, size: int, rng) -> np.ndarray:
+    """size binary32 values of both signs whose integer parts have `digits` digits, both ends included."""
+    low, high = (10.0 ** (digits - 1) if digits > 1 else 0.0), np.float32(10.0**digits)
+    ends = np.float32([low + 0.5, np.nextafter(high, np.float32(0))])
+    inner = np.float32(rng.uniform(low, high, size - 2))
+    values = np.concatenate([ends, inner[inner < high]])
+    return values * rng.choice(np.float32([-1, 1]), values.size)
+
+
+def _assert_matches_dragon4(values: np.ndarray, sep: str, cols: int = 8):
+    """format_reals prints values, as one array and as rows of cols joined by sep, as Dragon4 does."""
+    want = [ref_format.format_real(v) for v in values]
+    assert format_reals(values) == want
+    rows = values[: values.size // cols * cols].reshape(-1, cols)
+    assert format_reals(rows, sep) == [sep.join(want[i : i + cols]) for i in range(0, rows.size, cols)]
+
+
 class TestArrayPath:
     """format_reals on arrays of model_io._ARRAY_MIN values or more, against Dragon4."""
 
@@ -623,13 +646,71 @@ class TestArrayPath:
         int(np.float32(2.0**26).view(np.uint32)),
         sweep_format.LOW,  # f32(1e-4), the sweep's first value
         sweep_format.HIGH - 1,  # the largest binary32 below 1e9, its last
-    ], ids=["2**25", "2**26", "1e-4", "below-1e9"])
+        # where a block's integer column widens: one byte, then one, two and three chunks
+        int(np.float32(10).view(np.uint32)),
+        int(np.float32(1e4).view(np.uint32)),
+        int(np.float32(1e8).view(np.uint32)),
+    ], ids=["2**25", "2**26", "1e-4", "below-1e9", "10", "1e4", "1e8"])
     @pytest.mark.parametrize("sign", [0, sweep_format.SIGN], ids=["+", "-"])
     def test_sweep_slice(self, centre, sign):
         # the exhaustive sweep's chunk check on 2**12 values each side of a
         # centre, which keeps the script in step with the formatter
         start = sign | centre - 2**12
         assert sweep_format.compare(start, start + 2**13) == (2**13, 0, [])
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0], ids=["all-on", "mixed", "none-on"])
+    def test_blocks_on_and_off_the_path(self, share, sep, monkeypatch):
+        # Dragon4 prints just the values off the path, and nothing when none is
+        rng = np.random.default_rng(int(2 * share))
+        size = 2 * model_io._ARRAY_MIN
+        on = np.float32(rng.uniform(-1e3, 1e3, size))
+        values = np.where(rng.random(size) < share, rng.choice(OFF_PATH, size), on)
+        shortest, asked = model_io._shortest, []
+        monkeypatch.setattr(model_io, "_shortest", lambda v: asked.append(v.size) or shortest(v))
+        _assert_matches_dragon4(values, sep)
+        if share == 0:
+            assert asked == []
+        else:
+            assert 0 < sum(asked) <= 2 * size and (share < 1 or sum(asked) == 2 * size)
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    @pytest.mark.parametrize("digits", [1, 2, 4, 5, 8, 9, None], ids=lambda d: f"{d or 'all'}-digit")
+    def test_integer_widths(self, digits, sep):
+        # each integer width alone in a block, then all in one: the integer
+        # column is one byte below 10, and one, two or three 4-digit chunks from there
+        rng = np.random.default_rng(digits or 0)
+        widths = [digits] if digits else [1, 2, 4, 5, 8, 9]
+        parts = [_integer_digits(d, model_io._ARRAY_MIN, rng) for d in widths]
+        _assert_matches_dragon4(rng.permutation(np.concatenate(parts)), sep)
+
+    def test_integer_column_bounds(self):
+        # the largest integer part of a block at each width's first value
+        for first in (10.5, 10000.5, 1e8):
+            values = np.float32(np.resize([first, 0.25, -1.5], model_io._ARRAY_MIN))
+            _assert_matches_dragon4(values, ",")
+
+    @pytest.mark.parametrize("shape", [(-1,), (1, -1), (-1, 1)], ids=["1-D", "one-row", "one-column"])
+    @pytest.mark.parametrize("size", [model_io._ARRAY_MIN - 1, model_io._ARRAY_MIN])
+    def test_array_min(self, size, shape, monkeypatch):
+        # the array path prints exactly the arrays of _ARRAY_MIN values or more
+        values = np.float32(np.random.default_rng(size).uniform(-1, 1, size)).reshape(shape)
+        text, blocks = model_io._text, []
+        monkeypatch.setattr(model_io, "_text", lambda *a: blocks.append(1) or text(*a))
+        want = [ref_format.format_real(v) for v in values.ravel()]
+        assert format_reals(values, ",") == ([",".join(want)] if values.shape[0] == 1 else want)
+        assert blocks == ([1] if size >= model_io._ARRAY_MIN else [])
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (20, 20, 2)])
+    def test_refuses_more_than_two_dimensions(self, shape, monkeypatch):
+        # on either path, before any value is formatted
+        def formatted(*_):
+            raise AssertionError("a value was formatted")
+
+        monkeypatch.setattr(model_io, "_shortest", formatted)
+        monkeypatch.setattr(model_io, "_text", formatted)
+        with pytest.raises(ValueError, match=re.escape(f"not one of shape {shape}")):
+            format_reals(np.ones(shape, dtype=np.float32))
 
     def test_decimal_scales_are_exact(self):
         m, up, half = model_io._decimal_scales()
