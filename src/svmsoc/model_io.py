@@ -323,18 +323,26 @@ def format_reals(values, sep: str = " ") -> list[str]:
     arr = np.asarray(values, dtype=_F32)
     if arr.ndim > 2:
         raise ValueError(f"format_reals takes a 1-D or 2-D array, not one of shape {arr.shape}")
-    with np.printoptions(legacy=False):
-        if arr.size < _ARRAY_MIN or arr.ndim > 1 and not sep.isprintable():
-            if arr.ndim < 2:
-                return _shortest(arr.reshape(-1))
-            return [sep.join(_shortest(row)) for row in arr]
-        rows = arr.reshape(-1, 1) if arr.ndim < 2 else arr
-        step = max(1, _BLOCK_VALUES // rows.shape[1])
-        sep_bytes = sep.encode()
-        lines: list[str] = []
-        for start in range(0, rows.shape[0], step):
-            lines += _text(rows[start : start + step], sep_bytes)[:-1].split("\n")
-        return lines
+    if np.get_printoptions()["legacy"] is not False:  # pinned only where it is not already
+        with np.printoptions(legacy=False):
+            return _formatted(arr, sep)
+    return _formatted(arr, sep)
+
+
+def _formatted(arr: np.ndarray, sep: str) -> list[str]:
+    """format_reals' text of a binary32 array of one or two dimensions, under print options
+    whose legacy mode is off."""
+    if arr.size < _ARRAY_MIN or arr.ndim > 1 and not sep.isprintable():
+        if arr.ndim < 2:
+            return _shortest(arr.reshape(-1))
+        return [sep.join(_shortest(row)) for row in arr]
+    rows = arr.reshape(-1, 1) if arr.ndim < 2 else arr
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    sep_bytes = sep.encode()
+    lines: list[str] = []
+    for start in range(0, rows.shape[0], step):
+        lines += _text(rows[start : start + step], sep_bytes)[:-1].split("\n")
+    return lines
 
 
 def format_real(value) -> str:

@@ -37,7 +37,9 @@ slope = a*(Fl+1) + c, which lets those two generalize across feature
 counts; everything else is pinned to its calibrated Fl.  A fitted figure
 is refused in one order: an uncalibrated group, an S or Fl outside
 1..2**53, another Fl (FlMismatch), a single anchor at another S, then a
-value that is not finite.  Fit.at applies the last three.
+value that is not finite.  Fit.at applies the last three and words each
+refusal; a design's four fitted figures are read in one step that finds
+the same refusals without raising (_design_cost), so explore skips them.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from operator import is_not
+from operator import index, is_not
 from typing import NamedTuple, Sequence, Union
 
 from .errors import CalibrationError, FlMismatch, UnknownCalibration, UnknownDesign, cut, quote
@@ -558,6 +560,10 @@ class Fit:
     evaluated through the anchors so interpolation carries no slope round-off
     (rise holds each column's difference between them, else None); three or
     more the least-squares line.  A line that is not finite raises ValueError.
+
+    at is the generic evaluator, for any columns.  A synth group's four
+    columns are read in one step by _design_cost, from these same fields and
+    by at's expression per column; at words the refusals it finds.
     """
 
     __slots__ = (
@@ -819,8 +825,20 @@ def _fit(cal, column: str, group, sv_count, feature_count) -> Fit:
     return fit
 
 
+def _index(value) -> int:
+    """value as an int, or 0 for a bool or a value operator.index refuses (a float, a text)."""
+    if isinstance(value, bool):
+        return 0
+    try:
+        return index(value)
+    except TypeError:
+        return 0
+
+
 def _sizes(sv_count, feature_count) -> None:
-    """Refuse an S or Fl outside 1..2**53."""
+    """Refuse an S or Fl that is not an integer in 1..2**53; a numpy integer is one."""
+    if type(sv_count) is not int or type(feature_count) is not int:
+        sv_count, feature_count = _index(sv_count), _index(feature_count)
     if not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):
         raise ValueError("sv_count and feature_count must be integers in 1..2**53")
 
@@ -876,21 +894,56 @@ def estimate_design(
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
     fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
-    if _bridge(fit, feature_count) is not None:  # the BRAM is the first figure to refuse
-        fit.at(sv_count, feature_count, (1,))
-    (latency, dsp, lut, ff, bram), tag = _design_cost(fit, cal.dsp[design], sv_count, feature_count)
-    return SynthesisEstimate(tag, latency, bram, dsp, ff, lut)
+    cost = _design_cost(fit, cal.dsp[design], sv_count, feature_count)
+    if cost is None:  # Fit.at names the refusal: the BRAM where the latency bridges
+        bridged = _bridge(fit, feature_count) is not None
+        fit.at(sv_count, feature_count, (1,) if bridged else (0, 1, 2, 3))
+    latency, dsp, lut, ff, bram, validity = cost
+    return SynthesisEstimate(validity, latency, bram, dsp, ff, lut)
 
 
-def _design_cost(fit: Fit, dsp: tuple, sv_count, feature_count) -> tuple:
-    """A design's (latency, DSP, LUT, FF, BRAM) at (S, Fl), fitted ones clamped at 0; validity."""
-    (latency, bram, ff, lut), validity = fit.at(sv_count, feature_count, (0, 1, 2, 3))
+def _design_cost(fit: Fit, dsp: tuple, sv_count, feature_count) -> tuple | None:
+    """A design's (latency, DSP, LUT, FF, BRAM, validity) at (S, Fl), or None where Fit.at
+    refuses: another Fl, a single anchor at another S, or a figure not finite at S.
+
+    The four fitted figures are Fit.at's values of columns (0, 1, 2, 3), each by
+    the same expression, read in one step without a loop over the columns.
+    Latency, FF and LUT are rounded to ints, and each fitted figure is clamped at 0.
+    """
+    if feature_count != fit.feature_count:
+        return None
+    point = fit.points.get(sv_count)
+    if point is not None:
+        latency, bram, ff, lut = point
+        validity = ANCHOR_EXACT
+    else:
+        lo, hi, rise = fit.lo, fit.hi, fit.rise
+        if rise is not None:  # v1 + (v2 - v1) * (S - lo) / (hi - lo), as Fit.at
+            (latency, bram, ff, lut), steps, span = fit.points[lo], sv_count - lo, hi - lo
+            latency += rise[0] * steps / span
+            bram += rise[1] * steps / span
+            ff += rise[2] * steps / span
+            lut += rise[3] * steps / span
+        elif fit.slope is not None:
+            slope, intercept = fit.slope, fit.intercept
+            latency = slope[0] * sv_count + intercept[0]
+            bram = slope[1] * sv_count + intercept[1]
+            ff = slope[2] * sv_count + intercept[2]
+            lut = slope[3] * sv_count + intercept[3]
+        else:  # a single anchor, at another S
+            return None
+        if not (
+            math.isfinite(latency) and math.isfinite(bram) and math.isfinite(ff)
+            and math.isfinite(lut)
+        ):
+            return None
+        validity = INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
     counts, elsewhere = dsp
     latency, ff, lut = round(latency), round(ff), round(lut)
     return (
         latency if latency > 0 else 0, counts.get(sv_count, elsewhere), lut if lut > 0 else 0,
-        ff if ff > 0 else 0, bram if bram > 0.0 else 0.0,
-    ), validity
+        ff if ff > 0 else 0, bram if bram > 0.0 else 0.0, validity,
+    )
 
 
 def clock_key(clocks) -> tuple[float, float]:
@@ -941,7 +994,7 @@ def estimate_arm_cycles(
 def estimate_power(model_id, design_id: int, *, calibration: CalibrationSet | None = None) -> float:
     """Board power draw in watts for an implemented (model, design) pair."""
     cal = calibration if calibration is not None else default_calibration()
-    key = (_model_id(model_id), int(design_id))
+    key = (_model_id(model_id), _count(design_id))  # checked as a power record's cell
     for rec in cal.records:
         if type(rec) is PowerRecord and (rec.model_id, rec.design_id) == key:
             return rec.watts
@@ -981,14 +1034,9 @@ def explore(
         _sizes(sv_count, feature_count)
     candidates = []
     for token, config, fit, dsps in rows:
-        # skip, without raising, what Fit.at refuses with FlMismatch or UnknownCalibration
-        if feature_count != fit.feature_count or fit.slope is None and sv_count not in fit.points:
-            continue
-        try:
-            cost, validity = _design_cost(fit, dsps, sv_count, feature_count)
-        except CalibrationError:  # a column that is not finite at S
-            continue
-        candidates.append((cost, token, validity, config))
+        cost = _design_cost(fit, dsps, sv_count, feature_count)
+        if cost is not None:  # skipped, without raising, where Fit.at refuses
+            candidates.append((cost, token, config))
     if not candidates:
         raise UnknownCalibration(
             f"no directive calibrated at {format_mhz(regime)} MHz can estimate"
@@ -997,28 +1045,28 @@ def explore(
     # A cost dominates another when it differs and is no worse anywhere, so it
     # sorts first, as does any front member dominating it: in cost order, each
     # candidate meets a front of costs no slower, so latency needs no test.
+    # A cost's sixth item, its validity, orders ties but takes no part in dominance.
     candidates.sort()
     front, costs = [], []
     for candidate in candidates:
         cost = candidate[0]
-        _, dsp, lut, ff, bram = cost
+        _, dsp, lut, ff, bram, _ = cost
         for o in costs:
-            if o != cost and o[1] <= dsp and o[2] <= lut and o[3] <= ff and o[4] <= bram:
+            if o[1] <= dsp and o[2] <= lut and o[3] <= ff and o[4] <= bram and o[:5] != cost[:5]:
                 break
         else:
             front.append(candidate)
             costs.append(cost)
     front.sort(key=lambda c: (c[0][0], c[1]))
     return [
-        _entry(config, cost, validity, cal.power.get((sv_count, token)))
-        for cost, token, validity, config in front
+        _entry(config, cost, cal.power.get((sv_count, token))) for cost, token, config in front
     ]
 
 
-def _entry(config: DirectiveConfig, cost: tuple, validity: str, power_w) -> ExploreEntry:
+def _entry(config: DirectiveConfig, cost: tuple, power_w) -> ExploreEntry:
     """A front member as the constructors make it, each field stored without a call."""
     est, entry = object.__new__(SynthesisEstimate), object.__new__(ExploreEntry)
-    (latency, dsp, lut, ff, bram), e, d = cost, est.__dict__, entry.__dict__
+    (latency, dsp, lut, ff, bram, validity), e, d = cost, est.__dict__, entry.__dict__
     e["validity"], e["latency_cycles"], e["bram"] = validity, latency, bram
     e["dsp"], e["ff"], e["lut"] = dsp, ff, lut
     d["directive"], d["estimate"], d["power_w"] = config, est, power_w

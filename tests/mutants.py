@@ -281,8 +281,8 @@ CATALOGUE = [
     # -- the formatter: Dragon4's text, from the array path or from Dragon4
     Mutant(
         "format-print-options-unpinned", "model_io.py",
-        "    with np.printoptions(legacy=False):\n        if arr.size < _ARRAY_MIN",
-        "    if True:\n        if arr.size < _ARRAY_MIN",
+        '    if np.get_printoptions()["legacy"] is not False:',
+        "    if False:",
         "a legacy print mode prints 6 digits, which do not round-trip",
     ),
     Mutant(
@@ -450,8 +450,8 @@ CATALOGUE = [
     # -- cost models and their refusal order
     Mutant(
         "explore-strict-dominance", "synth.py",
-        "o != cost and o[1] <= dsp and o[2] <= lut and o[3] <= ff and o[4] <= bram",
-        "all(a < b for a, b in zip(o, cost))",
+        "o[1] <= dsp and o[2] <= lut and o[3] <= ff and o[4] <= bram and o[:5] != cost[:5]",
+        "all(a < b for a, b in zip(o[:5], cost[:5]))",
         "a design no worse anywhere and better somewhere dominates; strictly better"
         " everywhere keeps dominated designs on the front",
     ),
@@ -463,8 +463,8 @@ CATALOGUE = [
     ),
     Mutant(
         "fit-tag-bounds-interpolated", "synth.py",
-        "INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED",
-        "INTERPOLATED if lo <= sv_count <= hi else EXTRAPOLATED",
+        "return values, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED",
+        "return values, INTERPOLATED if lo <= sv_count <= hi else EXTRAPOLATED",
         "equivalent: lo and hi are anchors, and Fit.at returns anchor_exact at an anchor"
         " before it reaches this tag",
         equivalent=True,
@@ -481,8 +481,8 @@ CATALOGUE = [
     ),
     Mutant(
         "design-bridged-fl-names-latency", "synth.py",
-        "        fit.at(sv_count, feature_count, (1,))\n",
-        "        fit.at(sv_count, feature_count, (0,))\n",
+        "fit.at(sv_count, feature_count, (1,) if bridged else (0, 1, 2, 3))",
+        "fit.at(sv_count, feature_count, (0, 1, 2, 3))",
         "where the latency bridges another Fl, the BRAM is the figure that refuses",
     ),
     Mutant(
@@ -553,12 +553,11 @@ CATALOGUE = [
         " conflict is the fault named",
     ),
     Mutant(
-        "explore-fl-skip-dropped", "synth.py",
-        "        if feature_count != fit.feature_count or fit.slope is None and",
-        "        if fit.slope is None and",
-        "equivalent: Fit.at then raises FlMismatch, a CalibrationError, which explore's"
-        " finiteness except skips alike; the skip saves only the exception's cost",
-        equivalent=True,
+        "design-cost-fl-unchecked", "synth.py",
+        "    if feature_count != fit.feature_count:\n        return None\n",
+        "",
+        "a design is estimated only at its calibrated Fl: explore skips it elsewhere and"
+        " estimate_design refuses it",
     ),
     # -- the one-pass set build, its per-regime table and the front's instances
     Mutant(
@@ -621,6 +620,42 @@ CATALOGUE = [
         '    e["dsp"], e["ff"], e["lut"] = dsp, ff, lut\n',
         '    e["dsp"], e["ff"], e["lut"] = dsp, lut, ff\n',
         "a front member's estimate holds each figure in its own field",
+    ),
+    # -- the four-figure evaluation explore and estimate_design share
+    Mutant(
+        "design-cost-tag-bound-inclusive", "synth.py",
+        "validity = INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED",
+        "validity = INTERPOLATED if lo <= sv_count < hi else EXTRAPOLATED",
+        "equivalent: lo is an anchor, and _design_cost tags an anchor anchor_exact before it"
+        " reaches this tag",
+        equivalent=True,
+    ),
+    Mutant(
+        "design-cost-tag-lower-bound-dropped", "synth.py",
+        "validity = INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED",
+        "validity = INTERPOLATED if sv_count < hi else EXTRAPOLATED",
+        "an S below the lowest anchor is extrapolated, not interpolated",
+    ),
+    Mutant(
+        "design-cost-interpolated-figures-swapped", "synth.py",
+        "            ff += rise[2] * steps / span\n            lut += rise[3] * steps / span\n",
+        "            ff += rise[3] * steps / span\n            lut += rise[2] * steps / span\n",
+        "between two anchors each figure moves by its own column's rise",
+    ),
+    Mutant(
+        "design-cost-line-figures-swapped", "synth.py",
+        "            bram = slope[1] * sv_count + intercept[1]\n"
+        "            ff = slope[2] * sv_count + intercept[2]\n",
+        "            bram = slope[2] * sv_count + intercept[2]\n"
+        "            ff = slope[1] * sv_count + intercept[1]\n",
+        "on a least-squares line each figure is read from its own column's slope and intercept",
+    ),
+    Mutant(
+        "design-cost-bram-finiteness-dropped", "synth.py",
+        "math.isfinite(latency) and math.isfinite(bram) and math.isfinite(ff)",
+        "math.isfinite(latency) and math.isfinite(ff)",
+        "a BRAM line that is not finite at S leaves the design out of explore and refused by"
+        " estimate_design, as Fit.at refuses it",
     ),
 ]
 

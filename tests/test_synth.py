@@ -586,6 +586,37 @@ class TestLatencyEstimates:
                 estimate_arm_cycles(s, fl, (100, 666.67))
         assert estimate_latency(MAX_COUNT, 27, "pipeline-inner", 100).validity == EXTRAPOLATED
 
+    @pytest.mark.parametrize(
+        "s, fl",
+        [(1.5, 27), (248.0, 27), (True, 27), ("200", 27), (None, 27), (248, 27.0),
+         (248, np.True_), (np.float64(248), 27)],
+        ids=["real", "whole-real", "bool", "text", "null", "real-fl", "numpy-bool", "numpy-real"],
+    )
+    def test_sizes_that_are_not_integers_are_refused(self, s, fl):
+        message = "^sv_count and feature_count must be integers in 1\\.\\.2\\*\\*53$"
+        calls = [
+            lambda: explore(s, fl, 100),
+            lambda: estimate_design(s, fl, "pipeline-inner", 100),
+            lambda: estimate_latency(s, fl, "pipeline-inner", 100),
+            lambda: estimate_arm_cycles(s, fl, (100, 666.67)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+        # an uncalibrated regime or group is refused first
+        with pytest.raises(UnknownCalibration, match="^no directive calibrated at 123 MHz"):
+            explore(s, fl, 123)
+        with pytest.raises(UnknownCalibration, match="^latency for pipeline-inner at 123 MHz"):
+            estimate_design(s, fl, "pipeline-inner", 123)
+
+    def test_numpy_integer_sizes_are_integers(self):
+        s, fl = np.int64(248), np.int32(27)
+        assert explore(s, fl, 100) == explore(248, 27, 100)
+        assert estimate_design(s, fl, "pipeline-inner", 100) == (
+            estimate_design(248, 27, "pipeline-inner", 100)
+        )
+        assert estimate_arm_cycles(s, fl, (100, 666.67)) == 309378
+
     def test_fractional_slope_anchors_within_a_tenth_percent(self):
         # the cyclic-8 anchors do not sit on an integer-slope line; the
         # fitted line must still land within 0.1% at both (here: exactly)
@@ -775,11 +806,31 @@ FINITENESS_TABLE = [
 ]
 
 
+# One group per branch of the four-figure evaluation: pipeline-inner on two
+# anchors whose latency, BRAM, FF and LUT all fall, so each clamps at 0 by
+# S=400; interface-only on a least-squares line through three; unroll-most
+# a single anchor.
+BRANCH_TABLE = [
+    AnchorRow(10, 27, "pipeline-inner", 100.0, 1000, 20.0, 3, 900, 800),
+    AnchorRow(20, 27, "pipeline-inner", 100.0, 500, 10.0, 3, 450, 400),
+    AnchorRow(61, 27, "interface-only", 100.0, 40885, 5.0, 5, 1656, 2548),
+    AnchorRow(248, 27, "interface-only", 100.0, 82460, 17.0, 5, 1265, 2417),
+    AnchorRow(346, 27, "interface-only", 100.0, 114898, 33.0, 5, 1271, 2429),
+    AnchorRow(61, 27, "unroll-most", 100.0, 2653, 27.0, 135, 19429, 45233),
+]
+
+
 @given(record_tables(), st.one_of(st.integers(0, 500), st.integers(0, MAX_COUNT + 1)),
        st.one_of(st.sampled_from([27, 30]), st.integers(1, 64)))
-@example(FINITENESS_TABLE, MAX_COUNT, 27)
+@example(FINITENESS_TABLE, MAX_COUNT, 27)  # BRAM not finite at S; latency is
 @example(FINITENESS_TABLE, 100, 27)
-@example(FINITENESS_TABLE, 100, 30)
+@example(FINITENESS_TABLE, 100, 30)  # another Fl; interface-only's latency bridges
+@example(BRANCH_TABLE, 20, 27)  # on an anchor
+@example(BRANCH_TABLE, 15, 27)  # between two anchors
+@example(BRANCH_TABLE, 5, 27)  # below two anchors
+@example(BRANCH_TABLE, 400, 27)  # beyond two anchors, every figure clamped at 0
+@example(BRANCH_TABLE, 300, 27)  # on a least-squares line; a single anchor elsewhere
+@example(BRANCH_TABLE, 15, 30)  # another Fl
 @settings(max_examples=300, deadline=None)
 def test_estimates_match_the_per_column_reference(records, s, fl):
     """Every estimator returns what one Fit per column returned, or refuses alike.
@@ -921,6 +972,18 @@ class TestPower:
         assert cal == default_calibration()
         for _, _, model_id, design, watts in doc["power"]:
             assert estimate_power(model_id, design, calibration=cal) == watts
+
+    @pytest.mark.parametrize("design, shown", [(1.9, "1.9"), (1.0, "1.0"), (True, "True"),
+                                               (None, "None")])
+    def test_design_id_is_a_count(self, design, shown):
+        # a power record's design_id cell refuses each of these; none reads design 1
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not an integer$"):
+            estimate_power("model1", design)
+
+    def test_design_id_text_is_read_as_a_record_cell(self):
+        assert estimate_power("model1", "2") == 1.824
+        with pytest.raises(ValueError, match="must be an integer in 1..2"):
+            estimate_power("model1", 0)
 
     def test_unknown_design(self):
         with pytest.raises(UnknownDesign):
