@@ -7,9 +7,11 @@ bad dimensions, unknown directive names), 2 when a calibration file is
 unusable or a cost-model lookup has no calibration to stand on.  Every
 failure prints one "error:" line on stderr and nothing on stdout.
 
-Every command takes --machine for key=value output; those renderings are
-byte-stable for identical inputs and carry the same formatted numbers as
-the human text.  Label +1 is reported as melanoma, -1 as non-melanoma.
+Each command builds one list of (key, text) cells, formatting each value
+once.  Every command takes --machine for their key=value lines, which are
+byte-stable for identical inputs; the human text fills one template per
+command from the same cells, so both carry the same formatted numbers.
+Label +1 is reported as melanoma, -1 as non-melanoma.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import count
 from pathlib import Path
+from typing import NamedTuple
 
 from .driver import ClockPair, CosimReport, batch_classify, cosim, run_software_reference
 from .errors import CalibrationError, SvmSocError
@@ -53,18 +57,14 @@ from .synth import (
     save_calibration,
 )
 
-_WORDS = {1: "melanoma", -1: "non-melanoma"}
 _SIGN = {1: "+1", -1: "-1"}  # a label as the outputs print it
+_WORDS = {"+1": "melanoma", "-1": "non-melanoma"}  # a printed label as the human text words it
 MAX_INPUT_BYTES = MAX_DENSE_VALUES * 32  # the dense limit's values, 32 bytes of text each
 
 
 def _fmt_2dp(v: float) -> str:
     """A time in us, a speed-up or a percentage, to two decimals."""
     return f"{v:.2f}"
-
-
-def _fmt_bram(v: float) -> str:
-    return f"{v:g}"
 
 
 def _read(path: str, undecodable=SvmSocError) -> str:
@@ -76,12 +76,15 @@ def _read(path: str, undecodable=SvmSocError) -> str:
             if len(data) == size + 1:  # longer than its size says (a pipe or device says 0)
                 data += f.read(MAX_INPUT_BYTES - size)  # one byte past the cap tells
         if max(size, len(data)) > MAX_INPUT_BYTES:
-            raise SvmSocError(f"cannot read {path}: larger than {MAX_INPUT_BYTES} bytes")
-        return data.decode()
+            error, why = SvmSocError, f"larger than {MAX_INPUT_BYTES} bytes"
+        else:
+            return data.decode()
     except OSError as exc:
-        raise SvmSocError(f"cannot read {path}: {exc.strerror or exc}") from None
+        error, why = SvmSocError, exc.strerror or exc
     except UnicodeDecodeError as exc:
-        raise undecodable(f"cannot read {path}: {exc}") from None
+        error, why = undecodable, exc
+    shown = path if path.isprintable() else repr(path)  # a line break: still one line
+    raise error(f"cannot read {shown}: {why}")
 
 
 def _load_model(args):
@@ -100,8 +103,55 @@ def _load_calibration(args) -> CalibrationSet:
     return default_calibration()
 
 
-def _kv(pairs) -> str:
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+# --------------------------------------------------------------------------
+# rendering
+
+class _Output(NamedTuple):
+    """A command's (key, text) cells, each value formatted once, and its human
+    template over their keys; a text is a str, or an int that prints as itself.
+    Rows, if any, come first: their keys and a tuple of texts each, which the
+    human template places at {rows}, each through row_human."""
+
+    cells: list
+    human: str
+    keys: tuple = ()
+    rows: Iterable = ()
+    row_human: str = ""
+
+
+class _View(dict):
+    """Cells by key, as a human template reads them.  The words that only the
+    human text prints derive here from their cells: <label key>_word, match
+    (from results_match) and pairing (from fpga_mhz and arm_mhz)."""
+
+    def __missing__(self, key):
+        if key == "pairing":  # format_mhz's text reads back to the same text
+            return format_pairing(float(self["fpga_mhz"]), float(self["arm_mhz"]))
+        if key == "match":
+            return "yes" if self["results_match"] else "NO"
+        if key.endswith("_word"):
+            return _WORDS[self[key.removesuffix("_word")]]
+        raise KeyError(key)
+
+
+def _render(out: _Output | str, machine: bool) -> str:
+    """A command's output as text: a str as it is; under --machine each row one
+    line of its k=v cells, then each cell a k=v line; else the human template."""
+    if isinstance(out, str):
+        return out
+    if machine:
+        line = " ".join(f"{k}=%s" for k in out.keys) + "\n"  # one format a row
+        cells = "".join(f"{k}={v}\n" for k, v in out.cells)
+        return "".join(map(line.__mod__, out.rows)) + cells
+    rows = "".join(out.row_human.format_map(_View(zip(out.keys, row))) for row in out.rows)
+    return out.human.format_map(_View(out.cells, rows=rows))
+
+
+def _table(keys) -> tuple[str, str]:
+    """A human table of these keys' cells: its header (a cycle count's key
+    without its _cycles), and the template of a row."""
+    header = " ".join(key.removesuffix("_cycles") for key in keys)
+    return header + "\n", " ".join(f"{{{key}}}" for key in keys) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -118,7 +168,7 @@ def _check_threshold(args) -> None:
 _FIRST_LINE = re.compile(r"\s*[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 
 
-def cmd_classify(args) -> str:
+def cmd_classify(args) -> _Output:
     _check_threshold(args)
     model = _load_model(args)
     text = _read(args.input)
@@ -126,175 +176,122 @@ def cmd_classify(args) -> str:
         return _classify_dataset(model, load_dataset(text), args)
     instance = parse_test_instance(text, model.feature_count)
     res = run_software_reference(model, instance, args.th)
-    dist = format_real(res.distance)
-    if args.machine:
-        return _kv([("label", _SIGN[res.label]), ("distance", dist)])
-    return f"{_SIGN[res.label]} {_WORDS[res.label]} {dist}\n"
+    cells = [("label", _SIGN[res.label]), ("distance", format_real(res.distance))]
+    return _Output(cells, "{label} {label_word} {distance}\n")
 
 
-def _classify_dataset(model, dataset: LabeledDataset, args) -> str:
+def _classify_dataset(model, dataset: LabeledDataset, args) -> _Output:
     report = batch_classify(model, dataset, args.th)
-    rows = zip(count(1), report.predictions, report.labels, format_reals(report.distances))
-    acc, correct, total = _fmt_2dp(report.accuracy_percent), report.correct, report.total
-    if args.machine:
-        lines = [
-            f"row={i} predicted={_SIGN[p]} true={_SIGN[t]} distance={d}" for i, p, t, d in rows
-        ]
-        lines += [f"correct={correct}", f"total={total}", f"accuracy_percent={acc}"]
-    else:
-        lines = [f"row {i}: {_SIGN[p]} {_WORDS[p]} {d} (true {_SIGN[t]})" for i, p, t, d in rows]
-        lines.append(f"accuracy {acc}% ({correct}/{total})")
-    return "\n".join(lines) + "\n"
+    sign = _SIGN.__getitem__
+    rows = zip(count(1), map(sign, report.predictions), map(sign, report.labels),
+               format_reals(report.distances))
+    cells = [("correct", report.correct), ("total", report.total),
+             ("accuracy_percent", _fmt_2dp(report.accuracy_percent))]
+    return _Output(cells, "{rows}accuracy {accuracy_percent}% ({correct}/{total})\n",
+                   ("row", "predicted", "true", "distance"), rows,
+                   "row {row}: {predicted} {predicted_word} {distance} (true {true})\n")
 
 
 # --------------------------------------------------------------------------
 # cosim
 
-def _render_cosim(rep: CosimReport, machine: bool) -> str:
-    hw_d, sw_d = format_reals([rep.hw.distance, rep.sw.distance])
-    if machine:
-        return _kv(
-            [
-                ("directive", rep.directive.name),
-                ("fpga_mhz", format_mhz(rep.clocks.fpga_mhz)),
-                ("arm_mhz", format_mhz(rep.clocks.arm_mhz)),
-                ("hw_label", _SIGN[rep.hw.label]),
-                ("hw_distance", hw_d),
-                ("sw_label", _SIGN[rep.sw.label]),
-                ("sw_distance", sw_d),
-                ("results_match", int(rep.results_match)),
-                ("cycle_source", rep.cycle_source),
-                ("hw_cycles", rep.hw_cycles),
-                ("sw_cycles", rep.sw_cycles),
-                ("sw_cycles_optimized", rep.sw_cycles_optimized),
-                ("sw_timer_mhz", format_mhz(rep.sw_timer_mhz)),
-                ("hw_time_us", _fmt_2dp(rep.hw_time_us)),
-                ("sw_time_us", _fmt_2dp(rep.sw_time_us)),
-                ("sw_opt_time_us", _fmt_2dp(rep.sw_opt_time_us)),
-                ("cycle_speedup_plain", _fmt_2dp(rep.cycle_speedup_plain)),
-                ("cycle_speedup_optimized", _fmt_2dp(rep.cycle_speedup_optimized)),
-                ("time_speedup_plain", _fmt_2dp(rep.time_speedup_plain)),
-                ("time_speedup_optimized", _fmt_2dp(rep.time_speedup_optimized)),
-            ]
-        )
-    match = "yes" if rep.results_match else "NO"
-    return (
-        f"co-simulation: {rep.directive.name},"
-        f" {format_pairing(rep.clocks.fpga_mhz, rep.clocks.arm_mhz)}\n"
-        f"  hw: {_SIGN[rep.hw.label]} {_WORDS[rep.hw.label]} {hw_d}\n"
-        f"  sw: {_SIGN[rep.sw.label]} {_WORDS[rep.sw.label]} {sw_d}\n"
-        f"  results match: {match}\n"
-        f"  hw cycles {rep.hw_cycles} ({rep.cycle_source}),"
-        f" time {_fmt_2dp(rep.hw_time_us)} us\n"
-        f"  sw cycles {rep.sw_cycles}, time {_fmt_2dp(rep.sw_time_us)} us\n"
-        f"  sw cycles optimized {rep.sw_cycles_optimized},"
-        f" time {_fmt_2dp(rep.sw_opt_time_us)} us\n"
-        f"  speedup vs plain sw: {_fmt_2dp(rep.cycle_speedup_plain)} (cycles),"
-        f" {_fmt_2dp(rep.time_speedup_plain)} (time)\n"
-        f"  speedup vs optimized sw: {_fmt_2dp(rep.cycle_speedup_optimized)} (cycles),"
-        f" {_fmt_2dp(rep.time_speedup_optimized)} (time)\n"
-    )
+_COSIM_HUMAN = (
+    "co-simulation: {directive}, {pairing}\n"
+    "  hw: {hw_label} {hw_label_word} {hw_distance}\n"
+    "  sw: {sw_label} {sw_label_word} {sw_distance}\n"
+    "  results match: {match}\n"
+    "  hw cycles {hw_cycles} ({cycle_source}), time {hw_time_us} us\n"
+    "  sw cycles {sw_cycles}, time {sw_time_us} us\n"
+    "  sw cycles optimized {sw_cycles_optimized}, time {sw_opt_time_us} us\n"
+    "  speedup vs plain sw: {cycle_speedup_plain} (cycles), {time_speedup_plain} (time)\n"
+    "  speedup vs optimized sw: {cycle_speedup_optimized} (cycles),"
+    " {time_speedup_optimized} (time)\n"
+)
 
 
-def cmd_cosim(args) -> str:
+def cmd_cosim(args) -> _Output:
     _check_threshold(args)
     model = _load_model(args)
     instance = parse_test_instance(_read(args.test), model.feature_count)
-    rep = cosim(
-        model,
-        instance,
-        args.directive,
-        ClockPair(args.fpga_mhz, args.arm_mhz),
-        args.th,
-        calibration=_load_calibration(args),
-        strict=args.strict_calibration,
-    )
-    return _render_cosim(rep, args.machine)
+    rep = cosim(model, instance, args.directive, ClockPair(args.fpga_mhz, args.arm_mhz), args.th,
+                calibration=_load_calibration(args), strict=args.strict_calibration)
+    hw_d, sw_d = format_reals([rep.hw.distance, rep.sw.distance])
+    cells = [
+        ("directive", rep.directive.name),
+        ("fpga_mhz", format_mhz(rep.clocks.fpga_mhz)),
+        ("arm_mhz", format_mhz(rep.clocks.arm_mhz)),
+        ("hw_label", _SIGN[rep.hw.label]),
+        ("hw_distance", hw_d),
+        ("sw_label", _SIGN[rep.sw.label]),
+        ("sw_distance", sw_d),
+        ("results_match", int(rep.results_match)),
+        ("cycle_source", rep.cycle_source),
+        ("hw_cycles", rep.hw_cycles),
+        ("sw_cycles", rep.sw_cycles),
+        ("sw_cycles_optimized", rep.sw_cycles_optimized),
+        ("sw_timer_mhz", format_mhz(rep.sw_timer_mhz)),
+        ("hw_time_us", _fmt_2dp(rep.hw_time_us)),
+        ("sw_time_us", _fmt_2dp(rep.sw_time_us)),
+        ("sw_opt_time_us", _fmt_2dp(rep.sw_opt_time_us)),
+        ("cycle_speedup_plain", _fmt_2dp(rep.cycle_speedup_plain)),
+        ("cycle_speedup_optimized", _fmt_2dp(rep.cycle_speedup_optimized)),
+        ("time_speedup_plain", _fmt_2dp(rep.time_speedup_plain)),
+        ("time_speedup_optimized", _fmt_2dp(rep.time_speedup_optimized)),
+    ]
+    return _Output(cells, _COSIM_HUMAN)
 
 
 # --------------------------------------------------------------------------
 # synth / explore
 
-def _estimate_cells(est) -> list[tuple[str, object]]:
-    """A design estimate's (key, text) cells, in the order every row prints them."""
-    return [
-        ("latency_cycles", est.latency_cycles),
-        ("throughput_cycles", est.throughput_cycles),
-        ("bram", _fmt_bram(est.bram)),
-        ("dsp", est.dsp),
-        ("ff", est.ff),
-        ("lut", est.lut),
-        ("validity", est.validity),
-    ]
+# a design estimate's keys, in the order every row prints them
+_ESTIMATE_KEYS = ("latency_cycles", "throughput_cycles", "bram", "dsp", "ff", "lut", "validity")
 
 
-def _table(rows) -> str:
-    """Rows of (key, text) cells as human text: a header of the keys (a cycle
-    count's without its _cycles), then each row's texts."""
-    header = " ".join(key.removesuffix("_cycles") for key, _ in rows[0])
-    return header + "\n" + "".join(" ".join(str(v) for _, v in row) + "\n" for row in rows)
+def _estimate_texts(est) -> tuple:
+    """A design estimate's texts, one for each of _ESTIMATE_KEYS."""
+    return (est.latency_cycles, est.throughput_cycles, f"{est.bram:g}", est.dsp, est.ff,
+            est.lut, est.validity)
 
 
-def cmd_synth(args) -> str:
+def cmd_synth(args) -> _Output:
     directive = DirectiveConfig.parse(args.directive)
-    est = estimate_design(
-        args.sv_count,
-        args.feature_count,
-        directive,
-        args.regime_mhz,
-        calibration=_load_calibration(args),
-    )
-    cells = _estimate_cells(est)
-    if args.machine:
-        return _kv(
-            [
-                ("directive", directive.name),
-                ("regime_mhz", format_mhz(args.regime_mhz)),
-                ("sv_count", args.sv_count),
-                ("feature_count", args.feature_count),
-                *cells,
-            ]
-        )
-    return _table([cells])
+    est = estimate_design(args.sv_count, args.feature_count, directive, args.regime_mhz,
+                          calibration=_load_calibration(args))
+    cells = [("directive", directive.name), ("regime_mhz", format_mhz(args.regime_mhz)),
+             ("sv_count", args.sv_count), ("feature_count", args.feature_count),
+             *zip(_ESTIMATE_KEYS, _estimate_texts(est))]
+    return _Output(cells, "".join(_table(_ESTIMATE_KEYS)))
 
 
-def cmd_explore(args) -> str:
-    front = explore(
-        args.sv_count,
-        args.feature_count,
-        args.regime_mhz,
-        calibration=_load_calibration(args),
-    )
+def cmd_explore(args) -> _Output:
+    front = explore(args.sv_count, args.feature_count, args.regime_mhz,
+                    calibration=_load_calibration(args))
+    keys = ("directive", *_ESTIMATE_KEYS, "power_w")
     rows = [
-        [
-            ("directive", entry.directive.name),
-            *_estimate_cells(entry.estimate),
-            ("power_w", "-" if entry.power_w is None else f"{entry.power_w:.3f}"),
-        ]
+        (entry.directive.name, *_estimate_texts(entry.estimate),
+         "-" if entry.power_w is None else f"{entry.power_w:.3f}")
         for entry in front
     ]
-    if args.machine:
-        return "".join(" ".join(f"{k}={v}" for k, v in row) + "\n" for row in rows)
-    return _table(rows)
+    header, row = _table(keys)
+    return _Output([], header + "{rows}", keys, rows, row)
 
 
 # --------------------------------------------------------------------------
 # fit / gen
 
-def cmd_fit(args) -> str:
-    rows = parse_anchor_csv(_read(args.anchors))
-    cal = fit_calibration(rows)
+def cmd_fit(args) -> _Output | str:
+    cal = fit_calibration(parse_anchor_csv(_read(args.anchors)))
     text = save_calibration(cal)
-    if args.out:
-        Path(args.out).write_text(text)
-        entries = len(cal.dsp)  # one per (directive, regime) synthesis group
-        if args.machine:
-            return _kv([("entries", entries), ("out", args.out)])
-        return f"fitted {entries} directive/regime entries -> {args.out}\n"
-    return text
+    if not args.out:
+        return text
+    Path(args.out).write_text(text)
+    entries = len(cal.dsp)  # one per (directive, regime) synthesis group
+    return _Output([("entries", entries), ("out", args.out)],
+                   "fitted {entries} directive/regime entries -> {out}\n")
 
 
-def cmd_gen(args) -> str:
+def cmd_gen(args) -> _Output:
     model, dataset = make_synthetic(args.sv_count, args.feature_count, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -307,21 +304,11 @@ def cmd_gen(args) -> str:
     }
     for name, text in files.items():
         (outdir / name).write_text(text)
-    if args.machine:
-        return _kv(
-            [
-                ("sv_count", model.sv_count),
-                ("feature_count", model.feature_count),
-                ("seed", args.seed),
-                ("instances", len(dataset)),
-                ("out", str(outdir)),
-            ]
-        )
-    return (
-        f"model S={model.sv_count} Fl={model.feature_count} seed={args.seed}\n"
-        f"wrote {' '.join(files)} in {outdir}\n"
-        f"instances: {len(dataset)}\n"
-    )
+    cells = [("sv_count", model.sv_count), ("feature_count", model.feature_count),
+             ("seed", args.seed), ("instances", len(dataset)), ("out", str(outdir))]
+    human = ("model S={sv_count} Fl={feature_count} seed={seed}\n"
+             "wrote %s in {out}\ninstances: {instances}\n")
+    return _Output(cells, human % " ".join(files))  # the names are fixed text, no braces
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        out = args.func(args)
+        out = _render(args.func(args), args.machine)
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -437,15 +437,35 @@ CATALOGUE = [
     ),
     Mutant(
         "classify-render-modes-swapped", "cli.py",
-        "    if args.machine:\n        lines = [\n",
-        "    if not args.machine:\n        lines = [\n",
-        "--machine prints key=value rows, the default the human text",
+        "    if machine:\n",
+        "    if not machine:\n",
+        "--machine prints key=value rows and cells, the default the human text",
     ),
     Mutant(
         "classify-first-line-misses-a-break", "cli.py",
         "\\x1c-\\x1e\\x85",
         "\\x1c-\\x1e",
         "str.splitlines ends a line at \\x85: a comma past it is not on the first line",
+    ),
+    Mutant(
+        "cosim-timer-cell-dropped", "cli.py",
+        '        ("sw_timer_mhz", format_mhz(rep.sw_timer_mhz)),\n',
+        "",
+        "every cosim figure is a cell, which --machine prints even where no human"
+        " template reads it",
+    ),
+    Mutant(
+        "cosim-human-speedups-swapped", "cli.py",
+        "{cycle_speedup_plain} (cycles), {time_speedup_plain} (time)",
+        "{time_speedup_plain} (cycles), {cycle_speedup_plain} (time)",
+        "the human template reads each figure from its own cell; the two differ only at"
+        " the cross-clock pairing",
+    ),
+    Mutant(
+        "read-path-shown-raw", "cli.py",
+        "    shown = path if path.isprintable() else repr(path)",
+        "    shown = path",
+        "a path that holds a line break would print a second stderr line after error:",
     ),
     # -- cost models and their refusal order
     Mutant(

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,7 +19,7 @@ from svmsoc import (
 )
 from svmsoc import cli
 from svmsoc.cli import _build_parser, main
-from svmsoc.synth import SHIPPED_ANCHORS, SHIPPED_RECORDS
+from svmsoc.synth import SHIPPED_ANCHORS, SHIPPED_RECORDS, format_mhz, format_pairing
 
 from test_synth import csv_line
 
@@ -225,6 +227,23 @@ class TestClassify:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read {tiny / 'nope.json'}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["classify", "--svs", "svs.txt", "--alpha", "alpha.txt", "--input", "no\nfile"], 1),
+            (["synth", "248", "27", "pipeline-inner", "100", "--calibration", "no\nfile"], 1),
+            (["fit", "no\nfile"], 1),
+            (["synth", "248", "27", "pipeline-inner", "100", "--calibration", "bad\x1bname"], 2),
+        ],
+        ids=["input", "calibration", "fit-anchors", "undecodable-calibration"],
+    )
+    def test_unprintable_path_is_escaped_on_one_line(self, capsys, tiny, monkeypatch, argv, want):
+        monkeypatch.chdir(tiny)
+        (tiny / "bad\x1bname").write_bytes(b"\xff not text")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (want, "")
+        assert err.startswith(f"error: cannot read {argv[-1]!r}: ") and err.count("\n") == 1
 
     def test_nonlinear_kernel_rejected(self, capsys, tmp_path):
         bad = SVMLIGHT_SMALL.replace("0 # kernel type", "2 # kernel type")
@@ -458,6 +477,34 @@ class TestCosim:
         assert got["time_speedup_plain"] == "3.86"
         assert got["time_speedup_optimized"] == "1.12"
         assert got["hw_time_us"] == "11.26"
+
+    def test_cross_clock_pairing_human(self, capsys, gen61):
+        # the only pairing whose time speed-ups differ from its cycle speed-ups
+        code, out, _ = run(
+            capsys, *cosim_argv(gen61, "--directive", "pipeline-inner",
+                                "--fpga-mhz", "250", "--arm-mhz", "666.67"),
+        )
+        assert (code, out) == (0, (
+            "co-simulation: pipeline-inner, FPGA 250 MHz / ARM 666.67 MHz\n"
+            "  hw: -1 non-melanoma -7.6071177\n"
+            "  sw: -1 non-melanoma -7.6071177\n"
+            "  results match: yes\n"
+            "  hw cycles 2815 (measured_anchor), time 11.26 us\n"
+            "  sw cycles 28968, time 43.45 us\n"
+            "  sw cycles optimized 8431, time 12.65 us\n"
+            "  speedup vs plain sw: 10.29 (cycles), 3.86 (time)\n"
+            "  speedup vs optimized sw: 3.00 (cycles), 1.12 (time)\n"
+        ))
+
+    @given(*[st.floats(min_value=0, exclude_min=True, allow_infinity=False)] * 2)
+    def test_pairing_reads_back_from_its_cells(self, fpga, arm):
+        view = cli._View([("fpga_mhz", format_mhz(fpga)), ("arm_mhz", format_mhz(arm))])
+        assert view["pairing"] == format_pairing(fpga, arm)
+
+    @pytest.mark.parametrize("key, cell", [("hw_distance",) * 2, ("hw_label_word", "hw_label")])
+    def test_template_key_without_a_cell_is_a_key_error(self, key, cell):
+        with pytest.raises(KeyError, match=f"^'{cell}'$"):
+            cli._View([("sw_label", "+1")])[key]
 
     def test_unmeasured_design_uses_estimate(self, capsys, gen61):
         code, out, _ = run(
@@ -922,6 +969,54 @@ def test_help_still_exits_0(capsys):
         main(["synth", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: svmsoc synth [-h]")
+
+
+# SHA-256 of `svmsoc [command] --help` at 80 columns, as Python 3.11's argparse
+# lays it out; the refactor of the renderings kept every byte
+HELP_SHA256 = {
+    "": "58d3b8b9c45dea9c964da381b2be20f0cd603339877a8675836b2bfcf844d6a5",
+    "classify": "764149602ff3f03dfb20f100d2fc94135c275718abeed13790900354c00623f0",
+    "cosim": "cbca77e271948cf941f04ee7c193678c50f7b20dce501277e80aeaf821d5b107",
+    "synth": "732907b53faafc355f6534006473d7f8524c86be15dcf5528382fb2e346d4109",
+    "explore": "ee71463342425000434fce6812873ecd9fa0058dc96bb0dcd2b86ec570fed907",
+    "fit": "41cf37f9d16f0d0d4984c80efc13d30a26d0d9ccab112844c5aafc86c811f36c",
+    "gen": "150eab9487dc2ee15e966341e23995a48229aa4fb7222d8032e16cf48af2af09",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_bytes_are_stable(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def numbers(text: str) -> set:
+    """The parts of text's whitespace-separated tokens that read as numbers,
+    once (, ), % and : are stripped and a/b or k=v is split into its parts."""
+    found = set()
+    for token in text.split():
+        for part in re.split("[/=]", token.strip("():%")):
+            try:
+                float(part)
+            except ValueError:
+                continue
+            found.add(part)
+    return found
+
+
+def test_machine_carries_every_number_of_the_human_text(tmp_path, monkeypatch, capsys):
+    from test_golden import TOUR  # test_golden imports this module
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "anchors.csv").write_text(anchors_csv_text())
+    for name, argv in TOUR:
+        human, machine = (run(capsys, *argv, *["--machine"] * m) for m in (False, True))
+        assert human[0] == machine[0] == 0, name
+        values = {token.partition("=")[2] or token for token in machine[1].split()}
+        assert numbers(human[1]) <= values, name
 
 
 def test_parser_is_built_once():
