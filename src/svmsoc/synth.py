@@ -37,9 +37,10 @@ slope = a*(Fl+1) + c, which lets those two generalize across feature
 counts; everything else is pinned to its calibrated Fl.  A fitted figure
 is refused in one order: an uncalibrated group, an S or Fl outside
 1..2**53, another Fl (FlMismatch), a single anchor at another S, then a
-value that is not finite.  Fit.at applies the last three and words each
-refusal; a design's four fitted figures are read in one step that finds
-the same refusals without raising (_design_cost), so explore skips them.
+value that is not finite.  Fit.values evaluates every fit, on its one line
+form, and Fit.at words the last three refusals; explore and estimate_design
+read each design's figures in one candidate loop that skips, without
+raising, a design Fit.at would refuse.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
+from math import isfinite
 from operator import index, is_not
 from typing import NamedTuple, Sequence, Union
 
@@ -555,43 +557,72 @@ class Fit:
     optimized processor cycles.  They share feature_count, the Fl they were
     measured at, and points, the dict that maps each measured S to the tuple
     of column values there, which returns them exactly.  slope and intercept
-    hold one entry per column, or are None for a single anchor: scaling it to
-    another S is refused.  Two anchors give the exact affine through both,
-    evaluated through the anchors so interpolation carries no slope round-off
-    (rise holds each column's difference between them, else None); three or
-    more the least-squares line.  A line that is not finite raises ValueError.
+    hold one entry per column; a single anchor has neither, nor a line, and
+    scaling it to another S is refused.  A line that is not finite raises
+    ValueError.
 
-    at is the generic evaluator, for any columns.  A synth group's four
-    columns are read in one step by _design_cost, from these same fields and
-    by at's expression per column; at words the refusals it finds.
+    line is the fit in one form, (base, coef, origin, span): column i reads
+    base[i] + coef[i] * (S - origin) / span.  Two anchors give (points[lo],
+    rise, lo, hi - lo), the exact affine through both, read through the
+    anchors so interpolation carries no slope round-off; three or more give
+    the least-squares line as (intercept, slope, 0, 1), which reads the bits
+    of slope * S + intercept, since S - 0 and / 1 are exact and addition
+    commutes.  origin and span are held as floats, exact for every count up
+    to 2**53, so they change no bit and spare each step an int conversion.
+    values is the one evaluator; at reads its columns from values and words
+    the refusals.
     """
 
     __slots__ = (
-        "feature_count", "points", "lo", "hi", "slope", "intercept", "rise", "group", "columns"
+        "feature_count", "points", "lo", "hi", "slope", "intercept", "line", "group", "columns"
     )
 
     def __init__(self, feature_count: int, points: dict[int, tuple], group, columns):
         self.feature_count, self.points, self.group = feature_count, points, group
         self.columns = columns
         lo, hi = self.lo, self.hi = min(points), max(points)
-        self.slope = self.intercept = self.rise = None
+        self.slope = self.intercept = self.line = None
         if len(points) == 2:  # every column in one loop (no comprehension: each is a call)
             span, rise, slope, intercept = hi - lo, [], [], []
             for v1, v2 in zip(points[lo], points[hi]):
                 rise.append(v2 - v1)
                 slope.append(rise[-1] / span)
                 intercept.append(v1 - slope[-1] * lo)
-            self.rise, self.slope, self.intercept = tuple(rise), tuple(slope), tuple(intercept)
-            if not all(map(math.isfinite, intercept)):  # as it is where a slope is not
-                column = next(i for i, b in enumerate(intercept) if not math.isfinite(b))
+            self.slope, self.intercept = tuple(slope), tuple(intercept)
+            self.line = points[lo], tuple(rise), float(lo), float(span)
+            if not all(map(isfinite, intercept)):  # as it is where a slope is not
+                column = next(i for i, b in enumerate(intercept) if not isfinite(b))
                 raise _not_finite(self, column)
         elif len(points) > 2:
             pts = sorted(points.items())
             self.slope, self.intercept = zip(*[_line(pts, i, self) for i in range(len(columns))])
+            self.line = self.intercept, self.slope, 0.0, 1.0
 
     def what(self, column: int) -> str:
         """The label every message gives a column: latency for pipeline-inner at 100 MHz."""
         return _figure_label(self.columns[column], self.group)
+
+    def values(self, sv_count: int, feature_count: int) -> tuple[tuple, str] | None:
+        """Every column's value at (S, Fl), not yet checked finite, and their tag; None at
+        another Fl, or where a single anchor is read at another S."""
+        if feature_count != self.feature_count:
+            return None
+        point = self.points.get(sv_count)
+        if point is not None:
+            return point, ANCHOR_EXACT
+        line = self.line
+        if line is None:
+            return None
+        base, coef, origin, span = line
+        steps = sv_count - origin
+        tag = INTERPOLATED if self.lo < sv_count < self.hi else EXTRAPOLATED
+        # each column written out: explore reads every design here, and a loop costs it ~x1.2
+        if len(base) == 4:
+            return (
+                base[0] + coef[0] * steps / span, base[1] + coef[1] * steps / span,
+                base[2] + coef[2] * steps / span, base[3] + coef[3] * steps / span,
+            ), tag
+        return (base[0] + coef[0] * steps / span, base[1] + coef[1] * steps / span), tag
 
     def at(self, sv_count: int, feature_count: int, columns) -> tuple[list[float], str]:
         """The values at (S, Fl) of the columns read (indices), and their tag.
@@ -599,30 +630,20 @@ class Fit:
         Refuses, in this order: another Fl (FlMismatch, naming the first column
         read), a single anchor at another S, then a value that is not finite.
         """
-        if feature_count != self.feature_count:
-            fl = f"calibrated for Fl={self.feature_count}, not Fl={feature_count}"
-            raise FlMismatch(f"{self.what(columns[0])} is {fl}")
-        # loops, not comprehensions: on Python 3.11 each comprehension is a call
-        point, values = self.points.get(sv_count), []
-        if point is not None:
-            for i in columns:
-                values.append(point[i])
-            return values, ANCHOR_EXACT
-        lo, hi = self.lo, self.hi
-        if self.slope is None:
-            anchor = f"{self.what(columns[0])} has a single anchor at S={lo}"
+        found = self.values(sv_count, feature_count)
+        if found is None:
+            if feature_count != self.feature_count:
+                fl = f"calibrated for Fl={self.feature_count}, not Fl={feature_count}"
+                raise FlMismatch(f"{self.what(columns[0])} is {fl}")
+            anchor = f"{self.what(columns[0])} has a single anchor at S={self.lo}"
             raise UnknownCalibration(f"{anchor}; scaling to S={sv_count} has no supporting data")
-        if self.rise is not None:  # v1 + (v2 - v1) * (S - lo) / (hi - lo)
-            v1, rise, steps = self.points[lo], self.rise, sv_count - lo
-            for i in columns:
-                values.append(v1[i] + rise[i] * steps / (hi - lo))
-        else:
-            for i in columns:
-                values.append(self.slope[i] * sv_count + self.intercept[i])
-        if not all(map(math.isfinite, values)):
-            column = next(i for i, v in zip(columns, values) if not math.isfinite(v))
+        (point, tag), values = found, []
+        for i in columns:  # a loop, not a comprehension: on Python 3.11 each is a call
+            values.append(point[i])
+        if not all(map(isfinite, values)):
+            column = next(i for i, v in zip(columns, values) if not isfinite(v))
             raise CalibrationError(f"{self.what(column)} is not finite at S={sv_count}")
-        return values, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
+        return values, tag
 
     def counts(self, sv_count: int, feature_count: int, columns) -> list[int]:
         """at's values of the columns read as counts: each rounded to an int, clamped at 0."""
@@ -646,7 +667,7 @@ def _line(points, column: int, fit: Fit) -> tuple[float, float]:
             )
         except RuntimeWarning as exc:
             raise ValueError(f"no least-squares line fits {fit.what(column)}: {exc}") from None
-    if not (math.isfinite(slope) and math.isfinite(intercept)):
+    if not (isfinite(slope) and isfinite(intercept)):
         raise _not_finite(fit, column)
     return float(slope), float(intercept)
 
@@ -894,56 +915,37 @@ def estimate_design(
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
     fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
-    cost = _design_cost(fit, cal.dsp[design], sv_count, feature_count)
-    if cost is None:  # Fit.at names the refusal: the BRAM where the latency bridges
+    costs = _costs([(design[0], None, fit, cal.dsp[design])], sv_count, feature_count)
+    if not costs:  # Fit.at names the refusal: the BRAM where the latency bridges
         bridged = _bridge(fit, feature_count) is not None
         fit.at(sv_count, feature_count, (1,) if bridged else (0, 1, 2, 3))
-    latency, dsp, lut, ff, bram, validity = cost
+    (latency, dsp, lut, ff, bram, validity), _, _ = costs[0]
     return SynthesisEstimate(validity, latency, bram, dsp, ff, lut)
 
 
-def _design_cost(fit: Fit, dsp: tuple, sv_count, feature_count) -> tuple | None:
-    """A design's (latency, DSP, LUT, FF, BRAM, validity) at (S, Fl), or None where Fit.at
-    refuses: another Fl, a single anchor at another S, or a figure not finite at S.
+def _costs(rows, sv_count, feature_count) -> list[tuple]:
+    """The (cost, name, config) of each (name, config, Fit, DSP entry) row at (S, Fl), less
+    those Fit.at refuses: another Fl, a single anchor at another S or a figure not finite.
 
-    The four fitted figures are Fit.at's values of columns (0, 1, 2, 3), each by
-    the same expression, read in one step without a loop over the columns.
-    Latency, FF and LUT are rounded to ints, and each fitted figure is clamped at 0.
+    A cost is (latency, DSP, LUT, FF, BRAM, validity), from Fit.values: latency, FF and
+    LUT rounded to ints, and each fitted figure clamped at 0.
     """
-    if feature_count != fit.feature_count:
-        return None
-    point = fit.points.get(sv_count)
-    if point is not None:
-        latency, bram, ff, lut = point
-        validity = ANCHOR_EXACT
-    else:
-        lo, hi, rise = fit.lo, fit.hi, fit.rise
-        if rise is not None:  # v1 + (v2 - v1) * (S - lo) / (hi - lo), as Fit.at
-            (latency, bram, ff, lut), steps, span = fit.points[lo], sv_count - lo, hi - lo
-            latency += rise[0] * steps / span
-            bram += rise[1] * steps / span
-            ff += rise[2] * steps / span
-            lut += rise[3] * steps / span
-        elif fit.slope is not None:
-            slope, intercept = fit.slope, fit.intercept
-            latency = slope[0] * sv_count + intercept[0]
-            bram = slope[1] * sv_count + intercept[1]
-            ff = slope[2] * sv_count + intercept[2]
-            lut = slope[3] * sv_count + intercept[3]
-        else:  # a single anchor, at another S
-            return None
-        if not (
-            math.isfinite(latency) and math.isfinite(bram) and math.isfinite(ff)
-            and math.isfinite(lut)
-        ):
-            return None
-        validity = INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED
-    counts, elsewhere = dsp
-    latency, ff, lut = round(latency), round(ff), round(lut)
-    return (
-        latency if latency > 0 else 0, counts.get(sv_count, elsewhere), lut if lut > 0 else 0,
-        ff if ff > 0 else 0, bram if bram > 0.0 else 0.0, validity,
-    )
+    costs = []
+    for token, config, fit, dsps in rows:
+        found = fit.values(sv_count, feature_count)
+        if found is None:
+            continue
+        (latency, bram, ff, lut), validity = found
+        if not (isfinite(latency) and isfinite(bram) and isfinite(ff) and isfinite(lut)):
+            continue
+        counts, elsewhere = dsps
+        latency, ff, lut = round(latency), round(ff), round(lut)
+        cost = (
+            latency if latency > 0 else 0, counts.get(sv_count, elsewhere), lut if lut > 0 else 0,
+            ff if ff > 0 else 0, bram if bram > 0.0 else 0.0, validity,
+        )
+        costs.append((cost, token, config))
+    return costs
 
 
 def clock_key(clocks) -> tuple[float, float]:
@@ -1032,11 +1034,7 @@ def explore(
     rows = cal.regimes.get(regime, ())
     if rows:  # an uncalibrated regime is refused first
         _sizes(sv_count, feature_count)
-    candidates = []
-    for token, config, fit, dsps in rows:
-        cost = _design_cost(fit, dsps, sv_count, feature_count)
-        if cost is not None:  # skipped, without raising, where Fit.at refuses
-            candidates.append((cost, token, config))
+    candidates = _costs(rows, sv_count, feature_count)
     if not candidates:
         raise UnknownCalibration(
             f"no directive calibrated at {format_mhz(regime)} MHz can estimate"

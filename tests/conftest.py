@@ -3,9 +3,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from svmsoc import AccelResult, TestInstance, TrainedModel
+
+# The check scripts (tests/mutants.py, tests/line_reach.py) run pytest with
+# --hypothesis-profile=check: every run draws the same examples and keeps no
+# example database, so two runs of a check see the same tests.  Tier-1 keeps
+# the default profile, which draws at random.
+settings.register_profile("check", derandomize=True, database=None)
 
 
 def random_model(rng: np.random.Generator, sv_count: int, feature_count: int, scale=1.0):

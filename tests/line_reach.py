@@ -7,7 +7,10 @@ code object in it.  A function's first line (its `def`, or its first
 decorator) belongs to the enclosing code, which executes it; the
 function's own frame reports no line event there.  Every executable line
 that no test executed is listed, and each must be in ALLOWED, with the
-reason it is unreached.
+reason it is unreached.  After each test a pytest hook checks that the
+tracer is still installed: a test that displaced it is named, and the
+tracer is put back.  Tests run under the Hypothesis profile "check"
+(tests/conftest.py), so every run draws the same examples.
 
 Usage, from the repository root (standard library only; tier-1 needs pytest
 and hypothesis):
@@ -16,10 +19,10 @@ and hypothesis):
     python tests/line_reach.py tests/test_cli.py  # other pytest arguments
 
 The exit status is 1 when a line outside ALLOWED is unreached, when an
-ALLOWED entry matches no unreached line, or when the tests fail; 0
-otherwise.  Tracing about doubles tier-1's time.  Not part of tier-1:
-pytest does not collect this file.  Changing ALLOWED is recorded in
-CHANGES.md with its reason, like any other check.
+ALLOWED entry matches no unreached line, when a test displaced the tracer,
+or when the tests fail; 0 otherwise.  Tracing about doubles tier-1's time.
+Not part of tier-1: pytest does not collect this file.  Changing ALLOWED
+is recorded in CHANGES.md with its reason, like any other check.
 """
 
 from __future__ import annotations
@@ -55,8 +58,22 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code for args, and the lines executed in each package file."""
+class TracerWatch:
+    """A pytest plugin that names each test after which sys.gettrace() is not the tracer,
+    and installs the tracer again."""
+
+    def __init__(self, tracer):
+        self.tracer, self.lost = tracer, []
+
+    def pytest_runtest_logfinish(self, nodeid, location):
+        if sys.gettrace() is not self.tracer:
+            self.lost.append(nodeid)
+            sys.settrace(self.tracer)
+
+
+def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]], list[str]]:
+    """pytest's exit code for args, the lines executed in each package file, and the
+    tests after which the tracer had to be installed again."""
     import pytest  # imported before tracing starts: only the package's lines are kept
 
     hits: dict[str, set[int]] = {}
@@ -75,29 +92,33 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
             hits.setdefault(filename, set())
         return local if ours[filename] else None
 
+    watch = TracerWatch(calls)
     threading.settrace(calls)
     sys.settrace(calls)
     try:
-        code = pytest.main(args)
+        code = pytest.main(args, plugins=[watch])
     finally:
         sys.settrace(None)
         threading.settrace(None)
     by_file: dict[str, set[int]] = {}
     for filename, lines in hits.items():
         by_file.setdefault(Path(filename).resolve().name, set()).update(lines)
-    return int(code), by_file
+    return int(code), by_file, watch.lost
 
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
-    code, hits = traced_run(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                             *args])
+    code, hits, lost = traced_run(["-q", "-p", "no:cacheprovider", "--hypothesis-profile=check",
+                                   "--continue-on-collection-errors", *args])
     bad = 0
     if code:
         print(f"the tests failed (pytest exit {code}): the reach below is not tier-1's")
         bad += 1
+    for nodeid in lost:
+        bad += 1
+        print(f"{nodeid}: the tracer was displaced during this test and installed again")
     allowed = dict(ALLOWED)
     total = unreached = 0
     for path in sorted(PACKAGE.glob("*.py")):

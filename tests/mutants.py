@@ -7,9 +7,11 @@ file: tests/test_synth.py for synth.py).  For each entry the script copies
 src/, tests/ and pyproject.toml into a temporary directory and applies the
 entry there.  It runs the entry's test modules with -x first, and tier-1
 with -x only when the mutant survives them; --full runs tier-1 alone.  An
-entry is killed when a run fails, and survives when tier-1 passes.  An
-entry marked equivalent changes no behaviour that a test can observe; it
-is expected to survive and its reason says why.
+entry is killed when a run fails, and survives when tier-1 passes.  Every
+run loads the Hypothesis profile "check" (tests/conftest.py), which draws
+the same examples each time, so a result repeats.  An entry marked
+equivalent changes no behaviour that a test can observe; it is expected
+to survive and its reason says why.
 
 Usage, from the repository root (standard library only; tier-1 needs
 pytest and hypothesis):
@@ -41,6 +43,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 # pytest without the test that each entry's text is found: a mutant copy lacks its own
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--hypothesis-profile=check",
           "--deselect", "tests/test_structure.py::test_every_catalogue_entry_finds_its_text_once"]
 TIER1 = [*PYTEST, "--continue-on-collection-errors"]
 
@@ -483,20 +486,20 @@ CATALOGUE = [
     ),
     Mutant(
         "fit-tag-bounds-interpolated", "synth.py",
-        "return values, INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED",
-        "return values, INTERPOLATED if lo <= sv_count <= hi else EXTRAPOLATED",
-        "equivalent: lo and hi are anchors, and Fit.at returns anchor_exact at an anchor"
+        "tag = INTERPOLATED if self.lo < sv_count < self.hi else EXTRAPOLATED",
+        "tag = INTERPOLATED if self.lo <= sv_count <= self.hi else EXTRAPOLATED",
+        "equivalent: lo and hi are anchors, and Fit.values returns anchor_exact at an anchor"
         " before it reaches this tag",
         equivalent=True,
     ),
     Mutant(
         "fit-single-anchor-before-fl", "synth.py",
-        "        if feature_count != self.feature_count:\n",
-        "        if self.slope is None and sv_count not in self.points:\n"
-        "            anchor = f\"{self.what(columns[0])} has a single anchor at S={self.lo}\"\n"
-        "            raise UnknownCalibration(f\"{anchor}; scaling to S={sv_count} has no"
+        "            if feature_count != self.feature_count:\n",
+        "            if self.line is None and sv_count not in self.points:\n"
+        "                anchor = f\"{self.what(columns[0])} has a single anchor at S={self.lo}\"\n"
+        "                raise UnknownCalibration(f\"{anchor}; scaling to S={sv_count} has no"
         " supporting data\")\n"
-        "        if feature_count != self.feature_count:\n",
+        "            if feature_count != self.feature_count:\n",
         "Fit.at refuses another Fl before a single anchor at another S",
     ),
     Mutant(
@@ -574,9 +577,9 @@ CATALOGUE = [
     ),
     Mutant(
         "design-cost-fl-unchecked", "synth.py",
-        "    if feature_count != fit.feature_count:\n        return None\n",
+        "        if feature_count != self.feature_count:\n            return None\n",
         "",
-        "a design is estimated only at its calibrated Fl: explore skips it elsewhere and"
+        "a fit is read only at its calibrated Fl: explore skips a design elsewhere and"
         " estimate_design refuses it",
     ),
     # -- the one-pass set build, its per-regime table and the front's instances
@@ -600,7 +603,7 @@ CATALOGUE = [
     ),
     Mutant(
         "fit-two-anchor-intercept-unchecked", "synth.py",
-        "            if not all(map(math.isfinite, intercept)):",
+        "            if not all(map(isfinite, intercept)):",
         "            if False:",
         "a two-anchor line that is not finite is refused when it is fitted",
     ),
@@ -641,39 +644,37 @@ CATALOGUE = [
         '    e["dsp"], e["ff"], e["lut"] = dsp, lut, ff\n',
         "a front member's estimate holds each figure in its own field",
     ),
-    # -- the four-figure evaluation explore and estimate_design share
-    Mutant(
-        "design-cost-tag-bound-inclusive", "synth.py",
-        "validity = INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED",
-        "validity = INTERPOLATED if lo <= sv_count < hi else EXTRAPOLATED",
-        "equivalent: lo is an anchor, and _design_cost tags an anchor anchor_exact before it"
-        " reaches this tag",
-        equivalent=True,
-    ),
+    # -- the one evaluator, Fit.values, and the candidate loop explore and estimate_design share
     Mutant(
         "design-cost-tag-lower-bound-dropped", "synth.py",
-        "validity = INTERPOLATED if lo < sv_count < hi else EXTRAPOLATED",
-        "validity = INTERPOLATED if sv_count < hi else EXTRAPOLATED",
+        "tag = INTERPOLATED if self.lo < sv_count < self.hi else EXTRAPOLATED",
+        "tag = INTERPOLATED if sv_count < self.hi else EXTRAPOLATED",
         "an S below the lowest anchor is extrapolated, not interpolated",
     ),
     Mutant(
-        "design-cost-interpolated-figures-swapped", "synth.py",
-        "            ff += rise[2] * steps / span\n            lut += rise[3] * steps / span\n",
-        "            ff += rise[3] * steps / span\n            lut += rise[2] * steps / span\n",
-        "between two anchors each figure moves by its own column's rise",
+        "design-cost-line-figures-swapped", "synth.py",
+        "base[1] + coef[1] * steps / span,\n                base[2] + coef[2] * steps / span,",
+        "base[2] + coef[2] * steps / span,\n                base[1] + coef[1] * steps / span,",
+        "on a fitted line each figure is read from its own column's base and coefficient",
     ),
     Mutant(
-        "design-cost-line-figures-swapped", "synth.py",
-        "            bram = slope[1] * sv_count + intercept[1]\n"
-        "            ff = slope[2] * sv_count + intercept[2]\n",
-        "            bram = slope[2] * sv_count + intercept[2]\n"
-        "            ff = slope[1] * sv_count + intercept[1]\n",
-        "on a least-squares line each figure is read from its own column's slope and intercept",
+        "fit-line-origin-at-lo", "synth.py",
+        "            self.line = self.intercept, self.slope, 0.0, 1.0\n",
+        "            self.line = self.intercept, self.slope, float(lo), 1.0\n",
+        "a least-squares line's intercept is its value at S=0, so its line is read from origin 0",
+    ),
+    Mutant(
+        "fit-two-column-figures-swapped", "synth.py",
+        "        return (base[0] + coef[0] * steps / span, base[1] + coef[1] * steps / span),"
+        " tag\n",
+        "        return (base[1] + coef[1] * steps / span, base[0] + coef[0] * steps / span),"
+        " tag\n",
+        "plain and optimized processor cycles are each read from their own column's line",
     ),
     Mutant(
         "design-cost-bram-finiteness-dropped", "synth.py",
-        "math.isfinite(latency) and math.isfinite(bram) and math.isfinite(ff)",
-        "math.isfinite(latency) and math.isfinite(ff)",
+        "isfinite(latency) and isfinite(bram) and isfinite(ff)",
+        "isfinite(latency) and isfinite(ff)",
         "a BRAM line that is not finite at S leaves the design out of explore and refused by"
         " estimate_design, as Fit.at refuses it",
     ),

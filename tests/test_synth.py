@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -885,6 +886,36 @@ def test_finiteness_covers_only_the_columns_read():
         UnknownCalibration, match="^optimized processor cycles for FPGA 250 MHz / ARM 250 MHz"
     ):
         estimate_arm_cycles(100, 27, (250, 250), optimized=True, calibration=cal)
+
+
+@given(record_tables(), REF_SIZES, st.one_of(st.sampled_from([27, 30]), st.integers(1, 64)))
+@example(FINITENESS_TABLE, MAX_COUNT, 27)  # BRAM not finite at S; latency is
+@example(BRANCH_TABLE, 15, 27)  # between two anchors
+@example(BRANCH_TABLE, 300, 27)  # on a least-squares line; a single anchor elsewhere
+@example(BRANCH_TABLE, 15, 30)  # another Fl
+@settings(max_examples=300, deadline=None)
+def test_values_give_every_column_as_at_reads_it(records, s, fl):
+    """Fit.values gives at's bits and tag for each column, and None where at refuses
+    another Fl or a single anchor at another S; where at finds a column not finite,
+    values holds it as it is."""
+    try:
+        cal = fit_calibration(records)
+    except ValueError:  # a line that is not finite: no fit to read
+        return
+    for fit in cal.fits.values():
+        for size, feature_count in itertools.product({s, *fit.points}, {fl, fit.feature_count}):
+            found = fit.values(size, feature_count)
+            for column in range(len(fit.columns)):
+                try:
+                    (value,), tag = fit.at(size, feature_count, (column,))
+                except (FlMismatch, UnknownCalibration):
+                    assert found is None
+                    continue
+                except CalibrationError:
+                    assert found is not None and not math.isfinite(found[0][column])
+                    continue
+                assert found is not None
+                assert (found[0][column].hex(), found[1]) == (value.hex(), tag)
 
 
 class TestArmCycles:
