@@ -9,7 +9,8 @@ lists, and one function spells a clock pairing.  The software reference
 reaches no accel function and no ufunc accumulate, so it stays a second
 mechanism beside the accelerator model.  Every entry of the
 mutation catalogue (tests/mutants.py) still finds the text it replaces, and
-names test modules that exist.
+names test modules that exist, and every row of the fast-path ledger
+(tests/fast_paths.py) names an attribute that exists and text it finds once.
 """
 
 import ast
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import fast_paths
 import mutants
 import svmsoc
 
@@ -295,3 +297,13 @@ def test_every_catalogue_entry_names_test_modules_that_exist(mutant):
     # a stale or misspelt module would send every run of the entry to tier-1
     tests = Path(mutants.__file__).parent
     assert all((tests / module).is_file() for module in mutant.modules)
+
+
+@pytest.mark.parametrize("row", fast_paths.PATHS, ids=lambda r: r.name)
+def test_every_fast_path_row_names_an_attribute_that_exists(row):
+    # a rename or a move then fails here, where the ledger would time nothing
+    owner, name = fast_paths.attribute(row)
+    original = getattr(owner, name)
+    fast_paths.locate(row)  # its text, once in its file
+    if isinstance(row.off, str):  # the fallback is the attribute's own source, edited
+        fast_paths.edited_code(row, original)
