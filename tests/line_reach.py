@@ -7,7 +7,8 @@ code object in it.  A function's first line (its `def`, or its first
 decorator) belongs to the enclosing code, which executes it; the
 function's own frame reports no line event there.  Every executable line
 that no test executed is listed, and each must be in ALLOWED, with the
-reason it is unreached.  After each test a pytest hook checks that the
+reason it is unreached.  The garbage collector is held off while each test
+runs (TracerWatch says why).  After each test a pytest hook checks that the
 tracer is still installed: a test that displaced it is named, and the
 tracer is put back.  Tests run under the Hypothesis profile "check"
 (tests/conftest.py), so every run draws the same examples.
@@ -27,6 +28,7 @@ is recorded in CHANGES.md with its reason, like any other check.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
@@ -59,13 +61,24 @@ def executable_lines(path: Path) -> set[int]:
 
 
 class TracerWatch:
-    """A pytest plugin that names each test after which sys.gettrace() is not the tracer,
-    and installs the tracer again."""
+    """A pytest plugin that holds the garbage collector off while each test runs, then names
+    each test after which sys.gettrace() is not the tracer, and installs the tracer again.
+
+    A collection may run a Python finalizer at any depth.  At the recursion limit the call
+    into the trace function then raises RecursionError, and CPython unsets a trace function
+    that raises: a collection inside json's C decoder did so in test_rejects_garbage[deep]
+    (tests/test_synth.py).  With the collector held off, it collects between tests, where
+    the stack is shallow, and such a test keeps its lines.
+    """
 
     def __init__(self, tracer):
         self.tracer, self.lost = tracer, []
 
+    def pytest_runtest_logstart(self, nodeid, location):
+        gc.disable()
+
     def pytest_runtest_logfinish(self, nodeid, location):
+        gc.enable()
         if sys.gettrace() is not self.tracer:
             self.lost.append(nodeid)
             sys.settrace(self.tracer)

@@ -135,9 +135,9 @@ CATALOGUE = [
     ),
     Mutant(
         "stream-frame-writeable", "model_io.py",
-        "    words.flags.writeable = False\n    frame = object.__new__(StreamFrame)",
-        "    frame = object.__new__(StreamFrame)",
-        "emit_stream's frame holds read-only words, as the StreamFrame constructor stores them",
+        "        w.flags.writeable = False\n",
+        "",
+        "a frame holds read-only words, emit_stream's as any other",
     ),
     # -- parsers
     Mutant(
@@ -284,8 +284,8 @@ CATALOGUE = [
     # -- the formatter: Dragon4's text, from the array path or from Dragon4
     Mutant(
         "format-print-options-unpinned", "model_io.py",
-        '    if np.get_printoptions()["legacy"] is not False:',
-        "    if False:",
+        "    with np.printoptions(legacy=False):\n",
+        "    with np.errstate():\n",
         "a legacy print mode prints 6 digits, which do not round-trip",
     ),
     Mutant(
@@ -421,8 +421,8 @@ CATALOGUE = [
     ),
     Mutant(
         "cosim-timer-refusal-dropped", "driver.py",
-        "        arm_timer_mhz(pairing, cal)  # refuses the uncalibrated pairing\n",
-        "        pass\n",
+        "    timer_mhz = arm_timer_mhz(pairing, cal)\n",
+        "    timer_mhz = cal.arm.get(pairing)\n",
         "an uncalibrated pairing is refused with arm_timer_mhz's UnknownCalibration,"
         " not a KeyError",
     ),
@@ -652,24 +652,24 @@ CATALOGUE = [
         "an S below the lowest anchor is extrapolated, not interpolated",
     ),
     Mutant(
-        "design-cost-line-figures-swapped", "synth.py",
-        "base[1] + coef[1] * steps / span,\n                base[2] + coef[2] * steps / span,",
-        "base[2] + coef[2] * steps / span,\n                base[1] + coef[1] * steps / span,",
-        "on a fitted line each figure is read from its own column's base and coefficient",
-    ),
-    Mutant(
         "fit-line-origin-at-lo", "synth.py",
         "            self.line = self.intercept, self.slope, 0.0, 1.0\n",
         "            self.line = self.intercept, self.slope, float(lo), 1.0\n",
         "a least-squares line's intercept is its value at S=0, so its line is read from origin 0",
     ),
     Mutant(
-        "fit-two-column-figures-swapped", "synth.py",
-        "        return (base[0] + coef[0] * steps / span, base[1] + coef[1] * steps / span),"
-        " tag\n",
-        "        return (base[1] + coef[1] * steps / span, base[0] + coef[0] * steps / span),"
-        " tag\n",
-        "plain and optimized processor cycles are each read from their own column's line",
+        "fit-line-reassociated", "synth.py",
+        "            values.append(b + c * steps / span)\n",
+        "            values.append(b + c * (steps / span))\n",
+        "a line reads base + coef * steps / span in that order: steps / span rounds once more"
+        " and moves an interpolated figure off the per-column reference's bits",
+    ),
+    Mutant(
+        "estimators-compute-with-numpy-sizes", "synth.py",
+        "    return (fit, *_sizes(sv_count, feature_count))\n",
+        "    _sizes(sv_count, feature_count)\n    return fit, sv_count, feature_count\n",
+        "the estimators compute with the S and Fl they checked, as ints: a numpy S gives"
+        " numpy float figures and numpy's overflow warnings",
     ),
     Mutant(
         "design-cost-bram-finiteness-dropped", "synth.py",

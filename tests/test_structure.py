@@ -302,8 +302,7 @@ def test_every_catalogue_entry_names_test_modules_that_exist(mutant):
 @pytest.mark.parametrize("row", fast_paths.PATHS, ids=lambda r: r.name)
 def test_every_fast_path_row_names_an_attribute_that_exists(row):
     # a rename or a move then fails here, where the ledger would time nothing
-    owner, name = fast_paths.attribute(row)
-    original = getattr(owner, name)
+    original = getattr(fast_paths.module_of(row), row.attr)
     fast_paths.locate(row)  # its text, once in its file
     if isinstance(row.off, str):  # the fallback is the attribute's own source, edited
         fast_paths.edited_code(row, original)

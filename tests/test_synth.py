@@ -618,6 +618,50 @@ class TestLatencyEstimates:
         )
         assert estimate_arm_cycles(s, fl, (100, 666.67)) == 309378
 
+    def test_numpy_integer_sizes_compute_as_ints(self):
+        # the estimators compute with the S and Fl they checked, as ints: no figure comes back
+        # a numpy float, and a line past binary64's range overflows to inf without a warning
+        huge = fit_calibration([
+            (1, 27, "pipeline-inner", 100.0, 10, 0.0, 5, 10, 10),
+            (2, 27, "pipeline-inner", 100.0, 20, 1e308, 5, 20, 20),
+            (1, 27, "interface-only", 100.0, 100, 1.0, 5, 100, 100),
+            (2, 27, "interface-only", 100.0, 200, 2.0, 5, 200, 200),
+        ])
+        calls = [
+            lambda s, fl: explore(s, fl, 100),
+            lambda s, fl: estimate_design(s, fl, "pipeline-inner", 100),
+            lambda s, fl: estimate_latency(s, fl, "pipeline-inner", 100),
+            lambda s, fl: estimate_latency(s, fl + 37, "pipeline-inner", 100),  # bridged Fl
+            lambda s, fl: estimate_arm_cycles(s, fl, (100, 666.67)),
+            lambda s, fl: explore(s, fl, 100, calibration=huge),
+            lambda s, fl: estimate_design(s, fl, "pipeline-inner", 100, calibration=huge),
+            lambda s, fl: estimate_design(s, fl, "interface-only", 100, calibration=huge),
+        ]
+
+        def typed(value):
+            """value with the type of every number in it: np.float64(3.0) == 3.0, but not typed"""
+            if dataclasses.is_dataclass(value):
+                value = dataclasses.astuple(value)
+            if isinstance(value, (list, tuple)):
+                return tuple(map(typed, value))
+            return type(value), value
+
+        def outcome(call, s, fl):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    return typed(call(s, fl))
+                except SvmSocError as exc:
+                    return type(exc), str(exc)
+
+        for s in (150, MAX_COUNT - 1):
+            for call in calls:
+                assert outcome(call, np.int64(s), np.int64(27)) == outcome(call, s, 27), s
+        assert outcome(calls[6], MAX_COUNT - 1, 27)[0] is CalibrationError  # the BRAM is inf
+        for s in (True, np.True_):
+            with pytest.raises(ValueError, match="must be integers"):
+                estimate_design(s, 27, "pipeline-inner", 100)
+
     def test_fractional_slope_anchors_within_a_tenth_percent(self):
         # the cyclic-8 anchors do not sit on an integer-slope line; the
         # fitted line must still land within 0.1% at both (here: exactly)
