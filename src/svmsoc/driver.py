@@ -14,8 +14,9 @@ as Python floats.  Each set of products (the S*Fl weight terms, then the
 Fl*N dot-product terms) is rounded in one step.  Each sum adds in binary64
 and rounds to binary32 after every add: one instance's dot product as
 Python floats stored into a one-element array("f"), a C double-to-float
-cast; AC and a batch's dot products in place on a binary64 accumulator
-through a binary32 buffer, so no step allocates.  One instance's bias step
+cast; AC and a batch's dot products over more than one lane in place on
+a binary64 accumulator through a binary32 buffer, so no step allocates,
+and over one lane (AC at Fl=1, a batch of one row) as Python floats too.  One instance's bias step
 and threshold round through array("f") as well.
 
 run_oracle is the accuracy yardstick: full binary64, per-support-vector
@@ -95,8 +96,13 @@ def _rounded_sum(rows: np.ndarray) -> np.ndarray:
     The sum starts at +0.0 and lives in binary64: each step adds a row in
     place, then rounds the sum to binary32 by storing it into a binary32
     buffer and widens it back, three numpy calls and no new array per step.
-    np.add.accumulate would skip the rounding after each add.
+    np.add.accumulate would skip the rounding after each add.  One column
+    sums as Python floats (_lane_sum): numpy's one-element add keeps the
+    NaN of its second operand where its many-element loop and a C add keep
+    the first's, so -nan + nan would lose its sign bit.
     """
+    if rows.shape[1] == 1:
+        return np.array((_lane_sum(rows[:, 0].tolist()),))
     acc = np.zeros(rows.shape[1])
     acc32 = np.empty(rows.shape[1], np.float32)
     add = np.add
